@@ -24,6 +24,7 @@ from .core import (
 )
 from .documents import (
     ParseError,
+    format_extended_rational,
     format_rational,
     generate_instance,
     load_instance_document,
@@ -59,6 +60,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_solve_k(args) -> int:
+    if args.precision < 1:
+        return _fail(EXIT_PARSE, f"error: --precision must be >= 1, got {args.precision}")
     try:
         doc = load_instance_document(args.instance)
     except ParseError as exc:
@@ -71,8 +74,11 @@ def cmd_solve_k(args) -> int:
         return _fail(EXIT_GUARD, f"error: {exc}")
     elapsed = (time.perf_counter() - start) * 1000
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            json.dump(trace_to_json(trace), handle, indent=2)
+        try:
+            with open(args.trace, "w", encoding="utf-8") as handle:
+                json.dump(trace_to_json(trace), handle, indent=2)
+        except OSError as exc:
+            return _fail(EXIT_PARSE, f"error: cannot write trace to {args.trace}: {exc}")
     _emit(
         result_document(
             loads,
@@ -154,15 +160,13 @@ def cmd_verify(args) -> int:
     ok = is_alpha_pne(inst, loads, alpha)
     obj = {"loads": loads, "alpha": format_rational(alpha), "is_alpha_pne": ok}
     if not ok:
-        from .documents import _extended_rational_str
-
         ratio, source, target, cost, dev = binding_deviation(inst, loads)
         obj["violation"] = {
             "from": source,
             "to": target,
             "cost": format_rational(cost),
             "deviation_cost": format_rational(dev),
-            "ratio": _extended_rational_str(ratio),
+            "ratio": format_extended_rational(ratio),
         }
     _emit(obj, args.pretty)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

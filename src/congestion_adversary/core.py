@@ -35,6 +35,7 @@ __all__ = [
     "attack",
     "resource_cost",
     "deviation_cost",
+    "cheapest_deviation",
     "needed_alpha",
     "binding_deviation",
     "is_alpha_pne",
@@ -154,11 +155,7 @@ def resource_cost(inst: Instance, loads: Loads, r: int) -> Fraction:
     """Cost experienced by any player seated on resource r: a_r * load + attack share."""
     if loads[r] < 1:
         raise UnoccupiedResource(f"resource {r} carries no player")
-    peak = max(loads)
-    base = inst.coefficients[r] * loads[r]
-    if loads[r] < peak:
-        return base
-    return base + inst.budget / loads.count(peak)
+    return _seated_cost(inst, loads, r)
 
 
 def deviation_cost(
@@ -177,11 +174,33 @@ def deviation_cost(
     if source is not None:
         after[source] -= 1
     after[target] += 1
-    peak = max(after)
-    base = inst.coefficients[target] * after[target]
-    if after[target] < peak:
+    return _seated_cost(inst, after, target)
+
+
+def _seated_cost(inst: Instance, loads: Loads, r: int) -> Fraction:
+    """a_r * loads[r], plus the attack share when r carries the peak load."""
+    peak = max(loads)
+    base = inst.coefficients[r] * loads[r]
+    if loads[r] < peak:
         return base
-    return base + inst.budget / after.count(peak)
+    return base + inst.budget / loads.count(peak)
+
+
+def cheapest_deviation(
+    inst: Instance, loads: Loads, source: Optional[int]
+) -> Optional[Tuple[Fraction, int]]:
+    """Cheapest ``(deviation_cost, target)`` for a player on `source` (None: entering).
+
+    Ties break toward the smallest target.  None when a seated player has no
+    other resource (m = 1).
+    """
+    best = None
+    for target in range(inst.m):
+        if target != source:
+            cost = deviation_cost(inst, loads, source, target)
+            if best is None or cost < best[0]:
+                best = (cost, target)
+    return best
 
 
 def needed_alpha(inst: Instance, loads: Loads) -> ExtendedRational:
@@ -195,9 +214,7 @@ def needed_alpha(inst: Instance, loads: Loads) -> ExtendedRational:
     exact equilibrium, so 1 is returned.
     """
     found = _binding_deviation_impl(inst, loads)
-    if found is None:
-        return Fraction(1)
-    return found[0]
+    return Fraction(1) if found is None else found[0]
 
 
 def binding_deviation(
@@ -212,21 +229,16 @@ def binding_deviation(
 
 
 def _binding_deviation_impl(inst, loads):
-    m = inst.m
     if sum(loads) == 0:
         raise EmptyGame("profile seats no players")
-    if m == 1:
+    if inst.m == 1:
         return None
     best = None
-    for r in range(m):
+    for r in range(inst.m):
         if loads[r] < 1:
             continue
         cost = resource_cost(inst, loads, r)
-        dev_to = min(
-            range(m),
-            key=lambda s: (deviation_cost(inst, loads, r, s), s) if s != r else (INFINITY, s),
-        )
-        dev = deviation_cost(inst, loads, r, dev_to)
+        dev, dev_to = cheapest_deviation(inst, loads, r)
         if dev == 0:
             ratio = INFINITY if cost > 0 else Fraction(0)
         else:

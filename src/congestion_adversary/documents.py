@@ -24,6 +24,7 @@ __all__ = [
     "InstanceDocument",
     "parse_rational",
     "format_rational",
+    "format_extended_rational",
     "parse_instance_document",
     "load_instance_document",
     "result_document",
@@ -121,7 +122,8 @@ def load_instance_document(path: str) -> InstanceDocument:
     return parse_instance_document(obj)
 
 
-def _extended_rational_str(value) -> str:
+def format_extended_rational(value) -> str:
+    """format_rational, extended with "inf" for INFINITY."""
     if value == math.inf:
         return "inf"
     return format_rational(value)
@@ -134,7 +136,7 @@ def trace_to_json(trace: SolveTrace) -> List[dict]:
             "round": ev.round,
             "from": ev.source,
             "to": ev.target,
-            "cost_before": _extended_rational_str(ev.cost_before),
+            "cost_before": format_extended_rational(ev.cost_before),
             "cost_after": format_rational(ev.cost_after),
             "loads_after": list(ev.loads_after),
         }
@@ -155,7 +157,7 @@ def result_document(
     if alpha is not None:
         obj["alpha"] = format_rational(alpha)
     if needed is not None:
-        obj["needed_alpha"] = _extended_rational_str(needed)
+        obj["needed_alpha"] = format_extended_rational(needed)
     if trace is not None:
         obj["trace"] = trace_to_json(trace)
     obj.update(extra)

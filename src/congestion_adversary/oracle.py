@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Tuple
 from .core import (
     ExtendedRational,
     Instance,
-    deviation_cost,
+    cheapest_deviation,
     needed_alpha,
     resource_cost,
 )
@@ -114,15 +114,9 @@ def oracle_best_additive_epsilon(
         for r in range(inst.m):
             if profile[r] < 1:
                 continue
-            cost = resource_cost(inst, profile, r)
-            if inst.m == 1:
-                continue
-            dev = min(
-                deviation_cost(inst, profile, r, s)
-                for s in range(inst.m)
-                if s != r
-            )
-            slack = max(slack, cost - dev)
+            move = cheapest_deviation(inst, profile, r)
+            if move is not None:
+                slack = max(slack, resource_cost(inst, profile, r) - move[0])
         if best_value is None or slack < best_value:
             best_value = slack
             best_profile = profile

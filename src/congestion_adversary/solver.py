@@ -23,6 +23,7 @@ from .core import (
     GameError,
     INFINITY,
     Instance,
+    cheapest_deviation,
     deviation_cost,
     k_upper_bound,
     resource_cost,
@@ -34,7 +35,6 @@ __all__ = [
     "STRICT",
     "LENIENT",
     "GuardExceeded",
-    "NoUnhappyPlayers",
     "TraceEvent",
     "SolveTrace",
     "SolverConfig",
@@ -57,10 +57,6 @@ class GuardExceeded(RuntimeError):
     With alpha at or above the threshold constant this signals a bug; with a
     smaller alpha it may simply mean no such equilibrium is reachable.
     """
-
-
-class NoUnhappyPlayers(GameError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -120,15 +116,11 @@ def best_response(inst: Instance, loads: Sequence[int], source: Optional[int]) -
     Staying put counts as an option with the player's current cost; ties break
     toward the smallest index.
     """
-    if source is not None and loads[source] < 1:
-        raise GameError(f"no player seated on resource {source}")
-
-    def option_cost(r: int) -> Fraction:
-        if r == source:
-            return resource_cost(inst, loads, r)
-        return deviation_cost(inst, loads, source, r)
-
-    return min(range(inst.m), key=lambda r: (option_cost(r), r))
+    move = cheapest_deviation(inst, loads, source)
+    if source is None:
+        return move[1]
+    stay = (resource_cost(inst, loads, source), source)
+    return source if move is None else min(stay, move)[1]
 
 
 def unhappy_set(
@@ -142,22 +134,21 @@ def unhappy_set(
     for r in range(inst.m):
         if loads[r] < 1:
             continue
-        cost = resource_cost(inst, loads, r)
-        for s in range(inst.m):
-            if s != r and cost > alpha * deviation_cost(inst, loads, r, s):
-                result.add(r)
-                break
+        move = cheapest_deviation(inst, loads, r)
+        if move is not None and resource_cost(inst, loads, r) > alpha * move[0]:
+            result.add(r)
     return result
 
 
 def select_deviator(
     inst: Instance, loads: Sequence[int], alpha: Union[Fraction, int]
-) -> int:
-    """The unhappy resource with maximum cost; ties break toward the largest index."""
+) -> Optional[int]:
+    """The unhappy resource with maximum cost; ties break toward the largest index.
+
+    Returns None when every player is settled.
+    """
     unhappy = unhappy_set(inst, loads, alpha)
-    if not unhappy:
-        raise NoUnhappyPlayers("every player is settled")
-    return max(unhappy, key=lambda r: (resource_cost(inst, loads, r), r))
+    return max(unhappy, key=lambda r: (resource_cost(inst, loads, r), r), default=None)
 
 
 def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveTrace]:
@@ -180,17 +171,13 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
 
         deviations = 0
         budget = config.round_budget(k, m)
-        while True:
-            unhappy = unhappy_set(inst, loads, alpha)
-            if not unhappy:
-                break
+        while (source := select_deviator(inst, loads, alpha)) is not None:
             deviations += 1
             if deviations > budget:
                 raise GuardExceeded(
                     f"round {k} exceeded {budget} deviations "
                     f"({config.guard_mode} guard, alpha={alpha})"
                 )
-            source = max(unhappy, key=lambda r: (resource_cost(inst, loads, r), r))
             cost_before = resource_cost(inst, loads, source)
             target = best_response(inst, loads, source)
             cost_after = deviation_cost(inst, loads, source, target)

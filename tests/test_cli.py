@@ -38,6 +38,21 @@ class TestSolveK:
         events = json.loads(trace_path.read_text())
         assert events[-1]["loads_after"] == [2, 2, 1, 1, 1]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--precision", "0"],
+            ["--precision", "-3"],
+            ["--trace", "{missing}/trace.json"],
+        ],
+    )
+    def test_refused_parameters(self, capsys, tmp_path, extra):
+        extra = [arg.format(missing=tmp_path / "missing") for arg in extra]
+        code, out, err = run(capsys, "solve-k", EXAMPLE1, *extra)
+        assert code == 2
+        assert not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "solve-k", str(tmp_path / "missing.json"))
         assert code == 2

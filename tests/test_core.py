@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congestion_adversary import (
     AWAY_FROM_ZERO,
     EmptyGame,
     EmptyResources,
+    EmptySource,
     INFINITY,
     NegativeCoefficient,
     NonPositiveBudget,
@@ -17,7 +18,9 @@ from congestion_adversary import (
     TOWARD_ZERO,
     UnoccupiedResource,
     attack,
+    best_response,
     binding_deviation,
+    cheapest_deviation,
     compute_K,
     deviation_cost,
     is_alpha_pne,
@@ -25,6 +28,8 @@ from congestion_adversary import (
     needed_alpha,
     resource_cost,
     scale_instance,
+    select_deviator,
+    unhappy_set,
     validate_instance,
 )
 
@@ -39,6 +44,89 @@ def instances(min_m=1, max_m=6, max_n=12):
         st.integers(min_value=1, max_value=max_n),
         positive_rationals,
     )
+
+
+@st.composite
+def games(draw):
+    """A small instance and a non-empty profile; zero and equal coefficients are common."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    coeffs = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=2, max_denominator=2),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    budget = draw(st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=2))
+    loads = draw(
+        st.lists(st.integers(min_value=0, max_value=4), min_size=m, max_size=m).filter(
+            lambda ls: sum(ls) > 0
+        )
+    )
+    return validate_instance(coeffs, sum(loads), budget), tuple(loads)
+
+
+# Reference pricing: every move priced on its own through resource_cost and
+# deviation_cost.  Any faster pricing kernel must match these exactly.
+
+
+def reference_cheapest_deviation(inst, loads, source):
+    targets = [s for s in range(inst.m) if s != source]
+    if not targets:
+        return None
+    target = min(targets, key=lambda s: (deviation_cost(inst, loads, source, s), s))
+    return deviation_cost(inst, loads, source, target), target
+
+
+def reference_binding_deviation(inst, loads):
+    if inst.m == 1:
+        return None
+    best = None
+    for r in range(inst.m):
+        if loads[r] < 1:
+            continue
+        cost = resource_cost(inst, loads, r)
+        dev_to = min(
+            range(inst.m),
+            key=lambda s: (deviation_cost(inst, loads, r, s), s) if s != r else (INFINITY, s),
+        )
+        dev = deviation_cost(inst, loads, r, dev_to)
+        if dev == 0:
+            ratio = INFINITY if cost > 0 else Fraction(0)
+        else:
+            ratio = cost / dev
+        if best is None or ratio > best[0]:
+            best = (ratio, r, dev_to, cost, dev)
+    return best
+
+
+def reference_best_response(inst, loads, source):
+    def option_cost(r):
+        if r == source:
+            return resource_cost(inst, loads, r)
+        return deviation_cost(inst, loads, source, r)
+
+    return min(range(inst.m), key=lambda r: (option_cost(r), r))
+
+
+def reference_unhappy_set(inst, loads, alpha):
+    return {
+        r
+        for r in range(inst.m)
+        if loads[r] > 0
+        and any(
+            resource_cost(inst, loads, r) > alpha * deviation_cost(inst, loads, r, s)
+            for s in range(inst.m)
+            if s != r
+        )
+    }
+
+
+def reference_select_deviator(inst, loads, alpha):
+    unhappy = reference_unhappy_set(inst, loads, alpha)
+    if not unhappy:
+        return None
+    return max(unhappy, key=lambda r: (resource_cost(inst, loads, r), r))
 
 
 def random_profile(inst, rng):
@@ -161,6 +249,50 @@ class TestCosts:
         after[target] += 1
         assert deviation_cost(inst, loads, None, target) == resource_cost(
             inst, after, target
+        )
+
+
+class TestCheapestDeviation:
+    def test_example_moves(self, example1):
+        # On (2,2,1) an r2 player pays 6 on r1 and 7 on r3.  The first
+        # player to enter pays only the budget on r1.
+        assert cheapest_deviation(example1, (2, 2, 1), 1) == (Fraction(6), 0)
+        assert cheapest_deviation(example1, (0, 0, 0), None) == (Fraction(6), 0)
+
+    def test_single_resource(self):
+        inst = validate_instance([3], 4, 2)
+        assert cheapest_deviation(inst, (4,), 0) is None
+        assert cheapest_deviation(inst, (3,), None) == (Fraction(14), 0)
+
+    def test_ties_break_to_smallest_target(self):
+        inst = validate_instance([1, 1, 1], 3, 3)
+        assert cheapest_deviation(inst, (1, 1, 1), 2) == (Fraction(5), 0)
+
+    def test_rejects_empty_source(self, example1):
+        with pytest.raises(EmptySource):
+            cheapest_deviation(example1, (3, 0, 2), 1)
+
+
+class TestPricingMatchesReference:
+    @given(games(), st.fractions(min_value=1, max_value=2, max_denominator=6))
+    @example((validate_instance([0, 0, 1], 3, 1), (2, 0, 1)), Fraction(1))
+    @example((validate_instance([0, 3, 3], 4, 4), (0, 2, 2)), Fraction(1))
+    @example((validate_instance([1, 1, 1], 3, 3), (1, 1, 1)), Fraction(1))
+    @example((validate_instance([2], 3, 1), (3,)), Fraction(1))
+    @settings(deadline=None)
+    def test_matches_reference(self, game, alpha):
+        inst, loads = game
+        for source in [None] + [r for r in range(inst.m) if loads[r] > 0]:
+            assert cheapest_deviation(inst, loads, source) == (
+                reference_cheapest_deviation(inst, loads, source)
+            )
+            assert best_response(inst, loads, source) == (
+                reference_best_response(inst, loads, source)
+            )
+        assert binding_deviation(inst, loads) == reference_binding_deviation(inst, loads)
+        assert unhappy_set(inst, loads, alpha) == reference_unhappy_set(inst, loads, alpha)
+        assert select_deviator(inst, loads, alpha) == (
+            reference_select_deviator(inst, loads, alpha)
         )
 
 

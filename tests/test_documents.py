@@ -19,7 +19,7 @@ from congestion_adversary import (
     solve,
     validate_instance,
 )
-from congestion_adversary.documents import trace_to_json
+from congestion_adversary.documents import format_extended_rational, trace_to_json
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -127,7 +127,5 @@ class TestTraceSerialization:
         json.dumps(obj)  # must be plain JSON types
 
     def test_needed_alpha_serializes_infinity(self):
-        from congestion_adversary.documents import _extended_rational_str
-
         inst = validate_instance([0, 0, 1], 3, 1)
-        assert _extended_rational_str(needed_alpha(inst, (2, 0, 1))) == "inf"
+        assert format_extended_rational(needed_alpha(inst, (2, 0, 1))) == "inf"

@@ -7,7 +7,6 @@ from congestion_adversary import (
     GuardExceeded,
     INFINITY,
     LENIENT,
-    NoUnhappyPlayers,
     PLAYER_ADDED,
     STRICT,
     SolverConfig,
@@ -74,9 +73,8 @@ class TestUnhappySet:
         assert unhappy_set(inst, (0, 2, 2), 1) == {1, 2}
         assert select_deviator(inst, (0, 2, 2), 1) == 2
 
-    def test_select_deviator_requires_unhappy_player(self, example1):
-        with pytest.raises(NoUnhappyPlayers):
-            select_deviator(example1, (2, 2, 1), 2)
+    def test_select_deviator_none_when_all_settled(self, example1):
+        assert select_deviator(example1, (2, 2, 1), 2) is None
 
 
 class TestSolve:
