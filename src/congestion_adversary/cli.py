@@ -34,11 +34,7 @@ from .documents import (
     trace_to_json,
 )
 from .optimal import best_alpha
-from .oracle import (
-    oracle_best_additive_epsilon,
-    oracle_best_alpha,
-    oracle_has_exact_pne,
-)
+from .oracle import oracle_best_additive_epsilon, oracle_best_alpha
 from .solver import GuardExceeded, SolverConfig, solve
 
 EXIT_OK = 0
@@ -185,7 +181,8 @@ def cmd_oracle(args) -> int:
         )
     start = time.perf_counter()
     value, witness = oracle_best_alpha(inst)
-    exact, exact_witness = oracle_has_exact_pne(inst)
+    # oracle_has_exact_pne would enumerate the profiles again for this.
+    exact = value <= 1
     epsilon, epsilon_witness = oracle_best_additive_epsilon(inst)
     elapsed = (time.perf_counter() - start) * 1000
     obj = result_document(
@@ -194,7 +191,7 @@ def cmd_oracle(args) -> int:
         elapsed_ms=elapsed,
         alpha=value,
         exact_pne=exact,
-        exact_pne_loads=None if exact_witness is None else list(exact_witness),
+        exact_pne_loads=list(witness) if exact else None,
         epsilon=format_rational(epsilon),
         epsilon_loads=list(epsilon_witness),
     )

@@ -6,12 +6,15 @@ resources, the adversary spreads B evenly over the resources carrying maximum
 load; every player on an attacked resource pays her share of the budget on top
 of the congestion cost.
 
-All quantities are `fractions.Fraction`; every comparison in this module is
-exact.  Resources are 0-indexed throughout the code base.
+Every quantity a public function takes or returns is a `fractions.Fraction`;
+the private pricing kernel works on the same values scaled to exact integers,
+so every comparison in this module is exact.  Resources are 0-indexed
+throughout the code base.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -151,6 +154,11 @@ def attack(loads: Loads, budget: Union[Fraction, int]) -> Tuple[Fraction, ...]:
     return tuple(share if x == peak else Fraction(0) for x in loads)
 
 
+# resource_cost and deviation_cost price one player or one move at a time, in
+# Fractions: the readable specification that the integer kernel `_pricing`
+# below is tested against.
+
+
 def resource_cost(inst: Instance, loads: Loads, r: int) -> Fraction:
     """Cost experienced by any player seated on resource r: a_r * load + attack share."""
     if loads[r] < 1:
@@ -186,6 +194,107 @@ def _seated_cost(inst: Instance, loads: Loads, r: int) -> Fraction:
     return base + inst.budget / loads.count(peak)
 
 
+def _integer_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
+    """``(A, B, D)``: coefficients and budget times D, the lcm of their denominators.
+
+    Callers compute it once per call and pass it to every :func:`_pricing` of
+    that call; it is not cached on the Instance, so instances stay as small
+    as their fields.
+    """
+    scale = math.lcm(inst.budget.denominator, *(a.denominator for a in inst.coefficients))
+    coeffs = tuple(a.numerator * (scale // a.denominator) for a in inst.coefficients)
+    return coeffs, inst.budget.numerator * (scale // inst.budget.denominator), scale
+
+
+def _pricing(form, loads: Loads):
+    """Exact integer pricing of a whole profile in one O(m) pass.
+
+    Returns ``(seated, entering)``.  ``seated[r]`` is ``(cost, dev, target)``
+    for an occupied resource r: the cost of its players and their cheapest
+    move, with ``dev`` and ``target`` None when m = 1; it is None for an
+    empty resource.  ``entering`` is ``(dev, target)`` for a newly entering
+    player.  A cost is an integer pair ``(p, k)`` worth ``p / (k * D)``, with
+    `form` = ``(A, B, D)`` from :func:`_integer_form`; compare two costs by
+    cross-multiplication.  Moves break ties toward the smallest target.
+
+    A move's cost depends only on the target's load relative to the peak P
+    and on whether the mover leaves a peak resource.  So every target is
+    priced twice, for a mover from below the peak (or entering) and for one
+    from the peak, each time over a common denominator.  A resource's
+    cheapest move is the cheapest target of its kind, or the second cheapest
+    when that target is the resource itself.  Raises GameError unless the
+    profile has m non-negative loads.
+    """
+    coeffs, budget, _ = form
+    m = len(coeffs)
+    if len(loads) != m or min(loads) < 0:
+        raise GameError(f"profile {tuple(loads)} is not {m} non-negative loads")
+    peak = max(loads)
+    count = loads.count(peak)
+    # Entering, or leaving a resource below the peak: a target at P becomes
+    # the sole peak, one at P - 1 joins the count + 1 peak resources, and
+    # lower targets pay no share.
+    joined = count + 1
+    from_below = _targets(coeffs, loads, joined, {peak: budget * joined, peak - 1: budget})
+    seated = [None] * m
+    if peak > 0:
+        if count > 1:
+            # Leaving one of several peak resources: a target at P - 1 joins
+            # the count peak resources.
+            shares = {peak: budget * count, peak - 1: budget}
+            from_peak = _targets(coeffs, loads, count, shares)
+        else:
+            # Leaving the sole peak: a target at P - 1 becomes the sole peak,
+            # and one at P - 2 ties at P - 1 with the mover and every resource
+            # already there.
+            tied = loads.count(peak - 1) + 2
+            shares = {peak: budget * tied, peak - 1: budget * tied, peak - 2: budget}
+            from_peak = _targets(coeffs, loads, tied, shares)
+        for r, x in enumerate(loads):
+            if x == peak:
+                cost = (coeffs[r] * peak * count + budget, count)
+                seated[r] = (cost,) + _move(from_peak, r)
+            elif x:
+                seated[r] = ((coeffs[r] * x, 1),) + _move(from_below, r)
+    return seated, _move(from_below, None)
+
+
+def _targets(coeffs, loads, denominator, shares):
+    """Every target's move price over `denominator`, plus the cheapest ``(price, target)``.
+
+    A target on load x costs ``a * (x + 1)`` plus ``shares.get(x, 0)``, the
+    budget share it attracts, already over `denominator`.
+    """
+    prices = [
+        (a * (x + 1) * denominator + shares.get(x, 0), t)
+        for t, (a, x) in enumerate(zip(coeffs, loads))
+    ]
+    return denominator, prices, min(prices)
+
+
+def _move(targets, source):
+    """``(dev, target)``: the cheapest move off `source`, ``(None, None)`` if none."""
+    denominator, prices, best = targets
+    if best[1] == source:
+        best = min(prices[:source] + prices[source + 1 :], default=None)
+        if best is None:
+            return None, None
+    return (best[0], denominator), best[1]
+
+
+def _seated_pricing(form, loads: Loads):
+    """The ``seated`` half of :func:`_pricing`; raises EmptyGame when nobody is seated."""
+    seated, _ = _pricing(form, loads)
+    if not any(seated):
+        raise EmptyGame("profile seats no players")
+    return seated
+
+
+def _fraction(form, cost) -> Fraction:
+    """The Fraction value of an integer cost pair from :func:`_pricing`."""
+    return Fraction(cost[0], cost[1] * form[2])
+
+
 def cheapest_deviation(
     inst: Instance, loads: Loads, source: Optional[int]
 ) -> Optional[Tuple[Fraction, int]]:
@@ -194,13 +303,12 @@ def cheapest_deviation(
     Ties break toward the smallest target.  None when a seated player has no
     other resource (m = 1).
     """
-    best = None
-    for target in range(inst.m):
-        if target != source:
-            cost = deviation_cost(inst, loads, source, target)
-            if best is None or cost < best[0]:
-                best = (cost, target)
-    return best
+    if source is not None and loads[source] < 1:
+        raise EmptySource(f"cannot deviate from empty resource {source}")
+    form = _integer_form(inst)
+    seated, entering = _pricing(form, loads)
+    dev, target = entering if source is None else seated[source][1:]
+    return None if dev is None else (_fraction(form, dev), target)
 
 
 def needed_alpha(inst: Instance, loads: Loads) -> ExtendedRational:
@@ -229,23 +337,25 @@ def binding_deviation(
 
 
 def _binding_deviation_impl(inst, loads):
-    if sum(loads) == 0:
-        raise EmptyGame("profile seats no players")
+    form = _integer_form(inst)
+    seated = _seated_pricing(form, loads)
     if inst.m == 1:
         return None
     best = None
-    for r in range(inst.m):
-        if loads[r] < 1:
+    for r, priced in enumerate(seated):
+        if priced is None:
             continue
-        cost = resource_cost(inst, loads, r)
-        dev, dev_to = cheapest_deviation(inst, loads, r)
+        (cost, k), (dev, j), target = priced
+        # cost/dev as (numerator, denominator); denominator 0 stands for INFINITY.
         if dev == 0:
-            ratio = INFINITY if cost > 0 else Fraction(0)
+            ratio = (1, 0) if cost > 0 else (0, 1)
         else:
-            ratio = cost / dev
-        if best is None or ratio > best[0]:
-            best = (ratio, r, dev_to, cost, dev)
-    return best
+            ratio = (cost * j, k * dev)
+        if best is None or ratio[0] * best[0][1] > best[0][0] * ratio[1]:
+            best = (ratio, r, target, priced)
+    (num, den), r, target, (cost, dev, _) = best
+    ratio = INFINITY if den == 0 else Fraction(num, den)
+    return ratio, r, target, _fraction(form, cost), _fraction(form, dev)
 
 
 def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int]) -> bool:

@@ -16,9 +16,10 @@ from typing import Iterator, Optional, Tuple
 from .core import (
     ExtendedRational,
     Instance,
-    cheapest_deviation,
+    _fraction,
+    _integer_form,
+    _pricing,
     needed_alpha,
-    resource_cost,
 )
 
 __all__ = [
@@ -106,18 +107,19 @@ def oracle_best_additive_epsilon(
     multiplicative notion, so this optimum is exact under that same
     restriction (see README).
     """
-    zero = Fraction(0)
-    best_value: Optional[Fraction] = None
+    form = _integer_form(inst)
+    best: Optional[Tuple[int, int]] = None
     best_profile: Optional[Tuple[int, ...]] = None
     for profile in enumerate_profiles(inst.n, inst.m):
-        slack = zero
-        for r in range(inst.m):
-            if profile[r] < 1:
+        # Slacks are integer cost pairs like those of _pricing, compared crosswise.
+        slack = (0, 1)
+        for priced in _pricing(form, profile)[0]:
+            if priced is None or priced[1] is None:
                 continue
-            move = cheapest_deviation(inst, profile, r)
-            if move is not None:
-                slack = max(slack, resource_cost(inst, profile, r) - move[0])
-        if best_value is None or slack < best_value:
-            best_value = slack
-            best_profile = profile
-    return best_value, best_profile
+            (cost, k), (dev, j), _ = priced
+            gap = (cost * j - dev * k, k * j)
+            if gap[0] * slack[1] > slack[0] * gap[1]:
+                slack = gap
+        if best is None or slack[0] * best[1] < best[0] * slack[1]:
+            best, best_profile = slack, profile
+    return _fraction(form, best), best_profile

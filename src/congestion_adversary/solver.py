@@ -23,8 +23,11 @@ from .core import (
     GameError,
     INFINITY,
     Instance,
+    _fraction,
+    _integer_form,
+    _pricing,
+    _seated_pricing,
     cheapest_deviation,
-    deviation_cost,
     k_upper_bound,
     resource_cost,
 )
@@ -123,21 +126,32 @@ def best_response(inst: Instance, loads: Sequence[int], source: Optional[int]) -
     return source if move is None else min(stay, move)[1]
 
 
+def _improves(priced, alpha: Fraction) -> bool:
+    """Whether the cheapest move of a `_pricing` entry beats its cost by more than alpha."""
+    (cost, k), dev, _ = priced
+    if dev is None:
+        return False
+    return cost * dev[1] * alpha.denominator > alpha.numerator * dev[0] * k
+
+
+def _deviator(seated, alpha: Fraction) -> Optional[int]:
+    """The unhappy resource with maximum cost, ties toward the largest index."""
+    best = None
+    for r, priced in enumerate(seated):
+        if priced and _improves(priced, alpha):
+            cost, k = priced[0]
+            if best is None or cost * best[1] >= best[0] * k:
+                best, deviator = priced[0], r
+    return None if best is None else deviator
+
+
 def unhappy_set(
     inst: Instance, loads: Sequence[int], alpha: Union[Fraction, int]
 ) -> Set[int]:
     """Occupied resources whose players have an alpha-improving deviation."""
-    if sum(loads) < 1:
-        raise GameError("profile seats no players")
+    seated = _seated_pricing(_integer_form(inst), loads)
     alpha = Fraction(alpha)
-    result = set()
-    for r in range(inst.m):
-        if loads[r] < 1:
-            continue
-        move = cheapest_deviation(inst, loads, r)
-        if move is not None and resource_cost(inst, loads, r) > alpha * move[0]:
-            result.add(r)
-    return result
+    return {r for r, priced in enumerate(seated) if priced and _improves(priced, alpha)}
 
 
 def select_deviator(
@@ -147,8 +161,7 @@ def select_deviator(
 
     Returns None when every player is settled.
     """
-    unhappy = unhappy_set(inst, loads, alpha)
-    return max(unhappy, key=lambda r: (resource_cost(inst, loads, r), r), default=None)
+    return _deviator(_seated_pricing(_integer_form(inst), loads), Fraction(alpha))
 
 
 def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveTrace]:
@@ -156,31 +169,39 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
 
     Returns the final load vector (an alpha-approximate equilibrium) and a
     full event trace.  Deterministic: identical inputs yield identical traces.
+    Each step prices the profile once: that pricing names the deviator, its
+    target and both costs, and the one that ends a round holds the next
+    player's entering move.
     """
     m = inst.m
     alpha = config.alpha
     loads: List[int] = [0] * m
     events: List[TraceEvent] = []
     per_round: List[int] = []
+    form = _integer_form(inst)
+    _, entering = _pricing(form, loads)
 
     for k in range(1, inst.n + 1):
-        target = best_response(inst, loads, None)
-        entering_cost = deviation_cost(inst, loads, None, target)
+        cost, target = entering
         loads[target] += 1
-        _record(events, PLAYER_ADDED, k, None, target, INFINITY, entering_cost, loads)
+        cost_after = _fraction(form, cost)
+        _record(events, PLAYER_ADDED, k, None, target, INFINITY, cost_after, loads)
 
         deviations = 0
         budget = config.round_budget(k, m)
-        while (source := select_deviator(inst, loads, alpha)) is not None:
+        while True:
+            seated, entering = _pricing(form, loads)
+            source = _deviator(seated, alpha)
+            if source is None:
+                break
             deviations += 1
             if deviations > budget:
                 raise GuardExceeded(
                     f"round {k} exceeded {budget} deviations "
                     f"({config.guard_mode} guard, alpha={alpha})"
                 )
-            cost_before = resource_cost(inst, loads, source)
-            target = best_response(inst, loads, source)
-            cost_after = deviation_cost(inst, loads, source, target)
+            cost, dev, target = seated[source]
+            cost_before, cost_after = _fraction(form, cost), _fraction(form, dev)
             if not cost_before > alpha * cost_after:
                 raise AssertionError(
                     f"selected deviation {source}->{target} is not alpha-improving"

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+import congestion_adversary.oracle as oracle_module
 from congestion_adversary import make_fixtures, parse_instance_document
 from congestion_adversary.cli import main
 
@@ -125,6 +126,24 @@ class TestOracle:
         assert obj["alpha"] == "7/6"
         assert obj["exact_pne"] is False
         assert obj["epsilon"] == "1"
+
+    def test_enumerates_profiles_once_per_measure(self, capsys, monkeypatch, tmp_path):
+        # One enumeration for the factor and the exact-equilibrium answer,
+        # one for the additive slack.
+        calls = []
+        enumerate_profiles = oracle_module.enumerate_profiles
+        monkeypatch.setattr(
+            oracle_module,
+            "enumerate_profiles",
+            lambda n, m: calls.append(n) or enumerate_profiles(n, m),
+        )
+        exact = tmp_path / "exact.json"
+        exact.write_text(
+            json.dumps({"players": 4, "budget": "2", "coefficients": ["1", "1"]})
+        )
+        code, obj, _ = run_json(capsys, "oracle", str(exact))
+        assert code == 0 and len(calls) == 2
+        assert obj["exact_pne"] is True and obj["exact_pne_loads"] == obj["loads"] == [2, 2]
 
     def test_size_cap(self, capsys, tmp_path):
         big = tmp_path / "big.json"

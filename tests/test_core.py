@@ -10,6 +10,7 @@ from congestion_adversary import (
     EmptyGame,
     EmptyResources,
     EmptySource,
+    GameError,
     INFINITY,
     NegativeCoefficient,
     NonPositiveBudget,
@@ -63,6 +64,39 @@ def games(draw):
             lambda ls: sum(ls) > 0
         )
     )
+    return validate_instance(coeffs, sum(loads), budget), tuple(loads)
+
+
+@st.composite
+def wide_games(draw):
+    """Up to 12 resources, loads up to 8, coefficient and budget denominators up to 12.
+
+    Half of the profiles with three or more resources have a sole peak P over
+    bands at P - 1 and P - 2: only there does a move to P - 2 pay a share.
+    """
+    m = draw(st.integers(min_value=1, max_value=12))
+    coeffs = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=6, max_denominator=12),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    budget = draw(st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12))
+    if m >= 3 and draw(st.booleans()):
+        peak = draw(st.integers(min_value=2, max_value=8))
+        band = st.one_of(
+            st.sampled_from([peak - 1, peak - 2]),
+            st.integers(min_value=0, max_value=peak - 1),
+        )
+        loads = draw(st.lists(band, min_size=m - 1, max_size=m - 1))
+        loads.insert(draw(st.integers(min_value=0, max_value=m - 1)), peak)
+    else:
+        loads = draw(
+            st.lists(st.integers(min_value=0, max_value=8), min_size=m, max_size=m).filter(
+                lambda ls: sum(ls) > 0
+            )
+        )
     return validate_instance(coeffs, sum(loads), budget), tuple(loads)
 
 
@@ -294,6 +328,44 @@ class TestPricingMatchesReference:
         assert select_deviator(inst, loads, alpha) == (
             reference_select_deviator(inst, loads, alpha)
         )
+
+    @given(wide_games(), st.fractions(min_value=1, max_value=2, max_denominator=12))
+    @example((validate_instance([1, 2, 3], 6, Fraction(5, 7)), (3, 2, 1)), Fraction(1))
+    @example(
+        (validate_instance([Fraction(1, 11), 1, 1, 1], 7, Fraction(1, 12)), (1, 3, 1, 2)),
+        Fraction(1),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_matches_reference_on_wide_games(self, game, alpha):
+        inst, loads = game
+        empty = (0,) * inst.m
+        assert cheapest_deviation(inst, empty, None) == (
+            reference_cheapest_deviation(inst, empty, None)
+        )
+        for source in [None] + [r for r in range(inst.m) if loads[r] > 0]:
+            assert cheapest_deviation(inst, loads, source) == (
+                reference_cheapest_deviation(inst, loads, source)
+            )
+            assert best_response(inst, loads, source) == (
+                reference_best_response(inst, loads, source)
+            )
+        assert binding_deviation(inst, loads) == reference_binding_deviation(inst, loads)
+        assert unhappy_set(inst, loads, alpha) == reference_unhappy_set(inst, loads, alpha)
+        assert select_deviator(inst, loads, alpha) == (
+            reference_select_deviator(inst, loads, alpha)
+        )
+
+
+class TestMalformedProfiles:
+    @pytest.mark.parametrize("loads", [(2, 2, 1, 0), (3, 3, -1), (5, 0)])
+    def test_rejected(self, example1, loads):
+        # Each sums to the five players of the three-resource example.
+        with pytest.raises(GameError):
+            is_alpha_pne(example1, loads, 2)
+        with pytest.raises(GameError):
+            needed_alpha(example1, loads)
+        with pytest.raises(GameError):
+            binding_deviation(example1, loads)
 
 
 class TestNeededAlpha:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from congestion_adversary import (
     count_profiles,
+    deviation_cost,
     enumerate_profiles,
     generate_instance,
     is_alpha_pne,
@@ -14,6 +15,7 @@ from congestion_adversary import (
     oracle_best_additive_epsilon,
     oracle_best_alpha,
     oracle_has_exact_pne,
+    resource_cost,
     scale_instance,
     validate_instance,
 )
@@ -28,6 +30,25 @@ def all_compositions(n, m):
             parts.append(c - prev - 1)
             prev = c
         yield tuple(parts)
+
+
+def reference_best_additive_epsilon(inst):
+    """Every move priced through the Fraction spec; first minimum over profiles."""
+    best = None
+    for profile in enumerate_profiles(inst.n, inst.m):
+        slack = max(
+            [
+                resource_cost(inst, profile, r) - deviation_cost(inst, profile, r, s)
+                for r in range(inst.m)
+                if profile[r] > 0
+                for s in range(inst.m)
+                if s != r
+            ]
+            + [Fraction(0)]
+        )
+        if best is None or slack < best[0]:
+            best = (slack, profile)
+    return best
 
 
 class TestEnumeration:
@@ -122,6 +143,11 @@ class TestAdditiveEpsilon:
             scale_instance(example1, Fraction(7, 3))
         )
         assert scaled_epsilon == epsilon * Fraction(7, 3)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference(self, seed):
+        inst = generate_instance(n=1 + seed % 8, m=1 + seed % 4, seed=seed).instance
+        assert oracle_best_additive_epsilon(inst) == reference_best_additive_epsilon(inst)
 
     def test_single_resource_has_no_slack(self):
         inst = validate_instance([3], 5, 2)

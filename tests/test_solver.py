@@ -9,17 +9,51 @@ from congestion_adversary import (
     LENIENT,
     PLAYER_ADDED,
     STRICT,
+    SolveTrace,
     SolverConfig,
+    TraceEvent,
     best_response,
+    deviation_cost,
     generate_instance,
     is_alpha_pne,
     k_upper_bound,
+    make_fixtures,
     needed_alpha,
+    resource_cost,
     select_deviator,
     solve,
     unhappy_set,
     validate_instance,
 )
+from test_core import reference_best_response, reference_select_deviator
+
+
+def reference_solve(inst, config):
+    """The insertion/settling schedule with every move priced by the Fraction spec."""
+    loads = [0] * inst.m
+    events, per_round = [], []
+    for k in range(1, inst.n + 1):
+        target = reference_best_response(inst, loads, None)
+        cost = deviation_cost(inst, loads, None, target)
+        loads[target] += 1
+        events.append(
+            TraceEvent(PLAYER_ADDED, k, None, target, INFINITY, cost, tuple(loads))
+        )
+        deviations = 0
+        while (source := reference_select_deviator(inst, loads, config.alpha)) is not None:
+            deviations += 1
+            if deviations > config.round_budget(k, inst.m):
+                raise GuardExceeded(f"round {k}")
+            target = reference_best_response(inst, loads, source)
+            before = resource_cost(inst, loads, source)
+            after = deviation_cost(inst, loads, source, target)
+            loads[source] -= 1
+            loads[target] += 1
+            events.append(
+                TraceEvent(DEVIATION, k, source, target, before, after, tuple(loads))
+            )
+        per_round.append(deviations)
+    return tuple(loads), SolveTrace(tuple(events), tuple(per_round))
 
 
 class TestConfig:
@@ -125,3 +159,18 @@ class TestSolve:
         assert all(loads[i] >= loads[i + 1] for i in range(inst.m - 1))
         for round_index, count in enumerate(trace.per_round_deviation_counts, 1):
             assert count <= 2 * round_index
+
+
+class TestSolveMatchesReference:
+    """solve's trace equals the one priced move by move through the Fraction spec."""
+
+    CASES = [doc.instance for doc in make_fixtures().values()] + [
+        generate_instance(30, 6, seed).instance for seed in range(50)
+    ]
+
+    @pytest.mark.parametrize("guard", [STRICT, LENIENT])
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_trace_identity(self, index, guard):
+        inst = self.CASES[index]
+        config = SolverConfig(alpha=k_upper_bound(12), guard_mode=guard)
+        assert solve(inst, config) == reference_solve(inst, config)
