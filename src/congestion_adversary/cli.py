@@ -44,6 +44,13 @@ EXIT_GUARD = 3
 EXIT_ORACLE_MISMATCH = 4
 
 ORACLE_MAX_PLAYERS = 25
+#: best-alpha forms the ratios of the instance's cost values, of which there
+#: are at most (distinct coefficients) * (n + 1) * (m + 1), and its time and
+#: memory grow faster than that count.  generate_instance(n, m, seed=1) on a
+#: 2-core Xeon host, Python 3.11: 3 843 values at (60, 8) take 2.3 s, 5 103 at
+#: (80, 8) 4.8 s, and 8 888 at (100, 10) 10.7 s and 0.2 GB; the 54 873 of
+#: (200, 20) would make 32 M ratio pairs.
+BEST_ALPHA_MAX_VALUES = 10_000
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -95,6 +102,15 @@ def cmd_best_alpha(args) -> int:
     except ParseError as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
     inst = doc.instance
+    distinct = len(set(inst.coefficients))
+    values = distinct * (inst.n + 1) * (inst.m + 1)
+    if values > BEST_ALPHA_MAX_VALUES:
+        return _fail(
+            EXIT_PARSE,
+            f"error: best-alpha refuses more than {BEST_ALPHA_MAX_VALUES} cost values "
+            f"(got {distinct} distinct coefficients x {inst.n + 1} loads x "
+            f"{inst.m + 1} shares = {values})",
+        )
     if args.oracle_check and (inst.n > 12 or inst.m > 5):
         return _fail(
             EXIT_PARSE,

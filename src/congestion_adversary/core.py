@@ -338,8 +338,24 @@ def binding_deviation(
 
 def _binding_deviation_impl(inst, loads):
     form = _integer_form(inst)
+    found = _binding(form, loads)
+    if found is None:
+        return None
+    (num, den), r, target, (cost, dev, _) = found
+    ratio = INFINITY if den == 0 else Fraction(num, den)
+    return ratio, r, target, _fraction(form, cost), _fraction(form, dev)
+
+
+def _binding(form, loads):
+    """The tightest deviation in exact integers, or None when m = 1.
+
+    Returns ``(ratio, r, target, priced)``: `ratio` is cost/dev as an integer
+    pair ``(numerator, denominator)``, with denominator 0 for INFINITY, and
+    `priced` is ``seated[r]`` of :func:`_pricing`.  The first resource with
+    the largest ratio wins.
+    """
     seated = _seated_pricing(form, loads)
-    if inst.m == 1:
+    if len(seated) == 1:
         return None
     best = None
     for r, priced in enumerate(seated):
@@ -353,9 +369,7 @@ def _binding_deviation_impl(inst, loads):
             ratio = (cost * j, k * dev)
         if best is None or ratio[0] * best[0][1] > best[0][0] * ratio[1]:
             best = (ratio, r, target, priced)
-    (num, den), r, target, (cost, dev, _) = best
-    ratio = INFINITY if den == 0 else Fraction(num, den)
-    return ratio, r, target, _fraction(form, cost), _fraction(form, dev)
+    return best
 
 
 def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int]) -> bool:

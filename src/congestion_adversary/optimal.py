@@ -7,7 +7,8 @@ values for the best-alternative costs seen by max-load players and by the
 rest; given a shape, those two values, and a factor alpha, a short greedy
 procedure either produces a witness load vector or proves none exists.  The
 optimal factor is then the smallest member of a finite candidate-ratio set
-for which any shape is feasible.
+for which any shape is feasible.  The probes of that binary search share one
+table of the shape data that does not depend on alpha.
 
 Shape indices k, k', k'' are 1-based to match the non-increasing load
 picture; the sentinel value m+1 for k' (or k'') means no resource has load
@@ -18,12 +19,14 @@ everywhere else.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .core import (
     Instance,
+    _integer_form,
     binding_deviation,
     is_alpha_pne,
     k_upper_bound,
@@ -189,7 +192,7 @@ def feasible_load_vector(
         1 <= k <= inst.m - 1
         and k + 1 <= k_prime <= inst.m + 1
         and k_prime <= k_dprime <= inst.m + 1
-        and math.ceil(inst.n / inst.m) <= M <= inst.n
+        and -(-inst.n // inst.m) <= M <= inst.n
     ):
         raise ValueError(f"invalid shape {shape}")
     if shape.cbar_max < 0 or shape.cbar_rest < 0:
@@ -236,29 +239,91 @@ def candidate_alphas(inst: Instance, precision: int = 12) -> List[Fraction]:
 
     Cost values are a_r * load + (an even budget share or nothing); the
     optimal factor is always a ratio of two of them, so this list contains it.
+
+    Only ratios inside the window are formed.  Every value is scaled to an
+    integer, by the lcm of the denominators times lcm(1..m) for the shares
+    B/p, p <= m, and the distinct values are sorted once.  For each u the
+    values v with 1 <= u/v <= cn/cd, the threshold bound, are the sorted run
+    ceil(u*cd/cn) <= v <= u, found by two bisections.  Two distinct ratios
+    u/v and u'/v' differ by at least 1/(v*v') > 1/S, with S = (largest
+    value)**2 + 1, so the integer key u*S // v orders the ratios and tells
+    them apart.  Fractions are made only for the ratios returned.
     """
-    values = set()
-    for a in set(inst.coefficients):
-        for load in range(inst.n + 1):
-            base = a * load
-            values.add(base)
-            for p in range(1, inst.m + 1):
-                values.add(base + inst.budget / p)
+    coeffs, budget, _ = _integer_form(inst)
+    shares = math.lcm(*range(1, inst.m + 1))
+    extras = [0] + [budget * shares // p for p in range(1, inst.m + 1)]
+    values = sorted(
+        {
+            a * shares * load + extra
+            for a in set(coeffs)
+            for load in range(inst.n + 1)
+            for extra in extras
+        }
+    )
     ceiling = k_upper_bound(precision)
-    ratios = {Fraction(1)}
-    positive = [v for v in values if v > 0]
-    for u in values:
-        for v in positive:
-            q = u / v
-            if 1 <= q <= ceiling:
-                ratios.add(q)
-    return sorted(ratios)
+    cn, cd = ceiling.numerator, ceiling.denominator
+    S = values[-1] ** 2 + 1
+    ratios = {S: (1, 1)}
+    for u in values[bisect_right(values, 0) :]:
+        low = bisect_left(values, -(-u * cd // cn))
+        high = bisect_right(values, u, low)
+        ratios.update((u * S // v, (u, v)) for v in values[low:high])
+    return [Fraction(*ratios[key]) for key in sorted(ratios)]
 
 
-def _feasible_witness(
-    inst: Instance, alpha: Fraction
-) -> Optional[Tuple[int, ...]]:
-    """Some alpha-approximate equilibrium with decreasing loads, or None."""
+def _shape_table(inst: Instance) -> Iterator[tuple]:
+    """``(shape, cmax, crest)`` for every shape that can hold n players, in scan order.
+
+    `shape` is ``(M, k, k', k'')`` and `cmax`, `crest` are its
+    :func:`cbar_candidates`; none of it depends on alpha.
+    """
+    n, m = inst.n, inst.m
+    for M in range(-(-n // m), n + 1):
+        for k in range(1, m):
+            if k * M > n:
+                break
+            for k_prime in range(k + 1, m + 2):
+                for k_dprime in range(k_prime, m + 2):
+                    prefix = _prefix_loads(M, k, k_prime, k_dprime)
+                    if prefix is None:
+                        continue
+                    leftover = n - sum(prefix)
+                    if leftover < 0 or (k_dprime == m + 1 and leftover != 0):
+                        continue
+                    shape = (M, k, k_prime, k_dprime)
+                    yield (shape,) + cbar_candidates(inst, *shape)
+
+
+class _Memo:
+    """An iterable that draws each item from `source` once, on first use."""
+
+    def __init__(self, source: Iterator) -> None:
+        self._source = source
+        self._items: list = []
+
+    def __iter__(self) -> Iterator:
+        i = 0
+        while True:
+            if i == len(self._items):
+                item = next(self._source, None)
+                if item is None:
+                    return
+                self._items.append(item)
+            yield self._items[i]
+            i += 1
+
+
+def _feasible_witness(inst: Instance, alpha: Fraction, shapes) -> Optional[Tuple[int, ...]]:
+    """Some alpha-approximate equilibrium with decreasing loads, or None.
+
+    `shapes` is the :func:`_shape_table` of `inst`.  Pairs (cbar_max,
+    cbar_rest) are tried in increasing order of cbar_max, then of cbar_rest.
+    Once :func:`feasible_load_vector` gives None for a cbar_rest, it gives
+    None for every larger cbar_max that passes the head conditions: the tail
+    lower bounds only grow with cbar_max, and nothing else depends on it.  So
+    that cbar_rest is dropped for the rest of the shape; the pairs still
+    tried keep their order, and the first witness returned is the same.
+    """
     n, m = inst.n, inst.m
     a, B = inst.coefficients, inst.budget
 
@@ -269,43 +334,23 @@ def _feasible_witness(
             if is_alpha_pne(inst, witness, alpha):
                 return witness
 
-    for M in range(math.ceil(n / m), n + 1):
-        for k in range(1, m):
-            if k * M > n:
+    for shape, cmax_all, crest_all in shapes:
+        cmax_ok = [c for c in cmax_all if _head_ok_max(inst, *shape, alpha, c)]
+        if not cmax_ok:
+            continue
+        live = [c for c in crest_all if _head_ok_rest(inst, *shape, alpha, c)]
+        for cmax in cmax_ok:
+            if not live:
                 break
-            for k_prime in range(k + 1, m + 2):
-                for k_dprime in range(k_prime, m + 2):
-                    prefix = _prefix_loads(M, k, k_prime, k_dprime)
-                    if prefix is None:
-                        continue
-                    leftover = n - sum(prefix)
-                    if leftover < 0:
-                        continue
-                    if k_dprime == m + 1 and leftover != 0:
-                        continue
-                    cmax_all, crest_all = cbar_candidates(inst, M, k, k_prime, k_dprime)
-                    cmax_ok = [
-                        c
-                        for c in cmax_all
-                        if _head_ok_max(inst, M, k, k_prime, k_dprime, alpha, c)
-                    ]
-                    if not cmax_ok:
-                        continue
-                    crest_ok = [
-                        c
-                        for c in crest_all
-                        if _head_ok_rest(inst, M, k, k_prime, k_dprime, alpha, c)
-                    ]
-                    if not crest_ok:
-                        continue
-                    for cmax in cmax_ok:
-                        for crest in crest_ok:
-                            shape = ShapeConfig(M, k, k_prime, k_dprime, cmax, crest)
-                            witness = feasible_load_vector(inst, shape, alpha)
-                            if witness is not None and is_alpha_pne(
-                                inst, witness, alpha
-                            ):
-                                return witness
+            kept = []
+            for crest in live:
+                witness = feasible_load_vector(inst, ShapeConfig(*shape, cmax, crest), alpha)
+                if witness is None:
+                    continue
+                if is_alpha_pne(inst, witness, alpha):
+                    return witness
+                kept.append(crest)
+            live = kept
     return None
 
 
@@ -319,10 +364,11 @@ def best_alpha(inst: Instance, precision: int = 12) -> OptResult:
     candidates = candidate_alphas(inst, precision)
     lo, hi = 0, len(candidates) - 1
     witnesses = {}
+    shapes = _Memo(_shape_table(inst))
 
     def feasible(i: int) -> bool:
         if i not in witnesses:
-            witnesses[i] = _feasible_witness(inst, candidates[i])
+            witnesses[i] = _feasible_witness(inst, candidates[i], shapes)
         return witnesses[i] is not None
 
     if not feasible(hi):

@@ -14,12 +14,13 @@ from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
 from .core import (
+    INFINITY,
     ExtendedRational,
     Instance,
+    _binding,
     _fraction,
     _integer_form,
     _pricing,
-    needed_alpha,
 )
 
 __all__ = [
@@ -75,15 +76,17 @@ def oracle_best_alpha(inst: Instance) -> Tuple[ExtendedRational, Tuple[int, ...]
     whenever the result is at most 2, which the universal existence bound
     guarantees.
     """
-    best_value: Optional[ExtendedRational] = None
+    form = _integer_form(inst)
+    best: Optional[Tuple[int, int]] = None
     best_profile: Optional[Tuple[int, ...]] = None
-    one = Fraction(1)
     for profile in enumerate_profiles(inst.n, inst.m):
-        value = max(needed_alpha(inst, profile), one)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_profile = profile
-    return best_value, best_profile
+        # needed_alpha as an integer pair from _binding, clamped at 1 and
+        # compared crosswise; (1, 0) stands for INFINITY.
+        found = _binding(form, profile)
+        value = (1, 1) if found is None or found[0][0] < found[0][1] else found[0]
+        if best is None or value[0] * best[1] < best[0] * value[1]:
+            best, best_profile = value, profile
+    return (INFINITY if best[1] == 0 else Fraction(*best)), best_profile
 
 
 def oracle_has_exact_pne(

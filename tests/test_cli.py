@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+import congestion_adversary.cli as cli_module
 import congestion_adversary.oracle as oracle_module
 from congestion_adversary import make_fixtures, parse_instance_document
 from congestion_adversary.cli import main
@@ -90,6 +91,30 @@ class TestBestAlpha:
         # Without the cross-check the same instance is fine.
         code, obj, _ = run_json(capsys, "best-alpha", str(big))
         assert code == 0 and sum(obj["loads"]) == 13
+
+
+    def test_refuses_oversized_instances_up_front(self, capsys, monkeypatch, tmp_path):
+        # 4 distinct coefficients x (n + 1) loads x 5 shares: exactly the
+        # 10 000 allowed cost values at n = 499, one load more at n = 500.
+        class Reached(Exception):
+            pass
+
+        def reached(inst):
+            raise Reached
+
+        monkeypatch.setattr(cli_module, "best_alpha", reached)
+        for players, refused in ((499, False), (500, True)):
+            path = tmp_path / f"n{players}.json"
+            doc = {"players": players, "budget": "1", "coefficients": ["1", "2", "3", "4"]}
+            path.write_text(json.dumps(doc))
+            if not refused:
+                with pytest.raises(Reached):
+                    main(["best-alpha", str(path)])
+                continue
+            code, out, err = run(capsys, "best-alpha", str(path))
+            assert code == 2 and not out
+            assert err.startswith("error: best-alpha refuses") and err.count("\n") == 1
+            assert "10020" in err
 
 
 class TestVerify:

@@ -1,20 +1,136 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from congestion_adversary import (
     ShapeConfig,
     best_alpha,
+    binding_deviation,
     candidate_alphas,
     feasible_load_vector,
     generate_instance,
     is_alpha_pne,
     k_upper_bound,
+    make_fixtures,
     needed_alpha,
     oracle_best_alpha,
     scale_instance,
     validate_instance,
 )
+from congestion_adversary.optimal import (
+    _head_ok_max,
+    _head_ok_rest,
+    _prefix_loads,
+    cbar_candidates,
+)
+
+# The V^2 candidate set and the shape scan that best_alpha replaced, kept as
+# the specification the faster versions must reproduce exactly.
+
+
+def reference_candidate_alphas(inst, precision=12):
+    values = set()
+    for a in set(inst.coefficients):
+        for load in range(inst.n + 1):
+            base = a * load
+            values.add(base)
+            for p in range(1, inst.m + 1):
+                values.add(base + inst.budget / p)
+    ceiling = k_upper_bound(precision)
+    ratios = {Fraction(1)}
+    positive = [v for v in values if v > 0]
+    for u in values:
+        for v in positive:
+            q = u / v
+            if 1 <= q <= ceiling:
+                ratios.add(q)
+    return sorted(ratios)
+
+
+def reference_feasible_witness(inst, alpha):
+    n, m = inst.n, inst.m
+    a, B = inst.coefficients, inst.budget
+    if n % m == 0:
+        M = n // m
+        if a[m - 1] * M + B / m <= alpha * (a[0] * (M + 1) + B):
+            witness = (M,) * m
+            if is_alpha_pne(inst, witness, alpha):
+                return witness
+    for M in range(math.ceil(n / m), n + 1):
+        for k in range(1, m):
+            if k * M > n:
+                break
+            for k_prime in range(k + 1, m + 2):
+                for k_dprime in range(k_prime, m + 2):
+                    prefix = _prefix_loads(M, k, k_prime, k_dprime)
+                    if prefix is None:
+                        continue
+                    leftover = n - sum(prefix)
+                    if leftover < 0:
+                        continue
+                    if k_dprime == m + 1 and leftover != 0:
+                        continue
+                    shape = (M, k, k_prime, k_dprime)
+                    cmax_all, crest_all = cbar_candidates(inst, *shape)
+                    cmax_ok = [c for c in cmax_all if _head_ok_max(inst, *shape, alpha, c)]
+                    crest_ok = [c for c in crest_all if _head_ok_rest(inst, *shape, alpha, c)]
+                    for cmax in cmax_ok:
+                        for crest in crest_ok:
+                            witness = feasible_load_vector(
+                                inst, ShapeConfig(*shape, cmax, crest), alpha
+                            )
+                            if witness is not None and is_alpha_pne(inst, witness, alpha):
+                                return witness
+    return None
+
+
+def reference_best_alpha(inst):
+    candidates = reference_candidate_alphas(inst)
+    lo, hi = 0, len(candidates) - 1
+    witnesses = {}
+
+    def feasible(i):
+        if i not in witnesses:
+            witnesses[i] = reference_feasible_witness(inst, candidates[i])
+        return witnesses[i] is not None
+
+    assert feasible(hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates[hi], witnesses[hi], binding_deviation(inst, witnesses[hi])
+
+
+def jittered(name, t, seed):
+    """A fixture with coefficients and budget jittered by up to 2 %, players and budget times t."""
+    rng = random.Random(seed)
+    base = make_fixtures()[name].instance
+
+    def jitter():
+        return 1 + Fraction(rng.randint(-20, 20), 1000)
+
+    return validate_instance(
+        [a * jitter() for a in base.coefficients], base.n * t, base.budget * jitter() * t
+    )
+
+
+@st.composite
+def small_instances(draw, min_m=1, max_m=6, max_n=10):
+    """Coefficients and budget over denominators up to 12, often with a zero coefficient."""
+    m = draw(st.integers(min_m, max_m))
+    fractions = st.builds(Fraction, st.integers(0, 24), st.integers(1, 12))
+    coefficients = draw(st.lists(fractions, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        coefficients[0] = Fraction(0)
+    budget = draw(st.builds(Fraction, st.integers(1, 24), st.integers(1, 12)))
+    return validate_instance(coefficients, draw(st.integers(1, max_n)), budget)
 
 
 class TestCandidates:
@@ -29,6 +145,11 @@ class TestCandidates:
         inst = generate_instance(n=2 + seed % 6, m=2 + seed % 3, seed=seed).instance
         value, _ = oracle_best_alpha(inst)
         assert value in candidate_alphas(inst)
+
+    @given(small_instances(), st.sampled_from([2, 5, 12]))
+    @settings(deadline=None, max_examples=60)
+    def test_matches_reference(self, inst, precision):
+        assert candidate_alphas(inst, precision) == reference_candidate_alphas(inst, precision)
 
 
 class TestFeasibleLoadVector:
@@ -63,6 +184,41 @@ class TestFeasibleLoadVector:
             M=2, k=2, k_prime=4, k_dprime=4, cbar_max=Fraction(6), cbar_rest=Fraction(6)
         )
         assert feasible_load_vector(example1, shape, Fraction(8, 7)) is None
+
+    @given(small_instances(min_m=2, max_n=12), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_none_stays_none_as_cbar_max_grows(self, inst, data):
+        # The lemma behind the scan's pruning: for a fixed shape and
+        # cbar_rest, once the greedy fill fails at some cbar_max, it fails at
+        # every larger cbar_max that passes the max-load head conditions.
+        # The shape is that of a random decreasing profile, and the factor is
+        # often the one that profile needs, so that many fills succeed.
+        n, m = inst.n, inst.m
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
+        loads = sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True)
+        M = loads[0]
+        k = loads.count(M)
+        assume(k < m)
+        k_prime = next((i + 1 for i, x in enumerate(loads) if x < M - 1), m + 1)
+        k_dprime = next((i + 1 for i, x in enumerate(loads) if x < M - 2), m + 1)
+        ceiling = k_upper_bound(12)
+        needed = max(needed_alpha(inst, loads), Fraction(1))
+        alpha = data.draw(
+            st.sampled_from([needed, ceiling] if needed <= ceiling else [ceiling])
+            | st.fractions(min_value=1, max_value=Fraction(6, 5), max_denominator=12)
+        )
+        shape = (M, k, k_prime, k_dprime)
+        cmax_all, crest_all = cbar_candidates(inst, *shape)
+        extra = data.draw(st.lists(st.fractions(min_value=0, max_value=40, max_denominator=6)))
+        cmax_all = sorted(set(cmax_all) | set(extra))
+        cmax_ok = [c for c in cmax_all if _head_ok_max(inst, *shape, alpha, c)]
+        for crest in crest_all:
+            fills = [
+                feasible_load_vector(inst, ShapeConfig(*shape, cmax, crest), alpha)
+                for cmax in cmax_ok
+            ]
+            first_none = next((i for i, w in enumerate(fills) if w is None), len(fills))
+            assert all(w is None for w in fills[first_none:])
 
 
 class TestBestAlpha:
@@ -102,6 +258,28 @@ class TestBestAlpha:
         assert best_alpha(scale_instance(inst, factor)).alpha_star == best_alpha(
             inst
         ).alpha_star
+
+    @pytest.mark.parametrize(
+        "inst",
+        [doc.instance for doc in make_fixtures().values()]
+        + [generate_instance(n=2 + i % 14, m=2 + i % 4, seed=3000 + i).instance for i in range(60)]
+        + [
+            jittered(name, t, seed)
+            for name in ("example1", "tightness")
+            for t in (2, 3)
+            for seed in range(3)
+        ],
+    )
+    def test_matches_reference(self, inst):
+        result = best_alpha(inst)
+        assert (result.alpha_star, result.witness, result.binding) == reference_best_alpha(inst)
+
+    def test_jittered_fixtures_are_hard(self):
+        # The jittered classes above exercise the full shape scan: every
+        # probe below alpha* fails.
+        for name in ("example1", "tightness"):
+            for t in (2, 3):
+                assert best_alpha(jittered(name, t, 0)).alpha_star > 1
 
     def test_never_exceeds_threshold_upper_bound(self):
         for seed in range(30):

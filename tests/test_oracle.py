@@ -51,6 +51,16 @@ def reference_best_additive_epsilon(inst):
     return best
 
 
+def reference_oracle_best_alpha(inst):
+    """max(needed_alpha, 1) of every profile in Fractions; first minimum over profiles."""
+    best = None
+    for profile in enumerate_profiles(inst.n, inst.m):
+        value = max(needed_alpha(inst, profile), Fraction(1))
+        if best is None or value < best[0]:
+            best = (value, profile)
+    return best
+
+
 class TestEnumeration:
     @given(st.integers(1, 9), st.integers(1, 5))
     @settings(deadline=None)
@@ -113,6 +123,19 @@ class TestBestAlpha:
             for c in all_compositions(inst.n, inst.m)
         )
         assert value == full
+
+    @pytest.mark.parametrize(
+        "inst",
+        [generate_instance(n=1 + i % 8, m=1 + i % 4, seed=i).instance for i in range(40)]
+        + [
+            validate_instance([0, 0, 1], 4, 2),
+            validate_instance([0, 0], 3, 1),
+            validate_instance([0, 0, 0], 5, 1),
+            validate_instance([0, Fraction(1, 7), Fraction(5, 11)], 6, Fraction(3, 4)),
+        ],
+    )
+    def test_matches_reference(self, inst):
+        assert oracle_best_alpha(inst) == reference_oracle_best_alpha(inst)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_witness_is_optimal_and_verifies(self, seed):
