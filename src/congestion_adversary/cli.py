@@ -10,6 +10,7 @@ input or refused parameters, 3 solver guard exceeded, 4 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -169,10 +170,12 @@ def cmd_verify(args) -> int:
             f"error: loads must be {inst.m} non-negative integers summing to "
             f"{inst.n} and alpha must be >= 1",
         )
-    ok = is_alpha_pne(inst, loads, alpha)
+    # One pricing for the verdict and the violation; None (m = 1) passes.
+    binding = binding_deviation(inst, loads)
+    ok = binding is None or binding[0] <= alpha
     obj = {"loads": loads, "alpha": format_rational(alpha), "is_alpha_pne": ok}
     if not ok:
-        ratio, source, target, cost, dev = binding_deviation(inst, loads)
+        ratio, source, target, cost, dev = binding
         obj["violation"] = {
             "from": source,
             "to": target,
@@ -298,8 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: building the parser costs more than a verify.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GameError as exc:

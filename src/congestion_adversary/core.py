@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -207,23 +208,21 @@ def _integer_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
 
 
 def _pricing(form, loads: Loads):
-    """Exact integer pricing of a whole profile in one O(m) pass.
-
-    Returns ``(seated, entering)``.  ``seated[r]`` is ``(cost, dev, target)``
-    for an occupied resource r: the cost of its players and their cheapest
-    move, with ``dev`` and ``target`` None when m = 1; it is None for an
-    empty resource.  ``entering`` is ``(dev, target)`` for a newly entering
-    player.  A cost is an integer pair ``(p, k)`` worth ``p / (k * D)``, with
-    `form` = ``(A, B, D)`` from :func:`_integer_form`; compare two costs by
-    cross-multiplication.  Moves break ties toward the smallest target.
+    """Exact integer pricing of a whole profile in one pass over the targets.
 
     A move's cost depends only on the target's load relative to the peak P
-    and on whether the mover leaves a peak resource.  So every target is
-    priced twice, for a mover from below the peak (or entering) and for one
-    from the peak, each time over a common denominator.  A resource's
-    cheapest move is the cheapest target of its kind, or the second cheapest
-    when that target is the resource itself.  Raises GameError unless the
-    profile has m non-negative loads.
+    and on whether the mover leaves a peak resource.  So the pass prices each
+    target for a mover from below the peak (or entering) and for one from
+    the peak, each kind over a common denominator, and keeps the two
+    cheapest targets of each kind, ties toward the smaller index.
+
+    Returns ``(peak, count, below, at_peak)``: P, the number of resources at
+    P, and per kind ``(dev, j, target, dev2, target2)``, the cheapest and
+    runner-up targets (``dev2``, ``target2`` None when m = 1); ``below[:3]``
+    is the entering player's move.  A pair ``p, k`` is the cost ``p / (k *
+    D)``, with `form` = ``(A, B, D)`` from :func:`_integer_form`; compare
+    costs by cross-multiplication.  Raises GameError unless the profile has
+    m non-negative loads.
     """
     coeffs, budget, _ = form
     m = len(coeffs)
@@ -231,68 +230,74 @@ def _pricing(form, loads: Loads):
         raise GameError(f"profile {tuple(loads)} is not {m} non-negative loads")
     peak = max(loads)
     count = loads.count(peak)
-    # Entering, or leaving a resource below the peak: a target at P becomes
-    # the sole peak, one at P - 1 joins the count + 1 peak resources, and
-    # lower targets pay no share.
+    # Budget shares by P - load of the target.  Entering, or leaving a
+    # resource below the peak: a target at P becomes the sole peak, one at
+    # P - 1 joins the count + 1 peak resources, lower targets pay no share.
     joined = count + 1
-    from_below = _targets(coeffs, loads, joined, {peak: budget * joined, peak - 1: budget})
-    seated = [None] * m
-    if peak > 0:
-        if count > 1:
-            # Leaving one of several peak resources: a target at P - 1 joins
-            # the count peak resources.
-            shares = {peak: budget * count, peak - 1: budget}
-            from_peak = _targets(coeffs, loads, count, shares)
+    low = (budget * joined, budget, 0)
+    if count > 1:
+        # Leaving one of several peak resources: a target at P - 1 joins them.
+        tied = count
+        high = (budget * count, budget, 0)
+    else:
+        # Leaving the sole peak: a target at P - 1 becomes the sole peak, and
+        # one at P - 2 ties at P - 1 with the mover and every resource there.
+        tied = loads.count(peak - 1) + 2
+        high = (budget * tied, budget * tied, budget)
+    dev = target = dev2 = target2 = None
+    top = at = top2 = at2 = None
+    for t, x in enumerate(loads):
+        move = coeffs[t] * (x + 1)
+        gap = peak - x
+        if gap < 3:
+            price, other = move * joined + low[gap], move * tied + high[gap]
         else:
-            # Leaving the sole peak: a target at P - 1 becomes the sole peak,
-            # and one at P - 2 ties at P - 1 with the mover and every resource
-            # already there.
-            tied = loads.count(peak - 1) + 2
-            shares = {peak: budget * tied, peak - 1: budget * tied, peak - 2: budget}
-            from_peak = _targets(coeffs, loads, tied, shares)
-        for r, x in enumerate(loads):
-            if x == peak:
-                cost = (coeffs[r] * peak * count + budget, count)
-                seated[r] = (cost,) + _move(from_peak, r)
-            elif x:
-                seated[r] = ((coeffs[r] * x, 1),) + _move(from_below, r)
-    return seated, _move(from_below, None)
+            price, other = move * joined, move * tied
+        if target is None or price < dev:
+            dev, target, dev2, target2 = price, t, dev, target
+        elif target2 is None or price < dev2:
+            dev2, target2 = price, t
+        if at is None or other < top:
+            top, at, top2, at2 = other, t, top, at
+        elif at2 is None or other < top2:
+            top2, at2 = other, t
+    return peak, count, (dev, joined, target, dev2, target2), (top, tied, at, top2, at2)
 
 
-def _targets(coeffs, loads, denominator, shares):
-    """Every target's move price over `denominator`, plus the cheapest ``(price, target)``.
+def _occupied(form, loads: Loads, priced=None, alpha: Optional[Fraction] = None):
+    """Every occupied resource's ``(r, cost, k, dev, j, target)``, in index order.
 
-    A target on load x costs ``a * (x + 1)`` plus ``shares.get(x, 0)``, the
-    budget share it attracts, already over `denominator`.
+    ``cost, k`` is the cost of r's players and ``dev, j`` their cheapest move,
+    to the cheapest target of their kind in `priced` (the profile's
+    :func:`_pricing`, computed when not given), or to the runner-up when that
+    target is r; ``dev`` and ``target`` are None when m = 1.  With `alpha`,
+    only players who could cut their cost by more than that factor are
+    listed.  Raises EmptyGame when nobody is seated.
     """
-    prices = [
-        (a * (x + 1) * denominator + shares.get(x, 0), t)
-        for t, (a, x) in enumerate(zip(coeffs, loads))
-    ]
-    return denominator, prices, min(prices)
-
-
-def _move(targets, source):
-    """``(dev, target)``: the cheapest move off `source`, ``(None, None)`` if none."""
-    denominator, prices, best = targets
-    if best[1] == source:
-        best = min(prices[:source] + prices[source + 1 :], default=None)
-        if best is None:
-            return None, None
-    return (best[0], denominator), best[1]
-
-
-def _seated_pricing(form, loads: Loads):
-    """The ``seated`` half of :func:`_pricing`; raises EmptyGame when nobody is seated."""
-    seated, _ = _pricing(form, loads)
-    if not any(seated):
+    peak, count, below, at_peak = priced or _pricing(form, loads)
+    if peak == 0:
         raise EmptyGame("profile seats no players")
-    return seated
+    coeffs, budget, _ = form
+    if alpha is not None:
+        num, den = alpha.numerator, alpha.denominator
+    for r, x in enumerate(loads):
+        if x == peak:
+            dev, j, target, dev2, target2 = at_peak
+            cost, k = coeffs[r] * peak * count + budget, count
+        elif x:
+            dev, j, target, dev2, target2 = below
+            cost, k = coeffs[r] * x, 1
+        else:
+            continue
+        if target == r:
+            dev, target = dev2, target2
+        if alpha is None or (dev is not None and cost * j * den > num * dev * k):
+            yield r, cost, k, dev, j, target
 
 
-def _fraction(form, cost) -> Fraction:
-    """The Fraction value of an integer cost pair from :func:`_pricing`."""
-    return Fraction(cost[0], cost[1] * form[2])
+def _fraction(form, p: int, k: int) -> Fraction:
+    """The Fraction value of an integer cost pair ``p, k`` from :func:`_pricing`."""
+    return Fraction(p, k * form[2])
 
 
 def cheapest_deviation(
@@ -306,9 +311,11 @@ def cheapest_deviation(
     if source is not None and loads[source] < 1:
         raise EmptySource(f"cannot deviate from empty resource {source}")
     form = _integer_form(inst)
-    seated, entering = _pricing(form, loads)
-    dev, target = entering if source is None else seated[source][1:]
-    return None if dev is None else (_fraction(form, dev), target)
+    if source is None:
+        dev, j, target = _pricing(form, loads)[2][:3]
+    else:
+        _, _, _, dev, j, target = next(e for e in _occupied(form, loads) if e[0] == source)
+    return None if dev is None else (_fraction(form, dev, j), target)
 
 
 def needed_alpha(inst: Instance, loads: Loads) -> ExtendedRational:
@@ -321,8 +328,11 @@ def needed_alpha(inst: Instance, loads: Loads) -> ExtendedRational:
     single resource there is no deviation and the profile is vacuously an
     exact equilibrium, so 1 is returned.
     """
-    found = _binding_deviation_impl(inst, loads)
-    return Fraction(1) if found is None else found[0]
+    found = _binding(_integer_form(inst), loads)
+    if found is None:
+        return Fraction(1)
+    num, den = found[0]
+    return INFINITY if den == 0 else Fraction(num, den)
 
 
 def binding_deviation(
@@ -333,42 +343,33 @@ def binding_deviation(
     Returns ``(ratio, r, r_to, cost, dev)`` for the occupied resource r with
     the largest cost-to-best-deviation ratio, or None when m = 1.
     """
-    return _binding_deviation_impl(inst, loads)
-
-
-def _binding_deviation_impl(inst, loads):
     form = _integer_form(inst)
     found = _binding(form, loads)
     if found is None:
         return None
-    (num, den), r, target, (cost, dev, _) = found
+    (num, den), r, cost, k, dev, j, target = found
     ratio = INFINITY if den == 0 else Fraction(num, den)
-    return ratio, r, target, _fraction(form, cost), _fraction(form, dev)
+    return ratio, r, target, _fraction(form, cost, k), _fraction(form, dev, j)
 
 
 def _binding(form, loads):
     """The tightest deviation in exact integers, or None when m = 1.
 
-    Returns ``(ratio, r, target, priced)``: `ratio` is cost/dev as an integer
-    pair ``(numerator, denominator)``, with denominator 0 for INFINITY, and
-    `priced` is ``seated[r]`` of :func:`_pricing`.  The first resource with
-    the largest ratio wins.
+    Returns ``(ratio, r, cost, k, dev, j, target)``: `ratio` is cost/dev as
+    an integer pair ``(numerator, denominator)``, with denominator 0 for
+    INFINITY, followed by r's entry of :func:`_occupied`.  The first resource
+    with the largest ratio wins.
     """
-    seated = _seated_pricing(form, loads)
-    if len(seated) == 1:
-        return None
     best = None
-    for r, priced in enumerate(seated):
-        if priced is None:
-            continue
-        (cost, k), (dev, j), target = priced
-        # cost/dev as (numerator, denominator); denominator 0 stands for INFINITY.
+    for r, cost, k, dev, j, target in _occupied(form, loads):
+        if dev is None:
+            return None
         if dev == 0:
             ratio = (1, 0) if cost > 0 else (0, 1)
         else:
             ratio = (cost * j, k * dev)
         if best is None or ratio[0] * best[0][1] > best[0][0] * ratio[1]:
-            best = (ratio, r, target, priced)
+            best = (ratio, r, cost, k, dev, j, target)
     return best
 
 
@@ -402,8 +403,9 @@ def _threshold_polynomial(x: Fraction) -> Fraction:
     return x * x * x - x * x / 2 - 1
 
 
+@lru_cache(maxsize=64, typed=True)
 def compute_K(precision: int, rounding: str = AWAY_FROM_ZERO) -> KConstant:
-    """Bracket the threshold constant by exact-rational bisection on [1, 2]."""
+    """Bracket the threshold constant by exact-rational bisection on [1, 2] (memoized)."""
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     if rounding not in (TOWARD_ZERO, AWAY_FROM_ZERO):

@@ -20,7 +20,7 @@ from .core import (
     _binding,
     _fraction,
     _integer_form,
-    _pricing,
+    _occupied,
 )
 
 __all__ = [
@@ -114,15 +114,14 @@ def oracle_best_additive_epsilon(
     best: Optional[Tuple[int, int]] = None
     best_profile: Optional[Tuple[int, ...]] = None
     for profile in enumerate_profiles(inst.n, inst.m):
-        # Slacks are integer cost pairs like those of _pricing, compared crosswise.
+        # Slacks are integer cost pairs like those of _occupied, compared crosswise.
         slack = (0, 1)
-        for priced in _pricing(form, profile)[0]:
-            if priced is None or priced[1] is None:
+        for _, cost, k, dev, j, _ in _occupied(form, profile):
+            if dev is None:
                 continue
-            (cost, k), (dev, j), _ = priced
             gap = (cost * j - dev * k, k * j)
             if gap[0] * slack[1] > slack[0] * gap[1]:
                 slack = gap
         if best is None or slack[0] * best[1] < best[0] * slack[1]:
             best, best_profile = slack, profile
-    return _fraction(form, best), best_profile
+    return _fraction(form, *best), best_profile

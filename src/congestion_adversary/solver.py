@@ -25,8 +25,8 @@ from .core import (
     Instance,
     _fraction,
     _integer_form,
+    _occupied,
     _pricing,
-    _seated_pricing,
     cheapest_deviation,
     k_upper_bound,
     resource_cost,
@@ -126,32 +126,12 @@ def best_response(inst: Instance, loads: Sequence[int], source: Optional[int]) -
     return source if move is None else min(stay, move)[1]
 
 
-def _improves(priced, alpha: Fraction) -> bool:
-    """Whether the cheapest move of a `_pricing` entry beats its cost by more than alpha."""
-    (cost, k), dev, _ = priced
-    if dev is None:
-        return False
-    return cost * dev[1] * alpha.denominator > alpha.numerator * dev[0] * k
-
-
-def _deviator(seated, alpha: Fraction) -> Optional[int]:
-    """The unhappy resource with maximum cost, ties toward the largest index."""
-    best = None
-    for r, priced in enumerate(seated):
-        if priced and _improves(priced, alpha):
-            cost, k = priced[0]
-            if best is None or cost * best[1] >= best[0] * k:
-                best, deviator = priced[0], r
-    return None if best is None else deviator
-
-
 def unhappy_set(
     inst: Instance, loads: Sequence[int], alpha: Union[Fraction, int]
 ) -> Set[int]:
     """Occupied resources whose players have an alpha-improving deviation."""
-    seated = _seated_pricing(_integer_form(inst), loads)
-    alpha = Fraction(alpha)
-    return {r for r, priced in enumerate(seated) if priced and _improves(priced, alpha)}
+    unhappy = _occupied(_integer_form(inst), loads, alpha=Fraction(alpha))
+    return {entry[0] for entry in unhappy}
 
 
 def select_deviator(
@@ -161,7 +141,17 @@ def select_deviator(
 
     Returns None when every player is settled.
     """
-    return _deviator(_seated_pricing(_integer_form(inst), loads), Fraction(alpha))
+    found = _costliest(_occupied(_integer_form(inst), loads, alpha=Fraction(alpha)))
+    return None if found is None else found[0]
+
+
+def _costliest(entries):
+    """The entry of maximum cost, ties toward the largest index; None if none."""
+    found = None
+    for entry in entries:
+        if found is None or entry[1] * found[2] >= found[1] * entry[2]:
+            found = entry
+    return found
 
 
 def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveTrace]:
@@ -179,20 +169,20 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     events: List[TraceEvent] = []
     per_round: List[int] = []
     form = _integer_form(inst)
-    _, entering = _pricing(form, loads)
+    priced = _pricing(form, loads)
 
     for k in range(1, inst.n + 1):
-        cost, target = entering
+        dev, dev_den, target = priced[2][:3]
         loads[target] += 1
-        cost_after = _fraction(form, cost)
+        cost_after = _fraction(form, dev, dev_den)
         _record(events, PLAYER_ADDED, k, None, target, INFINITY, cost_after, loads)
 
         deviations = 0
         budget = config.round_budget(k, m)
         while True:
-            seated, entering = _pricing(form, loads)
-            source = _deviator(seated, alpha)
-            if source is None:
+            priced = _pricing(form, loads)
+            found = _costliest(_occupied(form, loads, priced, alpha))
+            if found is None:
                 break
             deviations += 1
             if deviations > budget:
@@ -200,8 +190,9 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
                     f"round {k} exceeded {budget} deviations "
                     f"({config.guard_mode} guard, alpha={alpha})"
                 )
-            cost, dev, target = seated[source]
-            cost_before, cost_after = _fraction(form, cost), _fraction(form, dev)
+            source, cost, cost_den, dev, dev_den, target = found
+            cost_before = _fraction(form, cost, cost_den)
+            cost_after = _fraction(form, dev, dev_den)
             if not cost_before > alpha * cost_after:
                 raise AssertionError(
                     f"selected deviation {source}->{target} is not alpha-improving"

@@ -24,6 +24,48 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
+class TestParserReuse:
+    """main() reuses one parser; a call must not see what an earlier one parsed."""
+
+    CALLS = [
+        ("verify", EXAMPLE1, "2,2,1", "1"),
+        ("oracle", EXAMPLE1),
+        ("solve-k", EXAMPLE1, "--guard", "strict", "--pretty"),
+        ("verify", EXAMPLE1, "2,2,1", "7/6", "--pretty"),
+        ("verify", EXAMPLE1),
+        ("best-alpha",),
+        ("solve-k", EXAMPLE1, "--guard", "loose"),
+        (),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        out = json.loads(captured.out) if captured.out.startswith("{") else captured.out
+        if isinstance(out, dict):
+            out.pop("elapsed_ms", None)
+        return code, out, captured.err
+
+    @pytest.mark.parametrize("index", range(len(CALLS)))
+    def test_same_outcome_as_on_a_fresh_parser(self, capsys, monkeypatch, index):
+        code, _, _ = self.outcome(capsys, ["gen", "--n", "5", "--m", "3", "--seed", "7"])
+        assert code == 0
+        reused = self.outcome(capsys, self.CALLS[index])
+        monkeypatch.setattr(cli_module, "_parser", cli_module.build_parser)
+        assert reused == self.outcome(capsys, self.CALLS[index])
+
+    def test_parser_is_built_once(self, capsys):
+        parser = cli_module._parser()
+        for argv in (["verify", EXAMPLE1, "2,2,1", "1"], ["oracle", EXAMPLE1]):
+            main(argv)
+        capsys.readouterr()
+        assert cli_module._parser() is parser
+
+
 class TestSolveK:
     def test_solves_example(self, capsys):
         code, obj, _ = run_json(capsys, "solve-k", EXAMPLE1)
@@ -134,6 +176,21 @@ class TestVerify:
             "deviation_cost": "6",
             "ratio": "7/6",
         }
+
+    def test_infinite_ratio(self, capsys, tmp_path):
+        zero = tmp_path / "zero.json"
+        zero.write_text(
+            json.dumps({"players": 3, "budget": "1", "coefficients": ["0", "0", "1"]})
+        )
+        code, obj, _ = run_json(capsys, "verify", str(zero), "2,0,1", "1000")
+        assert code == 1
+        assert obj["violation"]["ratio"] == "inf"
+
+    def test_single_resource_passes_at_one(self, capsys, tmp_path):
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps({"players": 4, "budget": "2", "coefficients": ["3"]}))
+        code, obj, _ = run_json(capsys, "verify", str(single), "4", "1")
+        assert code == 0 and obj == {"loads": [4], "alpha": "1", "is_alpha_pne": True}
 
     @pytest.mark.parametrize(
         "loads,alpha",

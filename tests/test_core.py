@@ -442,6 +442,15 @@ class TestThresholdConstant:
         with pytest.raises(ValueError):
             compute_K(5, "nearest")
 
+    def test_memoized_and_still_rejects_on_every_call(self):
+        assert compute_K(7, TOWARD_ZERO) is compute_K(7, TOWARD_ZERO)
+        assert compute_K(7, TOWARD_ZERO) != compute_K(7, AWAY_FROM_ZERO)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                compute_K(0)
+            with pytest.raises(ValueError):
+                compute_K(5, "nearest")
+
     def test_tightens_with_precision(self):
         coarse = compute_K(4, AWAY_FROM_ZERO).value
         fine = compute_K(12, AWAY_FROM_ZERO).value

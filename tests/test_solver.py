@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from congestion_adversary import (
     DEVIATION,
@@ -13,6 +15,7 @@ from congestion_adversary import (
     SolverConfig,
     TraceEvent,
     best_response,
+    binding_deviation,
     deviation_cost,
     generate_instance,
     is_alpha_pne,
@@ -25,7 +28,11 @@ from congestion_adversary import (
     unhappy_set,
     validate_instance,
 )
-from test_core import reference_best_response, reference_select_deviator
+from test_core import (
+    reference_best_response,
+    reference_binding_deviation,
+    reference_select_deviator,
+)
 
 
 def reference_solve(inst, config):
@@ -174,3 +181,53 @@ class TestSolveMatchesReference:
         inst = self.CASES[index]
         config = SolverConfig(alpha=k_upper_bound(12), guard_mode=guard)
         assert solve(inst, config) == reference_solve(inst, config)
+
+
+def solve_outcome(solver, inst, config):
+    """``(loads, trace)``, or GuardExceeded when the guard stops the run."""
+    try:
+        return solver(inst, config)
+    except GuardExceeded:
+        return GuardExceeded
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Up to three resources with equal and zero coefficients.
+
+    Coefficients and budget are small, so many moves cost the same; a budget
+    small next to the coefficients piles players on the cheap resources, so
+    settling passes through a sole peak over P - 1 and P - 2 bands, and a
+    large one spreads them into ties at the peak.
+    """
+    m = draw(st.sampled_from([1, 2, 3, 3, 3]))
+    values = st.sampled_from([0, 0, 1, 2, 2, 3, 5, Fraction(1, 2)])
+    coefficients = draw(st.lists(values, min_size=m, max_size=m))
+    budget = draw(st.integers(1, 32).map(lambda x: Fraction(x, 2)))
+    return validate_instance(coefficients, draw(st.integers(1, 12)), budget)
+
+
+class TestSolveMatchesReferenceOnTies:
+    @given(
+        tie_heavy_instances(),
+        st.sampled_from([Fraction(1), 1 + Fraction(1, 10**9), k_upper_bound(12)]),
+        st.sampled_from([STRICT, LENIENT]),
+    )
+    @settings(deadline=None, max_examples=400)
+    def test_trace_identity(self, inst, alpha, guard):
+        config = SolverConfig(alpha=alpha, guard_mode=guard)
+        outcome = solve_outcome(solve, inst, config)
+        assert outcome == solve_outcome(reference_solve, inst, config)
+        # A resource whose cheapest target is itself never improves, so the
+        # runner-up move never decides a step; the factor each profile of
+        # the trace needs does depend on it.
+        for event in () if outcome is GuardExceeded else outcome[1].events:
+            loads = event.loads_after
+            assert binding_deviation(inst, loads) == reference_binding_deviation(inst, loads)
+        # Steer the search toward runs with many deviations, or ones the guard stops.
+        deviations = (
+            inst.n**2
+            if outcome is GuardExceeded
+            else sum(outcome[1].per_round_deviation_counts)
+        )
+        target(float(deviations))
