@@ -33,10 +33,8 @@ __all__ = [
     "SameResource",
     "EmptySource",
     "Instance",
-    "KConstant",
     "validate_instance",
     "scale_instance",
-    "attack",
     "resource_cost",
     "deviation_cost",
     "cheapest_deviation",
@@ -145,23 +143,14 @@ def scale_instance(inst: Instance, factor: Union[Fraction, int]) -> Instance:
     )
 
 
-def attack(loads: Loads, budget: Union[Fraction, int]) -> Tuple[Fraction, ...]:
-    """The adversary's optimal budget split: B shared evenly over max-load resources."""
-    budget = Fraction(budget)
-    peak = max(loads)
-    if peak == 0:
-        raise EmptyGame("no players seated; the adversary has nothing to attack")
-    share = budget / sum(1 for x in loads if x == peak)
-    return tuple(share if x == peak else Fraction(0) for x in loads)
-
-
 # resource_cost and deviation_cost price one player or one move at a time, in
 # Fractions: the readable specification that the integer kernel `_pricing`
 # below is tested against.
 
 
 def resource_cost(inst: Instance, loads: Loads, r: int) -> Fraction:
-    """Cost experienced by any player seated on resource r: a_r * load + attack share."""
+    """Cost experienced by any player seated on resource r: a_r * load + budget share."""
+    _check_resource(inst, r)
     if loads[r] < 1:
         raise UnoccupiedResource(f"resource {r} carries no player")
     return _seated_cost(inst, loads, r)
@@ -175,19 +164,27 @@ def deviation_cost(
     `source=None` models a newly entering player.  The result depends only on
     the load vector and the two resources, never on player identity.
     """
+    _check_resource(inst, target)
     if source == target:
         raise SameResource(f"deviation target equals source resource {target}")
-    if source is not None and loads[source] < 1:
-        raise EmptySource(f"cannot deviate from empty resource {source}")
     after = list(loads)
     if source is not None:
+        _check_resource(inst, source)
+        if loads[source] < 1:
+            raise EmptySource(f"cannot deviate from empty resource {source}")
         after[source] -= 1
     after[target] += 1
     return _seated_cost(inst, after, target)
 
 
+def _check_resource(inst: Instance, r: int) -> None:
+    """Raise GameError unless r indexes a resource of `inst`."""
+    if not 0 <= r < inst.m:
+        raise GameError(f"resource {r} is not in range({inst.m})")
+
+
 def _seated_cost(inst: Instance, loads: Loads, r: int) -> Fraction:
-    """a_r * loads[r], plus the attack share when r carries the peak load."""
+    """a_r * loads[r], plus the budget share when r carries the peak load."""
     peak = max(loads)
     base = inst.coefficients[r] * loads[r]
     if loads[r] < peak:
@@ -308,8 +305,10 @@ def cheapest_deviation(
     Ties break toward the smallest target.  None when a seated player has no
     other resource (m = 1).
     """
-    if source is not None and loads[source] < 1:
-        raise EmptySource(f"cannot deviate from empty resource {source}")
+    if source is not None:
+        _check_resource(inst, source)
+        if loads[source] < 1:
+            raise EmptySource(f"cannot deviate from empty resource {source}")
     form = _integer_form(inst)
     if source is None:
         dev, j, target = _pricing(form, loads)[2][:3]
@@ -384,28 +383,19 @@ TOWARD_ZERO = "toward-zero"
 AWAY_FROM_ZERO = "away-from-zero"
 
 
-@dataclass(frozen=True)
-class KConstant:
-    """A rational bracket endpoint for the universal threshold constant.
+def _threshold_polynomial(x: Fraction) -> Fraction:
+    return x * x * x - x * x / 2 - 1
+
+
+@lru_cache(maxsize=64, typed=True)
+def compute_K(precision: int, rounding: str = AWAY_FROM_ZERO) -> Fraction:
+    """Bracket the threshold constant by exact-rational bisection on [1, 2] (memoized).
 
     The constant is the unique root of x^3 - x^2/2 - 1 in (1, 2), roughly
     1.1974.  ``away-from-zero`` endpoints lie at or above the root,
     ``toward-zero`` endpoints at or below, and the two differ by at most
     10**-precision.
     """
-
-    value: Fraction
-    rounding: str
-    precision: int
-
-
-def _threshold_polynomial(x: Fraction) -> Fraction:
-    return x * x * x - x * x / 2 - 1
-
-
-@lru_cache(maxsize=64, typed=True)
-def compute_K(precision: int, rounding: str = AWAY_FROM_ZERO) -> KConstant:
-    """Bracket the threshold constant by exact-rational bisection on [1, 2] (memoized)."""
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     if rounding not in (TOWARD_ZERO, AWAY_FROM_ZERO):
@@ -418,10 +408,9 @@ def compute_K(precision: int, rounding: str = AWAY_FROM_ZERO) -> KConstant:
             hi = mid
         else:
             lo = mid
-    value = lo if rounding == TOWARD_ZERO else hi
-    return KConstant(value=value, rounding=rounding, precision=precision)
+    return lo if rounding == TOWARD_ZERO else hi
 
 
 def k_upper_bound(precision: int = 12) -> Fraction:
     """Rational upper bound on the threshold constant (safe solver alpha)."""
-    return compute_K(precision, AWAY_FROM_ZERO).value
+    return compute_K(precision, AWAY_FROM_ZERO)

@@ -201,7 +201,7 @@ def _tightness_coefficients():
     the threshold constant: the middle coefficient rounds down, the largest
     (the constant's reciprocal) rounds up.
     """
-    k_lo = compute_K(15, "toward-zero").value
+    k_lo = compute_K(15, "toward-zero")
     a2 = Fraction(math.floor((k_lo / 2 - Fraction(1, 4)) * GRID), GRID)
     a3 = Fraction(math.ceil(GRID / k_lo), GRID)
     return Fraction(0), a2, a3

@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
 from .core import (
     Instance,
@@ -33,29 +33,11 @@ from .core import (
 )
 
 __all__ = [
-    "ShapeConfig",
     "OptResult",
     "cbar_candidates",
-    "feasible_load_vector",
     "candidate_alphas",
     "best_alpha",
 ]
-
-
-@dataclass(frozen=True)
-class ShapeConfig:
-    """A load shape together with the two best-alternative cost values.
-
-    cbar_max is the assumed best-alternative cost for players on max-load
-    resources, cbar_rest for everyone else.
-    """
-
-    M: int
-    k: int
-    k_prime: int
-    k_dprime: int
-    cbar_max: Fraction
-    cbar_rest: Fraction
 
 
 @dataclass(frozen=True)
@@ -178,42 +160,18 @@ def _tail_bounds(
 
 
 def feasible_load_vector(
-    inst: Instance, shape: ShapeConfig, alpha: Union[Fraction, int]
+    inst: Instance, shape: tuple, alpha: Fraction, cbar_max, cbar_rest
 ) -> Optional[Tuple[int, ...]]:
-    """Witness load vector for this shape and alpha, or None if infeasible.
+    """Witness load vector for this shape, alpha and pair of costs, or None.
 
-    Implements the head-inequality check, the fixed M/M-1/M-2 prefix, the
-    per-resource tail bounds, and a left-to-right greedy fill of the leftover
-    players.
+    `shape` is a :func:`_shape_table` row; the caller has checked both costs
+    against the head conditions at alpha.  Only the per-resource tail bounds
+    and a left-to-right greedy fill of the leftover players remain.
     """
-    alpha = Fraction(alpha)
-    M, k, k_prime, k_dprime = shape.M, shape.k, shape.k_prime, shape.k_dprime
-    if not (
-        1 <= k <= inst.m - 1
-        and k + 1 <= k_prime <= inst.m + 1
-        and k_prime <= k_dprime <= inst.m + 1
-        and -(-inst.n // inst.m) <= M <= inst.n
-    ):
-        raise ValueError(f"invalid shape {shape}")
-    if shape.cbar_max < 0 or shape.cbar_rest < 0:
-        raise ValueError("alternative-cost values must be non-negative")
-
-    if not _head_ok_max(inst, M, k, k_prime, k_dprime, alpha, shape.cbar_max):
-        return None
-    if not _head_ok_rest(inst, M, k, k_prime, k_dprime, alpha, shape.cbar_rest):
-        return None
-
-    prefix = _prefix_loads(M, k, k_prime, k_dprime)
-    if prefix is None:
-        return None
-    leftover = inst.n - sum(prefix)
-    if leftover < 0:
-        return None
-
-    tail = list(range(k_dprime, inst.m + 1))
+    (M, _, _, k_dprime), prefix, leftover, _, _ = shape
     bounds = []
-    for r in tail:
-        b = _tail_bounds(inst, r, M, alpha, shape.cbar_max, shape.cbar_rest)
+    for r in range(k_dprime, inst.m + 1):
+        b = _tail_bounds(inst, r, M, alpha, cbar_max, cbar_rest)
         if b is None:
             return None
         bounds.append(b)
@@ -226,8 +184,6 @@ def feasible_load_vector(
     loads = prefix + [b[0] for b in bounds]
     leftover -= low
     for i, (b_low, b_high) in enumerate(bounds):
-        if leftover == 0:
-            break
         take = min(b_high - b_low, leftover)
         loads[k_dprime - 1 + i] += take
         leftover -= take
@@ -272,10 +228,11 @@ def candidate_alphas(inst: Instance, precision: int = 12) -> List[Fraction]:
 
 
 def _shape_table(inst: Instance) -> Iterator[tuple]:
-    """``(shape, cmax, crest)`` for every shape that can hold n players, in scan order.
+    """``(shape, prefix, leftover, cmax, crest)`` for every shape that fits n players.
 
-    `shape` is ``(M, k, k', k'')`` and `cmax`, `crest` are its
-    :func:`cbar_candidates`; none of it depends on alpha.
+    Rows come in scan order.  `shape` is ``(M, k, k', k'')``, `prefix` its
+    :func:`_prefix_loads`, `leftover` the players left for resources k''..m,
+    and `cmax`, `crest` its :func:`cbar_candidates`; none depends on alpha.
     """
     n, m = inst.n, inst.m
     for M in range(-(-n // m), n + 1):
@@ -291,7 +248,7 @@ def _shape_table(inst: Instance) -> Iterator[tuple]:
                     if leftover < 0 or (k_dprime == m + 1 and leftover != 0):
                         continue
                     shape = (M, k, k_prime, k_dprime)
-                    yield (shape,) + cbar_candidates(inst, *shape)
+                    yield (shape, prefix, leftover) + cbar_candidates(inst, *shape)
 
 
 class _Memo:
@@ -334,7 +291,8 @@ def _feasible_witness(inst: Instance, alpha: Fraction, shapes) -> Optional[Tuple
             if is_alpha_pne(inst, witness, alpha):
                 return witness
 
-    for shape, cmax_all, crest_all in shapes:
+    for row in shapes:
+        shape, _, _, cmax_all, crest_all = row
         cmax_ok = [c for c in cmax_all if _head_ok_max(inst, *shape, alpha, c)]
         if not cmax_ok:
             continue
@@ -344,7 +302,7 @@ def _feasible_witness(inst: Instance, alpha: Fraction, shapes) -> Optional[Tuple
                 break
             kept = []
             for crest in live:
-                witness = feasible_load_vector(inst, ShapeConfig(*shape, cmax, crest), alpha)
+                witness = feasible_load_vector(inst, row, alpha, cmax, crest)
                 if witness is None:
                     continue
                 if is_alpha_pne(inst, witness, alpha):

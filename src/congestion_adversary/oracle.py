@@ -27,7 +27,6 @@ __all__ = [
     "enumerate_profiles",
     "count_profiles",
     "oracle_best_alpha",
-    "oracle_has_exact_pne",
     "oracle_best_additive_epsilon",
 ]
 
@@ -87,16 +86,6 @@ def oracle_best_alpha(inst: Instance) -> Tuple[ExtendedRational, Tuple[int, ...]
         if best is None or value[0] * best[1] < best[0] * value[1]:
             best, best_profile = value, profile
     return (INFINITY if best[1] == 0 else Fraction(*best)), best_profile
-
-
-def oracle_has_exact_pne(
-    inst: Instance,
-) -> Tuple[bool, Optional[Tuple[int, ...]]]:
-    """Whether an exact equilibrium exists, with a witness when it does."""
-    value, profile = oracle_best_alpha(inst)
-    if value <= 1:
-        return True, profile
-    return False, None
 
 
 def oracle_best_additive_epsilon(

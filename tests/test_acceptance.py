@@ -28,7 +28,6 @@ from congestion_adversary import (
     needed_alpha,
     oracle_best_additive_epsilon,
     oracle_best_alpha,
-    oracle_has_exact_pne,
     scale_instance,
     solve,
     validate_instance,
@@ -94,8 +93,8 @@ def test_criterion_2_tightness_instance_approaches_threshold(capsys):
         from congestion_adversary import load_instance_document
 
         inst = load_instance_document(str(FIXTURES_DIR / "tightness.json")).instance
-        k_lo = compute_K(12, TOWARD_ZERO).value
-        k_hi = compute_K(12, AWAY_FROM_ZERO).value
+        k_lo = compute_K(12, TOWARD_ZERO)
+        k_hi = compute_K(12, AWAY_FROM_ZERO)
         tolerance = Fraction(1, 10**6)
         solver_value = best_alpha(inst).alpha_star
         oracle_value, _ = oracle_best_alpha(inst)
@@ -140,8 +139,8 @@ def test_criterion_5_small_games_always_have_exact_equilibria(capsys):
             else:
                 n, m = rng.randint(1, 25), rng.randint(1, 2)
             inst = generate_instance(n=n, m=m, seed=i).instance
-            exists, witness = oracle_has_exact_pne(inst)
-            assert exists, inst
+            value, witness = oracle_best_alpha(inst)
+            assert value <= 1, inst
             assert is_alpha_pne(inst, witness, 1)
             _collected.append((inst, witness))
 
@@ -165,8 +164,8 @@ def test_criterion_6_optimal_solver_matches_oracle(capsys):
 
 def test_criterion_7_threshold_constant_identity(capsys):
     with criterion(capsys, 7, "threshold constant satisfies its cubic", 1.0):
-        hi = compute_K(12, AWAY_FROM_ZERO).value
-        lo = compute_K(12, TOWARD_ZERO).value
+        hi = compute_K(12, AWAY_FROM_ZERO)
+        lo = compute_K(12, TOWARD_ZERO)
         residual = hi**3 - hi**2 / 2 - 1
         assert 0 <= residual < Fraction(1, 10**11)
         assert hi - lo <= Fraction(1, 10**12)

@@ -88,6 +88,7 @@ class TestSolveK:
             ["--precision", "0"],
             ["--precision", "-3"],
             ["--trace", "{missing}/trace.json"],
+            ["--precision", str(cli_module.SOLVE_K_MAX_PRECISION + 1)],
         ],
     )
     def test_refused_parameters(self, capsys, tmp_path, extra):

@@ -18,7 +18,6 @@ from congestion_adversary import (
     SameResource,
     TOWARD_ZERO,
     UnoccupiedResource,
-    attack,
     best_response,
     binding_deviation,
     cheapest_deviation,
@@ -193,23 +192,38 @@ class TestValidation:
             validate_instance([1, -1], 2, 1)
 
 
+def attack_shares(inst, loads):
+    """The budget share paid on each resource: resource_cost minus a_r * x_r, 0 when empty."""
+    return tuple(
+        resource_cost(inst, loads, r) - inst.coefficients[r] * x if x else Fraction(0)
+        for r, x in enumerate(loads)
+    )
+
+
 class TestAttack:
+    """The adversary's split, read off resource_cost as the attack share."""
+
     def test_even_split_over_max_load(self):
-        assert attack((2, 2, 1), 6) == (Fraction(3), Fraction(3), Fraction(0))
-        assert attack((3, 1, 0), 5) == (Fraction(5), Fraction(0), Fraction(0))
+        assert attack_shares(validate_instance([0, 2, 5], 5, 6), (2, 2, 1)) == (3, 3, 0)
+        assert attack_shares(validate_instance([1, 1, 1], 4, 5), (3, 1, 0)) == (5, 0, 0)
 
     def test_empty_profile_rejected(self):
-        with pytest.raises(EmptyGame):
-            attack((0, 0), 1)
+        # Nobody is seated, so no resource has a cost to carry a share.
+        inst = validate_instance([1, 2], 1, 1)
+        for r in range(2):
+            with pytest.raises(UnoccupiedResource):
+                resource_cost(inst, (0, 0), r)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6).filter(
             lambda ls: sum(ls) > 0
         ),
         positive_rationals,
+        st.data(),
     )
-    def test_spends_budget_on_max_load_only(self, loads, budget):
-        kappa = attack(loads, budget)
+    def test_spends_budget_on_max_load_only(self, loads, budget, data):
+        coeffs = data.draw(st.lists(rationals, min_size=len(loads), max_size=len(loads)))
+        kappa = attack_shares(validate_instance(coeffs, sum(loads), budget), loads)
         assert sum(kappa) == budget
         peak = max(loads)
         assert all((k > 0) == (x == peak) for k, x in zip(kappa, loads))
@@ -228,7 +242,8 @@ class TestAttack:
 
         Compared against random feasible budget splits as an independent check.
         """
-        kappa = attack(loads, budget)
+        coeffs = [Fraction(rng.randint(0, 10), rng.randint(1, 4)) for _ in loads]
+        kappa = attack_shares(validate_instance(coeffs, sum(loads), budget), loads)
         best = sum(k * x for k, x in zip(kappa, loads))
         assert best == budget * max(loads)
         for _ in range(50):
@@ -242,8 +257,9 @@ class TestAttack:
 
 class TestCosts:
     def test_resource_cost_decomposition(self, example1):
+        # Budget 6 split evenly over the two peak resources of (2,2,1).
         loads = (2, 2, 1)
-        kappa = attack(loads, example1.budget)
+        kappa = (3, 3, 0)
         for r in range(3):
             assert (
                 resource_cost(example1, loads, r)
@@ -257,6 +273,26 @@ class TestCosts:
     def test_deviation_rejects_same_resource(self, example1):
         with pytest.raises(SameResource):
             deviation_cost(example1, (2, 2, 1), 1, 1)
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (resource_cost, (-1,)),
+            (resource_cost, (3,)),
+            (deviation_cost, (-1, 0)),
+            (deviation_cost, (0, -1)),
+            (deviation_cost, (3, 0)),
+            (deviation_cost, (None, 3)),
+            (cheapest_deviation, (-1,)),
+            (cheapest_deviation, (3,)),
+            (best_response, (-1,)),
+            (best_response, (3,)),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)),
+    )
+    def test_rejects_resource_out_of_range(self, example1, call, args):
+        with pytest.raises(GameError, match="not in range"):
+            call(example1, (2, 2, 1), *args)
 
     @given(instances(min_m=2), st.randoms(use_true_random=False))
     @settings(deadline=None)
@@ -428,8 +464,8 @@ class TestNeededAlpha:
 class TestThresholdConstant:
     def test_brackets_the_root(self):
         for precision in (3, 6, 9, 12):
-            lo = compute_K(precision, TOWARD_ZERO).value
-            hi = compute_K(precision, AWAY_FROM_ZERO).value
+            lo = compute_K(precision, TOWARD_ZERO)
+            hi = compute_K(precision, AWAY_FROM_ZERO)
             assert lo**3 - lo**2 / 2 - 1 <= 0 <= hi**3 - hi**2 / 2 - 1
             assert 0 < hi - lo <= Fraction(1, 10**precision)
 
@@ -452,6 +488,6 @@ class TestThresholdConstant:
                 compute_K(5, "nearest")
 
     def test_tightens_with_precision(self):
-        coarse = compute_K(4, AWAY_FROM_ZERO).value
-        fine = compute_K(12, AWAY_FROM_ZERO).value
+        coarse = compute_K(4, AWAY_FROM_ZERO)
+        fine = compute_K(12, AWAY_FROM_ZERO)
         assert fine <= coarse

@@ -7,11 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congestion_adversary import (
-    ShapeConfig,
     best_alpha,
     binding_deviation,
     candidate_alphas,
-    feasible_load_vector,
     generate_instance,
     is_alpha_pne,
     k_upper_bound,
@@ -21,11 +19,15 @@ from congestion_adversary import (
     scale_instance,
     validate_instance,
 )
+from congestion_adversary.oracle import enumerate_profiles
 from congestion_adversary.optimal import (
+    _feasible_witness,
     _head_ok_max,
     _head_ok_rest,
     _prefix_loads,
+    _shape_table,
     cbar_candidates,
+    feasible_load_vector,
 )
 
 # The V^2 candidate set and the shape scan that best_alpha replaced, kept as
@@ -78,11 +80,10 @@ def reference_feasible_witness(inst, alpha):
                     cmax_all, crest_all = cbar_candidates(inst, *shape)
                     cmax_ok = [c for c in cmax_all if _head_ok_max(inst, *shape, alpha, c)]
                     crest_ok = [c for c in crest_all if _head_ok_rest(inst, *shape, alpha, c)]
+                    row = (shape, prefix, leftover, cmax_all, crest_all)
                     for cmax in cmax_ok:
                         for crest in crest_ok:
-                            witness = feasible_load_vector(
-                                inst, ShapeConfig(*shape, cmax, crest), alpha
-                            )
+                            witness = feasible_load_vector(inst, row, alpha, cmax, crest)
                             if witness is not None and is_alpha_pne(inst, witness, alpha):
                                 return witness
     return None
@@ -152,38 +153,39 @@ class TestCandidates:
         assert candidate_alphas(inst, precision) == reference_candidate_alphas(inst, precision)
 
 
+def shape_of(loads):
+    """``(M, k, k', k'')`` of a decreasing profile, indices 1-based as in `optimal`."""
+    m, M = len(loads), loads[0]
+    k_prime = next((i + 1 for i, x in enumerate(loads) if x < M - 1), m + 1)
+    k_dprime = next((i + 1 for i, x in enumerate(loads) if x < M - 2), m + 1)
+    return M, loads.count(M), k_prime, k_dprime
+
+
+def table_row(inst, shape):
+    """The one row of the instance's shape table for `shape`."""
+    (row,) = [row for row in _shape_table(inst) if row[0] == shape]
+    return row
+
+
 class TestFeasibleLoadVector:
-    def test_rejects_invalid_shape(self, example1):
-        shape = ShapeConfig(
-            M=2, k=5, k_prime=6, k_dprime=6, cbar_max=Fraction(1), cbar_rest=Fraction(1)
-        )
-        with pytest.raises(ValueError):
-            feasible_load_vector(example1, shape, Fraction(2))
-
-    def test_rejects_negative_alternative_cost(self, example1):
-        shape = ShapeConfig(
-            M=2, k=2, k_prime=4, k_dprime=4, cbar_max=Fraction(-1), cbar_rest=Fraction(1)
-        )
-        with pytest.raises(ValueError):
-            feasible_load_vector(example1, shape, Fraction(2))
-
     def test_witness_shape_for_example(self, example1):
         # (2,2,1): two resources at the maximum load 2, the third at 1 = M-1,
         # so both breakpoint indices sit past the last resource.  The
         # alternative cost of a max-load player is 6 (join r1), of the r3
         # player also 6.
-        shape = ShapeConfig(
-            M=2, k=2, k_prime=4, k_dprime=4, cbar_max=Fraction(6), cbar_rest=Fraction(6)
-        )
-        witness = feasible_load_vector(example1, shape, Fraction(7, 6))
+        row = table_row(example1, (2, 2, 4, 4))
+        assert row[1:3] == ([2, 2, 1], 0)
+        witness = feasible_load_vector(example1, row, Fraction(7, 6), Fraction(6), Fraction(6))
         assert witness == (2, 2, 1)
         assert is_alpha_pne(example1, witness, Fraction(7, 6))
 
     def test_infeasible_below_the_optimum(self, example1):
-        shape = ShapeConfig(
-            M=2, k=2, k_prime=4, k_dprime=4, cbar_max=Fraction(6), cbar_rest=Fraction(6)
-        )
-        assert feasible_load_vector(example1, shape, Fraction(8, 7)) is None
+        # At 8/7 the r2 players' cost 7 exceeds 8/7 times their best
+        # alternative 6: the max-load head condition rules the shape out
+        # before any fill, and no other shape holds a witness either.
+        assert not _head_ok_max(example1, 2, 2, 4, 4, Fraction(8, 7), Fraction(6))
+        assert _feasible_witness(example1, Fraction(8, 7), _shape_table(example1)) is None
+        assert _feasible_witness(example1, Fraction(7, 6), _shape_table(example1)) == (2, 2, 1)
 
     @given(small_instances(min_m=2, max_n=12), st.data())
     @settings(deadline=None, max_examples=150)
@@ -196,29 +198,46 @@ class TestFeasibleLoadVector:
         n, m = inst.n, inst.m
         cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
         loads = sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True)
-        M = loads[0]
-        k = loads.count(M)
-        assume(k < m)
-        k_prime = next((i + 1 for i, x in enumerate(loads) if x < M - 1), m + 1)
-        k_dprime = next((i + 1 for i, x in enumerate(loads) if x < M - 2), m + 1)
+        shape = shape_of(loads)
+        assume(shape[1] < m)
         ceiling = k_upper_bound(12)
         needed = max(needed_alpha(inst, loads), Fraction(1))
         alpha = data.draw(
             st.sampled_from([needed, ceiling] if needed <= ceiling else [ceiling])
             | st.fractions(min_value=1, max_value=Fraction(6, 5), max_denominator=12)
         )
-        shape = (M, k, k_prime, k_dprime)
-        cmax_all, crest_all = cbar_candidates(inst, *shape)
+        row = table_row(inst, shape)
+        _, _, _, cmax_all, crest_all = row
         extra = data.draw(st.lists(st.fractions(min_value=0, max_value=40, max_denominator=6)))
         cmax_all = sorted(set(cmax_all) | set(extra))
         cmax_ok = [c for c in cmax_all if _head_ok_max(inst, *shape, alpha, c)]
-        for crest in crest_all:
-            fills = [
-                feasible_load_vector(inst, ShapeConfig(*shape, cmax, crest), alpha)
-                for cmax in cmax_ok
-            ]
+        # As in the scan, only cbar_rest values that pass the head conditions
+        # are filled; the fill itself no longer checks them.
+        crest_ok = [c for c in crest_all if _head_ok_rest(inst, *shape, alpha, c)]
+        for crest in crest_ok:
+            fills = [feasible_load_vector(inst, row, alpha, cmax, crest) for cmax in cmax_ok]
             first_none = next((i for i, w in enumerate(fills) if w is None), len(fills))
             assert all(w is None for w in fills[first_none:])
+
+
+class TestShapeTable:
+    @given(small_instances(min_m=2, max_n=12))
+    @settings(deadline=None, max_examples=150)
+    def test_every_decreasing_profile_has_its_row(self, inst):
+        # The fill takes a shape's prefix and leftover from its row and
+        # checks neither, so every shape some profile has must be there once,
+        # with exactly that profile's head loads and tail total.
+        rows = list(_shape_table(inst))
+        by_shape = {row[0]: row for row in rows}
+        assert len(by_shape) == len(rows)
+        for loads in enumerate_profiles(inst.n, inst.m):
+            shape = shape_of(loads)
+            if shape[1] == inst.m:
+                continue  # All at the peak: _feasible_witness tries it directly.
+            _, prefix, leftover, cmax, crest = by_shape[shape]
+            assert prefix == list(loads[: shape[3] - 1])
+            assert leftover == sum(loads[shape[3] - 1 :])
+            assert (cmax, crest) == cbar_candidates(inst, *shape)
 
 
 class TestBestAlpha:

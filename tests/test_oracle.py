@@ -14,7 +14,6 @@ from congestion_adversary import (
     needed_alpha,
     oracle_best_additive_epsilon,
     oracle_best_alpha,
-    oracle_has_exact_pne,
     resource_cost,
     scale_instance,
     validate_instance,
@@ -102,11 +101,10 @@ class TestBestAlpha:
         assert is_alpha_pne(example1, witness, value)
 
     def test_exact_equilibrium_detection(self, example1):
-        exists, witness = oracle_has_exact_pne(example1)
-        assert not exists and witness is None
+        assert not oracle_best_alpha(example1)[0] <= 1
         inst = validate_instance([1, 1], 2, 2)
-        exists, witness = oracle_has_exact_pne(inst)
-        assert exists
+        value, witness = oracle_best_alpha(inst)
+        assert value <= 1
         assert needed_alpha(inst, witness) <= 1
 
     @pytest.mark.parametrize("seed", range(30))
@@ -157,8 +155,7 @@ class TestAdditiveEpsilon:
         for seed in range(25):
             inst = generate_instance(n=2 + seed % 5, m=2 + seed % 3, seed=seed).instance
             epsilon, _ = oracle_best_additive_epsilon(inst)
-            exists, _ = oracle_has_exact_pne(inst)
-            assert (epsilon == 0) == exists
+            assert (epsilon == 0) == (oracle_best_alpha(inst)[0] <= 1)
 
     def test_scales_linearly(self, example1):
         epsilon, _ = oracle_best_additive_epsilon(example1)
