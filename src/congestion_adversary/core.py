@@ -204,8 +204,8 @@ def _integer_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
     return coeffs, inst.budget.numerator * (scale // inst.budget.denominator), scale
 
 
-def _pricing(form, loads: Loads):
-    """Exact integer pricing of a whole profile in one pass over the targets.
+def _pricing(form, loads: Loads, targets=None, peaks=None):
+    """Exact integer pricing of a profile in one pass over candidate targets.
 
     A move's cost depends only on the target's load relative to the peak P
     and on whether the mover leaves a peak resource.  So the pass prices each
@@ -213,20 +213,27 @@ def _pricing(form, loads: Loads):
     the peak, each kind over a common denominator, and keeps the two
     cheapest targets of each kind, ties toward the smaller index.
 
+    `targets`, ``(t, loads[t])`` pairs in index order, must hold the two
+    cheapest of each kind, as the first two indices of each band of equal
+    load on a non-increasing profile do; `peaks` is ``(P, count at P, count
+    at P - 1)``.  By default both come from the whole profile.
+
     Returns ``(peak, count, below, at_peak)``: P, the number of resources at
     P, and per kind ``(dev, j, target, dev2, target2)``, the cheapest and
     runner-up targets (``dev2``, ``target2`` None when m = 1); ``below[:3]``
     is the entering player's move.  A pair ``p, k`` is the cost ``p / (k *
     D)``, with `form` = ``(A, B, D)`` from :func:`_integer_form`; compare
-    costs by cross-multiplication.  Raises GameError unless the profile has
-    m non-negative loads.
+    costs by cross-multiplication.  Without `peaks`, raises GameError unless
+    the profile has m non-negative loads.
     """
     coeffs, budget, _ = form
-    m = len(coeffs)
-    if len(loads) != m or min(loads) < 0:
-        raise GameError(f"profile {tuple(loads)} is not {m} non-negative loads")
-    peak = max(loads)
-    count = loads.count(peak)
+    if peaks is None:
+        if len(loads) != len(coeffs) or min(loads) < 0:
+            raise GameError(f"profile {tuple(loads)} is not {len(coeffs)} non-negative loads")
+        targets, peak = enumerate(loads), max(loads)
+        count = loads.count(peak)
+    else:
+        peak, count, _ = peaks
     # Budget shares by P - load of the target.  Entering, or leaving a
     # resource below the peak: a target at P becomes the sole peak, one at
     # P - 1 joins the count + 1 peak resources, lower targets pay no share.
@@ -239,11 +246,11 @@ def _pricing(form, loads: Loads):
     else:
         # Leaving the sole peak: a target at P - 1 becomes the sole peak, and
         # one at P - 2 ties at P - 1 with the mover and every resource there.
-        tied = loads.count(peak - 1) + 2
+        tied = (loads.count(peak - 1) if peaks is None else peaks[2]) + 2
         high = (budget * tied, budget * tied, budget)
     dev = target = dev2 = target2 = None
     top = at = top2 = at2 = None
-    for t, x in enumerate(loads):
+    for t, x in targets:
         move = coeffs[t] * (x + 1)
         gap = peak - x
         if gap < 3:
@@ -261,15 +268,15 @@ def _pricing(form, loads: Loads):
     return peak, count, (dev, joined, target, dev2, target2), (top, tied, at, top2, at2)
 
 
-def _occupied(form, loads: Loads, priced=None, alpha: Optional[Fraction] = None):
-    """Every occupied resource's ``(r, cost, k, dev, j, target)``, in index order.
+def _occupied(form, loads: Loads, priced=None, alpha: Optional[Fraction] = None, movers=None):
+    """Every occupied mover's ``(r, cost, k, dev, j, target)``, in index order.
 
-    ``cost, k`` is the cost of r's players and ``dev, j`` their cheapest move,
-    to the cheapest target of their kind in `priced` (the profile's
-    :func:`_pricing`, computed when not given), or to the runner-up when that
+    `movers` are ``(r, loads[r])`` pairs in index order, every resource by
+    default.  ``cost, k`` is the cost of r's players and ``dev, j`` their
+    cheapest move, to the cheapest target of their kind in `priced` (the
+    profile's :func:`_pricing` if not given), or to the runner-up when that
     target is r; ``dev`` and ``target`` are None when m = 1.  With `alpha`,
-    only players who could cut their cost by more than that factor are
-    listed.  Raises EmptyGame when nobody is seated.
+    only alpha-improving movers are listed.  Raises EmptyGame if nobody sits.
     """
     peak, count, below, at_peak = priced or _pricing(form, loads)
     if peak == 0:
@@ -277,7 +284,7 @@ def _occupied(form, loads: Loads, priced=None, alpha: Optional[Fraction] = None)
     coeffs, budget, _ = form
     if alpha is not None:
         num, den = alpha.numerator, alpha.denominator
-    for r, x in enumerate(loads):
+    for r, x in enumerate(loads) if movers is None else movers:
         if x == peak:
             dev, j, target, dev2, target2 = at_peak
             cost, k = coeffs[r] * peak * count + budget, count
@@ -387,7 +394,6 @@ def _threshold_polynomial(x: Fraction) -> Fraction:
     return x * x * x - x * x / 2 - 1
 
 
-@lru_cache(maxsize=64, typed=True)
 def compute_K(precision: int, rounding: str = AWAY_FROM_ZERO) -> Fraction:
     """Bracket the threshold constant by exact-rational bisection on [1, 2] (memoized).
 
@@ -396,6 +402,11 @@ def compute_K(precision: int, rounding: str = AWAY_FROM_ZERO) -> Fraction:
     ``toward-zero`` endpoints at or below, and the two differ by at most
     10**-precision.
     """
+    return _bisect_K(precision, rounding)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _bisect_K(precision: int, rounding: str) -> Fraction:
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     if rounding not in (TOWARD_ZERO, AWAY_FROM_ZERO):

@@ -159,29 +159,31 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
 
     Returns the final load vector (an alpha-approximate equilibrium) and a
     full event trace.  Deterministic: identical inputs yield identical traces.
-    Each step prices the profile once: that pricing names the deviator, its
-    target and both costs, and the one that ends a round holds the next
-    player's entering move.
+    Loads stay non-increasing, so equal loads form bands (``load -> [first,
+    last]``).  A step prices the first two indices of every band, O(bands) <=
+    sqrt(2n) + 1, which names the deviator among the band tails, its target
+    and both costs; the last pricing of a round holds the next entering move.
     """
     m = inst.m
     alpha = config.alpha
     loads: List[int] = [0] * m
+    bands = {0: [0, m - 1]}
     events: List[TraceEvent] = []
     per_round: List[int] = []
     form = _integer_form(inst)
-    priced = _pricing(form, loads)
+    priced, tails = _price_bands(form, loads, bands)
 
     for k in range(1, inst.n + 1):
         dev, dev_den, target = priced[2][:3]
-        loads[target] += 1
+        _shift(bands, loads, target, 1)
         cost_after = _fraction(form, dev, dev_den)
         _record(events, PLAYER_ADDED, k, None, target, INFINITY, cost_after, loads)
 
         deviations = 0
         budget = config.round_budget(k, m)
         while True:
-            priced = _pricing(form, loads)
-            found = _costliest(_occupied(form, loads, priced, alpha))
+            priced, tails = _price_bands(form, loads, bands)
+            found = _costliest(_occupied(form, loads, priced, alpha, tails))
             if found is None:
                 break
             deviations += 1
@@ -197,28 +199,45 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
                 raise AssertionError(
                     f"selected deviation {source}->{target} is not alpha-improving"
                 )
-            loads[source] -= 1
-            loads[target] += 1
+            _shift(bands, loads, source, -1)
+            _shift(bands, loads, target, 1)
             _record(events, DEVIATION, k, source, target, cost_before, cost_after, loads)
         per_round.append(deviations)
 
-    return tuple(loads), SolveTrace(
-        events=tuple(events), per_round_deviation_counts=tuple(per_round)
-    )
+    return tuple(loads), SolveTrace(tuple(events), tuple(per_round))
 
 
-def _record(events, kind, round_index, source, target, cost_before, cost_after, loads):
-    snapshot = tuple(loads)
-    if any(snapshot[i] < snapshot[i + 1] for i in range(len(snapshot) - 1)):
-        raise AssertionError(f"loads {snapshot} are not non-increasing after {kind}")
-    events.append(
-        TraceEvent(
-            kind=kind,
-            round=round_index,
-            source=source,
-            target=target,
-            cost_before=cost_before,
-            cost_after=cost_after,
-            loads_after=snapshot,
-        )
-    )
+def _price_bands(form, loads, bands):
+    """The profile's pricing over its band heads, and its band tails."""
+    heads, tails = [], []
+    for x in sorted(bands, reverse=True):
+        first, last = bands[x]
+        heads.append((first, x))
+        if first < last:
+            heads.append((first + 1, x))
+        tails.append((last, x))
+    peak = heads[0][1]
+    (first, last), (low, high) = bands[peak], bands.get(peak - 1, (1, 0))
+    return _pricing(form, loads, heads, (peak, last - first + 1, high - low + 1)), tails
+
+
+def _shift(bands, loads, r, step):
+    """Add a player on r (step 1), first in its band, or take one off (-1), last in it."""
+    x = loads[r]
+    loads[r] = x + step
+    bands[x][0 if step > 0 else 1] += step
+    if bands[x][0] > bands[x][1]:
+        del bands[x]
+    if x + step in bands:
+        bands[x + step][1 if step > 0 else 0] += step
+    else:
+        bands[x + step] = [r, r]
+
+
+def _record(events, kind, k, source, target, before, after, loads):
+    # The old profile was ordered; only left of target and right of source can break.
+    if (target and loads[target - 1] < loads[target]) or (
+        source is not None and source + 1 < len(loads) and loads[source] < loads[source + 1]
+    ):
+        raise AssertionError(f"loads {tuple(loads)} are not non-increasing after {kind}")
+    events.append(TraceEvent(kind, k, source, target, before, after, tuple(loads)))

@@ -487,6 +487,14 @@ class TestThresholdConstant:
             with pytest.raises(ValueError):
                 compute_K(5, "nearest")
 
+    def test_every_spelling_shares_one_cache_entry(self):
+        # A bisection returns a fresh Fraction, so one object means one run.
+        first = compute_K(23)
+        assert compute_K(23, AWAY_FROM_ZERO) is first
+        assert compute_K(precision=23) is first
+        assert compute_K(precision=23, rounding=AWAY_FROM_ZERO) is first
+        assert k_upper_bound(23) is first
+
     def test_tightens_with_precision(self):
         coarse = compute_K(4, AWAY_FROM_ZERO)
         fine = compute_K(12, AWAY_FROM_ZERO)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from congestion_adversary import (
     DEVIATION,
+    GameError,
     GuardExceeded,
     INFINITY,
     LENIENT,
@@ -28,6 +30,8 @@ from congestion_adversary import (
     unhappy_set,
     validate_instance,
 )
+from congestion_adversary.core import _integer_form, _occupied, _pricing
+from congestion_adversary.solver import _costliest, _price_bands
 from test_core import (
     reference_best_response,
     reference_binding_deviation,
@@ -148,6 +152,17 @@ class TestSolve:
         with pytest.raises(GuardExceeded):
             solve(example1, SolverConfig(alpha=Fraction(1), guard_mode=STRICT))
 
+    def test_replay_rejects_an_altered_snapshot(self, seven_player):
+        _, trace = solve(seven_player, SolverConfig.default())
+        assert trace.replay(seven_player.m) == trace.events[-1].loads_after
+        for i, event in enumerate(trace.events):
+            loads = list(event.loads_after)
+            loads[event.target] -= 1
+            altered = dataclasses.replace(event, loads_after=tuple(loads))
+            events = trace.events[:i] + (altered,) + trace.events[i + 1 :]
+            with pytest.raises(GameError):
+                dataclasses.replace(trace, events=events).replay(seven_player.m)
+
     def test_deterministic(self, seven_player):
         first = solve(seven_player, SolverConfig.default())
         second = solve(seven_player, SolverConfig.default())
@@ -231,3 +246,63 @@ class TestSolveMatchesReferenceOnTies:
             else sum(outcome[1].per_round_deviation_counts)
         )
         target(float(deviations))
+
+
+@st.composite
+def wide_band_instances(draw):
+    """Four to ten resources whose coefficients repeat, zero among them.
+
+    Resources of equal coefficient fill in step, so a band of equal load
+    spans several of them and splits, merges, empties and takes over the
+    peak as players enter and move.  A budget small next to the
+    coefficients stacks players into a sole peak over P - 1 and P - 2 bands
+    and many lower ones; a large one ties them at the peak.
+    """
+    m = draw(st.integers(4, 10))
+    values = st.sampled_from([0, 0, 1, 1, 2, 3, Fraction(1, 2)])
+    coefficients = draw(st.lists(values, min_size=m, max_size=m))
+    budget = draw(st.integers(1, 60).map(lambda x: Fraction(x, 2)))
+    return validate_instance(coefficients, draw(st.integers(1, 30)), budget)
+
+
+class TestSolveMatchesReferenceOnWideBands:
+    """solve's band bookkeeping against the Fraction spec on many-band profiles."""
+
+    @given(
+        wide_band_instances(),
+        st.sampled_from([Fraction(1), 1 + Fraction(1, 10**9), k_upper_bound(12)]),
+        st.sampled_from([STRICT, LENIENT]),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_trace_identity(self, inst, alpha, guard):
+        config = SolverConfig(alpha=alpha, guard_mode=guard)
+        outcome = solve_outcome(solve, inst, config)
+        assert outcome == solve_outcome(reference_solve, inst, config)
+        if outcome is not GuardExceeded:
+            # Steer the search toward many bands and many deviations.
+            events = outcome[1].events
+            target(float(max(len(set(ev.loads_after)) for ev in events)), label="bands")
+            target(float(sum(ev.kind == DEVIATION for ev in events)), label="deviations")
+
+    @given(
+        wide_band_instances(),
+        st.lists(st.integers(0, 8), min_size=10, max_size=10),
+        st.integers(0, 2),
+        st.sampled_from([Fraction(1), k_upper_bound(12)]),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_band_pricing_equals_whole_pricing(self, inst, draws, lift, alpha):
+        # A resource that is its own cheapest target cannot improve, so the
+        # runner-up never decides a solve step and the trace cannot show it:
+        # compare the pricing itself, on any non-increasing profile.
+        loads = sorted(draws[: inst.m], reverse=True)
+        loads[0] += lift + (loads[0] == 0)
+        bands = {}
+        for r, x in enumerate(loads):
+            bands.setdefault(x, [r, r])[1] = r
+        form = _integer_form(inst)
+        priced, tails = _price_bands(form, loads, bands)
+        assert priced == _pricing(form, loads)
+        assert _costliest(_occupied(form, loads, priced, alpha, tails)) == _costliest(
+            _occupied(form, loads, alpha=alpha)
+        )
