@@ -20,7 +20,6 @@ from .core import (
     TOWARD_ZERO,
     UnoccupiedResource,
     binding_deviation,
-    cheapest_deviation,
     compute_K,
     deviation_cost,
     is_alpha_pne,
@@ -43,7 +42,6 @@ from .documents import (
 )
 from .optimal import best_alpha, candidate_alphas
 from .oracle import (
-    count_profiles,
     enumerate_profiles,
     oracle_best_additive_epsilon,
     oracle_best_alpha,
@@ -57,10 +55,7 @@ from .solver import (
     SolveTrace,
     SolverConfig,
     TraceEvent,
-    best_response,
-    select_deviator,
     solve,
-    unhappy_set,
 )
 
 __version__ = "0.1.0"
@@ -90,12 +85,9 @@ __all__ = [
     "TraceEvent",
     "UnoccupiedResource",
     "best_alpha",
-    "best_response",
     "binding_deviation",
     "candidate_alphas",
-    "cheapest_deviation",
     "compute_K",
-    "count_profiles",
     "deviation_cost",
     "enumerate_profiles",
     "format_rational",
@@ -111,8 +103,6 @@ __all__ = [
     "parse_rational",
     "resource_cost",
     "scale_instance",
-    "select_deviator",
     "solve",
-    "unhappy_set",
     "validate_instance",
 ]

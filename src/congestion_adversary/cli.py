@@ -75,10 +75,7 @@ def cmd_solve_k(args) -> int:
             EXIT_PARSE,
             f"error: solve-k refuses --precision > {SOLVE_K_MAX_PRECISION} (got {args.precision})",
         )
-    try:
-        doc = load_instance_document(args.instance)
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    doc = load_instance_document(args.instance)
     config = SolverConfig.default(precision=args.precision, guard_mode=args.guard)
     start = time.perf_counter()
     try:
@@ -89,7 +86,7 @@ def cmd_solve_k(args) -> int:
     if args.trace:
         try:
             with open(args.trace, "w", encoding="utf-8") as handle:
-                json.dump(trace_to_json(trace), handle, indent=2)
+                handle.write(json.dumps(trace_to_json(trace)))
         except OSError as exc:
             return _fail(EXIT_PARSE, f"error: cannot write trace to {args.trace}: {exc}")
     _emit(
@@ -107,10 +104,7 @@ def cmd_solve_k(args) -> int:
 
 
 def cmd_best_alpha(args) -> int:
-    try:
-        doc = load_instance_document(args.instance)
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    doc = load_instance_document(args.instance)
     inst = doc.instance
     distinct = len(set(inst.coefficients))
     values = distinct * (inst.n + 1) * (inst.m + 1)
@@ -161,12 +155,12 @@ def cmd_best_alpha(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    doc = load_instance_document(args.instance)
     try:
-        doc = load_instance_document(args.instance)
         loads = [int(part) for part in args.loads.split(",")]
-        alpha = parse_rational(args.alpha)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
+    alpha = parse_rational(args.alpha)
     inst = doc.instance
     if (
         len(loads) != inst.m
@@ -197,10 +191,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        doc = load_instance_document(args.instance)
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    doc = load_instance_document(args.instance)
     inst = doc.instance
     if inst.n > ORACLE_MAX_PLAYERS:
         return _fail(
@@ -227,12 +218,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        doc = generate_instance(
-            args.n, args.m, args.seed, args.coeff_max, args.budget_max
-        )
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    doc = generate_instance(
+        args.n, args.m, args.seed, args.coeff_max, args.budget_max
+    )
     print(doc.dumps(pretty=args.pretty))
     return EXIT_OK
 
@@ -317,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except GameError as exc:
+    except (GameError, ParseError) as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "scale_instance",
     "resource_cost",
     "deviation_cost",
-    "cheapest_deviation",
     "needed_alpha",
     "binding_deviation",
     "is_alpha_pne",
@@ -268,22 +267,20 @@ def _pricing(form, loads: Loads, targets=None, peaks=None):
     return peak, count, (dev, joined, target, dev2, target2), (top, tied, at, top2, at2)
 
 
-def _occupied(form, loads: Loads, priced=None, alpha: Optional[Fraction] = None, movers=None):
+def _occupied(form, loads: Loads, priced=None, movers=None):
     """Every occupied mover's ``(r, cost, k, dev, j, target)``, in index order.
 
     `movers` are ``(r, loads[r])`` pairs in index order, every resource by
     default.  ``cost, k`` is the cost of r's players and ``dev, j`` their
     cheapest move, to the cheapest target of their kind in `priced` (the
     profile's :func:`_pricing` if not given), or to the runner-up when that
-    target is r; ``dev`` and ``target`` are None when m = 1.  With `alpha`,
-    only alpha-improving movers are listed.  Raises EmptyGame if nobody sits.
+    target is r; ``dev`` and ``target`` are None when m = 1.  Raises
+    EmptyGame if nobody sits.
     """
     peak, count, below, at_peak = priced or _pricing(form, loads)
     if peak == 0:
         raise EmptyGame("profile seats no players")
     coeffs, budget, _ = form
-    if alpha is not None:
-        num, den = alpha.numerator, alpha.denominator
     for r, x in enumerate(loads) if movers is None else movers:
         if x == peak:
             dev, j, target, dev2, target2 = at_peak
@@ -295,33 +292,12 @@ def _occupied(form, loads: Loads, priced=None, alpha: Optional[Fraction] = None,
             continue
         if target == r:
             dev, target = dev2, target2
-        if alpha is None or (dev is not None and cost * j * den > num * dev * k):
-            yield r, cost, k, dev, j, target
+        yield r, cost, k, dev, j, target
 
 
 def _fraction(form, p: int, k: int) -> Fraction:
     """The Fraction value of an integer cost pair ``p, k`` from :func:`_pricing`."""
     return Fraction(p, k * form[2])
-
-
-def cheapest_deviation(
-    inst: Instance, loads: Loads, source: Optional[int]
-) -> Optional[Tuple[Fraction, int]]:
-    """Cheapest ``(deviation_cost, target)`` for a player on `source` (None: entering).
-
-    Ties break toward the smallest target.  None when a seated player has no
-    other resource (m = 1).
-    """
-    if source is not None:
-        _check_resource(inst, source)
-        if loads[source] < 1:
-            raise EmptySource(f"cannot deviate from empty resource {source}")
-    form = _integer_form(inst)
-    if source is None:
-        dev, j, target = _pricing(form, loads)[2][:3]
-    else:
-        _, _, _, dev, j, target = next(e for e in _occupied(form, loads) if e[0] == source)
-    return None if dev is None else (_fraction(form, dev, j), target)
 
 
 def needed_alpha(inst: Instance, loads: Loads) -> ExtendedRational:

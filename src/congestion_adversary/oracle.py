@@ -10,12 +10,9 @@ in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
 from .core import (
-    INFINITY,
-    ExtendedRational,
     Instance,
     _binding,
     _fraction,
@@ -25,7 +22,6 @@ from .core import (
 
 __all__ = [
     "enumerate_profiles",
-    "count_profiles",
     "oracle_best_alpha",
     "oracle_best_additive_epsilon",
 ]
@@ -55,19 +51,7 @@ def _descending(remaining: int, slots: int, cap: int) -> Iterator[Tuple[int, ...
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def count_profiles(n: int, m: int) -> int:
-    """Number of partitions of n into at most m parts, via the standard recurrence."""
-    if n == 0:
-        return 1
-    if m == 0:
-        return 0
-    if n < 0:
-        return 0
-    return count_profiles(n - m, m) + count_profiles(n, m - 1)
-
-
-def oracle_best_alpha(inst: Instance) -> Tuple[ExtendedRational, Tuple[int, ...]]:
+def oracle_best_alpha(inst: Instance) -> Tuple[Fraction, Tuple[int, ...]]:
     """Exact smallest feasible factor and a witness profile.
 
     Minimizes max(needed_alpha, 1) over all decreasing profiles; ties go to
@@ -80,12 +64,13 @@ def oracle_best_alpha(inst: Instance) -> Tuple[ExtendedRational, Tuple[int, ...]
     best_profile: Optional[Tuple[int, ...]] = None
     for profile in enumerate_profiles(inst.n, inst.m):
         # needed_alpha as an integer pair from _binding, clamped at 1 and
-        # compared crosswise; (1, 0) stands for INFINITY.
+        # compared crosswise.  An INFINITY pair (1, 0) never wins: by the
+        # existence theorem some profile needs at most K.
         found = _binding(form, profile)
         value = (1, 1) if found is None or found[0][0] < found[0][1] else found[0]
         if best is None or value[0] * best[1] < best[0] * value[1]:
             best, best_profile = value, profile
-    return (INFINITY if best[1] == 0 else Fraction(*best)), best_profile
+    return Fraction(*best), best_profile
 
 
 def oracle_best_additive_epsilon(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .core import (
     ExtendedRational,
@@ -27,9 +27,7 @@ from .core import (
     _integer_form,
     _occupied,
     _pricing,
-    cheapest_deviation,
     k_upper_bound,
-    resource_cost,
 )
 
 __all__ = [
@@ -41,9 +39,6 @@ __all__ = [
     "TraceEvent",
     "SolveTrace",
     "SolverConfig",
-    "best_response",
-    "unhappy_set",
-    "select_deviator",
     "solve",
 ]
 
@@ -113,47 +108,6 @@ class SolverConfig:
         return cls(alpha=k_upper_bound(precision), guard_mode=guard_mode)
 
 
-def best_response(inst: Instance, loads: Sequence[int], source: Optional[int]) -> int:
-    """Cheapest resource for a player on `source` (or entering, source=None).
-
-    Staying put counts as an option with the player's current cost; ties break
-    toward the smallest index.
-    """
-    move = cheapest_deviation(inst, loads, source)
-    if source is None:
-        return move[1]
-    stay = (resource_cost(inst, loads, source), source)
-    return source if move is None else min(stay, move)[1]
-
-
-def unhappy_set(
-    inst: Instance, loads: Sequence[int], alpha: Union[Fraction, int]
-) -> Set[int]:
-    """Occupied resources whose players have an alpha-improving deviation."""
-    unhappy = _occupied(_integer_form(inst), loads, alpha=Fraction(alpha))
-    return {entry[0] for entry in unhappy}
-
-
-def select_deviator(
-    inst: Instance, loads: Sequence[int], alpha: Union[Fraction, int]
-) -> Optional[int]:
-    """The unhappy resource with maximum cost; ties break toward the largest index.
-
-    Returns None when every player is settled.
-    """
-    found = _costliest(_occupied(_integer_form(inst), loads, alpha=Fraction(alpha)))
-    return None if found is None else found[0]
-
-
-def _costliest(entries):
-    """The entry of maximum cost, ties toward the largest index; None if none."""
-    found = None
-    for entry in entries:
-        if found is None or entry[1] * found[2] >= found[1] * entry[2]:
-            found = entry
-    return found
-
-
 def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveTrace]:
     """Run the incremental insertion/settling schedule to completion.
 
@@ -183,7 +137,7 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
         budget = config.round_budget(k, m)
         while True:
             priced, tails = _price_bands(form, loads, bands)
-            found = _costliest(_occupied(form, loads, priced, alpha, tails))
+            found = _deviator(_occupied(form, loads, priced, tails), alpha)
             if found is None:
                 break
             deviations += 1
@@ -205,6 +159,21 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
         per_round.append(deviations)
 
     return tuple(loads), SolveTrace(tuple(events), tuple(per_round))
+
+
+def _deviator(entries, alpha):
+    """The costliest alpha-improving entry of :func:`_occupied`, ties toward the largest index.
+
+    None when nobody improves by more than factor `alpha`, as always when m = 1.
+    """
+    num, den = alpha.numerator, alpha.denominator
+    found = None
+    for entry in entries:
+        _, cost, k, dev, j, _ = entry
+        if dev is not None and cost * j * den > num * dev * k:
+            if found is None or cost * found[2] >= found[1] * k:
+                found = entry
+    return found
 
 
 def _price_bands(form, loads, bands):

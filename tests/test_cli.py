@@ -81,6 +81,8 @@ class TestSolveK:
         assert "trace" not in obj
         events = json.loads(trace_path.read_text())
         assert events[-1]["loads_after"] == [2, 2, 1, 1, 1]
+        _, inline, _ = run_json(capsys, "solve-k", APPENDIX)
+        assert events == inline["trace"]
 
     @pytest.mark.parametrize(
         "extra",
@@ -98,10 +100,12 @@ class TestSolveK:
         assert not out
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_missing_file(self, capsys, tmp_path):
-        code, out, err = run(capsys, "solve-k", str(tmp_path / "missing.json"))
+    @pytest.mark.parametrize("command", ["solve-k", "best-alpha", "verify", "oracle"])
+    def test_missing_file(self, capsys, tmp_path, command):
+        extra = ["2,2,1", "1"] if command == "verify" else []
+        code, out, err = run(capsys, command, str(tmp_path / "missing.json"), *extra)
         assert code == 2
-        assert not out and "error" in err
+        assert not out and err.startswith("error: cannot read instance") and err.count("\n") == 1
 
     def test_malformed_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -18,9 +20,7 @@ from congestion_adversary import (
     SameResource,
     TOWARD_ZERO,
     UnoccupiedResource,
-    best_response,
     binding_deviation,
-    cheapest_deviation,
     compute_K,
     deviation_cost,
     is_alpha_pne,
@@ -28,10 +28,10 @@ from congestion_adversary import (
     needed_alpha,
     resource_cost,
     scale_instance,
-    select_deviator,
-    unhappy_set,
     validate_instance,
 )
+from congestion_adversary.core import _fraction, _integer_form, _occupied, _pricing
+from congestion_adversary.solver import _deviator
 
 rationals = st.fractions(min_value=0, max_value=20, max_denominator=8)
 positive_rationals = st.fractions(min_value=Fraction(1, 8), max_value=20, max_denominator=8)
@@ -133,15 +133,6 @@ def reference_binding_deviation(inst, loads):
     return best
 
 
-def reference_best_response(inst, loads, source):
-    def option_cost(r):
-        if r == source:
-            return resource_cost(inst, loads, r)
-        return deviation_cost(inst, loads, source, r)
-
-    return min(range(inst.m), key=lambda r: (option_cost(r), r))
-
-
 def reference_unhappy_set(inst, loads, alpha):
     return {
         r
@@ -160,6 +151,40 @@ def reference_select_deviator(inst, loads, alpha):
     if not unhappy:
         return None
     return max(unhappy, key=lambda r: (resource_cost(inst, loads, r), r))
+
+
+def kernel_moves(inst, loads):
+    """The integer kernel's pricing in Fractions: ``{source: (cost, move)}``.
+
+    Source None is the entering player, priced by ``_pricing(...)[2]``, with
+    cost None; each occupied resource's entry comes from ``_occupied``.  A
+    move is ``(deviation_cost, target)``, None when m = 1.
+    """
+    form = _integer_form(inst)
+
+    def move(dev, j, target):
+        return None if dev is None else (_fraction(form, dev, j), target)
+
+    moves = {None: (None, move(*_pricing(form, loads)[2][:3]))}
+    if any(loads):
+        for r, cost, k, dev, j, target in _occupied(form, loads):
+            moves[r] = (_fraction(form, cost, k), move(dev, j, target))
+    return moves
+
+
+def assert_matches_reference(inst, loads, alpha):
+    """Kernel costs, moves, binding deviation and deviator against the Fraction spec."""
+    sources = [None] + [r for r in range(inst.m) if loads[r] > 0]
+    assert kernel_moves(inst, loads) == {
+        source: (
+            None if source is None else resource_cost(inst, loads, source),
+            reference_cheapest_deviation(inst, loads, source),
+        )
+        for source in sources
+    }
+    assert binding_deviation(inst, loads) == reference_binding_deviation(inst, loads)
+    found = _deviator(_occupied(_integer_form(inst), loads), alpha)
+    assert (None if found is None else found[0]) == reference_select_deviator(inst, loads, alpha)
 
 
 def random_profile(inst, rng):
@@ -283,10 +308,6 @@ class TestCosts:
             (deviation_cost, (0, -1)),
             (deviation_cost, (3, 0)),
             (deviation_cost, (None, 3)),
-            (cheapest_deviation, (-1,)),
-            (cheapest_deviation, (3,)),
-            (best_response, (-1,)),
-            (best_response, (3,)),
         ],
         ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)),
     )
@@ -324,23 +345,23 @@ class TestCosts:
 
 class TestCheapestDeviation:
     def test_example_moves(self, example1):
-        # On (2,2,1) an r2 player pays 6 on r1 and 7 on r3.  The first
-        # player to enter pays only the budget on r1.
-        assert cheapest_deviation(example1, (2, 2, 1), 1) == (Fraction(6), 0)
-        assert cheapest_deviation(example1, (0, 0, 0), None) == (Fraction(6), 0)
+        # On (2,2,1) an r2 player pays 7, and would pay 6 on r1 and 13 on r3.
+        # The first player to enter pays only the budget on r1.
+        assert kernel_moves(example1, (2, 2, 1))[1] == (Fraction(7), (Fraction(6), 0))
+        assert kernel_moves(example1, (0, 0, 0))[None] == (None, (Fraction(6), 0))
 
     def test_single_resource(self):
         inst = validate_instance([3], 4, 2)
-        assert cheapest_deviation(inst, (4,), 0) is None
-        assert cheapest_deviation(inst, (3,), None) == (Fraction(14), 0)
+        assert kernel_moves(inst, (4,))[0] == (Fraction(14), None)
+        assert kernel_moves(inst, (3,))[None] == (None, (Fraction(14), 0))
 
     def test_ties_break_to_smallest_target(self):
         inst = validate_instance([1, 1, 1], 3, 3)
-        assert cheapest_deviation(inst, (1, 1, 1), 2) == (Fraction(5), 0)
+        assert kernel_moves(inst, (1, 1, 1))[2] == (Fraction(2), (Fraction(5), 0))
 
     def test_rejects_empty_source(self, example1):
         with pytest.raises(EmptySource):
-            cheapest_deviation(example1, (3, 0, 2), 1)
+            deviation_cost(example1, (3, 0, 2), 1, 0)
 
 
 class TestPricingMatchesReference:
@@ -351,19 +372,7 @@ class TestPricingMatchesReference:
     @example((validate_instance([2], 3, 1), (3,)), Fraction(1))
     @settings(deadline=None)
     def test_matches_reference(self, game, alpha):
-        inst, loads = game
-        for source in [None] + [r for r in range(inst.m) if loads[r] > 0]:
-            assert cheapest_deviation(inst, loads, source) == (
-                reference_cheapest_deviation(inst, loads, source)
-            )
-            assert best_response(inst, loads, source) == (
-                reference_best_response(inst, loads, source)
-            )
-        assert binding_deviation(inst, loads) == reference_binding_deviation(inst, loads)
-        assert unhappy_set(inst, loads, alpha) == reference_unhappy_set(inst, loads, alpha)
-        assert select_deviator(inst, loads, alpha) == (
-            reference_select_deviator(inst, loads, alpha)
-        )
+        assert_matches_reference(*game, alpha)
 
     @given(wide_games(), st.fractions(min_value=1, max_value=2, max_denominator=12))
     @example((validate_instance([1, 2, 3], 6, Fraction(5, 7)), (3, 2, 1)), Fraction(1))
@@ -375,21 +384,10 @@ class TestPricingMatchesReference:
     def test_matches_reference_on_wide_games(self, game, alpha):
         inst, loads = game
         empty = (0,) * inst.m
-        assert cheapest_deviation(inst, empty, None) == (
-            reference_cheapest_deviation(inst, empty, None)
-        )
-        for source in [None] + [r for r in range(inst.m) if loads[r] > 0]:
-            assert cheapest_deviation(inst, loads, source) == (
-                reference_cheapest_deviation(inst, loads, source)
-            )
-            assert best_response(inst, loads, source) == (
-                reference_best_response(inst, loads, source)
-            )
-        assert binding_deviation(inst, loads) == reference_binding_deviation(inst, loads)
-        assert unhappy_set(inst, loads, alpha) == reference_unhappy_set(inst, loads, alpha)
-        assert select_deviator(inst, loads, alpha) == (
-            reference_select_deviator(inst, loads, alpha)
-        )
+        assert kernel_moves(inst, empty) == {
+            None: (None, reference_cheapest_deviation(inst, empty, None))
+        }
+        assert_matches_reference(inst, loads, alpha)
 
 
 class TestMalformedProfiles:
@@ -499,3 +497,15 @@ class TestThresholdConstant:
         coarse = compute_K(4, AWAY_FROM_ZERO)
         fine = compute_K(12, AWAY_FROM_ZERO)
         assert fine <= coarse
+
+
+def test_every_exported_name_resolves():
+    package = importlib.import_module("congestion_adversary")
+    modules = [package] + [
+        importlib.import_module(f"congestion_adversary.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__

@@ -16,25 +16,22 @@ from congestion_adversary import (
     SolveTrace,
     SolverConfig,
     TraceEvent,
-    best_response,
     binding_deviation,
-    deviation_cost,
     generate_instance,
     is_alpha_pne,
     k_upper_bound,
     make_fixtures,
     needed_alpha,
     resource_cost,
-    select_deviator,
     solve,
-    unhappy_set,
     validate_instance,
 )
 from congestion_adversary.core import _integer_form, _occupied, _pricing
-from congestion_adversary.solver import _costliest, _price_bands
+from congestion_adversary.solver import _deviator, _price_bands
 from test_core import (
-    reference_best_response,
+    kernel_moves,
     reference_binding_deviation,
+    reference_cheapest_deviation,
     reference_select_deviator,
 )
 
@@ -44,8 +41,7 @@ def reference_solve(inst, config):
     loads = [0] * inst.m
     events, per_round = [], []
     for k in range(1, inst.n + 1):
-        target = reference_best_response(inst, loads, None)
-        cost = deviation_cost(inst, loads, None, target)
+        cost, target = reference_cheapest_deviation(inst, loads, None)
         loads[target] += 1
         events.append(
             TraceEvent(PLAYER_ADDED, k, None, target, INFINITY, cost, tuple(loads))
@@ -55,9 +51,8 @@ def reference_solve(inst, config):
             deviations += 1
             if deviations > config.round_budget(k, inst.m):
                 raise GuardExceeded(f"round {k}")
-            target = reference_best_response(inst, loads, source)
             before = resource_cost(inst, loads, source)
-            after = deviation_cost(inst, loads, source, target)
+            after, target = reference_cheapest_deviation(inst, loads, source)
             loads[source] -= 1
             loads[target] += 1
             events.append(
@@ -87,39 +82,41 @@ class TestConfig:
 
 
 class TestBestResponse:
+    """The entering player's move, from ``_pricing(...)[2]``, and who may move."""
+
     def test_entering_player_prefers_cheapest(self, example1):
-        assert best_response(example1, (0, 0, 0), None) == 0
+        assert kernel_moves(example1, (0, 0, 0))[None] == (None, (Fraction(6), 0))
 
     def test_ties_break_to_smallest_index(self):
         inst = validate_instance([1, 1, 1], 3, 3)
-        assert best_response(inst, (0, 0, 0), None) == 0
-        assert best_response(inst, (1, 1, 0), None) == 2
-
-    def test_staying_put_is_an_option(self, example1):
-        # On (2,2,1) the players on r3 pay 5; moving to r2 would cost 6 and
-        # moving to r1 7, so the best response is to stay.
-        assert best_response(example1, (2, 2, 1), 2) == 2
+        assert kernel_moves(inst, (0, 0, 0))[None] == (None, (Fraction(4), 0))
+        assert kernel_moves(inst, (1, 1, 0))[None] == (None, (Fraction(2), 2))
 
     def test_requires_seated_player(self, example1):
-        with pytest.raises(ValueError):
-            best_response(example1, (5, 0, 0), 1)
+        # Only occupied resources have movers; the entering player always does.
+        assert set(kernel_moves(example1, (5, 0, 0))) == {None, 0}
 
 
 class TestUnhappySet:
+    """solve's deviator: the costliest alpha-improving entry of ``_occupied``."""
+
     def test_no_exact_equilibrium_profile(self, example1):
         # On (2,2,1) only the r2 players have a strictly improving move.
-        assert unhappy_set(example1, (2, 2, 1), 1) == {1}
-        assert unhappy_set(example1, (2, 2, 1), Fraction(7, 6)) == set()
+        form = _integer_form(example1)
+        assert _deviator(_occupied(form, (2, 2, 1)), Fraction(1))[0] == 1
+        assert _deviator(_occupied(form, (2, 2, 1)), Fraction(7, 6)) is None
 
     def test_select_deviator_max_cost_largest_index(self):
         inst = validate_instance([0, 3, 3], 4, 4)
         # (0,2,2): the two max-load resources both cost 8 and both improve by
         # moving to the free resource; the tie goes to index 2.
-        assert unhappy_set(inst, (0, 2, 2), 1) == {1, 2}
-        assert select_deviator(inst, (0, 2, 2), 1) == 2
+        found = _deviator(_occupied(_integer_form(inst), (0, 2, 2)), Fraction(1))
+        assert found[0] == 2
+        moves = kernel_moves(inst, (0, 2, 2))
+        assert moves[1][0] == moves[2][0] == Fraction(8)
 
     def test_select_deviator_none_when_all_settled(self, example1):
-        assert select_deviator(example1, (2, 2, 1), 2) is None
+        assert _deviator(_occupied(_integer_form(example1), (2, 2, 1)), Fraction(2)) is None
 
 
 class TestSolve:
@@ -303,6 +300,6 @@ class TestSolveMatchesReferenceOnWideBands:
         form = _integer_form(inst)
         priced, tails = _price_bands(form, loads, bands)
         assert priced == _pricing(form, loads)
-        assert _costliest(_occupied(form, loads, priced, alpha, tails)) == _costliest(
-            _occupied(form, loads, alpha=alpha)
+        assert _deviator(_occupied(form, loads, priced, tails), alpha) == _deviator(
+            _occupied(form, loads), alpha
         )
