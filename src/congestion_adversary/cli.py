@@ -52,9 +52,9 @@ SOLVE_K_MAX_PRECISION = 400
 #: best-alpha forms the ratios of the instance's cost values, of which there
 #: are at most (distinct coefficients) * (n + 1) * (m + 1), and its time and
 #: memory grow faster than that count.  generate_instance(n, m, seed=1) on a
-#: 2-core Xeon host, Python 3.11: 3 843 values at (60, 8) take 2.3 s, 5 103 at
-#: (80, 8) 4.8 s, and 8 888 at (100, 10) 10.7 s and 0.2 GB; the 54 873 of
-#: (200, 20) would make 32 M ratio pairs.
+#: 2-core Xeon host, Python 3.11: 3 843 values at (60, 8) take 1.0 s, 5 103 at
+#: (80, 8) 1.7 s, and 8 888 at (100, 10) 3.4 s and 0.13 GB, most of it the
+#: candidate ratios; the 54 873 of (200, 20) would make 32 M ratio pairs.
 BEST_ALPHA_MAX_VALUES = 10_000
 
 

@@ -42,7 +42,7 @@ class ParseError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not RATIONAL_RE.fullmatch(text):
         raise ParseError(f"not a rational string: {text!r}")
     return Fraction(text)
 
@@ -117,7 +117,7 @@ def load_instance_document(path: str) -> InstanceDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read instance from {path}: {exc}") from exc
     return parse_instance_document(obj)
 

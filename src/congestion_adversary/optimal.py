@@ -8,7 +8,9 @@ rest; given a shape, those two values, and a factor alpha, a short greedy
 procedure either produces a witness load vector or proves none exists.  The
 optimal factor is then the smallest member of a finite candidate-ratio set
 for which any shape is feasible.  The probes of that binary search share one
-table of the shape data that does not depend on alpha.
+table of the shape data that does not depend on alpha: the prefix loads and
+the two candidate lists, already cut by the head conditions without alpha, so
+that a probe checks each value against one threshold.
 
 Shape indices k, k', k'' are 1-based to match the non-increasing load
 picture; the sentinel value m+1 for k' (or k'') means no resource has load
@@ -51,76 +53,41 @@ class OptResult:
 
 def cbar_candidates(
     inst: Instance, M: int, k: int, k_prime: int, k_dprime: int
-) -> Tuple[List[Fraction], List[Fraction]]:
-    """All values the two best-alternative costs can take for this shape.
+) -> Tuple[Fraction, List[Fraction], Fraction, List[Fraction]]:
+    """This shape's head conditions, stated once: ``(need_max, cmax, need_rest, crest)``.
 
-    Returns (candidates for max-load players, candidates for the rest),
-    deduplicated.  Each list enumerates every argument of the corresponding
-    minimum, so the realized value of any profile with this shape is included.
+    `cmax` holds every value the best-alternative cost of the max-load
+    players can take: each argument of its minimum, sorted, deduplicated and
+    cut at the smallest argument outside the tail, which bounds the realized
+    minimum.  `crest` is the same for the rest.  At a factor alpha, a value c
+    of `cmax` passes the head conditions iff ``need_max <= alpha * c``, and a
+    value of `crest` iff ``need_rest <= alpha * c``.
     """
     a = inst.coefficients
     B = inst.budget
-    m = inst.m
-    tail_terms = [
+    tail_terms = {
         a[r - 1] * (load + 1)
-        for r in range(k_dprime, m + 1)
+        for r in range(k_dprime, inst.m + 1)
         for load in range(0, M - 2)  # loads 0 .. M-3
-    ]
-
-    if k == 1:
-        cmax = []
-    else:
-        cmax = [a[0] * (M + 1) + B]
+    }
+    top = a[0] * (M + 1) + B
+    caps_max = [top] if k >= 2 else []
+    caps_rest = [top]
+    need_rest = 0
     if k_prime >= k + 2:
-        cmax.append(a[k] * M + B / k)  # a_{k+1}, 0-based a[k]
+        caps_max.append(a[k] * M + B / k)  # a_{k+1}, 0-based a[k]
+        caps_rest.append(a[k] * M + B / (k + 1))
+        need_rest = a[k_prime - 2] * (M - 1)
     if k_prime < k_dprime:
-        if k == 1:
-            cmax.append(a[k_prime - 1] * (M - 1) + B / k_prime)
-        else:
-            cmax.append(a[k_prime - 1] * (M - 1))
-    cmax.extend(tail_terms)
+        caps_max.append(a[k_prime - 1] * (M - 1) + (B / k_prime if k == 1 else 0))
+        caps_rest.append(a[k_prime - 1] * (M - 1))
+        need_rest = max(need_rest, a[k_dprime - 2] * (M - 2))
 
-    crest = [a[0] * (M + 1) + B]
-    if k_prime >= k + 2:
-        crest.append(a[k] * M + B / (k + 1))
-    if k_prime < k_dprime:
-        crest.append(a[k_prime - 1] * (M - 1))
-    crest.extend(tail_terms)
+    def capped(caps: List[Fraction]) -> List[Fraction]:
+        values = sorted(tail_terms.union(caps))
+        return values[: bisect_right(values, min(caps))] if caps else values
 
-    return sorted(set(cmax)), sorted(set(crest))
-
-
-def _head_ok_max(inst: Instance, shape_M, k, k_prime, k_dprime, alpha, cbar_max) -> bool:
-    """Feasibility conditions involving only the max-load alternative cost."""
-    a, B, M = inst.coefficients, inst.budget, shape_M
-    if a[k - 1] * M + B / k > alpha * cbar_max:
-        return False
-    if k >= 2 and a[0] * (M + 1) + B < cbar_max:
-        return False
-    if k_prime >= k + 2 and a[k] * M + B / k < cbar_max:
-        return False
-    if k_prime < k_dprime:
-        if k == 1 and a[k_prime - 1] * (M - 1) + B / k_prime < cbar_max:
-            return False
-        if k >= 2 and a[k_prime - 1] * (M - 1) < cbar_max:
-            return False
-    return True
-
-
-def _head_ok_rest(inst: Instance, shape_M, k, k_prime, k_dprime, alpha, cbar_rest) -> bool:
-    """Feasibility conditions involving only the below-max alternative cost."""
-    a, B, M = inst.coefficients, inst.budget, shape_M
-    if k_prime >= k + 2 and a[k_prime - 2] * (M - 1) > alpha * cbar_rest:
-        return False
-    if k_prime < k_dprime and a[k_dprime - 2] * (M - 2) > alpha * cbar_rest:
-        return False
-    if a[0] * (M + 1) + B < cbar_rest:
-        return False
-    if k_prime >= k + 2 and a[k] * M + B / (k + 1) < cbar_rest:
-        return False
-    if k_prime < k_dprime and a[k_prime - 1] * (M - 1) < cbar_rest:
-        return False
-    return True
+    return a[k - 1] * M + B / k, capped(caps_max), need_rest, capped(caps_rest)
 
 
 def _prefix_loads(M: int, k: int, k_prime: int, k_dprime: int) -> Optional[List[int]]:
@@ -160,15 +127,16 @@ def _tail_bounds(
 
 
 def feasible_load_vector(
-    inst: Instance, shape: tuple, alpha: Fraction, cbar_max, cbar_rest
+    inst: Instance, row: tuple, alpha: Fraction, cbar_max, cbar_rest
 ) -> Optional[Tuple[int, ...]]:
     """Witness load vector for this shape, alpha and pair of costs, or None.
 
-    `shape` is a :func:`_shape_table` row; the caller has checked both costs
-    against the head conditions at alpha.  Only the per-resource tail bounds
-    and a left-to-right greedy fill of the leftover players remain.
+    `row` starts as a :func:`_shape_table` row, ``(shape, prefix,
+    leftover)``; the caller has checked both costs against the head
+    conditions at alpha.  Only the per-resource tail bounds and a
+    left-to-right greedy fill of the leftover players remain.
     """
-    (M, _, _, k_dprime), prefix, leftover, _, _ = shape
+    (M, _, _, k_dprime), prefix, leftover = row[:3]
     bounds = []
     for r in range(k_dprime, inst.m + 1):
         b = _tail_bounds(inst, r, M, alpha, cbar_max, cbar_rest)
@@ -228,11 +196,12 @@ def candidate_alphas(inst: Instance, precision: int = 12) -> List[Fraction]:
 
 
 def _shape_table(inst: Instance) -> Iterator[tuple]:
-    """``(shape, prefix, leftover, cmax, crest)`` for every shape that fits n players.
+    """One row for every shape that fits n players, in scan order.
 
-    Rows come in scan order.  `shape` is ``(M, k, k', k'')``, `prefix` its
-    :func:`_prefix_loads`, `leftover` the players left for resources k''..m,
-    and `cmax`, `crest` its :func:`cbar_candidates`; none depends on alpha.
+    A row is ``(shape, prefix, leftover, need_max, cmax, need_rest, crest)``.
+    `shape` is ``(M, k, k', k'')``, `prefix` its :func:`_prefix_loads`,
+    `leftover` the players left for resources k''..m, and the last four its
+    :func:`cbar_candidates`; none depends on alpha.
     """
     n, m = inst.n, inst.m
     for M in range(-(-n // m), n + 1):
@@ -276,7 +245,7 @@ def _feasible_witness(inst: Instance, alpha: Fraction, shapes) -> Optional[Tuple
     `shapes` is the :func:`_shape_table` of `inst`.  Pairs (cbar_max,
     cbar_rest) are tried in increasing order of cbar_max, then of cbar_rest.
     Once :func:`feasible_load_vector` gives None for a cbar_rest, it gives
-    None for every larger cbar_max that passes the head conditions: the tail
+    None for every larger cbar_max that passes the head condition: the tail
     lower bounds only grow with cbar_max, and nothing else depends on it.  So
     that cbar_rest is dropped for the rest of the shape; the pairs still
     tried keep their order, and the first witness returned is the same.
@@ -292,11 +261,11 @@ def _feasible_witness(inst: Instance, alpha: Fraction, shapes) -> Optional[Tuple
                 return witness
 
     for row in shapes:
-        shape, _, _, cmax_all, crest_all = row
-        cmax_ok = [c for c in cmax_all if _head_ok_max(inst, *shape, alpha, c)]
+        _, _, _, need_max, cmax_all, need_rest, crest_all = row
+        cmax_ok = [c for c in cmax_all if need_max <= alpha * c]
         if not cmax_ok:
             continue
-        live = [c for c in crest_all if _head_ok_rest(inst, *shape, alpha, c)]
+        live = [c for c in crest_all if need_rest <= alpha * c]
         for cmax in cmax_ok:
             if not live:
                 break
@@ -312,14 +281,14 @@ def _feasible_witness(inst: Instance, alpha: Fraction, shapes) -> Optional[Tuple
     return None
 
 
-def best_alpha(inst: Instance, precision: int = 12) -> OptResult:
+def best_alpha(inst: Instance) -> OptResult:
     """Smallest factor for which an approximate equilibrium exists, with witness.
 
     Binary search over the candidate ratios; feasibility is monotone in the
     factor, and existence at the upper threshold is guaranteed, so the search
-    always succeeds.
+    always succeeds.  The optimum is at most K, inside every candidate window.
     """
-    candidates = candidate_alphas(inst, precision)
+    candidates = candidate_alphas(inst)
     lo, hi = 0, len(candidates) - 1
     witnesses = {}
     shapes = _Memo(_shape_table(inst))

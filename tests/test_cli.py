@@ -113,6 +113,15 @@ class TestSolveK:
         code, _, err = run(capsys, "solve-k", str(bad))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("command", ["solve-k", "best-alpha", "verify", "oracle"])
+    def test_document_not_utf8(self, capsys, tmp_path, command):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + '{"players": 3}'.encode("utf-16-le"))
+        extra = ["2,2,1", "1"] if command == "verify" else []
+        code, out, err = run(capsys, command, str(bad), *extra)
+        assert code == 2
+        assert not out and err.startswith("error: cannot read instance") and err.count("\n") == 1
+
 
 class TestBestAlpha:
     def test_example(self, capsys):

@@ -32,7 +32,9 @@ class TestRationals:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["1.5", "1/0", "", "1/-2", "a", "1e3", None, 3])
+    @pytest.mark.parametrize(
+        "text", ["1.5", "1/0", "", "1/-2", "a", "1e3", None, 3, "7/6\n", "3\n", " 7/6"]
+    )
     def test_rejects_non_rational_strings(self, text):
         with pytest.raises(ParseError):
             parse_rational(text)

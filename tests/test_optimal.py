@@ -22,16 +22,16 @@ from congestion_adversary import (
 from congestion_adversary.oracle import enumerate_profiles
 from congestion_adversary.optimal import (
     _feasible_witness,
-    _head_ok_max,
-    _head_ok_rest,
     _prefix_loads,
     _shape_table,
     cbar_candidates,
     feasible_load_vector,
 )
 
-# The V^2 candidate set and the shape scan that best_alpha replaced, kept as
-# the specification the faster versions must reproduce exactly.
+# The V^2 candidate set and the shape scan that best_alpha replaced, with
+# each shape's uncapped candidate lists and its head conditions checked value
+# by value, kept as the specification the faster versions must reproduce
+# exactly.
 
 
 def reference_candidate_alphas(inst, precision=12):
@@ -51,6 +51,70 @@ def reference_candidate_alphas(inst, precision=12):
             if 1 <= q <= ceiling:
                 ratios.add(q)
     return sorted(ratios)
+
+
+def reference_cbar_candidates(inst, M, k, k_prime, k_dprime):
+    """Every argument of each best-alternative minimum: (for max-load players, for the rest)."""
+    a, B, m = inst.coefficients, inst.budget, inst.m
+    tail_terms = [a[r - 1] * (load + 1) for r in range(k_dprime, m + 1) for load in range(M - 2)]
+    cmax = [] if k == 1 else [a[0] * (M + 1) + B]
+    if k_prime >= k + 2:
+        cmax.append(a[k] * M + B / k)
+    if k_prime < k_dprime:
+        if k == 1:
+            cmax.append(a[k_prime - 1] * (M - 1) + B / k_prime)
+        else:
+            cmax.append(a[k_prime - 1] * (M - 1))
+    cmax.extend(tail_terms)
+    crest = [a[0] * (M + 1) + B]
+    if k_prime >= k + 2:
+        crest.append(a[k] * M + B / (k + 1))
+    if k_prime < k_dprime:
+        crest.append(a[k_prime - 1] * (M - 1))
+    crest.extend(tail_terms)
+    return sorted(set(cmax)), sorted(set(crest))
+
+
+def reference_head_ok_max(inst, M, k, k_prime, k_dprime, alpha, cbar_max):
+    """Head conditions involving only the max-load alternative cost."""
+    a, B = inst.coefficients, inst.budget
+    if a[k - 1] * M + B / k > alpha * cbar_max:
+        return False
+    if k >= 2 and a[0] * (M + 1) + B < cbar_max:
+        return False
+    if k_prime >= k + 2 and a[k] * M + B / k < cbar_max:
+        return False
+    if k_prime < k_dprime:
+        if k == 1 and a[k_prime - 1] * (M - 1) + B / k_prime < cbar_max:
+            return False
+        if k >= 2 and a[k_prime - 1] * (M - 1) < cbar_max:
+            return False
+    return True
+
+
+def reference_head_ok_rest(inst, M, k, k_prime, k_dprime, alpha, cbar_rest):
+    """Head conditions involving only the below-max alternative cost."""
+    a, B = inst.coefficients, inst.budget
+    if k_prime >= k + 2 and a[k_prime - 2] * (M - 1) > alpha * cbar_rest:
+        return False
+    if k_prime < k_dprime and a[k_dprime - 2] * (M - 2) > alpha * cbar_rest:
+        return False
+    if a[0] * (M + 1) + B < cbar_rest:
+        return False
+    if k_prime >= k + 2 and a[k] * M + B / (k + 1) < cbar_rest:
+        return False
+    if k_prime < k_dprime and a[k_prime - 1] * (M - 1) < cbar_rest:
+        return False
+    return True
+
+
+def reference_windows(inst, shape, alpha):
+    """The reference's cbar_max and cbar_rest values that pass the head conditions at alpha."""
+    cmax_all, crest_all = reference_cbar_candidates(inst, *shape)
+    return (
+        [c for c in cmax_all if reference_head_ok_max(inst, *shape, alpha, c)],
+        [c for c in crest_all if reference_head_ok_rest(inst, *shape, alpha, c)],
+    )
 
 
 def reference_feasible_witness(inst, alpha):
@@ -77,10 +141,8 @@ def reference_feasible_witness(inst, alpha):
                     if k_dprime == m + 1 and leftover != 0:
                         continue
                     shape = (M, k, k_prime, k_dprime)
-                    cmax_all, crest_all = cbar_candidates(inst, *shape)
-                    cmax_ok = [c for c in cmax_all if _head_ok_max(inst, *shape, alpha, c)]
-                    crest_ok = [c for c in crest_all if _head_ok_rest(inst, *shape, alpha, c)]
-                    row = (shape, prefix, leftover, cmax_all, crest_all)
+                    cmax_ok, crest_ok = reference_windows(inst, shape, alpha)
+                    row = (shape, prefix, leftover)
                     for cmax in cmax_ok:
                         for crest in crest_ok:
                             witness = feasible_load_vector(inst, row, alpha, cmax, crest)
@@ -183,7 +245,9 @@ class TestFeasibleLoadVector:
         # At 8/7 the r2 players' cost 7 exceeds 8/7 times their best
         # alternative 6: the max-load head condition rules the shape out
         # before any fill, and no other shape holds a witness either.
-        assert not _head_ok_max(example1, 2, 2, 4, 4, Fraction(8, 7), Fraction(6))
+        _, _, _, need_max, cmax, _, _ = table_row(example1, (2, 2, 4, 4))
+        assert need_max == 7 and Fraction(6) in cmax
+        assert not any(need_max <= Fraction(8, 7) * c for c in cmax)
         assert _feasible_witness(example1, Fraction(8, 7), _shape_table(example1)) is None
         assert _feasible_witness(example1, Fraction(7, 6), _shape_table(example1)) == (2, 2, 1)
 
@@ -207,13 +271,17 @@ class TestFeasibleLoadVector:
             | st.fractions(min_value=1, max_value=Fraction(6, 5), max_denominator=12)
         )
         row = table_row(inst, shape)
-        _, _, _, cmax_all, crest_all = row
+        _, _, _, need_max, cmax, need_rest, crest = row
+        # Values off the table count too, so long as they pass the head
+        # conditions of the specification.
         extra = data.draw(st.lists(st.fractions(min_value=0, max_value=40, max_denominator=6)))
-        cmax_all = sorted(set(cmax_all) | set(extra))
-        cmax_ok = [c for c in cmax_all if _head_ok_max(inst, *shape, alpha, c)]
+        cmax_ok = sorted(
+            {c for c in cmax if need_max <= alpha * c}
+            | {c for c in extra if reference_head_ok_max(inst, *shape, alpha, c)}
+        )
         # As in the scan, only cbar_rest values that pass the head conditions
         # are filled; the fill itself no longer checks them.
-        crest_ok = [c for c in crest_all if _head_ok_rest(inst, *shape, alpha, c)]
+        crest_ok = [c for c in crest if need_rest <= alpha * c]
         for crest in crest_ok:
             fills = [feasible_load_vector(inst, row, alpha, cmax, crest) for cmax in cmax_ok]
             first_none = next((i for i, w in enumerate(fills) if w is None), len(fills))
@@ -234,10 +302,46 @@ class TestShapeTable:
             shape = shape_of(loads)
             if shape[1] == inst.m:
                 continue  # All at the peak: _feasible_witness tries it directly.
-            _, prefix, leftover, cmax, crest = by_shape[shape]
+            _, prefix, leftover, *heads = by_shape[shape]
             assert prefix == list(loads[: shape[3] - 1])
             assert leftover == sum(loads[shape[3] - 1 :])
-            assert (cmax, crest) == cbar_candidates(inst, *shape)
+            assert tuple(heads) == cbar_candidates(inst, *shape)
+
+    @given(small_instances(min_m=2, max_n=12), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_windows_equal_the_reference_filter(self, inst, data):
+        # Each row's capped lists, kept where need <= alpha * c, are exactly
+        # the reference's values that pass every head condition at alpha,
+        # and a probe at alpha finds the reference's witness.  The factors
+        # include each row's boundary ratios need / c, where only the equality
+        # case decides.
+        rows = list(_shape_table(inst))
+        boundaries = {
+            need / c
+            for row in rows
+            for need, values in zip(
+                (row[3], row[5]), reference_cbar_candidates(inst, *row[0])
+            )
+            for c in values
+            if c > 0 and need > 0
+        }
+        alphas = data.draw(
+            st.lists(
+                st.sampled_from(candidate_alphas(inst))
+                | st.sampled_from(sorted(boundaries) or [Fraction(1)]),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        for alpha in alphas:
+            for shape, _, _, need_max, cmax, need_rest, crest in rows:
+                windows = (
+                    [c for c in cmax if need_max <= alpha * c],
+                    [c for c in crest if need_rest <= alpha * c],
+                )
+                assert windows == reference_windows(inst, shape, alpha)
+            witness = _feasible_witness(inst, alpha, _shape_table(inst))
+            assert witness == reference_feasible_witness(inst, alpha)
 
 
 class TestBestAlpha:
