@@ -50,10 +50,10 @@ ORACLE_MAX_PLAYERS = 25
 #: 0.8 s at 800, whole process; compute_K alone takes 3.4 s at 1 600.
 SOLVE_K_MAX_PRECISION = 400
 #: best-alpha forms the ratios of the instance's cost values, of which there
-#: are at most (distinct coefficients) * (n + 1) * (m + 1), and its time and
-#: memory grow faster than that count.  generate_instance(n, m, seed=1) on a
-#: 2-core Xeon host, Python 3.11: 3 843 values at (60, 8) take 1.0 s, 5 103 at
-#: (80, 8) 1.7 s, and 8 888 at (100, 10) 3.4 s and 0.13 GB, most of it the
+#: are at most (distinct coefficients) * (n + 1) * (m + 1); its time and memory
+#: grow faster than that count.  generate_instance(n, m, seed=1), whole process
+#: on a 2-core Xeon host, Python 3.11: 3 843 values at (60, 8) take 0.7 s, 5 103
+#: at (80, 8) 1.3 s, and 8 888 at (100, 10) 2.2 s and 0.13 GB, most of it the
 #: candidate ratios; the 54 873 of (200, 20) would make 32 M ratio pairs.
 BEST_ALPHA_MAX_VALUES = 10_000
 

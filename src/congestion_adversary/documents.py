@@ -44,7 +44,10 @@ class ParseError(ValueError):
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not RATIONAL_RE.fullmatch(text):
         raise ParseError(f"not a rational string: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # More digits than Python converts to an int.
+        raise ParseError(f"not a usable rational: {exc}") from None
 
 
 def format_rational(value: Union[Fraction, int]) -> str:
@@ -117,7 +120,8 @@ def load_instance_document(path: str) -> InstanceDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8, bad JSON or a number past Python's int digit limit.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read instance from {path}: {exc}") from exc
     return parse_instance_document(obj)
 

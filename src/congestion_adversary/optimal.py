@@ -10,7 +10,9 @@ optimal factor is then the smallest member of a finite candidate-ratio set
 for which any shape is feasible.  The probes of that binary search share one
 table of the shape data that does not depend on alpha: the prefix loads and
 the two candidate lists, already cut by the head conditions without alpha, so
-that a probe checks each value against one threshold.
+that a probe keeps the suffix of each list past one bisection.  The scan is in
+exact integers on one scale, :func:`_scaled_form`; only the witness checks use
+Fractions.
 
 Shape indices k, k', k'' are 1-based to match the non-increasing load
 picture; the sentinel value m+1 for k' (or k'') means no resource has load
@@ -51,9 +53,20 @@ class OptResult:
     binding: Optional[Tuple[object, int, int, Fraction, Fraction]]
 
 
+def _scaled_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
+    """``(A, B, D)`` of :func:`core._integer_form`, each times L = lcm(1..m).
+
+    A cost value a_r * load + B / p with p <= m is then the integer
+    ``A[r] * load + B // p`` over the common denominator D, exactly.
+    """
+    coeffs, budget, scale = _integer_form(inst)
+    shares = math.lcm(*range(1, inst.m + 1))
+    return tuple(a * shares for a in coeffs), budget * shares, scale * shares
+
+
 def cbar_candidates(
-    inst: Instance, M: int, k: int, k_prime: int, k_dprime: int
-) -> Tuple[Fraction, List[Fraction], Fraction, List[Fraction]]:
+    form, M: int, k: int, k_prime: int, k_dprime: int
+) -> Tuple[int, List[int], int, List[int]]:
     """This shape's head conditions, stated once: ``(need_max, cmax, need_rest, crest)``.
 
     `cmax` holds every value the best-alternative cost of the max-load
@@ -61,33 +74,29 @@ def cbar_candidates(
     cut at the smallest argument outside the tail, which bounds the realized
     minimum.  `crest` is the same for the rest.  At a factor alpha, a value c
     of `cmax` passes the head conditions iff ``need_max <= alpha * c``, and a
-    value of `crest` iff ``need_rest <= alpha * c``.
+    value of `crest` iff ``need_rest <= alpha * c``.  Values are integers on
+    the scale of `form`, the instance's :func:`_scaled_form`.
     """
-    a = inst.coefficients
-    B = inst.budget
-    tail_terms = {
-        a[r - 1] * (load + 1)
-        for r in range(k_dprime, inst.m + 1)
-        for load in range(0, M - 2)  # loads 0 .. M-3
-    }
+    a, B, _ = form
+    tail_terms = {c * t for c in set(a[k_dprime - 1 :]) for t in range(1, M - 1)}
     top = a[0] * (M + 1) + B
     caps_max = [top] if k >= 2 else []
     caps_rest = [top]
     need_rest = 0
     if k_prime >= k + 2:
-        caps_max.append(a[k] * M + B / k)  # a_{k+1}, 0-based a[k]
-        caps_rest.append(a[k] * M + B / (k + 1))
+        caps_max.append(a[k] * M + B // k)  # a_{k+1}, 0-based a[k]
+        caps_rest.append(a[k] * M + B // (k + 1))
         need_rest = a[k_prime - 2] * (M - 1)
     if k_prime < k_dprime:
-        caps_max.append(a[k_prime - 1] * (M - 1) + (B / k_prime if k == 1 else 0))
+        caps_max.append(a[k_prime - 1] * (M - 1) + (B // k_prime if k == 1 else 0))
         caps_rest.append(a[k_prime - 1] * (M - 1))
         need_rest = max(need_rest, a[k_dprime - 2] * (M - 2))
 
-    def capped(caps: List[Fraction]) -> List[Fraction]:
+    def capped(caps: List[int]) -> List[int]:
         values = sorted(tail_terms.union(caps))
         return values[: bisect_right(values, min(caps))] if caps else values
 
-    return a[k - 1] * M + B / k, capped(caps_max), need_rest, capped(caps_rest)
+    return a[k - 1] * M + B // k, capped(caps_max), need_rest, capped(caps_rest)
 
 
 def _prefix_loads(M: int, k: int, k_prime: int, k_dprime: int) -> Optional[List[int]]:
@@ -100,62 +109,44 @@ def _prefix_loads(M: int, k: int, k_prime: int, k_dprime: int) -> Optional[List[
     return prefix
 
 
-def _tail_bounds(
-    inst: Instance, r: int, M: int, alpha, cbar_max, cbar_rest
-) -> Optional[Tuple[int, int]]:
-    """Lower/upper load bounds for a tail resource r (1-based), or None.
-
-    A zero-coefficient tail resource would offer a free alternative, which is
-    compatible with the assumed minima only if both are zero.
-    """
-    a_r = inst.coefficients[r - 1]
-    if a_r == 0:
-        if cbar_rest > 0 or cbar_max > 0:
-            return None
-        lower = 0
-        upper = M - 3
-    else:
-        lower = max(
-            0,
-            math.ceil(cbar_rest / a_r) - 1,
-            math.ceil(cbar_max / a_r) - 1,
-        )
-        upper = min(M - 3, math.floor(alpha * cbar_rest / a_r))
-    if lower > upper:
-        return None
-    return lower, upper
-
-
 def feasible_load_vector(
-    inst: Instance, row: tuple, alpha: Fraction, cbar_max, cbar_rest
+    coeffs, row: tuple, alpha: Tuple[int, int], cbar_max: int, cbar_rest: int
 ) -> Optional[Tuple[int, ...]]:
     """Witness load vector for this shape, alpha and pair of costs, or None.
 
-    `row` starts as a :func:`_shape_table` row, ``(shape, prefix,
-    leftover)``; the caller has checked both costs against the head
-    conditions at alpha.  Only the per-resource tail bounds and a
-    left-to-right greedy fill of the leftover players remain.
+    `coeffs` and the costs are on the :func:`_scaled_form` scale, and alpha
+    is ``(p, q)`` for p/q.  `row` starts as a :func:`_shape_table` row,
+    ``(shape, prefix, leftover)``; the caller has checked both costs against
+    the head conditions at alpha.  What remains is to bound each tail load,
+    from ``ceil(c / a_r) - 1`` for c either cost up to ``floor(alpha *
+    cbar_rest / a_r)``, and to fill the leftover players in greedily from the
+    left.  A zero-coefficient tail resource would offer a free alternative,
+    which is compatible with the assumed minima only if both are zero.
     """
     (M, _, _, k_dprime), prefix, leftover = row[:3]
+    p, q = alpha
+    least, most = max(cbar_max, cbar_rest), p * cbar_rest
     bounds = []
-    for r in range(k_dprime, inst.m + 1):
-        b = _tail_bounds(inst, r, M, alpha, cbar_max, cbar_rest)
-        if b is None:
+    for a in coeffs[k_dprime - 1 :]:
+        if a:
+            lower, upper = max(0, -(-least // a) - 1), min(M - 3, most // (q * a))
+        elif least:
             return None
-        bounds.append(b)
+        else:
+            lower, upper = 0, M - 3
+        if lower > upper:
+            return None
+        bounds.append((lower, upper))
 
-    low = sum(b[0] for b in bounds)
-    high = sum(b[1] for b in bounds)
-    if not low <= leftover <= high:
+    spare = leftover - sum(lower for lower, _ in bounds)
+    if spare < 0:
         return None
-
-    loads = prefix + [b[0] for b in bounds]
-    leftover -= low
-    for i, (b_low, b_high) in enumerate(bounds):
-        take = min(b_high - b_low, leftover)
-        loads[k_dprime - 1 + i] += take
-        leftover -= take
-    return tuple(loads)
+    loads = list(prefix)
+    for lower, upper in bounds:
+        take = min(upper - lower, spare)
+        loads.append(lower + take)
+        spare -= take
+    return None if spare else tuple(loads)
 
 
 def candidate_alphas(inst: Instance, precision: int = 12) -> List[Fraction]:
@@ -173,12 +164,11 @@ def candidate_alphas(inst: Instance, precision: int = 12) -> List[Fraction]:
     value)**2 + 1, so the integer key u*S // v orders the ratios and tells
     them apart.  Fractions are made only for the ratios returned.
     """
-    coeffs, budget, _ = _integer_form(inst)
-    shares = math.lcm(*range(1, inst.m + 1))
-    extras = [0] + [budget * shares // p for p in range(1, inst.m + 1)]
+    coeffs, budget, _ = _scaled_form(inst)
+    extras = [0] + [budget // p for p in range(1, inst.m + 1)]
     values = sorted(
         {
-            a * shares * load + extra
+            a * load + extra
             for a in set(coeffs)
             for load in range(inst.n + 1)
             for extra in extras
@@ -195,13 +185,14 @@ def candidate_alphas(inst: Instance, precision: int = 12) -> List[Fraction]:
     return [Fraction(*ratios[key]) for key in sorted(ratios)]
 
 
-def _shape_table(inst: Instance) -> Iterator[tuple]:
+def _shape_table(inst: Instance, form) -> Iterator[tuple]:
     """One row for every shape that fits n players, in scan order.
 
     A row is ``(shape, prefix, leftover, need_max, cmax, need_rest, crest)``.
     `shape` is ``(M, k, k', k'')``, `prefix` its :func:`_prefix_loads`,
     `leftover` the players left for resources k''..m, and the last four its
-    :func:`cbar_candidates`; none depends on alpha.
+    :func:`cbar_candidates` on the scale of `form`, the instance's
+    :func:`_scaled_form`; none depends on alpha.
     """
     n, m = inst.n, inst.m
     for M in range(-(-n // m), n + 1):
@@ -217,7 +208,7 @@ def _shape_table(inst: Instance) -> Iterator[tuple]:
                     if leftover < 0 or (k_dprime == m + 1 and leftover != 0):
                         continue
                     shape = (M, k, k_prime, k_dprime)
-                    yield (shape, prefix, leftover) + cbar_candidates(inst, *shape)
+                    yield (shape, prefix, leftover) + cbar_candidates(form, *shape)
 
 
 class _Memo:
@@ -239,7 +230,7 @@ class _Memo:
             i += 1
 
 
-def _feasible_witness(inst: Instance, alpha: Fraction, shapes) -> Optional[Tuple[int, ...]]:
+def _feasible_witness(inst: Instance, form, alpha: Fraction, shapes) -> Optional[Tuple[int, ...]]:
     """Some alpha-approximate equilibrium with decreasing loads, or None.
 
     `shapes` is the :func:`_shape_table` of `inst`.  Pairs (cbar_max,
@@ -248,30 +239,34 @@ def _feasible_witness(inst: Instance, alpha: Fraction, shapes) -> Optional[Tuple
     None for every larger cbar_max that passes the head condition: the tail
     lower bounds only grow with cbar_max, and nothing else depends on it.  So
     that cbar_rest is dropped for the rest of the shape; the pairs still
-    tried keep their order, and the first witness returned is the same.
+    tried keep their order, and the first witness returned is the same.  On
+    the scale of `form`, a value c passes ``need <= alpha * c`` at alpha =
+    p/q iff c >= ceil(q * need / p), so each sorted list is kept from one
+    bisection on.
     """
     n, m = inst.n, inst.m
-    a, B = inst.coefficients, inst.budget
+    a, B, _ = form
+    p, q = alpha.numerator, alpha.denominator
 
     if n % m == 0:
         M = n // m
-        if a[m - 1] * M + B / m <= alpha * (a[0] * (M + 1) + B):
+        if q * (a[m - 1] * M + B // m) <= p * (a[0] * (M + 1) + B):
             witness = (M,) * m
             if is_alpha_pne(inst, witness, alpha):
                 return witness
 
     for row in shapes:
         _, _, _, need_max, cmax_all, need_rest, crest_all = row
-        cmax_ok = [c for c in cmax_all if need_max <= alpha * c]
-        if not cmax_ok:
+        first = bisect_left(cmax_all, -(-q * need_max // p))
+        if first == len(cmax_all):
             continue
-        live = [c for c in crest_all if need_rest <= alpha * c]
-        for cmax in cmax_ok:
+        live = crest_all[bisect_left(crest_all, -(-q * need_rest // p)) :]
+        for cmax in cmax_all[first:]:
             if not live:
                 break
             kept = []
             for crest in live:
-                witness = feasible_load_vector(inst, row, alpha, cmax, crest)
+                witness = feasible_load_vector(a, row, (p, q), cmax, crest)
                 if witness is None:
                     continue
                 if is_alpha_pne(inst, witness, alpha):
@@ -291,11 +286,12 @@ def best_alpha(inst: Instance) -> OptResult:
     candidates = candidate_alphas(inst)
     lo, hi = 0, len(candidates) - 1
     witnesses = {}
-    shapes = _Memo(_shape_table(inst))
+    form = _scaled_form(inst)
+    shapes = _Memo(_shape_table(inst, form))
 
     def feasible(i: int) -> bool:
         if i not in witnesses:
-            witnesses[i] = _feasible_witness(inst, candidates[i], shapes)
+            witnesses[i] = _feasible_witness(inst, form, candidates[i], shapes)
         return witnesses[i] is not None
 
     if not feasible(hi):

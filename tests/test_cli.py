@@ -122,6 +122,25 @@ class TestSolveK:
         assert code == 2
         assert not out and err.startswith("error: cannot read instance") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve-k", "best-alpha", "verify", "oracle"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,  # Deeper than the JSON decoder recurses.
+            # Past Python's limit on the digits of an int, for json and for Fraction.
+            '{"players": %s, "budget": "1", "coefficients": ["1"]}' % ("9" * 5000),
+            '{"players": 3, "budget": "%s", "coefficients": ["1", "2"]}' % ("9" * 5000),
+        ],
+        ids=["nested", "players_digits", "budget_digits"],
+    )
+    def test_document_malformed(self, capsys, tmp_path, command, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        extra = ["2,2,1", "1"] if command == "verify" else []
+        code, out, err = run(capsys, command, str(bad), *extra)
+        assert code == 2
+        assert not out and err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBestAlpha:
     def test_example(self, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from congestion_adversary.oracle import enumerate_profiles
 from congestion_adversary.optimal import (
     _feasible_witness,
     _prefix_loads,
+    _scaled_form,
     _shape_table,
     cbar_candidates,
     feasible_load_vector,
@@ -30,7 +32,8 @@ from congestion_adversary.optimal import (
 
 # The V^2 candidate set and the shape scan that best_alpha replaced, with
 # each shape's uncapped candidate lists and its head conditions checked value
-# by value, kept as the specification the faster versions must reproduce
+# by value, and the scan's capped lists, tail bounds and fill in Fractions,
+# kept as the specification the faster integer versions must reproduce
 # exactly.
 
 
@@ -117,6 +120,71 @@ def reference_windows(inst, shape, alpha):
     )
 
 
+def reference_capped_candidates(inst, M, k, k_prime, k_dprime):
+    """``(need_max, cmax, need_rest, crest)`` in Fractions, each list cut at its smallest cap."""
+    a = inst.coefficients
+    B = inst.budget
+    tail_terms = {
+        a[r - 1] * (load + 1) for r in range(k_dprime, inst.m + 1) for load in range(0, M - 2)
+    }
+    top = a[0] * (M + 1) + B
+    caps_max = [top] if k >= 2 else []
+    caps_rest = [top]
+    need_rest = 0
+    if k_prime >= k + 2:
+        caps_max.append(a[k] * M + B / k)
+        caps_rest.append(a[k] * M + B / (k + 1))
+        need_rest = a[k_prime - 2] * (M - 1)
+    if k_prime < k_dprime:
+        caps_max.append(a[k_prime - 1] * (M - 1) + (B / k_prime if k == 1 else 0))
+        caps_rest.append(a[k_prime - 1] * (M - 1))
+        need_rest = max(need_rest, a[k_dprime - 2] * (M - 2))
+
+    def capped(caps):
+        values = sorted(tail_terms.union(caps))
+        return [v for v in values if v <= min(caps)] if caps else values
+
+    return a[k - 1] * M + B / k, capped(caps_max), need_rest, capped(caps_rest)
+
+
+def reference_tail_bounds(inst, r, M, alpha, cbar_max, cbar_rest):
+    """Lower/upper load bounds for a tail resource r (1-based), or None."""
+    a_r = inst.coefficients[r - 1]
+    if a_r == 0:
+        if cbar_rest > 0 or cbar_max > 0:
+            return None
+        lower = 0
+        upper = M - 3
+    else:
+        lower = max(0, math.ceil(cbar_rest / a_r) - 1, math.ceil(cbar_max / a_r) - 1)
+        upper = min(M - 3, math.floor(alpha * cbar_rest / a_r))
+    if lower > upper:
+        return None
+    return lower, upper
+
+
+def reference_load_vector(inst, row, alpha, cbar_max, cbar_rest):
+    """The greedy fill of a row's tail at a Fraction alpha and Fraction costs."""
+    (M, _, _, k_dprime), prefix, leftover = row[:3]
+    bounds = []
+    for r in range(k_dprime, inst.m + 1):
+        b = reference_tail_bounds(inst, r, M, alpha, cbar_max, cbar_rest)
+        if b is None:
+            return None
+        bounds.append(b)
+    low = sum(b[0] for b in bounds)
+    high = sum(b[1] for b in bounds)
+    if not low <= leftover <= high:
+        return None
+    loads = prefix + [b[0] for b in bounds]
+    leftover -= low
+    for i, (b_low, b_high) in enumerate(bounds):
+        take = min(b_high - b_low, leftover)
+        loads[k_dprime - 1 + i] += take
+        leftover -= take
+    return tuple(loads)
+
+
 def reference_feasible_witness(inst, alpha):
     n, m = inst.n, inst.m
     a, B = inst.coefficients, inst.budget
@@ -145,7 +213,7 @@ def reference_feasible_witness(inst, alpha):
                     row = (shape, prefix, leftover)
                     for cmax in cmax_ok:
                         for crest in crest_ok:
-                            witness = feasible_load_vector(inst, row, alpha, cmax, crest)
+                            witness = reference_load_vector(inst, row, alpha, cmax, crest)
                             if witness is not None and is_alpha_pne(inst, witness, alpha):
                                 return witness
     return None
@@ -223,10 +291,53 @@ def shape_of(loads):
     return M, loads.count(M), k_prime, k_dprime
 
 
+def scan_inputs(inst):
+    """The instance's scaled form and its shape table as a list, as best_alpha builds them."""
+    form = _scaled_form(inst)
+    return form, list(_shape_table(inst, form))
+
+
 def table_row(inst, shape):
     """The one row of the instance's shape table for `shape`."""
-    (row,) = [row for row in _shape_table(inst) if row[0] == shape]
+    (row,) = [row for row in scan_inputs(inst)[1] if row[0] == shape]
     return row
+
+
+def in_fractions(form, row):
+    """A shape-table row with every cost divided by the scale: the reference's values."""
+    scale = form[2]
+    shape, prefix, leftover, need_max, cmax, need_rest, crest = row
+    return (
+        shape,
+        prefix,
+        leftover,
+        Fraction(need_max, scale),
+        [Fraction(c, scale) for c in cmax],
+        Fraction(need_rest, scale),
+        [Fraction(c, scale) for c in crest],
+    )
+
+
+def windows(row, alpha):
+    """The row's cmax and crest values that pass ``need <= alpha * c``, found as a probe finds them."""
+    _, _, _, need_max, cmax, need_rest, crest = row
+    p, q = alpha.numerator, alpha.denominator
+    return (
+        cmax[bisect_left(cmax, -(-q * need_max // p)) :],
+        crest[bisect_left(crest, -(-q * need_rest // p)) :],
+    )
+
+
+def boundary_ratios(inst, form, rows):
+    """Every row's ratios need / c over the reference's values: where only equality decides."""
+    scale = form[2]
+    return {
+        Fraction(need, scale) / c
+        for row in rows
+        for need, values in zip((row[3], row[5]), reference_cbar_candidates(inst, *row[0]))
+        for c in values
+        if c > 0 and need > 0
+    }
 
 
 class TestFeasibleLoadVector:
@@ -237,19 +348,26 @@ class TestFeasibleLoadVector:
         # player also 6.
         row = table_row(example1, (2, 2, 4, 4))
         assert row[1:3] == ([2, 2, 1], 0)
-        witness = feasible_load_vector(example1, row, Fraction(7, 6), Fraction(6), Fraction(6))
+        coeffs, _, scale = _scaled_form(example1)
+        witness = feasible_load_vector(coeffs, row, (7, 6), 6 * scale, 6 * scale)
         assert witness == (2, 2, 1)
+        assert witness == reference_load_vector(
+            example1, row, Fraction(7, 6), Fraction(6), Fraction(6)
+        )
         assert is_alpha_pne(example1, witness, Fraction(7, 6))
 
     def test_infeasible_below_the_optimum(self, example1):
         # At 8/7 the r2 players' cost 7 exceeds 8/7 times their best
         # alternative 6: the max-load head condition rules the shape out
         # before any fill, and no other shape holds a witness either.
-        _, _, _, need_max, cmax, _, _ = table_row(example1, (2, 2, 4, 4))
+        form, rows = scan_inputs(example1)
+        row = table_row(example1, (2, 2, 4, 4))
+        _, _, _, need_max, cmax, _, _ = in_fractions(form, row)
         assert need_max == 7 and Fraction(6) in cmax
-        assert not any(need_max <= Fraction(8, 7) * c for c in cmax)
-        assert _feasible_witness(example1, Fraction(8, 7), _shape_table(example1)) is None
-        assert _feasible_witness(example1, Fraction(7, 6), _shape_table(example1)) == (2, 2, 1)
+        assert windows(row, Fraction(8, 7))[0] == []
+        assert windows(row, Fraction(7, 6))[0] == [6 * form[2]]
+        assert _feasible_witness(example1, form, Fraction(8, 7), rows) is None
+        assert _feasible_witness(example1, form, Fraction(7, 6), rows) == (2, 2, 1)
 
     @given(small_instances(min_m=2, max_n=12), st.data())
     @settings(deadline=None, max_examples=150)
@@ -270,22 +388,79 @@ class TestFeasibleLoadVector:
             st.sampled_from([needed, ceiling] if needed <= ceiling else [ceiling])
             | st.fractions(min_value=1, max_value=Fraction(6, 5), max_denominator=12)
         )
+        form = _scaled_form(inst)
+        scale = form[2]
         row = table_row(inst, shape)
-        _, _, _, need_max, cmax, need_rest, crest = row
+        cmax_window, crest_window = windows(row, alpha)
         # Values off the table count too, so long as they pass the head
         # conditions of the specification.
-        extra = data.draw(st.lists(st.fractions(min_value=0, max_value=40, max_denominator=6)))
+        extra = data.draw(st.lists(st.integers(0, 40 * scale)))
         cmax_ok = sorted(
-            {c for c in cmax if need_max <= alpha * c}
-            | {c for c in extra if reference_head_ok_max(inst, *shape, alpha, c)}
+            set(cmax_window)
+            | {c for c in extra if reference_head_ok_max(inst, *shape, alpha, Fraction(c, scale))}
         )
         # As in the scan, only cbar_rest values that pass the head conditions
         # are filled; the fill itself no longer checks them.
-        crest_ok = [c for c in crest if need_rest <= alpha * c]
-        for crest in crest_ok:
-            fills = [feasible_load_vector(inst, row, alpha, cmax, crest) for cmax in cmax_ok]
+        for crest in crest_window:
+            fills = [
+                feasible_load_vector(form[0], row, (alpha.numerator, alpha.denominator), c, crest)
+                for c in cmax_ok
+            ]
+            assert fills == [
+                reference_load_vector(inst, row, alpha, Fraction(c, scale), Fraction(crest, scale))
+                for c in cmax_ok
+            ]
             first_none = next((i for i, w in enumerate(fills) if w is None), len(fills))
             assert all(w is None for w in fills[first_none:])
+
+    @given(small_instances(min_m=2, max_n=12), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_windows_and_tail_bounds_equal_the_reference(self, inst, data):
+        # The integer windows and fills equal the Fraction reference's where
+        # rounding could tell them apart: at candidate ratios, at each row's
+        # boundary ratios need / c, and at each exact quotient a_r * t / c of
+        # a tail coefficient, a load t <= M - 3 and a cbar_rest c, where the
+        # upper tail bound floor(alpha * c / a_r) lands on t exactly.  A run
+        # of leading zero coefficients puts free resources in the tail.
+        zeros = data.draw(st.integers(0, inst.m - 1))
+        inst = validate_instance(
+            [0] * zeros + list(inst.coefficients[zeros:]), inst.n, inst.budget
+        )
+        form, rows = scan_inputs(inst)
+        scale = form[2]
+        tails = [
+            (row, a, c)
+            for row in rows
+            for a in set(inst.coefficients[row[0][3] - 1 :])
+            for c in row[6]
+            if a > 0 and c > 0 and row[0][0] > 3
+        ]
+        ratios = sorted(boundary_ratios(inst, form, rows))
+        source = data.draw(
+            st.sampled_from(["candidate"] + ["boundary"] * bool(ratios) + ["quotient"] * bool(tails))
+        )
+        # The fill does not read the head conditions, so every pair of a few
+        # rows is filled, windowed or not; a quotient's own row is one of them.
+        checked = data.draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []
+        if source == "quotient":
+            row, a, c = data.draw(st.sampled_from(tails))
+            alpha = a * data.draw(st.integers(1, row[0][0] - 3)) / Fraction(c, scale)
+            checked.append(row)
+        else:
+            alpha = data.draw(st.sampled_from(ratios if source == "boundary" else candidate_alphas(inst)))
+        p, q = alpha.numerator, alpha.denominator
+        for row in rows:
+            assert [
+                [Fraction(c, scale) for c in values] for values in windows(row, alpha)
+            ] == list(reference_windows(inst, row[0], alpha))
+        for row in checked:
+            for cmax in row[4]:
+                for crest in row[6]:
+                    assert feasible_load_vector(
+                        form[0], row, (p, q), cmax, crest
+                    ) == reference_load_vector(
+                        inst, row, alpha, Fraction(cmax, scale), Fraction(crest, scale)
+                    )
 
 
 class TestShapeTable:
@@ -294,53 +469,45 @@ class TestShapeTable:
     def test_every_decreasing_profile_has_its_row(self, inst):
         # The fill takes a shape's prefix and leftover from its row and
         # checks neither, so every shape some profile has must be there once,
-        # with exactly that profile's head loads and tail total.
-        rows = list(_shape_table(inst))
+        # with exactly that profile's head loads and tail total, and with the
+        # reference's capped lists on the integer scale.
+        form, rows = scan_inputs(inst)
         by_shape = {row[0]: row for row in rows}
         assert len(by_shape) == len(rows)
         for loads in enumerate_profiles(inst.n, inst.m):
             shape = shape_of(loads)
             if shape[1] == inst.m:
                 continue  # All at the peak: _feasible_witness tries it directly.
-            _, prefix, leftover, *heads = by_shape[shape]
+            row = by_shape[shape]
+            _, prefix, leftover, *heads = row
             assert prefix == list(loads[: shape[3] - 1])
             assert leftover == sum(loads[shape[3] - 1 :])
-            assert tuple(heads) == cbar_candidates(inst, *shape)
+            assert tuple(heads) == cbar_candidates(form, *shape)
+            assert in_fractions(form, row)[3:] == reference_capped_candidates(inst, *shape)
 
     @given(small_instances(min_m=2, max_n=12), st.data())
     @settings(deadline=None, max_examples=150)
     def test_windows_equal_the_reference_filter(self, inst, data):
-        # Each row's capped lists, kept where need <= alpha * c, are exactly
-        # the reference's values that pass every head condition at alpha,
-        # and a probe at alpha finds the reference's witness.  The factors
-        # include each row's boundary ratios need / c, where only the equality
-        # case decides.
-        rows = list(_shape_table(inst))
-        boundaries = {
-            need / c
-            for row in rows
-            for need, values in zip(
-                (row[3], row[5]), reference_cbar_candidates(inst, *row[0])
-            )
-            for c in values
-            if c > 0 and need > 0
-        }
+        # Each row's capped lists, kept from one bisection on, are exactly the
+        # reference's values that pass every head condition at alpha, and a
+        # probe at alpha finds the reference's witness.  The factors include
+        # each row's boundary ratios need / c, where only the equality case
+        # decides.
+        form, rows = scan_inputs(inst)
         alphas = data.draw(
             st.lists(
                 st.sampled_from(candidate_alphas(inst))
-                | st.sampled_from(sorted(boundaries) or [Fraction(1)]),
+                | st.sampled_from(sorted(boundary_ratios(inst, form, rows)) or [Fraction(1)]),
                 min_size=1,
                 max_size=4,
             )
         )
         for alpha in alphas:
-            for shape, _, _, need_max, cmax, need_rest, crest in rows:
-                windows = (
-                    [c for c in cmax if need_max <= alpha * c],
-                    [c for c in crest if need_rest <= alpha * c],
-                )
-                assert windows == reference_windows(inst, shape, alpha)
-            witness = _feasible_witness(inst, alpha, _shape_table(inst))
+            for row in rows:
+                assert [
+                    [Fraction(c, form[2]) for c in values] for values in windows(row, alpha)
+                ] == list(reference_windows(inst, row[0], alpha))
+            witness = _feasible_witness(inst, form, alpha, _shape_table(inst, form))
             assert witness == reference_feasible_witness(inst, alpha)
 
 
