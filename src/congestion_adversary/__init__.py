@@ -40,7 +40,7 @@ from .documents import (
     parse_instance_document,
     parse_rational,
 )
-from .optimal import best_alpha, candidate_alphas
+from .optimal import best_alpha
 from .oracle import (
     enumerate_profiles,
     oracle_best_additive_epsilon,
@@ -86,7 +86,6 @@ __all__ = [
     "UnoccupiedResource",
     "best_alpha",
     "binding_deviation",
-    "candidate_alphas",
     "compute_K",
     "deviation_cost",
     "enumerate_profiles",

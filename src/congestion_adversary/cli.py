@@ -49,12 +49,12 @@ ORACLE_MAX_PLAYERS = 25
 #: fixtures, 2-core Xeon host, Python 3.11: 0.15 s at 100, 0.26 s at 400 and
 #: 0.8 s at 800, whole process; compute_K alone takes 3.4 s at 1 600.
 SOLVE_K_MAX_PRECISION = 400
-#: best-alpha forms the ratios of the instance's cost values, of which there
-#: are at most (distinct coefficients) * (n + 1) * (m + 1); its time and memory
-#: grow faster than that count.  generate_instance(n, m, seed=1), whole process
-#: on a 2-core Xeon host, Python 3.11: 3 843 values at (60, 8) take 0.7 s, 5 103
-#: at (80, 8) 1.3 s, and 8 888 at (100, 10) 2.2 s and 0.13 GB, most of it the
-#: candidate ratios; the 54 873 of (200, 20) would make 32 M ratio pairs.
+#: best-alpha counts the instance's cost values, at most (distinct
+#: coefficients) * (n + 1) * (m + 1), though it no longer forms their ratios;
+#: its time follows the shape table it scans, not this count.
+#: generate_instance(n, m, seed=1), whole process on a 2-core Xeon host,
+#: Python 3.11: 3 843 values at (60, 8) and 8 888 at (100, 10) take 0.1 s and
+#: 16 MB each.
 BEST_ALPHA_MAX_VALUES = 10_000
 
 

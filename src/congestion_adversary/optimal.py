@@ -5,14 +5,16 @@ last index k carrying load M, and the first indices k', k'' whose loads drop
 below M-1 and M-2.  For each shape there are only polynomially many candidate
 values for the best-alternative costs seen by max-load players and by the
 rest; given a shape, those two values, and a factor alpha, a short greedy
-procedure either produces a witness load vector or proves none exists.  The
-optimal factor is then the smallest member of a finite candidate-ratio set
-for which any shape is feasible.  The probes of that binary search share one
+procedure either produces a witness load vector or proves none exists.  For
+a fixed shape and pair of values the factors that pass form a half-line, so
+each pair has a least factor, a maximum of a few ratios of cost values.  The
+search first probes alpha = 1; failing that, it fills each pair at its least
+factor, scores each fill by the factor it needs, and takes the least score,
+probing once more at that factor for the witness.  Both passes share one
 table of the shape data that does not depend on alpha: the prefix loads and
-the two candidate lists, already cut by the head conditions without alpha, so
-that a probe keeps the suffix of each list past one bisection.  The scan is in
-exact integers on one scale, :func:`_scaled_form`; only the witness checks use
-Fractions.
+the two candidate lists, already cut by the head conditions without alpha.
+The scan is in exact integers on one scale, :func:`_scaled_form`; only the
+factors, scores and witness checks use Fractions.
 
 Shape indices k, k', k'' are 1-based to match the non-increasing load
 picture; the sentinel value m+1 for k' (or k'') means no resource has load
@@ -26,20 +28,22 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from functools import partial
+from heapq import merge
+from itertools import islice, tee
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .core import (
     Instance,
     _integer_form,
     binding_deviation,
     is_alpha_pne,
-    k_upper_bound,
+    needed_alpha,
 )
 
 __all__ = [
     "OptResult",
     "cbar_candidates",
-    "candidate_alphas",
     "best_alpha",
 ]
 
@@ -149,42 +153,6 @@ def feasible_load_vector(
     return None if spare else tuple(loads)
 
 
-def candidate_alphas(inst: Instance, precision: int = 12) -> List[Fraction]:
-    """All ratios of possible cost values, clipped to [1, upper threshold].
-
-    Cost values are a_r * load + (an even budget share or nothing); the
-    optimal factor is always a ratio of two of them, so this list contains it.
-
-    Only ratios inside the window are formed.  Every value is scaled to an
-    integer, by the lcm of the denominators times lcm(1..m) for the shares
-    B/p, p <= m, and the distinct values are sorted once.  For each u the
-    values v with 1 <= u/v <= cn/cd, the threshold bound, are the sorted run
-    ceil(u*cd/cn) <= v <= u, found by two bisections.  Two distinct ratios
-    u/v and u'/v' differ by at least 1/(v*v') > 1/S, with S = (largest
-    value)**2 + 1, so the integer key u*S // v orders the ratios and tells
-    them apart.  Fractions are made only for the ratios returned.
-    """
-    coeffs, budget, _ = _scaled_form(inst)
-    extras = [0] + [budget // p for p in range(1, inst.m + 1)]
-    values = sorted(
-        {
-            a * load + extra
-            for a in set(coeffs)
-            for load in range(inst.n + 1)
-            for extra in extras
-        }
-    )
-    ceiling = k_upper_bound(precision)
-    cn, cd = ceiling.numerator, ceiling.denominator
-    S = values[-1] ** 2 + 1
-    ratios = {S: (1, 1)}
-    for u in values[bisect_right(values, 0) :]:
-        low = bisect_left(values, -(-u * cd // cn))
-        high = bisect_right(values, u, low)
-        ratios.update((u * S // v, (u, v)) for v in values[low:high])
-    return [Fraction(*ratios[key]) for key in sorted(ratios)]
-
-
 def _shape_table(inst: Instance, form) -> Iterator[tuple]:
     """One row for every shape that fits n players, in scan order.
 
@@ -211,103 +179,132 @@ def _shape_table(inst: Instance, form) -> Iterator[tuple]:
                     yield (shape, prefix, leftover) + cbar_candidates(form, *shape)
 
 
-class _Memo:
-    """An iterable that draws each item from `source` once, on first use."""
+def _pairs(row: tuple, alpha: Fraction, passes: Callable) -> Iterator:
+    """What `passes` gives, bar None, for the row's pairs inside the windows at alpha.
 
-    def __init__(self, source: Iterator) -> None:
-        self._source = source
-        self._items: list = []
-
-    def __iter__(self) -> Iterator:
-        i = 0
-        while True:
-            if i == len(self._items):
-                item = next(self._source, None)
-                if item is None:
-                    return
-                self._items.append(item)
-            yield self._items[i]
-            i += 1
+    Pairs (cbar_max, cbar_rest) come in increasing order of cbar_max, then of
+    cbar_rest; at alpha = p/q a value c passes ``need <= alpha * c`` iff c >=
+    ceil(q * need / p), so each sorted list is kept from one bisection on.
+    `passes` gives None for a pair whose fill fails at alpha.  The fill then
+    fails for every larger cbar_max too, as the tail lower bounds only grow
+    with it, so that cbar_rest is dropped for the rest of the row.
+    """
+    _, _, _, need_max, cmax_all, need_rest, crest_all = row
+    p, q = alpha.numerator, alpha.denominator
+    live = crest_all[bisect_left(crest_all, -(-q * need_rest // p)) :]
+    for cmax in cmax_all[bisect_left(cmax_all, -(-q * need_max // p)) :]:
+        if not live:
+            return
+        kept = []
+        for crest in live:
+            found = passes(cmax, crest)
+            if found is not None:
+                kept.append(crest)
+                yield found
+        live = kept
 
 
 def _feasible_witness(inst: Instance, form, alpha: Fraction, shapes) -> Optional[Tuple[int, ...]]:
-    """Some alpha-approximate equilibrium with decreasing loads, or None.
+    """The first fill of :func:`_pairs` that is an alpha-approximate equilibrium, or None.
 
-    `shapes` is the :func:`_shape_table` of `inst`.  Pairs (cbar_max,
-    cbar_rest) are tried in increasing order of cbar_max, then of cbar_rest.
-    Once :func:`feasible_load_vector` gives None for a cbar_rest, it gives
-    None for every larger cbar_max that passes the head condition: the tail
-    lower bounds only grow with cbar_max, and nothing else depends on it.  So
-    that cbar_rest is dropped for the rest of the shape; the pairs still
-    tried keep their order, and the first witness returned is the same.  On
-    the scale of `form`, a value c passes ``need <= alpha * c`` at alpha =
-    p/q iff c >= ceil(q * need / p), so each sorted list is kept from one
-    bisection on.
+    `shapes` are :func:`_shape_table` rows of `inst`.  An all-equal profile,
+    which has no shape, is tried first.
     """
-    n, m = inst.n, inst.m
-    a, B, _ = form
-    p, q = alpha.numerator, alpha.denominator
-
-    if n % m == 0:
-        M = n // m
-        if q * (a[m - 1] * M + B // m) <= p * (a[0] * (M + 1) + B):
-            witness = (M,) * m
+    n, m, a = inst.n, inst.m, form[0]
+    if n % m == 0 and is_alpha_pne(inst, (n // m,) * m, alpha):
+        return (n // m,) * m
+    for row in shapes:
+        fill = partial(feasible_load_vector, a, row, (alpha.numerator, alpha.denominator))
+        for witness in _pairs(row, alpha, fill):
             if is_alpha_pne(inst, witness, alpha):
                 return witness
-
-    for row in shapes:
-        _, _, _, need_max, cmax_all, need_rest, crest_all = row
-        first = bisect_left(cmax_all, -(-q * need_max // p))
-        if first == len(cmax_all):
-            continue
-        live = crest_all[bisect_left(crest_all, -(-q * need_rest // p)) :]
-        for cmax in cmax_all[first:]:
-            if not live:
-                break
-            kept = []
-            for crest in live:
-                witness = feasible_load_vector(a, row, (p, q), cmax, crest)
-                if witness is None:
-                    continue
-                if is_alpha_pne(inst, witness, alpha):
-                    return witness
-                kept.append(crest)
-            live = kept
     return None
+
+
+def _room(coeffs, row: tuple) -> Optional[int]:
+    """Least integer ``alpha * cbar_rest`` at which the row's tail holds its leftover players.
+
+    Tail load r holds at most ``min(M - 3, floor(alpha * cbar_rest / a_r))``
+    players, or M - 3 if a_r = 0, so x = ``alpha * cbar_rest`` makes room for
+    one more player at each step ``t * a_r <= x`` with t <= M - 3: the least
+    x is the step, in the merged sorted steps, that seats the last player
+    the free resources leave over.  None if there are too few steps.
+    """
+    (M, _, _, k_dprime), _, leftover = row[:3]
+    tail = coeffs[k_dprime - 1 :]
+    short = leftover - (M - 3) * tail.count(0)
+    steps = merge(*(range(a, a * (M - 2), a) for a in tail if a))
+    return 0 if short <= 0 else next(islice(steps, short - 1, None), None)
+
+
+def _least_factor(
+    coeffs, row: tuple, room: Optional[int], cbar_max: int, cbar_rest: int
+) -> Optional[Fraction]:
+    """Least alpha at which the pair passes the row's head conditions and fills, or None.
+
+    `room` is the row's :func:`_room`.  Besides 1, ``need_max / cbar_max``
+    and ``need_rest / cbar_rest``, alpha must reach ``room / cbar_rest`` and
+    lift every upper tail bound of :func:`feasible_load_vector` to its lower
+    one, ``lower_r = ceil(max(cbar_max, cbar_rest) / a_r) - 1``: ``lower_r *
+    a_r / cbar_rest``.  No alpha helps if a lower bound exceeds M - 3, if
+    they sum past the leftover, or if a free tail resource undercuts a
+    positive cost.
+    """
+    if room is None or not cbar_max:
+        return None
+    (M, _, _, k_dprime), _, leftover, need_max, _, need_rest, _ = row
+    least = max(cbar_max, cbar_rest)
+    top, total = max(room, need_rest), 0
+    for a in coeffs[k_dprime - 1 :]:
+        lower = max(0, -(-least // a) - 1) if a else 0
+        if (least and not a) or lower > M - 3:
+            return None
+        top, total = max(top, lower * a), total + lower
+    if total > leftover or (top and not cbar_rest):
+        return None
+    return max(Fraction(1), Fraction(need_max, cbar_max), Fraction(top, cbar_rest or 1))
+
+
+def _least_score(inst: Instance, form, shapes) -> Fraction:
+    """The least ``max(1, needed_alpha)`` of a pair's fill at its :func:`_least_factor`.
+
+    The score starts at 2, above every optimum, or at the all-equal
+    profile's.  :func:`_pairs` keeps each row's pairs whose least factor is
+    at most the score the row starts with, and scores a fill only if its
+    factor is below the running score.
+    """
+    n, m, a = inst.n, inst.m, form[0]
+    best = Fraction(2)
+    if n % m == 0:
+        best = min(best, max(Fraction(1), needed_alpha(inst, (n // m,) * m)))
+    for row in shapes:
+        room, bound = _room(a, row), best
+
+        def within(cmax: int, crest: int):
+            factor = _least_factor(a, row, room, cmax, crest)
+            return None if factor is None or factor > bound else (cmax, crest, factor)
+
+        for cmax, crest, factor in _pairs(row, bound, within):
+            if factor < best:
+                alpha = (factor.numerator, factor.denominator)
+                fill = feasible_load_vector(a, row, alpha, cmax, crest)
+                best = min(best, max(Fraction(1), needed_alpha(inst, fill)))
+    return best
 
 
 def best_alpha(inst: Instance) -> OptResult:
     """Smallest factor for which an approximate equilibrium exists, with witness.
 
-    Binary search over the candidate ratios; feasibility is monotone in the
-    factor, and existence at the upper threshold is guaranteed, so the search
-    always succeeds.  The optimum is at most K, inside every candidate window.
+    A probe at alpha = 1 settles most instances.  Otherwise the optimum is
+    :func:`_least_score`, and the witness is a probe's at that factor.  The
+    passes share the lazily built shape table.
     """
-    candidates = candidate_alphas(inst)
-    lo, hi = 0, len(candidates) - 1
-    witnesses = {}
     form = _scaled_form(inst)
-    shapes = _Memo(_shape_table(inst, form))
-
-    def feasible(i: int) -> bool:
-        if i not in witnesses:
-            witnesses[i] = _feasible_witness(inst, form, candidates[i], shapes)
-        return witnesses[i] is not None
-
-    if not feasible(hi):
-        raise RuntimeError(
-            "no candidate factor is feasible; this contradicts the existence "
-            "guarantee and indicates a bug"
-        )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    witness = witnesses[hi]
-    return OptResult(
-        alpha_star=candidates[hi],
-        witness=witness,
-        binding=binding_deviation(inst, witness),
-    )
+    first, second, third = tee(_shape_table(inst, form), 3)
+    alpha, witness = Fraction(1), _feasible_witness(inst, form, Fraction(1), first)
+    if witness is None:
+        alpha = _least_score(inst, form, second)
+        witness = _feasible_witness(inst, form, alpha, third) if alpha < 2 else None
+    if witness is None:
+        raise RuntimeError("no factor below 2 is feasible, against the existence guarantee")
+    return OptResult(alpha_star=alpha, witness=witness, binding=binding_deviation(inst, witness))

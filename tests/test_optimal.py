@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from congestion_adversary import (
     best_alpha,
     binding_deviation,
-    candidate_alphas,
     generate_instance,
     is_alpha_pne,
     k_upper_bound,
@@ -23,7 +22,9 @@ from congestion_adversary import (
 from congestion_adversary.oracle import enumerate_profiles
 from congestion_adversary.optimal import (
     _feasible_witness,
+    _least_factor,
     _prefix_loads,
+    _room,
     _scaled_form,
     _shape_table,
     cbar_candidates,
@@ -47,12 +48,11 @@ def reference_candidate_alphas(inst, precision=12):
                 values.add(base + inst.budget / p)
     ceiling = k_upper_bound(precision)
     ratios = {Fraction(1)}
-    positive = [v for v in values if v > 0]
+    windows = [(v, ceiling * v) for v in values if v > 0]
     for u in values:
-        for v in positive:
-            q = u / v
-            if 1 <= q <= ceiling:
-                ratios.add(q)
+        for v, top in windows:
+            if v <= u <= top:
+                ratios.add(u / v)
     return sorted(ratios)
 
 
@@ -265,22 +265,11 @@ def small_instances(draw, min_m=1, max_m=6, max_n=10):
 
 
 class TestCandidates:
-    def test_contains_one_and_stays_in_window(self, example1):
-        candidates = candidate_alphas(example1)
-        assert candidates[0] == Fraction(1)
-        assert candidates == sorted(set(candidates))
-        assert candidates[-1] <= k_upper_bound(12)
-
     @pytest.mark.parametrize("seed", range(25))
     def test_contains_the_optimum(self, seed):
         inst = generate_instance(n=2 + seed % 6, m=2 + seed % 3, seed=seed).instance
         value, _ = oracle_best_alpha(inst)
-        assert value in candidate_alphas(inst)
-
-    @given(small_instances(), st.sampled_from([2, 5, 12]))
-    @settings(deadline=None, max_examples=60)
-    def test_matches_reference(self, inst, precision):
-        assert candidate_alphas(inst, precision) == reference_candidate_alphas(inst, precision)
+        assert value in reference_candidate_alphas(inst)
 
 
 def shape_of(loads):
@@ -447,7 +436,9 @@ class TestFeasibleLoadVector:
             alpha = a * data.draw(st.integers(1, row[0][0] - 3)) / Fraction(c, scale)
             checked.append(row)
         else:
-            alpha = data.draw(st.sampled_from(ratios if source == "boundary" else candidate_alphas(inst)))
+            alpha = data.draw(
+                st.sampled_from(ratios if source == "boundary" else reference_candidate_alphas(inst))
+            )
         p, q = alpha.numerator, alpha.denominator
         for row in rows:
             assert [
@@ -496,7 +487,7 @@ class TestShapeTable:
         form, rows = scan_inputs(inst)
         alphas = data.draw(
             st.lists(
-                st.sampled_from(candidate_alphas(inst))
+                st.sampled_from(reference_candidate_alphas(inst))
                 | st.sampled_from(sorted(boundary_ratios(inst, form, rows)) or [Fraction(1)]),
                 min_size=1,
                 max_size=4,
@@ -509,6 +500,47 @@ class TestShapeTable:
                 ] == list(reference_windows(inst, row[0], alpha))
             witness = _feasible_witness(inst, form, alpha, _shape_table(inst, form))
             assert witness == reference_feasible_witness(inst, alpha)
+
+
+class TestLeastFactor:
+    @given(small_instances(), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_is_where_the_reference_starts_to_pass(self, inst, data):
+        # A pair passes at alpha when the reference windows keep both its
+        # costs and the reference fill succeeds.  At its least factor every
+        # pair passes; at the largest candidate ratio below it, the last
+        # place below where passing could change, it fails.  A pair with no
+        # least factor fails even at the largest candidate.  A run of
+        # leading zero coefficients puts free resources in the tail.
+        zeros = data.draw(st.integers(0, inst.m - 1))
+        inst = validate_instance(
+            [0] * zeros + list(inst.coefficients[zeros:]), inst.n, inst.budget
+        )
+        form, rows = scan_inputs(inst)
+        scale = form[2]
+        candidates = reference_candidate_alphas(inst)
+
+        def passes(row, alpha, cmax, crest):
+            cmax_ok, crest_ok = reference_windows(inst, row[0], alpha)
+            return (
+                cmax in cmax_ok
+                and crest in crest_ok
+                and reference_load_vector(inst, row, alpha, cmax, crest) is not None
+            )
+
+        for row in rows:
+            room = _room(form[0], row)
+            for cmax in row[4]:
+                for crest in row[6]:
+                    costs = Fraction(cmax, scale), Fraction(crest, scale)
+                    factor = _least_factor(form[0], row, room, cmax, crest)
+                    if factor is None:
+                        assert not passes(row, candidates[-1], *costs)
+                        continue
+                    assert passes(row, factor, *costs)
+                    below = bisect_left(candidates, factor)
+                    if below:
+                        assert not passes(row, candidates[below - 1], *costs)
 
 
 class TestBestAlpha:
@@ -565,8 +597,8 @@ class TestBestAlpha:
         assert (result.alpha_star, result.witness, result.binding) == reference_best_alpha(inst)
 
     def test_jittered_fixtures_are_hard(self):
-        # The jittered classes above exercise the full shape scan: every
-        # probe below alpha* fails.
+        # The jittered classes above exercise the scoring pass: the probe at
+        # alpha = 1 fails.
         for name in ("example1", "tightness"):
             for t in (2, 3):
                 assert best_alpha(jittered(name, t, 0)).alpha_star > 1
