@@ -49,6 +49,15 @@ ORACLE_MAX_PLAYERS = 25
 #: fixtures, 2-core Xeon host, Python 3.11: 0.15 s at 100, 0.26 s at 400 and
 #: 0.8 s at 800, whole process; compute_K alone takes 3.4 s at 1 600.
 SOLVE_K_MAX_PRECISION = 400
+#: solve-k always emits its trace, about 2n events of m loads each, so its
+#: work is n * (m + 50): a player's events cost about as much as 50 loads
+#: besides their snapshots (about 1.3 KB and 20 us per player at m = 1, and
+#: 43 B and 0.4 us per load).  Whole process with --trace, gen --seed 1,
+#: 2-core Xeon host, Python 3.11: (4 000, 400) is 1.8e6 and takes 0.96 s and
+#: 90 MB, (100 000, 10) is 6e6 and takes 2.5 s and 154 MB, and (10 000, 950),
+#: (20 000, 450) and (100 000, 50), each 1e7, take 3.9, 4.2 and 7.7 s and
+#: 420, 435 and 406 MB.
+SOLVE_K_MAX_WORK = 10_000_000
 #: best-alpha counts the instance's cost values, at most (distinct
 #: coefficients) * (n + 1) * (m + 1), though it no longer forms their ratios;
 #: its time follows the shape table it scans, not this count.
@@ -67,6 +76,11 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _solve_k_work(inst) -> int:
+    """solve-k's work count: the trace's loads, about n * m, plus 50 per player."""
+    return inst.n * (inst.m + 50)
+
+
 def cmd_solve_k(args) -> int:
     if args.precision < 1:
         return _fail(EXIT_PARSE, f"error: --precision must be >= 1, got {args.precision}")
@@ -76,6 +90,13 @@ def cmd_solve_k(args) -> int:
             f"error: solve-k refuses --precision > {SOLVE_K_MAX_PRECISION} (got {args.precision})",
         )
     doc = load_instance_document(args.instance)
+    work = _solve_k_work(doc.instance)
+    if work > SOLVE_K_MAX_WORK:
+        return _fail(
+            EXIT_PARSE,
+            f"error: solve-k refuses more than {SOLVE_K_MAX_WORK} units of work, "
+            f"n * (m + 50) (got {work} at n={doc.instance.n}, m={doc.instance.m})",
+        )
     config = SolverConfig.default(precision=args.precision, guard_mode=args.guard)
     start = time.perf_counter()
     try:

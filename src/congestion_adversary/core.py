@@ -267,21 +267,19 @@ def _pricing(form, loads: Loads, targets=None, peaks=None):
     return peak, count, (dev, joined, target, dev2, target2), (top, tied, at, top2, at2)
 
 
-def _occupied(form, loads: Loads, priced=None, movers=None):
-    """Every occupied mover's ``(r, cost, k, dev, j, target)``, in index order.
+def _occupied(form, loads: Loads):
+    """Every occupied resource's ``(r, cost, k, dev, j, target)``, in index order.
 
-    `movers` are ``(r, loads[r])`` pairs in index order, every resource by
-    default.  ``cost, k`` is the cost of r's players and ``dev, j`` their
-    cheapest move, to the cheapest target of their kind in `priced` (the
-    profile's :func:`_pricing` if not given), or to the runner-up when that
-    target is r; ``dev`` and ``target`` are None when m = 1.  Raises
-    EmptyGame if nobody sits.
+    ``cost, k`` is the cost of r's players and ``dev, j`` their cheapest
+    move, to the cheapest target of their kind in the profile's
+    :func:`_pricing`, or to the runner-up when that target is r; ``dev`` and
+    ``target`` are None when m = 1.  Raises EmptyGame if nobody sits.
     """
-    peak, count, below, at_peak = priced or _pricing(form, loads)
+    peak, count, below, at_peak = _pricing(form, loads)
     if peak == 0:
         raise EmptyGame("profile seats no players")
     coeffs, budget, _ = form
-    for r, x in enumerate(loads) if movers is None else movers:
+    for r, x in enumerate(loads):
         if x == peak:
             dev, j, target, dev2, target2 = at_peak
             cost, k = coeffs[r] * peak * count + budget, count

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .core import (
@@ -25,7 +26,6 @@ from .core import (
     Instance,
     _fraction,
     _integer_form,
-    _occupied,
     _pricing,
     k_upper_bound,
 )
@@ -70,19 +70,64 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    events: Tuple[TraceEvent, ...]
+    """The moves of a :func:`solve` run, from which its events are built on demand.
+
+    Each of `moves` is ``(round, source, target, cost, k, dev, j)``: source
+    None for an entering player, whose ``cost, k`` are None; otherwise
+    ``cost, k`` is the mover's cost before the move and ``dev, j`` after it,
+    each an integer pair worth ``p / (k * scale)``.  `m` is the resource
+    count and `scale` the common denominator D of the instance's integer form.
+    """
+
+    moves: Tuple[tuple, ...]
     per_round_deviation_counts: Tuple[int, ...]
+    m: int
+    scale: int
+
+    @cached_property
+    def events(self) -> Tuple[TraceEvent, ...]:
+        """One TraceEvent per move, with Fraction costs and the loads after it."""
+        scale = self.scale
+        return tuple(
+            TraceEvent(
+                PLAYER_ADDED if source is None else DEVIATION,
+                k,
+                source,
+                target,
+                INFINITY if source is None else Fraction(cost, cost_den * scale),
+                Fraction(dev, dev_den * scale),
+                tuple(loads),
+            )
+            for (k, source, target, cost, cost_den, dev, dev_den), loads in zip(
+                self.moves, self._applied(self.m)
+            )
+        )
 
     def replay(self, m: int) -> Tuple[int, ...]:
-        """Re-apply all events from the empty profile; returns the final loads."""
+        """Re-apply all moves from the empty profile; returns the final loads."""
         loads = [0] * m
-        for ev in self.events:
-            if ev.source is not None:
-                loads[ev.source] -= 1
-            loads[ev.target] += 1
-            if tuple(loads) != ev.loads_after:
-                raise GameError(f"trace is inconsistent at event {ev}")
+        for loads in self._applied(m):
+            pass
         return tuple(loads)
+
+    def _applied(self, m: int):
+        """The load list after each move, one list updated in place.
+
+        Raises GameError on an empty or out-of-range source, an out-of-range
+        target, or a move that leaves the loads out of non-increasing order.
+        """
+        loads = [0] * m
+        for move in self.moves:
+            source, target = move[1], move[2]
+            if source is not None:
+                if not (0 <= source < m and loads[source]):
+                    raise GameError(f"move {move} leaves no player on resource {source}")
+                loads[source] -= 1
+            if not 0 <= target < m:
+                raise GameError(f"move {move} targets resource {target}, not in range({m})")
+            loads[target] += 1
+            _check_order(loads, source, target, GameError)
+            yield loads
 
 
 @dataclass(frozen=True)
@@ -112,7 +157,7 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     """Run the incremental insertion/settling schedule to completion.
 
     Returns the final load vector (an alpha-approximate equilibrium) and a
-    full event trace.  Deterministic: identical inputs yield identical traces.
+    trace of its moves.  Deterministic: identical inputs yield identical traces.
     Loads stay non-increasing, so equal loads form bands (``load -> [first,
     last]``).  A step prices the first two indices of every band, O(bands) <=
     sqrt(2n) + 1, which names the deviator among the band tails, its target
@@ -122,7 +167,7 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     alpha = config.alpha
     loads: List[int] = [0] * m
     bands = {0: [0, m - 1]}
-    events: List[TraceEvent] = []
+    moves = []
     per_round: List[int] = []
     form = _integer_form(inst)
     priced, tails = _price_bands(form, loads, bands)
@@ -130,14 +175,14 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     for k in range(1, inst.n + 1):
         dev, dev_den, target = priced[2][:3]
         _shift(bands, loads, target, 1)
-        cost_after = _fraction(form, dev, dev_den)
-        _record(events, PLAYER_ADDED, k, None, target, INFINITY, cost_after, loads)
+        _check_order(loads, None, target)
+        moves.append((k, None, target, None, None, dev, dev_den))
 
         deviations = 0
         budget = config.round_budget(k, m)
         while True:
             priced, tails = _price_bands(form, loads, bands)
-            found = _deviator(_occupied(form, loads, priced, tails), alpha)
+            found = _deviator(form, priced, tails, alpha)
             if found is None:
                 break
             deviations += 1
@@ -147,32 +192,46 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
                     f"({config.guard_mode} guard, alpha={alpha})"
                 )
             source, cost, cost_den, dev, dev_den, target = found
-            cost_before = _fraction(form, cost, cost_den)
-            cost_after = _fraction(form, dev, dev_den)
-            if not cost_before > alpha * cost_after:
+            if not _fraction(form, cost, cost_den) > alpha * _fraction(form, dev, dev_den):
                 raise AssertionError(
                     f"selected deviation {source}->{target} is not alpha-improving"
                 )
             _shift(bands, loads, source, -1)
             _shift(bands, loads, target, 1)
-            _record(events, DEVIATION, k, source, target, cost_before, cost_after, loads)
+            _check_order(loads, source, target)
+            moves.append((k, source, target, cost, cost_den, dev, dev_den))
         per_round.append(deviations)
 
-    return tuple(loads), SolveTrace(tuple(events), tuple(per_round))
+    return tuple(loads), SolveTrace(tuple(moves), tuple(per_round), m, form[2])
 
 
-def _deviator(entries, alpha):
-    """The costliest alpha-improving entry of :func:`_occupied`, ties toward the largest index.
+def _deviator(form, priced, tails, alpha):
+    """The costliest alpha-improving mover among `tails`, ties toward the largest index.
 
-    None when nobody improves by more than factor `alpha`, as always when m = 1.
+    `tails` are ``(r, loads[r])`` pairs in index order, and `priced` is the
+    profile's :func:`_pricing`.  A mover on r pays ``cost, k`` and moves to
+    the cheapest target of its kind, or to the runner-up when that target is
+    r, at ``dev, j``.  Returns ``(r, cost, k, dev, j, target)``, or None
+    when nobody improves by more than factor `alpha`, as always when m = 1.
     """
+    peak, count, below, at_peak = priced
+    coeffs, budget, _ = form
     num, den = alpha.numerator, alpha.denominator
     found = None
-    for entry in entries:
-        _, cost, k, dev, j, _ = entry
+    for r, x in tails:
+        if not x:
+            continue
+        if x == peak:
+            dev, j, target, dev2, target2 = at_peak
+            cost, k = coeffs[r] * peak * count + budget, count
+        else:
+            dev, j, target, dev2, target2 = below
+            cost, k = coeffs[r] * x, 1
+        if target == r:
+            dev, target = dev2, target2
         if dev is not None and cost * j * den > num * dev * k:
             if found is None or cost * found[2] >= found[1] * k:
-                found = entry
+                found = (r, cost, k, dev, j, target)
     return found
 
 
@@ -203,10 +262,10 @@ def _shift(bands, loads, r, step):
         bands[x + step] = [r, r]
 
 
-def _record(events, kind, k, source, target, before, after, loads):
+def _check_order(loads, source, target, error=AssertionError):
+    """Raise `error` unless the move source -> target kept the profile non-increasing."""
     # The old profile was ordered; only left of target and right of source can break.
     if (target and loads[target - 1] < loads[target]) or (
         source is not None and source + 1 < len(loads) and loads[source] < loads[source + 1]
     ):
-        raise AssertionError(f"loads {tuple(loads)} are not non-increasing after {kind}")
-    events.append(TraceEvent(kind, k, source, target, before, after, tuple(loads)))
+        raise error(f"loads {tuple(loads)} are not non-increasing after {source}->{target}")

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -99,6 +100,40 @@ class TestSolveK:
         assert code == 2
         assert not out
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_refuses_oversized_instances_up_front(self, capsys, monkeypatch, tmp_path):
+        # n * (m + 50) on 50 resources: exactly the 10 000 000 allowed units
+        # of work at 100 000 players, 100 units more at 100 001.
+        class Reached(Exception):
+            pass
+
+        def reached(inst, config):
+            raise Reached
+
+        monkeypatch.setattr(cli_module, "solve", reached)
+        for players, refused in ((100_000, False), (100_001, True)):
+            path = tmp_path / f"n{players}.json"
+            doc = {"players": players, "budget": "1", "coefficients": ["1"] * 50}
+            path.write_text(json.dumps(doc))
+            if not refused:
+                with pytest.raises(Reached):
+                    main(["solve-k", str(path)])
+                continue
+            code, out, err = run(capsys, "solve-k", str(path))
+            assert code == 2 and not out
+            assert err.startswith("error: solve-k refuses") and err.count("\n") == 1
+            assert "10000100" in err
+
+    def test_refuses_a_hundred_million_players_at_once(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"players": 10**8, "budget": "1", "coefficients": ["1", "2", "3"]})
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve-k", str(path), "--trace", str(tmp_path / "t.json"))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out and err.startswith("error: solve-k refuses")
+        assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("command", ["solve-k", "best-alpha", "verify", "oracle"])
     def test_missing_file(self, capsys, tmp_path, command):

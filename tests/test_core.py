@@ -153,6 +153,11 @@ def reference_select_deviator(inst, loads, alpha):
     return max(unhappy, key=lambda r: (resource_cost(inst, loads, r), r))
 
 
+def whole_deviator(form, loads, alpha):
+    """solve's deviator over a whole profile: every ``(r, loads[r])`` is a tail."""
+    return _deviator(form, _pricing(form, loads), list(enumerate(loads)), alpha)
+
+
 def kernel_moves(inst, loads):
     """The integer kernel's pricing in Fractions: ``{source: (cost, move)}``.
 
@@ -183,7 +188,7 @@ def assert_matches_reference(inst, loads, alpha):
         for source in sources
     }
     assert binding_deviation(inst, loads) == reference_binding_deviation(inst, loads)
-    found = _deviator(_occupied(_integer_form(inst), loads), alpha)
+    found = whole_deviator(_integer_form(inst), loads, alpha)
     assert (None if found is None else found[0]) == reference_select_deviator(inst, loads, alpha)
 
 

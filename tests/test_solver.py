@@ -26,18 +26,22 @@ from congestion_adversary import (
     solve,
     validate_instance,
 )
-from congestion_adversary.core import _integer_form, _occupied, _pricing
+from congestion_adversary.core import _integer_form, _pricing
 from congestion_adversary.solver import _deviator, _price_bands
 from test_core import (
     kernel_moves,
     reference_binding_deviation,
     reference_cheapest_deviation,
     reference_select_deviator,
+    whole_deviator,
 )
 
 
 def reference_solve(inst, config):
-    """The insertion/settling schedule with every move priced by the Fraction spec."""
+    """The insertion/settling schedule with every move priced by the Fraction spec.
+
+    Returns ``(loads, events, per-round deviation counts)``, as :func:`traced_solve` does.
+    """
     loads = [0] * inst.m
     events, per_round = [], []
     for k in range(1, inst.n + 1):
@@ -59,7 +63,13 @@ def reference_solve(inst, config):
                 TraceEvent(DEVIATION, k, source, target, before, after, tuple(loads))
             )
         per_round.append(deviations)
-    return tuple(loads), SolveTrace(tuple(events), tuple(per_round))
+    return tuple(loads), tuple(events), tuple(per_round)
+
+
+def traced_solve(inst, config):
+    """solve's ``(loads, events, per-round deviation counts)``."""
+    loads, trace = solve(inst, config)
+    return loads, trace.events, trace.per_round_deviation_counts
 
 
 class TestConfig:
@@ -98,25 +108,25 @@ class TestBestResponse:
 
 
 class TestUnhappySet:
-    """solve's deviator: the costliest alpha-improving entry of ``_occupied``."""
+    """solve's deviator: the costliest alpha-improving mover, over a whole profile."""
 
     def test_no_exact_equilibrium_profile(self, example1):
         # On (2,2,1) only the r2 players have a strictly improving move.
         form = _integer_form(example1)
-        assert _deviator(_occupied(form, (2, 2, 1)), Fraction(1))[0] == 1
-        assert _deviator(_occupied(form, (2, 2, 1)), Fraction(7, 6)) is None
+        assert whole_deviator(form, (2, 2, 1), Fraction(1))[0] == 1
+        assert whole_deviator(form, (2, 2, 1), Fraction(7, 6)) is None
 
     def test_select_deviator_max_cost_largest_index(self):
         inst = validate_instance([0, 3, 3], 4, 4)
         # (0,2,2): the two max-load resources both cost 8 and both improve by
         # moving to the free resource; the tie goes to index 2.
-        found = _deviator(_occupied(_integer_form(inst), (0, 2, 2)), Fraction(1))
+        found = whole_deviator(_integer_form(inst), (0, 2, 2), Fraction(1))
         assert found[0] == 2
         moves = kernel_moves(inst, (0, 2, 2))
         assert moves[1][0] == moves[2][0] == Fraction(8)
 
     def test_select_deviator_none_when_all_settled(self, example1):
-        assert _deviator(_occupied(_integer_form(example1), (2, 2, 1)), Fraction(2)) is None
+        assert whole_deviator(_integer_form(example1), (2, 2, 1), Fraction(2)) is None
 
 
 class TestSolve:
@@ -149,16 +159,57 @@ class TestSolve:
         with pytest.raises(GuardExceeded):
             solve(example1, SolverConfig(alpha=Fraction(1), guard_mode=STRICT))
 
-    def test_replay_rejects_an_altered_snapshot(self, seven_player):
-        _, trace = solve(seven_player, SolverConfig.default())
-        assert trace.replay(seven_player.m) == trace.events[-1].loads_after
-        for i, event in enumerate(trace.events):
-            loads = list(event.loads_after)
-            loads[event.target] -= 1
-            altered = dataclasses.replace(event, loads_after=tuple(loads))
-            events = trace.events[:i] + (altered,) + trace.events[i + 1 :]
-            with pytest.raises(GameError):
-                dataclasses.replace(trace, events=events).replay(seven_player.m)
+    def test_replay_rejects_altered_moves(self, seven_player):
+        loads, trace = solve(seven_player, SolverConfig.default())
+        m = seven_player.m
+        assert trace.replay(m) == trace.events[-1].loads_after == loads
+        # Every move with its target one index to the right, and every
+        # deviation leaving a resource that is empty before it.
+        altered = []
+        for i, (move, event) in enumerate(zip(trace.moves, trace.events)):
+            altered.append((i, move[:2] + (move[2] + 1,) + move[3:]))
+            before = trace.events[i - 1].loads_after if i else (0,) * m
+            if event.kind == DEVIATION:
+                altered += [(i, move[:1] + (r,) + move[2:]) for r in range(m) if not before[r]]
+        assert len(altered) > len(trace.moves)
+        for i, move in altered:
+            moves = trace.moves[:i] + (move,) + trace.moves[i + 1 :]
+            try:
+                replayed = dataclasses.replace(trace, moves=moves).replay(m)
+            except GameError:
+                continue
+            assert replayed != loads
+
+    @pytest.mark.parametrize(
+        "moves",
+        [
+            # Out of order: a player on resource 1 while resource 0 is empty.
+            [(1, None, 1, None, None, 1, 1)],
+            [(1, None, 0, None, None, 1, 1), (2, None, 2, None, None, 1, 1)],
+            # Deviations leaving an empty resource; from the last one, the
+            # negative load it leaves would keep the order.
+            [(1, None, 0, None, None, 1, 1), (1, 1, 0, 1, 1, 1, 1)],
+            [(1, None, 0, None, None, 1, 1), (1, 2, 0, 1, 1, 1, 1)],
+            # Out of range.
+            [(1, None, 3, None, None, 1, 1)],
+            [(1, None, -1, None, None, 1, 1)],
+            [(1, None, 0, None, None, 1, 1), (1, 3, 1, 1, 1, 1, 1)],
+            [(1, None, 0, None, None, 1, 1), (1, -3, 1, 1, 1, 1, 1)],
+        ],
+    )
+    def test_replay_rejects_a_hand_built_trace(self, moves):
+        trace = SolveTrace(tuple(moves), (len(moves) - 1,), 3, 1)
+        with pytest.raises(GameError):
+            trace.replay(3)
+        with pytest.raises(GameError):
+            trace.events
+
+    def test_events_are_built_once_from_the_moves(self, example1):
+        _, trace = solve(example1, SolverConfig.default())
+        assert trace.events is trace.events
+        assert [(ev.round, ev.source, ev.target) for ev in trace.events] == [
+            move[:3] for move in trace.moves
+        ]
 
     def test_deterministic(self, seven_player):
         first = solve(seven_player, SolverConfig.default())
@@ -192,11 +243,11 @@ class TestSolveMatchesReference:
     def test_trace_identity(self, index, guard):
         inst = self.CASES[index]
         config = SolverConfig(alpha=k_upper_bound(12), guard_mode=guard)
-        assert solve(inst, config) == reference_solve(inst, config)
+        assert traced_solve(inst, config) == reference_solve(inst, config)
 
 
 def solve_outcome(solver, inst, config):
-    """``(loads, trace)``, or GuardExceeded when the guard stops the run."""
+    """``(loads, events, per-round counts)``, or GuardExceeded when the guard stops the run."""
     try:
         return solver(inst, config)
     except GuardExceeded:
@@ -228,19 +279,19 @@ class TestSolveMatchesReferenceOnTies:
     @settings(deadline=None, max_examples=400)
     def test_trace_identity(self, inst, alpha, guard):
         config = SolverConfig(alpha=alpha, guard_mode=guard)
-        outcome = solve_outcome(solve, inst, config)
+        outcome = solve_outcome(traced_solve, inst, config)
         assert outcome == solve_outcome(reference_solve, inst, config)
         # A resource whose cheapest target is itself never improves, so the
         # runner-up move never decides a step; the factor each profile of
         # the trace needs does depend on it.
-        for event in () if outcome is GuardExceeded else outcome[1].events:
+        for event in () if outcome is GuardExceeded else outcome[1]:
             loads = event.loads_after
             assert binding_deviation(inst, loads) == reference_binding_deviation(inst, loads)
         # Steer the search toward runs with many deviations, or ones the guard stops.
         deviations = (
             inst.n**2
             if outcome is GuardExceeded
-            else sum(outcome[1].per_round_deviation_counts)
+            else sum(outcome[2])
         )
         target(float(deviations))
 
@@ -273,11 +324,11 @@ class TestSolveMatchesReferenceOnWideBands:
     @settings(deadline=None, max_examples=150)
     def test_trace_identity(self, inst, alpha, guard):
         config = SolverConfig(alpha=alpha, guard_mode=guard)
-        outcome = solve_outcome(solve, inst, config)
+        outcome = solve_outcome(traced_solve, inst, config)
         assert outcome == solve_outcome(reference_solve, inst, config)
         if outcome is not GuardExceeded:
             # Steer the search toward many bands and many deviations.
-            events = outcome[1].events
+            events = outcome[1]
             target(float(max(len(set(ev.loads_after)) for ev in events)), label="bands")
             target(float(sum(ev.kind == DEVIATION for ev in events)), label="deviations")
 
@@ -300,6 +351,4 @@ class TestSolveMatchesReferenceOnWideBands:
         form = _integer_form(inst)
         priced, tails = _price_bands(form, loads, bands)
         assert priced == _pricing(form, loads)
-        assert _deviator(_occupied(form, loads, priced, tails), alpha) == _deviator(
-            _occupied(form, loads), alpha
-        )
+        assert _deviator(form, priced, tails, alpha) == whole_deviator(form, loads, alpha)
