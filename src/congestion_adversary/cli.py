@@ -32,7 +32,7 @@ from .documents import (
     make_fixtures,
     parse_rational,
     result_document,
-    trace_to_json,
+    write_trace,
 )
 from .optimal import best_alpha
 from .oracle import oracle_best_additive_epsilon, oracle_best_alpha
@@ -51,20 +51,21 @@ ORACLE_MAX_PLAYERS = 25
 SOLVE_K_MAX_PRECISION = 400
 #: solve-k always emits its trace, about 2n events of m loads each, so its
 #: work is n * (m + 50): a player's events cost about as much as 50 loads
-#: besides their snapshots (about 1.3 KB and 20 us per player at m = 1, and
-#: 43 B and 0.4 us per load).  Whole process with --trace, gen --seed 1,
-#: 2-core Xeon host, Python 3.11: (4 000, 400) is 1.8e6 and takes 0.96 s and
-#: 90 MB, (100 000, 10) is 6e6 and takes 2.5 s and 154 MB, and (10 000, 950),
-#: (20 000, 450) and (100 000, 50), each 1e7, take 3.9, 4.2 and 7.7 s and
-#: 420, 435 and 406 MB.
+#: besides their snapshots (about 20 us per player at m = 1, against
+#: 0.4 us per load).  Whole process with --trace, which is written event by
+#: event, gen --seed 1, 2-core Xeon host, Python 3.11: (4 000, 400) is 1.8e6
+#: and takes 0.78 s and 17 MB, (100 000, 10) is 6e6 and takes 2.7 s and 34 MB,
+#: and (10 000, 950), (20 000, 450) and (100 000, 50), each 1e7, take 2.9,
+#: 3.8 and 7.1 s and 19, 22 and 40 MB.
 SOLVE_K_MAX_WORK = 10_000_000
-#: best-alpha counts the instance's cost values, at most (distinct
-#: coefficients) * (n + 1) * (m + 1), though it no longer forms their ratios;
-#: its time follows the shape table it scans, not this count.
-#: generate_instance(n, m, seed=1), whole process on a 2-core Xeon host,
-#: Python 3.11: 3 843 values at (60, 8) and 8 888 at (100, 10) take 0.1 s and
-#: 16 MB each.
-BEST_ALPHA_MAX_VALUES = 10_000
+#: best-alpha's work is its shape table: for each peak load M and count k of
+#: resources at it, k * M <= n, up to (m - k + 1)(m - k + 2) / 2 shapes with
+#: lists of up to M values per tail coefficient.  generate_instance(n, m, 1),
+#: whole process, 2-core Xeon host, Python 3.11, 16-17 MB each: (100, 10) is
+#: 3.6e5 and takes 0.16 s, (200, 20) 6e6 and 0.41 s, (1 000, 10) 3.6e7 and
+#: 0.54 s, (4 000, 3) 4.6e7 and 2.5 s, (6 600, 2) 4.9e7 and 7.6 s; refused,
+#: (1 000, 20) at 1.5e8 and (8 000, 2) at 7.2e7 take 5 and 10 s in the library.
+BEST_ALPHA_MAX_WORK = 50_000_000
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -74,6 +75,15 @@ def _emit(obj: dict, pretty: bool) -> None:
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
+
+
+def _best_alpha_work(inst) -> int:
+    """best-alpha's work count in closed form, O(m): M summed over every shape the table tries."""
+    low, work = -(-inst.n // inst.m), 0
+    for k in range(1, min(inst.m, inst.n // low + 1)):
+        high = inst.n // k  # M runs over low..high, for (m - k + 1)(m - k + 2) / 2 shapes each
+        work += (high - low + 1) * (high + low) // 2 * (inst.m - k + 1) * (inst.m - k + 2) // 2
+    return work
 
 
 def _solve_k_work(inst) -> int:
@@ -107,7 +117,7 @@ def cmd_solve_k(args) -> int:
     if args.trace:
         try:
             with open(args.trace, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(trace_to_json(trace)))
+                write_trace(trace, handle)
         except OSError as exc:
             return _fail(EXIT_PARSE, f"error: cannot write trace to {args.trace}: {exc}")
     _emit(
@@ -127,14 +137,12 @@ def cmd_solve_k(args) -> int:
 def cmd_best_alpha(args) -> int:
     doc = load_instance_document(args.instance)
     inst = doc.instance
-    distinct = len(set(inst.coefficients))
-    values = distinct * (inst.n + 1) * (inst.m + 1)
-    if values > BEST_ALPHA_MAX_VALUES:
+    work = _best_alpha_work(inst)
+    if work > BEST_ALPHA_MAX_WORK:
         return _fail(
             EXIT_PARSE,
-            f"error: best-alpha refuses more than {BEST_ALPHA_MAX_VALUES} cost values "
-            f"(got {distinct} distinct coefficients x {inst.n + 1} loads x "
-            f"{inst.m + 1} shares = {values})",
+            f"error: best-alpha refuses more than {BEST_ALPHA_MAX_WORK} units of work, "
+            f"the shape table's peak loads summed (got {work} at n={inst.n}, m={inst.m})",
         )
     if args.oracle_check and (inst.n > 12 or inst.m > 5):
         return _fail(

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, TextIO, Union
 
 from .core import GameError, Instance, compute_K, validate_instance
 from .solver import SolveTrace
@@ -29,6 +29,7 @@ __all__ = [
     "load_instance_document",
     "result_document",
     "trace_to_json",
+    "write_trace",
     "generate_instance",
     "make_fixtures",
     "FIXTURE_NAMES",
@@ -134,18 +135,27 @@ def format_extended_rational(value) -> str:
 
 
 def trace_to_json(trace: SolveTrace) -> List[dict]:
-    return [
-        {
-            "kind": ev.kind,
-            "round": ev.round,
-            "from": ev.source,
-            "to": ev.target,
-            "cost_before": format_extended_rational(ev.cost_before),
-            "cost_after": format_rational(ev.cost_after),
-            "loads_after": list(ev.loads_after),
-        }
-        for ev in trace.events
-    ]
+    return [_event_json(ev) for ev in trace.iter_events()]
+
+
+def write_trace(trace: SolveTrace, handle: TextIO) -> None:
+    """Write ``json.dumps(trace_to_json(trace))`` event by event, holding one event at a time."""
+    handle.write("[")
+    for i, ev in enumerate(trace.iter_events()):
+        handle.write((", " if i else "") + json.dumps(_event_json(ev)))
+    handle.write("]")
+
+
+def _event_json(ev) -> dict:
+    return {
+        "kind": ev.kind,
+        "round": ev.round,
+        "from": ev.source,
+        "to": ev.target,
+        "cost_before": format_extended_rational(ev.cost_before),
+        "cost_after": format_rational(ev.cost_after),
+        "loads_after": list(ev.loads_after),
+    }
 
 
 def result_document(

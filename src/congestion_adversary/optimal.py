@@ -7,14 +7,13 @@ values for the best-alternative costs seen by max-load players and by the
 rest; given a shape, those two values, and a factor alpha, a short greedy
 procedure either produces a witness load vector or proves none exists.  For
 a fixed shape and pair of values the factors that pass form a half-line, so
-each pair has a least factor, a maximum of a few ratios of cost values.  The
-search first probes alpha = 1; failing that, it fills each pair at its least
-factor, scores each fill by the factor it needs, and takes the least score,
-probing once more at that factor for the witness.  Both passes share one
-table of the shape data that does not depend on alpha: the prefix loads and
-the two candidate lists, already cut by the head conditions without alpha.
-The scan is in exact integers on one scale, :func:`_scaled_form`; only the
-factors, scores and witness checks use Fractions.
+each pair has a least factor, a maximum of a few ratios of cost values.  One
+pass over a table of the shape data that does not depend on alpha fills each
+pair at its least factor and scores the fill by the factor it needs; the
+optimum is the least score, and the witness the first pair met on the way
+whose fill at the optimum passes there.  The scan is in exact integers on
+one scale, :func:`_scaled_form`; only the optimum and witness checks use
+Fractions.
 
 Shape indices k, k', k'' are 1-based to match the non-increasing load
 picture; the sentinel value m+1 for k' (or k'') means no resource has load
@@ -25,27 +24,14 @@ everywhere else.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from heapq import merge
-from itertools import islice, tee
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from .core import (
-    Instance,
-    _integer_form,
-    binding_deviation,
-    is_alpha_pne,
-    needed_alpha,
-)
+from .core import Instance, _binding, _integer_form, binding_deviation, is_alpha_pne
 
-__all__ = [
-    "OptResult",
-    "cbar_candidates",
-    "best_alpha",
-]
+__all__ = ["OptResult", "cbar_candidates", "best_alpha"]
 
 
 @dataclass(frozen=True)
@@ -69,7 +55,7 @@ def _scaled_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
 
 
 def cbar_candidates(
-    form, M: int, k: int, k_prime: int, k_dprime: int
+    form, M: int, k: int, k_prime: int, k_dprime: int, terms: List[int]
 ) -> Tuple[int, List[int], int, List[int]]:
     """This shape's head conditions, stated once: ``(need_max, cmax, need_rest, crest)``.
 
@@ -79,10 +65,10 @@ def cbar_candidates(
     minimum.  `crest` is the same for the rest.  At a factor alpha, a value c
     of `cmax` passes the head conditions iff ``need_max <= alpha * c``, and a
     value of `crest` iff ``need_rest <= alpha * c``.  Values are integers on
-    the scale of `form`, the instance's :func:`_scaled_form`.
+    the scale of `form`, the instance's :func:`_scaled_form`; `terms` are the
+    tail's, from :func:`_tail_data`.
     """
     a, B, _ = form
-    tail_terms = {c * t for c in set(a[k_dprime - 1 :]) for t in range(1, M - 1)}
     top = a[0] * (M + 1) + B
     caps_max = [top] if k >= 2 else []
     caps_rest = [top]
@@ -97,20 +83,9 @@ def cbar_candidates(
         need_rest = max(need_rest, a[k_dprime - 2] * (M - 2))
 
     def capped(caps: List[int]) -> List[int]:
-        values = sorted(tail_terms.union(caps))
-        return values[: bisect_right(values, min(caps))] if caps else values
+        return terms[: bisect_left(terms, min(caps))] + [min(caps)] if caps else terms
 
     return a[k - 1] * M + B // k, capped(caps_max), need_rest, capped(caps_rest)
-
-
-def _prefix_loads(M: int, k: int, k_prime: int, k_dprime: int) -> Optional[List[int]]:
-    """Loads of resources 1..k''-1, or None if some band would go negative."""
-    prefix = (
-        [M] * k + [M - 1] * (k_prime - k - 1) + [M - 2] * (k_dprime - k_prime)
-    )
-    if prefix and prefix[-1] < 0:
-        return None
-    return prefix
 
 
 def feasible_load_vector(
@@ -153,158 +128,156 @@ def feasible_load_vector(
     return None if spare else tuple(loads)
 
 
-def _shape_table(inst: Instance, form) -> Iterator[tuple]:
-    """One row for every shape that fits n players, in scan order.
+def _tail_data(coeffs, M: int, k_dprime: int) -> Tuple[List[int], int, List[int]]:
+    """What every shape with this ``(M, k'')`` shares: ``(terms, free, steps)``.
 
-    A row is ``(shape, prefix, leftover, need_max, cmax, need_rest, crest)``.
-    `shape` is ``(M, k, k', k'')``, `prefix` its :func:`_prefix_loads`,
-    `leftover` the players left for resources k''..m, and the last four its
-    :func:`cbar_candidates` on the scale of `form`, the instance's
-    :func:`_scaled_form`; none depends on alpha.
+    `terms` are the sorted distinct tail costs ``c * t``, t < M - 1, that
+    :func:`cbar_candidates` cuts; `free` counts zero tail coefficients;
+    `steps` are the sorted ``t * a_r``, a_r > 0 and t <= M - 3.  Tail load r
+    holds at most ``min(M - 3, floor(alpha * cbar_rest / a_r))`` players, so
+    ``alpha * cbar_rest`` seats one more at each step, and a lower tail bound
+    ``ceil(c / a_r) - 1`` counts r's steps below c.
     """
-    n, m = inst.n, inst.m
+    tail = coeffs[k_dprime - 1 :]
+    terms = sorted({c * t for c in set(tail) for t in range(1, M - 1)})
+    steps = sorted([a * t for a in tail if a for t in range(1, M - 2)])
+    return terms, tail.count(0), steps
+
+
+def _shape_table(inst: Instance, form) -> Iterator[tuple]:
+    """One row for every shape that fits n players, in scan order; none depends on alpha.
+
+    A row is ``(shape, prefix, leftover, need_max, cmax, need_rest, crest,
+    room, steps)``: `shape` is ``(M, k, k', k'')``, `prefix` the loads of
+    resources 1..k''-1, `leftover` the players left for k''..m, then its
+    :func:`cbar_candidates` on the scale of `form`, the least integer
+    ``alpha * cbar_rest`` at which the tail seats the leftover players (None
+    if none does), and the tail's `steps` from :func:`_tail_data`, which is
+    built once per ``(M, k'')``.  Shapes are admitted by their prefix sums.
+    """
+    n, m, a = inst.n, inst.m, form[0]
     for M in range(-(-n // m), n + 1):
+        tails = {}
         for k in range(1, m):
             if k * M > n:
                 break
             for k_prime in range(k + 1, m + 2):
                 for k_dprime in range(k_prime, m + 2):
-                    prefix = _prefix_loads(M, k, k_prime, k_dprime)
-                    if prefix is None:
+                    upper, lower = k_prime - k - 1, k_dprime - k_prime
+                    leftover = n - k * M - upper * (M - 1) - lower * (M - 2)
+                    least = 3 if k_dprime <= m else 2 if lower else 1  # M with no band below 0
+                    if leftover < 0 or M < least or (k_dprime > m and leftover):
                         continue
-                    leftover = n - sum(prefix)
-                    if leftover < 0 or (k_dprime == m + 1 and leftover != 0):
-                        continue
+                    if k_dprime not in tails:
+                        tails[k_dprime] = _tail_data(a, M, k_dprime)
+                    terms, free, steps = tails[k_dprime]
+                    short = leftover - (M - 3) * free
+                    room = 0 if short <= 0 else steps[short - 1] if short <= len(steps) else None
                     shape = (M, k, k_prime, k_dprime)
-                    yield (shape, prefix, leftover) + cbar_candidates(form, *shape)
+                    prefix = [M] * k + [M - 1] * upper + [M - 2] * lower
+                    heads = cbar_candidates(form, *shape, terms)
+                    yield (shape, prefix, leftover, *heads, room, steps)
 
 
-def _pairs(row: tuple, alpha: Fraction, passes: Callable) -> Iterator:
-    """What `passes` gives, bar None, for the row's pairs inside the windows at alpha.
-
-    Pairs (cbar_max, cbar_rest) come in increasing order of cbar_max, then of
-    cbar_rest; at alpha = p/q a value c passes ``need <= alpha * c`` iff c >=
-    ceil(q * need / p), so each sorted list is kept from one bisection on.
-    `passes` gives None for a pair whose fill fails at alpha.  The fill then
-    fails for every larger cbar_max too, as the tail lower bounds only grow
-    with it, so that cbar_rest is dropped for the rest of the row.
-    """
-    _, _, _, need_max, cmax_all, need_rest, crest_all = row
-    p, q = alpha.numerator, alpha.denominator
-    live = crest_all[bisect_left(crest_all, -(-q * need_rest // p)) :]
-    for cmax in cmax_all[bisect_left(cmax_all, -(-q * need_max // p)) :]:
-        if not live:
-            return
-        kept = []
-        for crest in live:
-            found = passes(cmax, crest)
-            if found is not None:
-                kept.append(crest)
-                yield found
-        live = kept
-
-
-def _feasible_witness(inst: Instance, form, alpha: Fraction, shapes) -> Optional[Tuple[int, ...]]:
-    """The first fill of :func:`_pairs` that is an alpha-approximate equilibrium, or None.
-
-    `shapes` are :func:`_shape_table` rows of `inst`.  An all-equal profile,
-    which has no shape, is tried first.
-    """
-    n, m, a = inst.n, inst.m, form[0]
-    if n % m == 0 and is_alpha_pne(inst, (n // m,) * m, alpha):
-        return (n // m,) * m
-    for row in shapes:
-        fill = partial(feasible_load_vector, a, row, (alpha.numerator, alpha.denominator))
-        for witness in _pairs(row, alpha, fill):
-            if is_alpha_pne(inst, witness, alpha):
-                return witness
-    return None
-
-
-def _room(coeffs, row: tuple) -> Optional[int]:
-    """Least integer ``alpha * cbar_rest`` at which the row's tail holds its leftover players.
-
-    Tail load r holds at most ``min(M - 3, floor(alpha * cbar_rest / a_r))``
-    players, or M - 3 if a_r = 0, so x = ``alpha * cbar_rest`` makes room for
-    one more player at each step ``t * a_r <= x`` with t <= M - 3: the least
-    x is the step, in the merged sorted steps, that seats the last player
-    the free resources leave over.  None if there are too few steps.
-    """
-    (M, _, _, k_dprime), _, leftover = row[:3]
-    tail = coeffs[k_dprime - 1 :]
-    short = leftover - (M - 3) * tail.count(0)
-    steps = merge(*(range(a, a * (M - 2), a) for a in tail if a))
-    return 0 if short <= 0 else next(islice(steps, short - 1, None), None)
-
-
-def _least_factor(
-    coeffs, row: tuple, room: Optional[int], cbar_max: int, cbar_rest: int
-) -> Optional[Fraction]:
+def _least_factor(coeffs, row: tuple, cbar_max: int, cbar_rest: int) -> Optional[Tuple[int, int]]:
     """Least alpha at which the pair passes the row's head conditions and fills, or None.
 
-    `room` is the row's :func:`_room`.  Besides 1, ``need_max / cbar_max``
-    and ``need_rest / cbar_rest``, alpha must reach ``room / cbar_rest`` and
-    lift every upper tail bound of :func:`feasible_load_vector` to its lower
-    one, ``lower_r = ceil(max(cbar_max, cbar_rest) / a_r) - 1``: ``lower_r *
-    a_r / cbar_rest``.  No alpha helps if a lower bound exceeds M - 3, if
-    they sum past the leftover, or if a free tail resource undercuts a
-    positive cost.
+    Returned as ``(p, q)`` for p/q, not in lowest terms.  Besides 1 and the
+    two ``need / c``, alpha must reach the row's ``room / cbar_rest`` and
+    lift each upper tail bound of :func:`feasible_load_vector` to its lower
+    one, ``lower_r = ceil(c / a_r) - 1`` for c the larger cost: ``lower_r *
+    a_r / cbar_rest``, the largest step below c.  None if c > ``(M - 2) *
+    a_r`` for the least tail coefficient (then lower_r > M - 3), or if the
+    steps below c, the lower bounds' sum, outnumber the leftover players.
     """
-    if room is None or not cbar_max:
-        return None
-    (M, _, _, k_dprime), _, leftover, need_max, _, need_rest, _ = row
+    (M, _, _, k_dprime), _, leftover, need_max, _, need_rest, _, room, steps = row
     least = max(cbar_max, cbar_rest)
-    top, total = max(room, need_rest), 0
-    for a in coeffs[k_dprime - 1 :]:
-        lower = max(0, -(-least // a) - 1) if a else 0
-        if (least and not a) or lower > M - 3:
-            return None
-        top, total = max(top, lower * a), total + lower
+    tail = k_dprime <= len(coeffs)
+    if room is None or not cbar_max or (tail and least > (M - 2) * coeffs[k_dprime - 1]):
+        return None
+    total = bisect_left(steps, least)
+    top = max(room, need_rest, steps[total - 1] if total else 0)
     if total > leftover or (top and not cbar_rest):
         return None
-    return max(Fraction(1), Fraction(need_max, cbar_max), Fraction(top, cbar_rest or 1))
+    if top * cbar_max >= need_max * (cbar_rest or 1):
+        return (top, cbar_rest) if top > cbar_rest else (1, 1)
+    return (need_max, cbar_max) if need_max > cbar_max else (1, 1)
 
 
-def _least_score(inst: Instance, form, shapes) -> Fraction:
-    """The least ``max(1, needed_alpha)`` of a pair's fill at its :func:`_least_factor`.
-
-    The score starts at 2, above every optimum, or at the all-equal
-    profile's.  :func:`_pairs` keeps each row's pairs whose least factor is
-    at most the score the row starts with, and scores a fill only if its
-    factor is below the running score.
-    """
-    n, m, a = inst.n, inst.m, form[0]
-    best = Fraction(2)
-    if n % m == 0:
-        best = min(best, max(Fraction(1), needed_alpha(inst, (n // m,) * m)))
-    for row in shapes:
-        room, bound = _room(a, row), best
-
-        def within(cmax: int, crest: int):
-            factor = _least_factor(a, row, room, cmax, crest)
-            return None if factor is None or factor > bound else (cmax, crest, factor)
-
-        for cmax, crest, factor in _pairs(row, bound, within):
-            if factor < best:
-                alpha = (factor.numerator, factor.denominator)
-                fill = feasible_load_vector(a, row, alpha, cmax, crest)
-                best = min(best, max(Fraction(1), needed_alpha(inst, fill)))
-    return best
+def _score(form, loads) -> Tuple[int, int]:
+    """``max(1, needed_alpha)`` of the profile as ``(p, q)`` for p/q, q = 0 for infinity."""
+    found = _binding(form, loads)
+    return found[0] if found is not None and found[0][0] > found[0][1] else (1, 1)
 
 
 def best_alpha(inst: Instance) -> OptResult:
     """Smallest factor for which an approximate equilibrium exists, with witness.
 
-    A probe at alpha = 1 settles most instances.  Otherwise the optimum is
-    :func:`_least_score`, and the witness is a probe's at that factor.  The
-    passes share the lazily built shape table.
+    One pass over the shape table fills each pair at its least factor and
+    scores the fill; the optimum is the least score, from 2 or the all-equal
+    profile's.  A pair of factor 1 whose fill is exact answers at once.  Only
+    pairs of factor at most the running score count: `crest` values that
+    fail by their tail part are dropped for the rest of the row, where the
+    tail part only grows.  The witness is the all-equal profile or the first
+    pair recorded on the way whose fill at the optimum passes there.
     """
     form = _scaled_form(inst)
-    first, second, third = tee(_shape_table(inst, form), 3)
-    alpha, witness = Fraction(1), _feasible_witness(inst, form, Fraction(1), first)
-    if witness is None:
-        alpha = _least_score(inst, form, second)
-        witness = _feasible_witness(inst, form, alpha, third) if alpha < 2 else None
-    if witness is None:
+    n, m, a = inst.n, inst.m, form[0]
+    equal = (n // m,) * m if n % m == 0 else None
+    start = _score(form, equal) if equal else (2, 1)
+    if start == (1, 1):
+        return _checked(inst, Fraction(1), equal)
+    p, q = start if start[0] <= 2 * start[1] else (2, 1)
+    recorded, kept_at = [], 0
+    for row in _shape_table(inst, form):
+        head, (need_max, cmax_all, need_rest, crest_all, room, _) = row[:3], row[3:]
+        if room is None:
+            continue
+        live = crest_all[bisect_left(crest_all, -(-q * need_rest // p)) :]
+        for cmax in cmax_all[bisect_left(cmax_all, -(-q * need_max // p)) :]:
+            if not live:
+                break
+            if need_max * q > p * cmax:
+                continue
+            kept = []
+            for crest in live:
+                factor = _least_factor(a, row, cmax, crest)
+                if factor is None:
+                    continue
+                f, g = factor
+                if f * q > p * g:
+                    if need_max * q > p * cmax:  # need_max / cmax alone fails: keep crest
+                        kept.append(crest)
+                    continue
+                kept.append(crest)
+                recorded.append((head, cmax, crest, factor))
+                if f == g or f * q < p * g:
+                    fill = feasible_load_vector(a, head, factor, cmax, crest)
+                    score = _score(form, fill)
+                    if f == g and score == (1, 1):
+                        return _checked(inst, Fraction(1), fill)
+                    if score[0] * q < p * score[1]:
+                        p, q = score
+                        if len(recorded) > 2 * kept_at:  # drop what the new best rules out
+                            recorded = [r for r in recorded if r[3][0] * q <= p * r[3][1]]
+                            kept_at = len(recorded)
+            live = kept
+    if p >= 2 * q:
         raise RuntimeError("no factor below 2 is feasible, against the existence guarantee")
+    alpha = Fraction(p, q)
+    if equal and start[0] * q <= p * start[1]:
+        return _checked(inst, alpha, equal)
+    for head, cmax, crest, (f, g) in recorded:
+        if f * q <= p * g:
+            fill = feasible_load_vector(a, head, (p, q), cmax, crest)
+            score = _score(form, fill)
+            if score[0] * q <= p * score[1]:
+                return _checked(inst, alpha, fill)
+    return _checked(inst, alpha, None)
+
+
+def _checked(inst: Instance, alpha: Fraction, witness) -> OptResult:
+    """The result for this optimum and witness, once the witness passes at it."""
+    if witness is None or not is_alpha_pne(inst, witness, alpha):
+        raise RuntimeError(f"no witness passes at the optimum {alpha}")
     return OptResult(alpha_star=alpha, witness=witness, binding=binding_deviation(inst, witness))

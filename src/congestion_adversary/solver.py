@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .core import (
     ExtendedRational,
@@ -87,8 +87,12 @@ class SolveTrace:
     @cached_property
     def events(self) -> Tuple[TraceEvent, ...]:
         """One TraceEvent per move, with Fraction costs and the loads after it."""
+        return tuple(self.iter_events())
+
+    def iter_events(self) -> Iterator[TraceEvent]:
+        """The events of :attr:`events` one at a time, built afresh and kept nowhere."""
         scale = self.scale
-        return tuple(
+        return (
             TraceEvent(
                 PLAYER_ADDED if source is None else DEVIATION,
                 k,

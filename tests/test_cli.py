@@ -6,8 +6,9 @@ import pytest
 
 import congestion_adversary.cli as cli_module
 import congestion_adversary.oracle as oracle_module
-from congestion_adversary import make_fixtures, parse_instance_document
+from congestion_adversary import make_fixtures, parse_instance_document, validate_instance
 from congestion_adversary.cli import main
+from congestion_adversary.optimal import _scaled_form, _shape_table
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EXAMPLE1 = str(FIXTURES_DIR / "example1.json")
@@ -204,8 +205,9 @@ class TestBestAlpha:
 
 
     def test_refuses_oversized_instances_up_front(self, capsys, monkeypatch, tmp_path):
-        # 4 distinct coefficients x (n + 1) loads x 5 shares: exactly the
-        # 10 000 allowed cost values at n = 499, one load more at n = 500.
+        # The shape table's peak loads summed, on 4 resources: 49 999 756 of
+        # the 50 000 000 allowed units of work at n = 3 064, 50 015 852 at
+        # n = 3 065.
         class Reached(Exception):
             pass
 
@@ -213,7 +215,7 @@ class TestBestAlpha:
             raise Reached
 
         monkeypatch.setattr(cli_module, "best_alpha", reached)
-        for players, refused in ((499, False), (500, True)):
+        for players, refused in ((3064, False), (3065, True)):
             path = tmp_path / f"n{players}.json"
             doc = {"players": players, "budget": "1", "coefficients": ["1", "2", "3", "4"]}
             path.write_text(json.dumps(doc))
@@ -224,7 +226,33 @@ class TestBestAlpha:
             code, out, err = run(capsys, "best-alpha", str(path))
             assert code == 2 and not out
             assert err.startswith("error: best-alpha refuses") and err.count("\n") == 1
-            assert "10020" in err
+            assert "50015852" in err
+
+    def test_refuses_a_hundred_million_players_at_once(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"players": 10**8, "budget": "1", "coefficients": ["1", "2", "3"]})
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, "best-alpha", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out and err.startswith("error: best-alpha refuses")
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 14, 30])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_work_count_bounds_the_shape_table(self, n, m):
+        # The closed form sums M over every (M, k, k', k'') the table loops
+        # over, so it bounds the peak loads of the rows it admits.
+        inst = validate_instance(range(1, m + 1), n, 1)
+        form = _scaled_form(inst)
+        loop = sum(
+            M * (m - k + 1) * (m - k + 2) // 2
+            for M in range(-(-n // m), n + 1)
+            for k in range(1, m)
+            if k * M <= n
+        )
+        assert cli_module._best_alpha_work(inst) == loop
+        assert sum(row[0][0] for row in _shape_table(inst, form)) <= loop
 
 
 class TestVerify:

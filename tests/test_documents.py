@@ -1,3 +1,4 @@
+import io
 import json
 import pathlib
 from fractions import Fraction
@@ -19,7 +20,7 @@ from congestion_adversary import (
     solve,
     validate_instance,
 )
-from congestion_adversary.documents import format_extended_rational, trace_to_json
+from congestion_adversary.documents import format_extended_rational, trace_to_json, write_trace
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -127,6 +128,17 @@ class TestTraceSerialization:
         assert obj[0]["cost_before"] == "inf"
         assert obj[-1]["loads_after"] == list(loads)
         json.dumps(obj)  # must be plain JSON types
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (5, 3), (40, 6), (120, 9)])
+    def test_written_trace_is_the_json_of_the_event_list(self, n, m):
+        # write_trace streams what json.dumps(trace_to_json(trace)) would
+        # give, byte for byte, without building or caching the events.
+        inst = generate_instance(n, m, seed=n).instance
+        _, trace = solve(inst, SolverConfig.default())
+        handle = io.StringIO()
+        write_trace(trace, handle)
+        assert "events" not in vars(trace)
+        assert handle.getvalue() == json.dumps(trace_to_json(trace))
 
     def test_needed_alpha_serializes_infinity(self):
         inst = validate_instance([0, 0, 1], 3, 1)

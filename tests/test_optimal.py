@@ -2,6 +2,8 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from heapq import merge
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,23 +21,22 @@ from congestion_adversary import (
     scale_instance,
     validate_instance,
 )
+from congestion_adversary import optimal
 from congestion_adversary.oracle import enumerate_profiles
 from congestion_adversary.optimal import (
-    _feasible_witness,
     _least_factor,
-    _prefix_loads,
-    _room,
     _scaled_form,
     _shape_table,
+    _tail_data,
     cbar_candidates,
     feasible_load_vector,
 )
 
 # The V^2 candidate set and the shape scan that best_alpha replaced, with
 # each shape's uncapped candidate lists and its head conditions checked value
-# by value, and the scan's capped lists, tail bounds and fill in Fractions,
-# kept as the specification the faster integer versions must reproduce
-# exactly.
+# by value, and the scan's capped lists, tail bounds, fill, per-row room and
+# least factor in Fractions, kept as the specification the faster integer
+# versions must reproduce exactly.
 
 
 def reference_candidate_alphas(inst, precision=12):
@@ -147,6 +148,45 @@ def reference_capped_candidates(inst, M, k, k_prime, k_dprime):
     return a[k - 1] * M + B / k, capped(caps_max), need_rest, capped(caps_rest)
 
 
+def reference_prefix_loads(M, k, k_prime, k_dprime):
+    """Loads of resources 1..k''-1, or None if some band would go negative."""
+    prefix = [M] * k + [M - 1] * (k_prime - k - 1) + [M - 2] * (k_dprime - k_prime)
+    if prefix and prefix[-1] < 0:
+        return None
+    return prefix
+
+
+def reference_room(inst, row):
+    """Least alpha * cbar_rest at which the row's tail holds its leftover players, or None.
+
+    Built per row as the scan used to: the free resources take M - 3 players
+    each, and the rest are seated at the merged steps t * a_r, t <= M - 3.
+    """
+    (M, _, _, k_dprime), _, leftover = row[:3]
+    tail = inst.coefficients[k_dprime - 1 :]
+    short = leftover - (M - 3) * tail.count(0)
+    steps = merge(*([a * t for t in range(1, M - 2)] for a in tail if a))
+    return 0 if short <= 0 else next(islice(steps, short - 1, None), None)
+
+
+def reference_least_factor(inst, row, room, cbar_max, cbar_rest):
+    """Least alpha at which a pair passes the head conditions and fills, by the tail loop."""
+    if room is None or not cbar_max:
+        return None
+    (M, _, _, k_dprime), _, leftover = row[:3]
+    need_max, _, need_rest, _ = reference_capped_candidates(inst, *row[0])
+    least = max(cbar_max, cbar_rest)
+    top, total = max(room, need_rest), 0
+    for a in inst.coefficients[k_dprime - 1 :]:
+        lower = max(0, math.ceil(least / a) - 1) if a else 0
+        if (least and not a) or lower > M - 3:
+            return None
+        top, total = max(top, lower * a), total + lower
+    if total > leftover or (top and not cbar_rest):
+        return None
+    return max(Fraction(1), need_max / cbar_max, top / (cbar_rest or 1))
+
+
 def reference_tail_bounds(inst, r, M, alpha, cbar_max, cbar_rest):
     """Lower/upper load bounds for a tail resource r (1-based), or None."""
     a_r = inst.coefficients[r - 1]
@@ -200,7 +240,7 @@ def reference_feasible_witness(inst, alpha):
                 break
             for k_prime in range(k + 1, m + 2):
                 for k_dprime in range(k_prime, m + 2):
-                    prefix = _prefix_loads(M, k, k_prime, k_dprime)
+                    prefix = reference_prefix_loads(M, k, k_prime, k_dprime)
                     if prefix is None:
                         continue
                     leftover = n - sum(prefix)
@@ -293,9 +333,9 @@ def table_row(inst, shape):
 
 
 def in_fractions(form, row):
-    """A shape-table row with every cost divided by the scale: the reference's values."""
+    """A row's first seven fields, costs divided by the scale: the reference's values."""
     scale = form[2]
-    shape, prefix, leftover, need_max, cmax, need_rest, crest = row
+    shape, prefix, leftover, need_max, cmax, need_rest, crest = row[:7]
     return (
         shape,
         prefix,
@@ -308,8 +348,8 @@ def in_fractions(form, row):
 
 
 def windows(row, alpha):
-    """The row's cmax and crest values that pass ``need <= alpha * c``, found as a probe finds them."""
-    _, _, _, need_max, cmax, need_rest, crest = row
+    """The row's cmax and crest values that pass ``need <= alpha * c``, found as the scan finds them."""
+    _, _, _, need_max, cmax, need_rest, crest = row[:7]
     p, q = alpha.numerator, alpha.denominator
     return (
         cmax[bisect_left(cmax, -(-q * need_max // p)) :],
@@ -327,6 +367,30 @@ def boundary_ratios(inst, form, rows):
         for c in values
         if c > 0 and need > 0
     }
+
+
+def witness_at(inst, alpha):
+    """The witness best_alpha takes at an optimum alpha, found without the pass.
+
+    The all-equal profile if it passes at alpha; otherwise, over every pair
+    of every row in scan order, the first with least factor at most alpha
+    whose fill at alpha passes there.
+    """
+    n, m = inst.n, inst.m
+    if n % m == 0 and is_alpha_pne(inst, (n // m,) * m, alpha):
+        return (n // m,) * m
+    form, rows = scan_inputs(inst)
+    for row in rows:
+        for cmax in row[4]:
+            for crest in row[6]:
+                factor = _least_factor(form[0], row, cmax, crest)
+                if factor is None or Fraction(*factor) > alpha:
+                    continue
+                p, q = alpha.numerator, alpha.denominator
+                fill = feasible_load_vector(form[0], row, (p, q), cmax, crest)
+                if is_alpha_pne(inst, fill, alpha):
+                    return fill
+    return None
 
 
 class TestFeasibleLoadVector:
@@ -355,8 +419,9 @@ class TestFeasibleLoadVector:
         assert need_max == 7 and Fraction(6) in cmax
         assert windows(row, Fraction(8, 7))[0] == []
         assert windows(row, Fraction(7, 6))[0] == [6 * form[2]]
-        assert _feasible_witness(example1, form, Fraction(8, 7), rows) is None
-        assert _feasible_witness(example1, form, Fraction(7, 6), rows) == (2, 2, 1)
+        assert witness_at(example1, Fraction(8, 7)) is None
+        assert witness_at(example1, Fraction(7, 6)) == (2, 2, 1)
+        assert Fraction(*_least_factor(form[0], row, 6 * form[2], 6 * form[2])) == Fraction(7, 6)
 
     @given(small_instances(min_m=2, max_n=12), st.data())
     @settings(deadline=None, max_examples=150)
@@ -460,30 +525,47 @@ class TestShapeTable:
     def test_every_decreasing_profile_has_its_row(self, inst):
         # The fill takes a shape's prefix and leftover from its row and
         # checks neither, so every shape some profile has must be there once,
-        # with exactly that profile's head loads and tail total, and with the
-        # reference's capped lists on the integer scale.
+        # with exactly that profile's head loads and tail total, with the
+        # reference's capped lists on the integer scale, cut from the tail
+        # terms shared by every shape of its (M, k''), and with the room and
+        # steps the reference builds for the row alone.
         form, rows = scan_inputs(inst)
         by_shape = {row[0]: row for row in rows}
         assert len(by_shape) == len(rows)
         for loads in enumerate_profiles(inst.n, inst.m):
             shape = shape_of(loads)
             if shape[1] == inst.m:
-                continue  # All at the peak: _feasible_witness tries it directly.
+                continue  # All at the peak: best_alpha tries it directly.
             row = by_shape[shape]
-            _, prefix, leftover, *heads = row
-            assert prefix == list(loads[: shape[3] - 1])
-            assert leftover == sum(loads[shape[3] - 1 :])
-            assert tuple(heads) == cbar_candidates(form, *shape)
+            (M, _, _, k_dprime), prefix, leftover, *heads, room, steps = row
+            terms, free, shared_steps = _tail_data(form[0], M, k_dprime)
+            assert prefix == list(loads[: k_dprime - 1])
+            assert leftover == sum(loads[k_dprime - 1 :])
+            assert tuple(heads) == cbar_candidates(form, *shape, terms)
             assert in_fractions(form, row)[3:] == reference_capped_candidates(inst, *shape)
+            assert steps == shared_steps
+            assert free == inst.coefficients[k_dprime - 1 :].count(0)
+            expected = reference_room(inst, row)
+            assert room == (None if expected is None else expected * form[2])
+
+    @given(small_instances(min_m=2, max_n=12))
+    @settings(deadline=None, max_examples=100)
+    def test_rows_of_one_m_and_k_dprime_share_their_tail_data(self, inst):
+        # Each (M, k'') builds its tail data once: every row of it holds the
+        # very same steps list.
+        _, rows = scan_inputs(inst)
+        by_tail = {}
+        for row in rows:
+            assert row[8] is by_tail.setdefault((row[0][0], row[0][3]), row[8])
 
     @given(small_instances(min_m=2, max_n=12), st.data())
     @settings(deadline=None, max_examples=150)
     def test_windows_equal_the_reference_filter(self, inst, data):
         # Each row's capped lists, kept from one bisection on, are exactly the
-        # reference's values that pass every head condition at alpha, and a
-        # probe at alpha finds the reference's witness.  The factors include
-        # each row's boundary ratios need / c, where only the equality case
-        # decides.
+        # reference's values that pass every head condition at alpha, and the
+        # witness best_alpha would take at alpha is the reference probe's.
+        # The factors include each row's boundary ratios need / c, where only
+        # the equality case decides.
         form, rows = scan_inputs(inst)
         alphas = data.draw(
             st.lists(
@@ -498,8 +580,8 @@ class TestShapeTable:
                 assert [
                     [Fraction(c, form[2]) for c in values] for values in windows(row, alpha)
                 ] == list(reference_windows(inst, row[0], alpha))
-            witness = _feasible_witness(inst, form, alpha, _shape_table(inst, form))
-            assert witness == reference_feasible_witness(inst, alpha)
+            if alpha >= 1:  # Least factors start at 1, as every optimum does.
+                assert witness_at(inst, alpha) == reference_feasible_witness(inst, alpha)
 
 
 class TestLeastFactor:
@@ -529,14 +611,18 @@ class TestLeastFactor:
             )
 
         for row in rows:
-            room = _room(form[0], row)
+            room = reference_room(inst, row)
             for cmax in row[4]:
                 for crest in row[6]:
                     costs = Fraction(cmax, scale), Fraction(crest, scale)
-                    factor = _least_factor(form[0], row, room, cmax, crest)
+                    factor = _least_factor(form[0], row, cmax, crest)
+                    assert (factor and Fraction(*factor)) == reference_least_factor(
+                        inst, row, room, *costs
+                    )
                     if factor is None:
                         assert not passes(row, candidates[-1], *costs)
                         continue
+                    factor = Fraction(*factor)
                     assert passes(row, factor, *costs)
                     below = bisect_left(candidates, factor)
                     if below:
@@ -597,11 +683,68 @@ class TestBestAlpha:
         assert (result.alpha_star, result.witness, result.binding) == reference_best_alpha(inst)
 
     def test_jittered_fixtures_are_hard(self):
-        # The jittered classes above exercise the scoring pass: the probe at
-        # alpha = 1 fails.
+        # The jittered classes above exercise the scoring: no pair of factor 1
+        # fills to an exact equilibrium.
         for name in ("example1", "tightness"):
             for t in (2, 3):
                 assert best_alpha(jittered(name, t, 0)).alpha_star > 1
+
+    @pytest.mark.parametrize("name", ["example1", "tightness"])
+    @pytest.mark.parametrize("t", [2, 3, 4, 6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_witness_is_the_reference_probe_at_the_optimum(self, name, t, seed):
+        # The pass records its pairs on the way and fills them at the optimum
+        # afterwards; the witness must be the one a probe over the whole
+        # table at that factor finds first.
+        inst = jittered(name, t, seed)
+        result = best_alpha(inst)
+        assert result.witness == reference_feasible_witness(inst, result.alpha_star)
+
+    def test_factor_one_pair_answers_after_an_earlier_score_of_one(self, monkeypatch):
+        # On example1 x 6 (seed 0) a pair of factor above 1 fills to an
+        # exact equilibrium before any pair of factor 1 does.  The optimum is
+        # then 1, and the pass must go on to the first factor-1 pair whose
+        # fill is exact: that is the witness a probe at 1 finds.
+        inst = jittered("example1", 6, 0)
+        fills, scores = [], []
+        fill, score = optimal.feasible_load_vector, optimal._score
+
+        def logged_fill(coeffs, row, alpha, cmax, crest):
+            fills.append(Fraction(*alpha))
+            return fill(coeffs, row, alpha, cmax, crest)
+
+        def logged_score(form, loads):
+            scores.append(Fraction(*score(form, loads)))
+            return score(form, loads)
+
+        monkeypatch.setattr(optimal, "feasible_load_vector", logged_fill)
+        monkeypatch.setattr(optimal, "_score", logged_score)
+        result = best_alpha(inst)
+        # The all-equal profile is scored first, then each fill once.
+        scored = list(zip(fills, scores[len(scores) - len(fills) :]))
+        first_one = scored.index((1, 1))
+        assert any(factor > 1 and value == 1 for factor, value in scored[:first_one])
+        assert first_one == len(scored) - 1
+        assert result.alpha_star == 1
+        assert result.witness == reference_feasible_witness(inst, Fraction(1))
+
+    def test_one_call_draws_each_table_row_at_most_once(self, monkeypatch):
+        drawn = []
+
+        def counted(inst, form):
+            drawn.append([])
+            for row in _shape_table(inst, form):
+                drawn[-1].append(row[0])
+                yield row
+
+        monkeypatch.setattr(optimal, "_shape_table", counted)
+        for inst in [jittered("example1", 2, 0), jittered("tightness", 3, 1)] + [
+            generate_instance(n=5 + i, m=2 + i % 4, seed=i).instance for i in range(10)
+        ]:
+            drawn.clear()
+            best_alpha(inst)
+            assert len(drawn) <= 1
+            assert all(len(set(shapes)) == len(shapes) for shapes in drawn)
 
     def test_never_exceeds_threshold_upper_bound(self):
         for seed in range(30):
