@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 from typing import List, Optional
 
-from .core import (
-    GameError,
-    binding_deviation,
-    is_alpha_pne,
-    needed_alpha,
-)
+from .core import GameError, binding_deviation, is_alpha_pne, needed_alpha
 from .documents import (
     ParseError,
     format_extended_rational,
@@ -32,6 +26,7 @@ from .documents import (
     make_fixtures,
     parse_rational,
     result_document,
+    write_result,
     write_trace,
 )
 from .optimal import best_alpha
@@ -44,7 +39,6 @@ EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_ORACLE_MISMATCH = 4
 
-ORACLE_MAX_PLAYERS = 25
 #: compute_K's bisection time grows about as precision**2.5.  solve-k on the
 #: fixtures, 2-core Xeon host, Python 3.11: 0.15 s at 100, 0.26 s at 400 and
 #: 0.8 s at 800, whole process; compute_K alone takes 3.4 s at 1 600.
@@ -66,10 +60,18 @@ SOLVE_K_MAX_WORK = 10_000_000
 #: 0.54 s, (4 000, 3) 4.6e7 and 2.5 s, (6 600, 2) 4.9e7 and 7.6 s; refused,
 #: (1 000, 20) at 1.5e8 and (8 000, 2) at 7.2e7 take 5 and 10 s in the library.
 BEST_ALPHA_MAX_WORK = 50_000_000
+#: The oracle's work is its profiles, the partitions of n into at most m
+#: parts, each priced in time linear in m + 20: about 9 us per profile at
+#: m = 3 and 1.1 ms at m = 2 000, both searches.  Whole process, gen --seed 1,
+#: 2-core Xeon host, Python 3.11, 17 MB each: (200, 3) is 7.9e4 and takes
+#: 0.15 s, (100, 4) 1.9e5 and 0.24 s; at the limit (1 612, 3), (305, 4),
+#: (100, 6), (69, 8) and (26, 2 000) take 3.0, 3.2, 3.8, 4.2 and 3.4 s.
+ORACLE_MAX_WORK = 5_000_000
+ORACLE_UNIT = "the oracle's profiles times m + 20, counted up to the limit"
 
 
 def _emit(obj: dict, pretty: bool) -> None:
-    print(json.dumps(obj, indent=2 if pretty else None))
+    write_result(obj, sys.stdout, pretty)
 
 
 def _fail(code: int, message: str) -> int:
@@ -86,9 +88,46 @@ def _best_alpha_work(inst) -> int:
     return work
 
 
-def _solve_k_work(inst) -> int:
-    """solve-k's work count: the trace's loads, about n * m, plus 50 per player."""
-    return inst.n * (inst.m + 50)
+def _oracle_work(inst) -> int:
+    """The oracle's work count: its profiles, counted in O(n * m), times m + 20.
+
+    Counting stops once past ORACLE_MAX_WORK, so past it the count is a
+    lower bound.  Over two or more resources there are at least n // 2 + 1
+    profiles, so an instance refused for those alone is refused before the
+    list of n + 1 partition counts is made.
+    """
+    n, m = inst.n, inst.m
+    profiles = 1 if n == 1 or m == 1 else n // 2 + 1  # partitions into at most 2 parts
+    if min(n, m) > 2 and profiles * (m + 20) <= ORACLE_MAX_WORK:
+        counts = [j // 2 + 1 for j in range(n + 1)]
+        for k in range(3, min(n, m) + 1):  # partitions of each j into parts of at most k
+            for j in range(k, n + 1):
+                counts[j] += counts[j - k]
+            if counts[n] * (m + 20) > ORACLE_MAX_WORK:
+                break
+        profiles = counts[n]
+    return profiles * (m + 20)
+
+
+def _refusal(command: str, inst, work: int, limit: int, unit: str) -> Optional[str]:
+    """The error message when `work` on `inst` is past `limit`, else None."""
+    if work <= limit:
+        return None
+    return (
+        f"error: {command} refuses more than {limit} units of work, "
+        f"{unit} (got {work} at n={inst.n}, m={inst.m})"
+    )
+
+
+def _deviation_json(binding) -> dict:
+    """A :func:`binding_deviation`'s move and its two costs, as JSON."""
+    _, source, target, cost, dev = binding
+    return {
+        "from": source,
+        "to": target,
+        "cost": format_rational(cost),
+        "deviation_cost": format_rational(dev),
+    }
 
 
 def cmd_solve_k(args) -> int:
@@ -100,13 +139,10 @@ def cmd_solve_k(args) -> int:
             f"error: solve-k refuses --precision > {SOLVE_K_MAX_PRECISION} (got {args.precision})",
         )
     doc = load_instance_document(args.instance)
-    work = _solve_k_work(doc.instance)
-    if work > SOLVE_K_MAX_WORK:
-        return _fail(
-            EXIT_PARSE,
-            f"error: solve-k refuses more than {SOLVE_K_MAX_WORK} units of work, "
-            f"n * (m + 50) (got {work} at n={doc.instance.n}, m={doc.instance.m})",
-        )
+    work = doc.instance.n * (doc.instance.m + 50)
+    refusal = _refusal("solve-k", doc.instance, work, SOLVE_K_MAX_WORK, "n * (m + 50)")
+    if refusal:
+        return _fail(EXIT_PARSE, refusal)
     config = SolverConfig.default(precision=args.precision, guard_mode=args.guard)
     start = time.perf_counter()
     try:
@@ -137,18 +173,12 @@ def cmd_solve_k(args) -> int:
 def cmd_best_alpha(args) -> int:
     doc = load_instance_document(args.instance)
     inst = doc.instance
-    work = _best_alpha_work(inst)
-    if work > BEST_ALPHA_MAX_WORK:
-        return _fail(
-            EXIT_PARSE,
-            f"error: best-alpha refuses more than {BEST_ALPHA_MAX_WORK} units of work, "
-            f"the shape table's peak loads summed (got {work} at n={inst.n}, m={inst.m})",
-        )
-    if args.oracle_check and (inst.n > 12 or inst.m > 5):
-        return _fail(
-            EXIT_PARSE,
-            f"error: --oracle-check refuses n > 12 or m > 5 (got n={inst.n}, m={inst.m})",
-        )
+    unit = "the shape table's peak loads summed"
+    refusal = _refusal("best-alpha", inst, _best_alpha_work(inst), BEST_ALPHA_MAX_WORK, unit)
+    if args.oracle_check and not refusal:
+        refusal = _refusal("--oracle-check", inst, _oracle_work(inst), ORACLE_MAX_WORK, ORACLE_UNIT)
+    if refusal:
+        return _fail(EXIT_PARSE, refusal)
     start = time.perf_counter()
     result = best_alpha(inst)
     elapsed = (time.perf_counter() - start) * 1000
@@ -162,21 +192,13 @@ def cmd_best_alpha(args) -> int:
                 f"error: solver found {result.alpha_star} but oracle found "
                 f"{oracle_value}; this indicates a bug",
             )
-    binding = result.binding
     _emit(
         result_document(
             result.witness,
             solver="shape-enumeration",
             elapsed_ms=elapsed,
             alpha=result.alpha_star,
-            binding=None
-            if binding is None
-            else {
-                "from": binding[1],
-                "to": binding[2],
-                "cost": format_rational(binding[3]),
-                "deviation_cost": format_rational(binding[4]),
-            },
+            binding=None if result.binding is None else _deviation_json(result.binding),
         ),
         args.pretty,
     )
@@ -207,14 +229,7 @@ def cmd_verify(args) -> int:
     ok = binding is None or binding[0] <= alpha
     obj = {"loads": loads, "alpha": format_rational(alpha), "is_alpha_pne": ok}
     if not ok:
-        ratio, source, target, cost, dev = binding
-        obj["violation"] = {
-            "from": source,
-            "to": target,
-            "cost": format_rational(cost),
-            "deviation_cost": format_rational(dev),
-            "ratio": format_extended_rational(ratio),
-        }
+        obj["violation"] = {**_deviation_json(binding), "ratio": format_extended_rational(binding[0])}
     _emit(obj, args.pretty)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -222,11 +237,9 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     doc = load_instance_document(args.instance)
     inst = doc.instance
-    if inst.n > ORACLE_MAX_PLAYERS:
-        return _fail(
-            EXIT_PARSE,
-            f"error: oracle refuses n > {ORACLE_MAX_PLAYERS} (got n={inst.n})",
-        )
+    refusal = _refusal("oracle", inst, _oracle_work(inst), ORACLE_MAX_WORK, ORACLE_UNIT)
+    if refusal:
+        return _fail(EXIT_PARSE, refusal)
     start = time.perf_counter()
     value, witness = oracle_best_alpha(inst)
     exact = value <= 1
@@ -247,9 +260,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    doc = generate_instance(
-        args.n, args.m, args.seed, args.coeff_max, args.budget_max
-    )
+    doc = generate_instance(args.n, args.m, args.seed, args.coeff_max, args.budget_max)
     print(doc.dumps(pretty=args.pretty))
     return EXIT_OK
 

@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "INFINITY",
-    "ExtendedRational",
     "GameError",
     "EmptyResources",
     "NonPositiveBudget",
@@ -32,7 +31,6 @@ __all__ = [
     "UnoccupiedResource",
     "SameResource",
     "EmptySource",
-    "Instance",
     "validate_instance",
     "scale_instance",
     "resource_cost",
@@ -42,6 +40,8 @@ __all__ = [
     "is_alpha_pne",
     "compute_K",
     "k_upper_bound",
+    "TOWARD_ZERO",
+    "AWAY_FROM_ZERO",
 ]
 
 #: Marker for "no finite approximation factor suffices".  A float infinity
@@ -353,6 +353,12 @@ def _binding(form, loads):
     return best
 
 
+def _score(form, loads) -> Tuple[int, int]:
+    """``max(1, needed_alpha)`` of the profile as ``(p, q)`` for p/q, q = 0 for INFINITY."""
+    found = _binding(form, loads)
+    return found[0] if found is not None and found[0][0] > found[0][1] else (1, 1)
+
+
 def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int]) -> bool:
     """True iff no player can improve her cost by more than factor `alpha`."""
     if sum(loads) != inst.n:
@@ -362,10 +368,6 @@ def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int]) -> b
 
 TOWARD_ZERO = "toward-zero"
 AWAY_FROM_ZERO = "away-from-zero"
-
-
-def _threshold_polynomial(x: Fraction) -> Fraction:
-    return x * x * x - x * x / 2 - 1
 
 
 def compute_K(precision: int, rounding: str = AWAY_FROM_ZERO) -> Fraction:
@@ -389,7 +391,7 @@ def _bisect_K(precision: int, rounding: str) -> Fraction:
     width = Fraction(1, 10**precision)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if _threshold_polynomial(mid) >= 0:
+        if mid * mid * mid - mid * mid / 2 - 1 >= 0:
             hi = mid
         else:
             lo = mid

@@ -19,17 +19,12 @@ from .core import GameError, Instance, compute_K, validate_instance
 from .solver import SolveTrace
 
 __all__ = [
-    "RATIONAL_RE",
     "ParseError",
     "InstanceDocument",
     "parse_rational",
     "format_rational",
-    "format_extended_rational",
     "parse_instance_document",
     "load_instance_document",
-    "result_document",
-    "trace_to_json",
-    "write_trace",
     "generate_instance",
     "make_fixtures",
     "FIXTURE_NAMES",
@@ -82,9 +77,7 @@ class InstanceDocument:
         return obj
 
     def dumps(self, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.to_json_obj(), indent=2)
-        return json.dumps(self.to_json_obj())
+        return json.dumps(self.to_json_obj(), indent=2 if pretty else None)
 
 
 def parse_instance_document(obj: dict) -> InstanceDocument:
@@ -138,12 +131,19 @@ def trace_to_json(trace: SolveTrace) -> List[dict]:
     return [_event_json(ev) for ev in trace.iter_events()]
 
 
-def write_trace(trace: SolveTrace, handle: TextIO) -> None:
-    """Write ``json.dumps(trace_to_json(trace))`` event by event, holding one event at a time."""
+def write_trace(trace: SolveTrace, handle: TextIO, pretty: bool = False) -> None:
+    """Write ``json.dumps(trace_to_json(trace))`` event by event, holding one event at a time.
+
+    With `pretty`, the layout is that of ``indent=2`` one level deep, as the
+    "trace" of an indented result document.
+    """
+    indent, pad, end = (2, "\n    ", "\n  ]") if pretty else (None, "", "]")
     handle.write("[")
-    for i, ev in enumerate(trace.iter_events()):
-        handle.write((", " if i else "") + json.dumps(_event_json(ev)))
-    handle.write("]")
+    sep = pad
+    for ev in trace.iter_events():
+        handle.write(sep + json.dumps(_event_json(ev), indent=indent).replace("\n", pad))
+        sep = "," + (pad or " ")
+    handle.write("]" if sep == pad else end)
 
 
 def _event_json(ev) -> dict:
@@ -167,16 +167,34 @@ def result_document(
     trace: Optional[SolveTrace] = None,
     **extra,
 ) -> dict:
+    """A solver's result; a `trace` is kept as is, for :func:`write_result` to stream."""
     obj = {"loads": list(loads), "solver": solver}
     if alpha is not None:
         obj["alpha"] = format_rational(alpha)
     if needed is not None:
         obj["needed_alpha"] = format_extended_rational(needed)
     if trace is not None:
-        obj["trace"] = trace_to_json(trace)
+        obj["trace"] = trace
     obj.update(extra)
     obj["elapsed_ms"] = round(elapsed_ms, 3)
     return obj
+
+
+def write_result(obj: dict, handle: TextIO, pretty: bool = False) -> None:
+    """Write ``json.dumps(obj)`` and a newline, indented by 2 if `pretty`.
+
+    A SolveTrace under "trace", as :func:`result_document` keeps it, goes
+    through :func:`write_trace`, so the document is never held whole.
+    """
+    indent = 2 if pretty else None
+    trace = obj.get("trace")
+    if trace is None:
+        handle.write(json.dumps(obj, indent=indent) + "\n")
+        return
+    head, tail = json.dumps({**obj, "trace": 0}, indent=indent).split('"trace": 0', 1)
+    handle.write(head + '"trace": ')
+    write_trace(trace, handle, pretty)
+    handle.write(tail + "\n")
 
 
 def generate_instance(

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .core import Instance, _binding, _integer_form, binding_deviation, is_alpha_pne
+from .core import Instance, _integer_form, _score, binding_deviation, is_alpha_pne
 
-__all__ = ["OptResult", "cbar_candidates", "best_alpha"]
+__all__ = ["best_alpha"]
 
 
 @dataclass(frozen=True)
@@ -202,12 +202,6 @@ def _least_factor(coeffs, row: tuple, cbar_max: int, cbar_rest: int) -> Optional
     if top * cbar_max >= need_max * (cbar_rest or 1):
         return (top, cbar_rest) if top > cbar_rest else (1, 1)
     return (need_max, cbar_max) if need_max > cbar_max else (1, 1)
-
-
-def _score(form, loads) -> Tuple[int, int]:
-    """``max(1, needed_alpha)`` of the profile as ``(p, q)`` for p/q, q = 0 for infinity."""
-    found = _binding(form, loads)
-    return found[0] if found is not None and found[0][0] > found[0][1] else (1, 1)
 
 
 def best_alpha(inst: Instance) -> OptResult:

@@ -12,13 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
-from .core import (
-    Instance,
-    _binding,
-    _fraction,
-    _integer_form,
-    _occupied,
-)
+from .core import Instance, _fraction, _integer_form, _occupied, _score
 
 __all__ = [
     "enumerate_profiles",
@@ -39,9 +33,10 @@ def enumerate_profiles(n: int, m: int) -> Iterator[Tuple[int, ...]]:
 
 
 def _descending(remaining: int, slots: int, cap: int) -> Iterator[Tuple[int, ...]]:
+    if remaining == 0:  # Zeros at once: recursing per empty slot would nest m deep.
+        yield (0,) * slots
+        return
     if slots == 0:
-        if remaining == 0:
-            yield ()
         return
     top = min(cap, remaining)
     for first in range(top, -1, -1):
@@ -63,11 +58,9 @@ def oracle_best_alpha(inst: Instance) -> Tuple[Fraction, Tuple[int, ...]]:
     best: Optional[Tuple[int, int]] = None
     best_profile: Optional[Tuple[int, ...]] = None
     for profile in enumerate_profiles(inst.n, inst.m):
-        # needed_alpha as an integer pair from _binding, clamped at 1 and
-        # compared crosswise.  An INFINITY pair (1, 0) never wins: by the
-        # existence theorem some profile needs at most K.
-        found = _binding(form, profile)
-        value = (1, 1) if found is None or found[0][0] < found[0][1] else found[0]
+        # An INFINITY score (1, 0) never wins: by the existence theorem
+        # some profile needs at most K.
+        value = _score(form, profile)
         if best is None or value[0] * best[1] < best[0] * value[1]:
             best, best_profile = value, profile
     return Fraction(*best), best_profile

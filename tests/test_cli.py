@@ -1,13 +1,23 @@
 import json
 import pathlib
 import time
+from fractions import Fraction
 
 import pytest
 
 import congestion_adversary.cli as cli_module
 import congestion_adversary.oracle as oracle_module
-from congestion_adversary import make_fixtures, parse_instance_document, validate_instance
+from congestion_adversary import (
+    GuardExceeded,
+    SolverConfig,
+    enumerate_profiles,
+    make_fixtures,
+    parse_instance_document,
+    solve,
+    validate_instance,
+)
 from congestion_adversary.cli import main
+from congestion_adversary.documents import trace_to_json
 from congestion_adversary.optimal import _scaled_form, _shape_table
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -85,6 +95,28 @@ class TestSolveK:
         assert events[-1]["loads_after"] == [2, 2, 1, 1, 1]
         _, inline, _ = run_json(capsys, "solve-k", APPENDIX)
         assert events == inline["trace"]
+
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+    def test_inline_trace_is_the_json_of_the_document(self, capsys, pretty):
+        # The trace is streamed into stdout; the bytes are still those of
+        # json.dumps over the whole document, indented or not.
+        inst = parse_instance_document(json.loads(pathlib.Path(APPENDIX).read_text())).instance
+        code, out, _ = run(capsys, "solve-k", APPENDIX, *pretty)
+        assert code == 0
+        obj = json.loads(out)
+        assert out == json.dumps(obj, indent=2 if pretty else None) + "\n"
+        _, trace = solve(inst, SolverConfig.default())
+        assert obj["trace"] == trace_to_json(trace)
+        assert list(obj) == ["loads", "solver", "alpha", "needed_alpha", "trace", "elapsed_ms"]
+
+    def test_guard_exceeded_exits_3(self, capsys, monkeypatch):
+        def exceeded(inst, config):
+            raise GuardExceeded("round 4 made 9 deviations")
+
+        monkeypatch.setattr(cli_module, "solve", exceeded)
+        code, out, err = run(capsys, "solve-k", EXAMPLE1)
+        assert code == 3 and not out
+        assert err == "error: round 4 made 9 deviations\n"
 
     @pytest.mark.parametrize(
         "extra",
@@ -192,17 +224,51 @@ class TestBestAlpha:
         }
 
     def test_oracle_check_refuses_large_instances(self, capsys, tmp_path):
+        # 70 players on 8 resources: 191 964 profiles, 5 374 992 units of the
+        # oracle's work, past the 5 000 000 allowed.
         big = tmp_path / "big.json"
         big.write_text(
-            json.dumps({"players": 13, "budget": "1", "coefficients": ["1", "2"]})
+            json.dumps({"players": 70, "budget": "1", "coefficients": [str(a) for a in range(1, 9)]})
         )
         code, out, err = run(capsys, "best-alpha", str(big), "--oracle-check")
-        assert code == 2
-        assert "refuses" in err
+        assert code == 2 and not out
+        assert err.startswith("error: --oracle-check refuses") and "5374992" in err
         # Without the cross-check the same instance is fine.
         code, obj, _ = run_json(capsys, "best-alpha", str(big))
-        assert code == 0 and sum(obj["loads"]) == 13
+        assert code == 0 and sum(obj["loads"]) == 70
 
+    def test_oracle_check_refuses_by_the_oracle_work_limit(self, capsys, monkeypatch, tmp_path):
+        # On 3 resources, 1 612 players are 217 352 profiles and 4 999 096
+        # units of work; 1 613 are 5 005 283, past the limit.
+        class Reached(Exception):
+            pass
+
+        def reached(inst):
+            raise Reached
+
+        monkeypatch.setattr(cli_module, "best_alpha", reached)
+        for players, refused in ((1612, False), (1613, True)):
+            path = tmp_path / f"n{players}.json"
+            path.write_text(json.dumps({"players": players, "budget": "1", "coefficients": ["1", "2", "3"]}))
+            if not refused:
+                with pytest.raises(Reached):
+                    main(["best-alpha", str(path), "--oracle-check"])
+                continue
+            code, out, err = run(capsys, "best-alpha", str(path), "--oracle-check")
+            assert code == 2 and not out and "5005283" in err
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda inst: (Fraction(6, 5), (2, 2, 1)),  # another factor
+            lambda inst: (Fraction(7, 6), (5, 0, 0)),  # the factor, a failing witness
+        ],
+    )
+    def test_oracle_mismatch_exits_4(self, capsys, monkeypatch, oracle):
+        monkeypatch.setattr(cli_module, "oracle_best_alpha", oracle)
+        code, out, err = run(capsys, "best-alpha", EXAMPLE1, "--oracle-check")
+        assert code == 4 and not out
+        assert err.startswith("error: solver found 7/6 but oracle found") and "bug" in err
 
     def test_refuses_oversized_instances_up_front(self, capsys, monkeypatch, tmp_path):
         # The shape table's peak loads summed, on 4 resources: 49 999 756 of
@@ -324,12 +390,60 @@ class TestOracle:
         assert obj["exact_pne"] is True and obj["exact_pne_loads"] == obj["loads"] == [2, 2]
 
     def test_size_cap(self, capsys, tmp_path):
+        # 1 613 players on 3 resources: 5 005 283 units of work, past the
+        # 5 000 000 allowed.
         big = tmp_path / "big.json"
         big.write_text(
-            json.dumps({"players": 26, "budget": "1", "coefficients": ["1"]})
+            json.dumps({"players": 1613, "budget": "1", "coefficients": ["1", "2", "3"]})
         )
-        code, _, err = run(capsys, "oracle", str(big))
-        assert code == 2 and "refuses" in err
+        code, out, err = run(capsys, "oracle", str(big))
+        assert code == 2 and not out
+        assert err.startswith("error: oracle refuses") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "players,coefficients,refused",
+        [(1612, 3, False), (1613, 3, True), (305, 4, False), (306, 4, True), (26, 2000, False), (27, 2000, True)],
+    )
+    def test_refuses_past_the_work_limit_up_front(self, capsys, monkeypatch, tmp_path, players, coefficients, refused):
+        class Reached(Exception):
+            pass
+
+        def reached(inst):
+            raise Reached
+
+        monkeypatch.setattr(cli_module, "oracle_best_alpha", reached)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"players": players, "budget": "1", "coefficients": ["1"] * coefficients}))
+        if not refused:
+            with pytest.raises(Reached):
+                main(["oracle", str(path)])
+            return
+        code, out, err = run(capsys, "oracle", str(path))
+        assert code == 2 and not out and err.startswith("error: oracle refuses")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 25])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 30])
+    def test_work_count_is_the_profile_count(self, n, m):
+        inst = validate_instance([1] * m, n, 1)
+        profiles = sum(1 for _ in enumerate_profiles(n, m))
+        assert cli_module._oracle_work(inst) == profiles * (m + 20)
+
+    @pytest.mark.parametrize("coefficients", [["1", "2"], ["1", "2", "3"]])
+    def test_refuses_a_hundred_million_players_at_once(self, capsys, tmp_path, coefficients):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"players": 10**8, "budget": "1", "coefficients": coefficients}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out and err.startswith("error: oracle refuses")
+
+    def test_many_resources_few_players(self, capsys, tmp_path):
+        # 2 000 resources: each profile's trailing zeros come at once, not
+        # one nested call per resource.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"players": 5, "budget": "1", "coefficients": ["1"] * 2000}))
+        code, obj, _ = run_json(capsys, "oracle", str(path))
+        assert code == 0 and obj["alpha"] == "1" and obj["loads"] == [1] * 5 + [0] * 1995
 
 
 class TestGenAndFixtures:

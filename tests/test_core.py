@@ -221,6 +221,11 @@ class TestValidation:
         with pytest.raises(NegativeCoefficient):
             validate_instance([1, -1], 2, 1)
 
+    @pytest.mark.parametrize("factor", [0, -1, Fraction(-1, 3)])
+    def test_scale_rejects_non_positive_factor(self, example1, factor):
+        with pytest.raises(GameError, match="scale factor must be positive"):
+            scale_instance(example1, factor)
+
 
 def attack_shares(inst, loads):
     """The budget share paid on each resource: resource_cost minus a_r * x_r, 0 when empty."""
@@ -406,6 +411,12 @@ class TestMalformedProfiles:
         with pytest.raises(GameError):
             binding_deviation(example1, loads)
 
+    @pytest.mark.parametrize("loads", [(2, 2, 0), (2, 2, 2)])
+    def test_is_alpha_pne_rejects_a_wrong_player_count(self, example1, loads):
+        # Well-formed profiles of the wrong total: the pricing would accept them.
+        with pytest.raises(GameError, match="expected 5 players"):
+            is_alpha_pne(example1, loads, 2)
+
 
 class TestNeededAlpha:
     def test_single_resource_is_exact(self):
@@ -504,6 +515,21 @@ class TestThresholdConstant:
         assert fine <= coarse
 
 
+#: The package's public names, 43 of them.
+PUBLIC_NAMES = {
+    "AWAY_FROM_ZERO", "DEVIATION", "EmptyGame", "EmptyResources", "EmptySource",
+    "FIXTURE_NAMES", "GameError", "GuardExceeded", "INFINITY", "InstanceDocument",
+    "LENIENT", "NegativeCoefficient", "NonPositiveBudget", "NonPositivePlayers",
+    "PLAYER_ADDED", "ParseError", "STRICT", "SameResource", "SolveTrace",
+    "SolverConfig", "TOWARD_ZERO", "TraceEvent", "UnoccupiedResource", "best_alpha",
+    "binding_deviation", "compute_K", "deviation_cost", "enumerate_profiles",
+    "format_rational", "generate_instance", "is_alpha_pne", "k_upper_bound",
+    "load_instance_document", "make_fixtures", "needed_alpha",
+    "oracle_best_additive_epsilon", "oracle_best_alpha", "parse_instance_document",
+    "parse_rational", "resource_cost", "scale_instance", "solve", "validate_instance",
+}
+
+
 def test_every_exported_name_resolves():
     package = importlib.import_module("congestion_adversary")
     modules = [package] + [
@@ -514,3 +540,13 @@ def test_every_exported_name_resolves():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], module.__name__
+    # The package exports the union of its modules' lists, each name
+    # declared once, in the list of the module that defines it.
+    lists = {module.__name__: getattr(module, "__all__", []) for module in modules[1:]}
+    declared = [name for names in lists.values() for name in names]
+    assert len(declared) == len(set(declared))
+    assert sorted(package.__all__) == sorted(declared)
+    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 43
+    for module, names in lists.items():
+        for name in names:
+            assert getattr(getattr(package, name), "__module__", module) == module, name

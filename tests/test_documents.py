@@ -20,7 +20,14 @@ from congestion_adversary import (
     solve,
     validate_instance,
 )
-from congestion_adversary.documents import format_extended_rational, trace_to_json, write_trace
+from congestion_adversary.documents import (
+    format_extended_rational,
+    result_document,
+    trace_to_json,
+    write_result,
+    write_trace,
+)
+from congestion_adversary.solver import SolveTrace
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -71,6 +78,7 @@ class TestInstanceDocuments:
             {"players": 0, "budget": "1", "coefficients": ["1"]},
             {"players": 3, "budget": "1", "coefficients": []},
             {"players": 3, "budget": "1", "coefficients": ["1"], "name": 7},
+            {"players": 3, "budget": "1", "coefficients": ["1"], "description": ["y"]},
         ],
     )
     def test_rejects_malformed_documents(self, obj):
@@ -139,6 +147,33 @@ class TestTraceSerialization:
         write_trace(trace, handle)
         assert "events" not in vars(trace)
         assert handle.getvalue() == json.dumps(trace_to_json(trace))
+
+    @pytest.mark.parametrize("n,m", [(0, 3), (1, 1), (5, 3), (40, 6)])
+    def test_pretty_written_trace_is_the_indented_event_list(self, n, m):
+        # Pretty, write_trace lays the events out as json.dumps(indent=2)
+        # does one level deep; n = 0 stands for a trace without moves.
+        if n:
+            _, trace = solve(generate_instance(n, m, seed=n).instance, SolverConfig.default())
+        else:
+            trace = SolveTrace(moves=(), per_round_deviation_counts=(), m=m, scale=1)
+        for pretty, head, tail in ((False, "{", "}"), (True, "{\n  ", "\n}")):
+            handle = io.StringIO()
+            write_trace(trace, handle, pretty)
+            expected = json.dumps({"trace": trace_to_json(trace)}, indent=2 if pretty else None)
+            assert head + '"trace": ' + handle.getvalue() + tail == expected
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    def test_written_result_is_the_json_of_the_document(self, example1, pretty):
+        # write_result streams a trace in place; the bytes are those of
+        # json.dumps over the document with the event list in it.
+        loads, trace = solve(example1, SolverConfig.default())
+        for with_trace in (None, trace):
+            doc = result_document(loads, "incremental", 1.5, alpha=2, needed=1, trace=with_trace)
+            handle = io.StringIO()
+            write_result(doc, handle, pretty)
+            if with_trace is not None:
+                doc["trace"] = trace_to_json(trace)
+            assert handle.getvalue() == json.dumps(doc, indent=2 if pretty else None) + "\n"
 
     def test_needed_alpha_serializes_infinity(self):
         inst = validate_instance([0, 0, 1], 3, 1)
