@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import time
 from typing import List, Optional
@@ -68,10 +69,11 @@ BEST_ALPHA_MAX_WORK = 50_000_000
 #: (100, 6), (69, 8) and (26, 2 000) take 3.0, 3.2, 3.8, 4.2 and 3.4 s.
 ORACLE_MAX_WORK = 5_000_000
 ORACLE_UNIT = "the oracle's profiles times m + 20, counted up to the limit"
-
-
-def _emit(obj: dict, pretty: bool) -> None:
-    write_result(obj, sys.stdout, pretty)
+#: gen's time is sorting and printing its m Fraction coefficients.  Whole
+#: process, --n 5 --seed 1, 2-core Xeon host, Python 3.11: m = 100 000 takes
+#: 1.3 s and 32 MB, 300 000 4.6 s and 58 MB, and 500 000 6.8 s and 85 MB
+#: (5.6 s and 116 MB with --pretty); refused, 1 000 000 takes 14 s and 152 MB.
+GEN_MAX_M = 500_000
 
 
 def _fail(code: int, message: str) -> int:
@@ -156,17 +158,15 @@ def cmd_solve_k(args) -> int:
                 write_trace(trace, handle)
         except OSError as exc:
             return _fail(EXIT_PARSE, f"error: cannot write trace to {args.trace}: {exc}")
-    _emit(
-        result_document(
-            loads,
-            solver="incremental",
-            elapsed_ms=elapsed,
-            alpha=config.alpha,
-            needed=needed_alpha(doc.instance, loads),
-            trace=None if args.trace else trace,
-        ),
-        args.pretty,
+    obj = result_document(
+        loads,
+        solver="incremental",
+        elapsed_ms=elapsed,
+        alpha=config.alpha,
+        needed=needed_alpha(doc.instance, loads),
+        trace=None if args.trace else trace,
     )
+    write_result(obj, sys.stdout, args.pretty)
     return EXIT_OK
 
 
@@ -192,24 +192,25 @@ def cmd_best_alpha(args) -> int:
                 f"error: solver found {result.alpha_star} but oracle found "
                 f"{oracle_value}; this indicates a bug",
             )
-    _emit(
-        result_document(
-            result.witness,
-            solver="shape-enumeration",
-            elapsed_ms=elapsed,
-            alpha=result.alpha_star,
-            binding=None if result.binding is None else _deviation_json(result.binding),
-        ),
-        args.pretty,
+    obj = result_document(
+        result.witness,
+        solver="shape-enumeration",
+        elapsed_ms=elapsed,
+        alpha=result.alpha_star,
+        binding=None if result.binding is None else _deviation_json(result.binding),
     )
+    write_result(obj, sys.stdout, args.pretty)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     doc = load_instance_document(args.instance)
+    # Digits only, as parse_rational: int() would take signs, spaces, "_" and non-ASCII digits.
+    if not re.fullmatch("[0-9]+(,[0-9]+)*", args.loads):
+        return _fail(EXIT_PARSE, f"error: loads must be comma-separated digits 0-9, got {args.loads!r}")
     try:
         loads = [int(part) for part in args.loads.split(",")]
-    except ValueError as exc:
+    except ValueError as exc:  # More digits than Python converts to an int.
         return _fail(EXIT_PARSE, f"error: {exc}")
     alpha = parse_rational(args.alpha)
     inst = doc.instance
@@ -230,7 +231,7 @@ def cmd_verify(args) -> int:
     obj = {"loads": loads, "alpha": format_rational(alpha), "is_alpha_pne": ok}
     if not ok:
         obj["violation"] = {**_deviation_json(binding), "ratio": format_extended_rational(binding[0])}
-    _emit(obj, args.pretty)
+    write_result(obj, sys.stdout, args.pretty)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -255,26 +256,32 @@ def cmd_oracle(args) -> int:
         epsilon=format_rational(epsilon),
         epsilon_loads=list(epsilon_witness),
     )
-    _emit(obj, args.pretty)
+    write_result(obj, sys.stdout, args.pretty)
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
+    refusal = _refusal("gen", args, args.m, GEN_MAX_M, "the resource count m")
+    if refusal:
+        return _fail(EXIT_PARSE, refusal)
     doc = generate_instance(args.n, args.m, args.seed, args.coeff_max, args.budget_max)
     print(doc.dumps(pretty=args.pretty))
     return EXIT_OK
 
 
 def cmd_fixtures(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     written = []
-    for name, doc in make_fixtures().items():
-        path = os.path.join(args.out_dir, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(doc.dumps(pretty=True))
-            handle.write("\n")
-        written.append(path)
-    _emit({"written": written}, args.pretty)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        for name, doc in make_fixtures().items():
+            path = os.path.join(args.out_dir, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(doc.dumps(pretty=True))
+                handle.write("\n")
+            written.append(path)
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"error: cannot write fixtures to {args.out_dir}: {exc}")
+    write_result({"written": written}, sys.stdout, args.pretty)
     return EXIT_OK
 
 

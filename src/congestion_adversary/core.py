@@ -23,14 +23,6 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 __all__ = [
     "INFINITY",
     "GameError",
-    "EmptyResources",
-    "NonPositiveBudget",
-    "NegativeCoefficient",
-    "NonPositivePlayers",
-    "EmptyGame",
-    "UnoccupiedResource",
-    "SameResource",
-    "EmptySource",
     "validate_instance",
     "scale_instance",
     "resource_cost",
@@ -54,39 +46,7 @@ Loads = Sequence[int]
 
 
 class GameError(ValueError):
-    """Base class for invalid game data or invalid operations on it."""
-
-
-class EmptyResources(GameError):
-    pass
-
-
-class NonPositiveBudget(GameError):
-    pass
-
-
-class NegativeCoefficient(GameError):
-    pass
-
-
-class NonPositivePlayers(GameError):
-    pass
-
-
-class EmptyGame(GameError):
-    """Raised when an operation needs at least one seated player."""
-
-
-class UnoccupiedResource(GameError):
-    pass
-
-
-class SameResource(GameError):
-    pass
-
-
-class EmptySource(GameError):
-    pass
+    """Invalid game data or an invalid operation on it; the message names the fault."""
 
 
 @dataclass(frozen=True)
@@ -119,14 +79,14 @@ def validate_instance(
     coeffs = tuple(sorted(Fraction(a) for a in raw_coefficients))
     budget = Fraction(budget)
     if not coeffs:
-        raise EmptyResources("need at least one resource")
+        raise GameError("need at least one resource")
     if n < 1:
-        raise NonPositivePlayers(f"player count must be positive, got {n}")
+        raise GameError(f"player count must be positive, got {n}")
     if budget <= 0:
-        raise NonPositiveBudget(f"budget must be positive, got {budget}")
+        raise GameError(f"budget must be positive, got {budget}")
     for a in coeffs:
         if a < 0:
-            raise NegativeCoefficient(f"coefficient must be non-negative, got {a}")
+            raise GameError(f"coefficient must be non-negative, got {a}")
     return Instance(n=n, coefficients=coeffs, budget=budget)
 
 
@@ -151,7 +111,7 @@ def resource_cost(inst: Instance, loads: Loads, r: int) -> Fraction:
     """Cost experienced by any player seated on resource r: a_r * load + budget share."""
     _check_resource(inst, r)
     if loads[r] < 1:
-        raise UnoccupiedResource(f"resource {r} carries no player")
+        raise GameError(f"resource {r} carries no player")
     return _seated_cost(inst, loads, r)
 
 
@@ -165,12 +125,12 @@ def deviation_cost(
     """
     _check_resource(inst, target)
     if source == target:
-        raise SameResource(f"deviation target equals source resource {target}")
+        raise GameError(f"deviation target equals source resource {target}")
     after = list(loads)
     if source is not None:
         _check_resource(inst, source)
         if loads[source] < 1:
-            raise EmptySource(f"cannot deviate from empty resource {source}")
+            raise GameError(f"cannot deviate from empty resource {source}")
         after[source] -= 1
     after[target] += 1
     return _seated_cost(inst, after, target)
@@ -273,11 +233,11 @@ def _occupied(form, loads: Loads):
     ``cost, k`` is the cost of r's players and ``dev, j`` their cheapest
     move, to the cheapest target of their kind in the profile's
     :func:`_pricing`, or to the runner-up when that target is r; ``dev`` and
-    ``target`` are None when m = 1.  Raises EmptyGame if nobody sits.
+    ``target`` are None when m = 1.  Raises GameError if nobody sits.
     """
     peak, count, below, at_peak = _pricing(form, loads)
     if peak == 0:
-        raise EmptyGame("profile seats no players")
+        raise GameError("profile seats no players")
     coeffs, budget, _ = form
     for r, x in enumerate(loads):
         if x == peak:

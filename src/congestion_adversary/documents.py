@@ -137,11 +137,18 @@ def write_trace(trace: SolveTrace, handle: TextIO, pretty: bool = False) -> None
     With `pretty`, the layout is that of ``indent=2`` one level deep, as the
     "trace" of an indented result document.
     """
-    indent, pad, end = (2, "\n    ", "\n  ]") if pretty else (None, "", "]")
+    pad, end = ("\n    ", "\n  ]") if pretty else ("", "]")
     handle.write("[")
     sep = pad
     for ev in trace.iter_events():
-        handle.write(sep + json.dumps(_event_json(ev), indent=indent).replace("\n", pad))
+        obj = _event_json(ev)
+        if pretty:  # indent= runs json's pure-Python encoder; its C one lays this out faster.
+            loads, obj["loads_after"] = obj["loads_after"], 0  # the last key, spliced in below
+            fields = json.dumps(obj, separators=(",\n      ", ": "))[1:-2]  # no "{", "0}"
+            items = json.dumps(loads, separators=(",\n        ", ": "))[1:-1]
+            handle.write(sep + "{\n      " + fields + "[\n        " + items + "\n      ]\n    }")
+        else:
+            handle.write(sep + json.dumps(obj))
         sep = "," + (pad or " ")
     handle.write("]" if sep == pad else end)
 

@@ -356,11 +356,21 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "loads,alpha",
-        [("2,2", "1"), ("2,2,2", "1"), ("2,2,x", "1"), ("3,3,-1", "1"), ("2,2,1", "1/2"), ("2,2,1", "0.5")],
+        [
+            ("2,2", "1"), ("2,2,2", "1"), ("2,2,x", "1"), ("3,3,-1", "1"), ("2,2,1", "1/2"), ("2,2,1", "0.5"),
+            # Past Python's limit on the digits of an int.
+            pytest.param("2,2," + "1" * 5000, "7/6", id="load_digits"),
+        ],
     )
     def test_malformed_arguments(self, capsys, loads, alpha):
         code, out, err = run(capsys, "verify", EXAMPLE1, loads, alpha)
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("loads", [" 2,+2,0_1", "\u0662,2,1", "2,2,1\n", "2,,1", "2,2,1 "])
+    def test_loads_are_ascii_digits_only(self, capsys, loads):
+        # int() would take the sign, the spaces, the "_" and the Arabic-Indic two.
+        code, out, err = run(capsys, "verify", EXAMPLE1, loads, "7/6")
+        assert (code, out) == (2, "") and err == f"error: loads must be comma-separated digits 0-9, got {loads!r}\n"
 
 
 class TestOracle:
@@ -458,6 +468,32 @@ class TestGenAndFixtures:
     def test_gen_rejects_bad_parameters(self, capsys):
         code, _, err = run(capsys, "gen", "--n", "0", "--m", "3", "--seed", "1")
         assert code == 2 and "error" in err
+
+    def test_gen_refuses_more_resources_than_its_limit_up_front(self, capsys, monkeypatch):
+        calls = []
+
+        def stub(n, m, seed, coeff_max, budget_max):
+            calls.append(m)
+            return make_fixtures()["example1"]
+
+        monkeypatch.setattr(cli_module, "generate_instance", stub)
+        limit = cli_module.GEN_MAX_M
+        code, obj, _ = run_json(capsys, "gen", "--n", "5", "--m", str(limit), "--seed", "1")
+        assert code == 0 and obj["name"] == "example1" and calls == [limit]
+        code, out, err = run(capsys, "gen", "--n", "5", "--m", str(limit + 1), "--seed", "1")
+        assert (code, out) == (2, "") and calls == [limit]
+        assert err == (
+            f"error: gen refuses more than {limit} units of work, the resource count m "
+            f"(got {limit + 1} at n=5, m={limit + 1})\n"
+        )
+
+    def test_fixtures_into_an_unwritable_path_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "notadir"
+        blocker.write_text("")
+        code, out, err = run(capsys, "fixtures", str(blocker / "x"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write fixtures to {blocker / 'x'}: ")
+        assert len(err.splitlines()) == 1
 
     def test_fixtures_written(self, capsys, tmp_path):
         out_dir = tmp_path / "fx"

@@ -9,17 +9,9 @@ from hypothesis import strategies as st
 
 from congestion_adversary import (
     AWAY_FROM_ZERO,
-    EmptyGame,
-    EmptyResources,
-    EmptySource,
     GameError,
     INFINITY,
-    NegativeCoefficient,
-    NonPositiveBudget,
-    NonPositivePlayers,
-    SameResource,
     TOWARD_ZERO,
-    UnoccupiedResource,
     binding_deviation,
     compute_K,
     deviation_cost,
@@ -206,20 +198,24 @@ class TestValidation:
         assert inst.m == 3
 
     def test_rejects_empty_resources(self):
-        with pytest.raises(EmptyResources):
+        with pytest.raises(GameError, match="^need at least one resource$") as exc:
             validate_instance([], 3, 1)
+        assert type(exc.value) is GameError
 
     def test_rejects_non_positive_players(self):
-        with pytest.raises(NonPositivePlayers):
+        with pytest.raises(GameError, match="^player count must be positive, got 0$") as exc:
             validate_instance([1], 0, 1)
+        assert type(exc.value) is GameError
 
     def test_rejects_non_positive_budget(self):
-        with pytest.raises(NonPositiveBudget):
+        with pytest.raises(GameError, match="^budget must be positive, got 0$") as exc:
             validate_instance([1], 2, 0)
+        assert type(exc.value) is GameError
 
     def test_rejects_negative_coefficient(self):
-        with pytest.raises(NegativeCoefficient):
+        with pytest.raises(GameError, match="^coefficient must be non-negative, got -1$") as exc:
             validate_instance([1, -1], 2, 1)
+        assert type(exc.value) is GameError
 
     @pytest.mark.parametrize("factor", [0, -1, Fraction(-1, 3)])
     def test_scale_rejects_non_positive_factor(self, example1, factor):
@@ -246,8 +242,9 @@ class TestAttack:
         # Nobody is seated, so no resource has a cost to carry a share.
         inst = validate_instance([1, 2], 1, 1)
         for r in range(2):
-            with pytest.raises(UnoccupiedResource):
+            with pytest.raises(GameError, match=f"^resource {r} carries no player$") as exc:
                 resource_cost(inst, (0, 0), r)
+            assert type(exc.value) is GameError
 
     @given(
         st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6).filter(
@@ -302,12 +299,14 @@ class TestCosts:
             )
 
     def test_resource_cost_requires_occupancy(self, example1):
-        with pytest.raises(UnoccupiedResource):
+        with pytest.raises(GameError, match="^resource 1 carries no player$") as exc:
             resource_cost(example1, (5, 0, 0), 1)
+        assert type(exc.value) is GameError
 
     def test_deviation_rejects_same_resource(self, example1):
-        with pytest.raises(SameResource):
+        with pytest.raises(GameError, match="^deviation target equals source resource 1$") as exc:
             deviation_cost(example1, (2, 2, 1), 1, 1)
+        assert type(exc.value) is GameError
 
     @pytest.mark.parametrize(
         "call, args",
@@ -370,8 +369,9 @@ class TestCheapestDeviation:
         assert kernel_moves(inst, (1, 1, 1))[2] == (Fraction(2), (Fraction(5), 0))
 
     def test_rejects_empty_source(self, example1):
-        with pytest.raises(EmptySource):
+        with pytest.raises(GameError, match="^cannot deviate from empty resource 1$") as exc:
             deviation_cost(example1, (3, 0, 2), 1, 0)
+        assert type(exc.value) is GameError
 
 
 class TestPricingMatchesReference:
@@ -444,8 +444,9 @@ class TestNeededAlpha:
         assert ratio == needed_alpha(example1, (2, 2, 1)) == cost / dev
 
     def test_empty_profile_rejected(self, example1):
-        with pytest.raises(EmptyGame):
+        with pytest.raises(GameError, match="^profile seats no players$") as exc:
             needed_alpha(example1, (0, 0, 0))
+        assert type(exc.value) is GameError
 
     @given(instances(), st.randoms(use_true_random=False))
     @settings(deadline=None)
@@ -515,13 +516,11 @@ class TestThresholdConstant:
         assert fine <= coarse
 
 
-#: The package's public names, 43 of them.
+#: The package's public names, 35 of them.
 PUBLIC_NAMES = {
-    "AWAY_FROM_ZERO", "DEVIATION", "EmptyGame", "EmptyResources", "EmptySource",
-    "FIXTURE_NAMES", "GameError", "GuardExceeded", "INFINITY", "InstanceDocument",
-    "LENIENT", "NegativeCoefficient", "NonPositiveBudget", "NonPositivePlayers",
-    "PLAYER_ADDED", "ParseError", "STRICT", "SameResource", "SolveTrace",
-    "SolverConfig", "TOWARD_ZERO", "TraceEvent", "UnoccupiedResource", "best_alpha",
+    "AWAY_FROM_ZERO", "DEVIATION", "FIXTURE_NAMES", "GameError", "GuardExceeded",
+    "INFINITY", "InstanceDocument", "LENIENT", "PLAYER_ADDED", "ParseError", "STRICT",
+    "SolveTrace", "SolverConfig", "TOWARD_ZERO", "TraceEvent", "best_alpha",
     "binding_deviation", "compute_K", "deviation_cost", "enumerate_profiles",
     "format_rational", "generate_instance", "is_alpha_pne", "k_upper_bound",
     "load_instance_document", "make_fixtures", "needed_alpha",
@@ -546,7 +545,14 @@ def test_every_exported_name_resolves():
     declared = [name for names in lists.values() for name in names]
     assert len(declared) == len(set(declared))
     assert sorted(package.__all__) == sorted(declared)
-    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 43
+    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 35
     for module, names in lists.items():
         for name in names:
             assert getattr(getattr(package, name), "__module__", module) == module, name
+
+
+def test_core_has_one_exception_class():
+    # Every model error is a GameError; its message, not a subclass, names the fault.
+    core = importlib.import_module("congestion_adversary.core")
+    errors = [value for value in vars(core).values() if isinstance(value, type) and issubclass(value, Exception)]
+    assert errors == [GameError]

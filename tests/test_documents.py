@@ -148,7 +148,7 @@ class TestTraceSerialization:
         assert "events" not in vars(trace)
         assert handle.getvalue() == json.dumps(trace_to_json(trace))
 
-    @pytest.mark.parametrize("n,m", [(0, 3), (1, 1), (5, 3), (40, 6)])
+    @pytest.mark.parametrize("n,m", [(0, 3), (1, 1), (5, 3), (40, 6), (120, 9)])
     def test_pretty_written_trace_is_the_indented_event_list(self, n, m):
         # Pretty, write_trace lays the events out as json.dumps(indent=2)
         # does one level deep; n = 0 stands for a trace without moves.
