@@ -44,15 +44,15 @@ EXIT_ORACLE_MISMATCH = 4
 #: fixtures, 2-core Xeon host, Python 3.11: 0.15 s at 100, 0.26 s at 400 and
 #: 0.8 s at 800, whole process; compute_K alone takes 3.4 s at 1 600.
 SOLVE_K_MAX_PRECISION = 400
-#: solve-k always emits its trace, about 2n events of m loads each, so its
-#: work is n * (m + 50): a player's events cost about as much as 50 loads
-#: besides their snapshots (about 20 us per player at m = 1, against
-#: 0.4 us per load).  Whole process with --trace, which is written event by
-#: event, gen --seed 1, 2-core Xeon host, Python 3.11: (4 000, 400) is 1.8e6
-#: and takes 0.78 s and 17 MB, (100 000, 10) is 6e6 and takes 2.7 s and 34 MB,
-#: and (10 000, 950), (20 000, 450) and (100 000, 50), each 1e7, take 2.9,
-#: 3.8 and 7.1 s and 19, 22 and 40 MB.
-SOLVE_K_MAX_WORK = 10_000_000
+#: solve-k's trace holds one event per move, about two per player, and no
+#: loads, so its work is 50 * n + m, at most the n * (m + 50) it was while
+#: each event held m loads.  Whole process with --trace, gen --seed 1, 2-core
+#: Xeon host, Python 3.11: (10 000, 950) is 5e5 and takes 0.6-0.7 s and
+#: 19 MB, (10, 500 000) 5e5 and 3.6-4.4 s and 96 MB, (100 000, 1 000) 5e6
+#: and 4.7-6.9 s and 48 MB, (200 000, 50) 1e7 and 10.8 s and 64 MB,
+#: (200 000, 20 000) 1.002e7 and 11.6-12.9 s and 99 MB, and (219 999, 50),
+#: at the limit, 10.3-13.9 s and 69 MB.
+SOLVE_K_MAX_WORK = 11_000_000
 #: best-alpha's work is its shape table: for each peak load M and count k of
 #: resources at it, k * M <= n, up to (m - k + 1)(m - k + 2) / 2 shapes with
 #: lists of up to M values per tail coefficient.  generate_instance(n, m, 1),
@@ -69,10 +69,11 @@ BEST_ALPHA_MAX_WORK = 50_000_000
 #: (100, 6), (69, 8) and (26, 2 000) take 3.0, 3.2, 3.8, 4.2 and 3.4 s.
 ORACLE_MAX_WORK = 5_000_000
 ORACLE_UNIT = "the oracle's profiles times m + 20, counted up to the limit"
-#: gen's time is sorting and printing its m Fraction coefficients.  Whole
-#: process, --n 5 --seed 1, 2-core Xeon host, Python 3.11: m = 100 000 takes
-#: 1.3 s and 32 MB, 300 000 4.6 s and 58 MB, and 500 000 6.8 s and 85 MB
-#: (5.6 s and 116 MB with --pretty); refused, 1 000 000 takes 14 s and 152 MB.
+#: gen's time is making, sorting and printing its m Fraction coefficients.
+#: Whole process, --n 5 --seed 1, 2-core Xeon host, Python 3.11: m = 100 000
+#: takes 0.65 s and 33 MB, 300 000 1.6 s and 59 MB, and 500 000 2.8 s and
+#: 86 MB (3.8 s and 120 MB with --pretty); refused, 1 000 000 takes 6.1 s
+#: and 154 MB.
 GEN_MAX_M = 500_000
 
 
@@ -141,8 +142,8 @@ def cmd_solve_k(args) -> int:
             f"error: solve-k refuses --precision > {SOLVE_K_MAX_PRECISION} (got {args.precision})",
         )
     doc = load_instance_document(args.instance)
-    work = doc.instance.n * (doc.instance.m + 50)
-    refusal = _refusal("solve-k", doc.instance, work, SOLVE_K_MAX_WORK, "n * (m + 50)")
+    work = 50 * doc.instance.n + doc.instance.m
+    refusal = _refusal("solve-k", doc.instance, work, SOLVE_K_MAX_WORK, "50 * n + m")
     if refusal:
         return _fail(EXIT_PARSE, refusal)
     config = SolverConfig.default(precision=args.precision, guard_mode=args.guard)

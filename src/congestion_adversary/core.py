@@ -76,7 +76,12 @@ def validate_instance(
     Original resource labels are discarded: the game is symmetric in resources
     of equal coefficient and every algorithm here assumes the sorted order.
     """
-    coeffs = tuple(sorted(Fraction(a) for a in raw_coefficients))
+    coeffs = [Fraction(a) for a in raw_coefficients]
+    # Fraction comparisons run in pure Python: sort by each value times the lcm
+    # of the denominators, exact integers, unless that lcm may be long.
+    dens = {a.denominator for a in coeffs}
+    lcm = math.lcm(*dens) if sum(d.bit_length() for d in dens) <= 256 else None
+    coeffs = tuple(sorted(coeffs, key=lcm and (lambda a: a.numerator * (lcm // a.denominator))))
     budget = Fraction(budget)
     if not coeffs:
         raise GameError("need at least one resource")

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, TextIO, Union
+from typing import Optional, Sequence, TextIO, Union
 
 from .core import GameError, Instance, compute_K, validate_instance
 from .solver import SolveTrace
@@ -127,42 +127,34 @@ def format_extended_rational(value) -> str:
     return format_rational(value)
 
 
-def trace_to_json(trace: SolveTrace) -> List[dict]:
-    return [_event_json(ev) for ev in trace.iter_events()]
-
-
 def write_trace(trace: SolveTrace, handle: TextIO, pretty: bool = False) -> None:
-    """Write ``json.dumps(trace_to_json(trace))`` event by event, holding one event at a time.
+    """Write the JSON list of the trace's events, holding one event at a time.
 
-    With `pretty`, the layout is that of ``indent=2`` one level deep, as the
-    "trace" of an indented result document.
+    An event is ``{kind, round, from, to, cost_before, cost_after}``.  With
+    `pretty`, the layout is that of ``indent=2`` one level deep, as the
+    "trace" of an indented result document; json's C encoder lays out each
+    flat event with indenting separators, since ``indent=`` runs its
+    pure-Python one.
     """
     pad, end = ("\n    ", "\n  ]") if pretty else ("", "]")
+    separators = (",\n      ", ": ") if pretty else (", ", ": ")
     handle.write("[")
     sep = pad
     for ev in trace.iter_events():
-        obj = _event_json(ev)
-        if pretty:  # indent= runs json's pure-Python encoder; its C one lays this out faster.
-            loads, obj["loads_after"] = obj["loads_after"], 0  # the last key, spliced in below
-            fields = json.dumps(obj, separators=(",\n      ", ": "))[1:-2]  # no "{", "0}"
-            items = json.dumps(loads, separators=(",\n        ", ": "))[1:-1]
-            handle.write(sep + "{\n      " + fields + "[\n        " + items + "\n      ]\n    }")
-        else:
-            handle.write(sep + json.dumps(obj))
+        text = json.dumps(
+            {
+                "kind": ev.kind,
+                "round": ev.round,
+                "from": ev.source,
+                "to": ev.target,
+                "cost_before": format_extended_rational(ev.cost_before),
+                "cost_after": format_rational(ev.cost_after),
+            },
+            separators=separators,
+        )
+        handle.write(sep + ("{\n      " + text[1:-1] + "\n    }" if pretty else text))
         sep = "," + (pad or " ")
     handle.write("]" if sep == pad else end)
-
-
-def _event_json(ev) -> dict:
-    return {
-        "kind": ev.kind,
-        "round": ev.round,
-        "from": ev.source,
-        "to": ev.target,
-        "cost_before": format_extended_rational(ev.cost_before),
-        "cost_after": format_rational(ev.cost_after),
-        "loads_after": list(ev.loads_after),
-    }
 
 
 def result_document(

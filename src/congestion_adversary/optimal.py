@@ -210,10 +210,11 @@ def best_alpha(inst: Instance) -> OptResult:
     One pass over the shape table fills each pair at its least factor and
     scores the fill; the optimum is the least score, from 2 or the all-equal
     profile's.  A pair of factor 1 whose fill is exact answers at once.  Only
-    pairs of factor at most the running score count: `crest` values that
-    fail by their tail part are dropped for the rest of the row, where the
-    tail part only grows.  The witness is the all-equal profile or the first
-    pair recorded on the way whose fill at the optimum passes there.
+    pairs of factor at most the running score count: a row's `crest` values
+    below its ``need_rest`` or ``room`` at that score are cut up front, and
+    those that fail by their tail part are dropped for the rest of the row,
+    where the tail part only grows.  The witness is the all-equal profile or
+    the first pair recorded on the way whose fill at the optimum passes there.
     """
     form = _scaled_form(inst)
     n, m, a = inst.n, inst.m, form[0]
@@ -227,7 +228,7 @@ def best_alpha(inst: Instance) -> OptResult:
         head, (need_max, cmax_all, need_rest, crest_all, room, _) = row[:3], row[3:]
         if room is None:
             continue
-        live = crest_all[bisect_left(crest_all, -(-q * need_rest // p)) :]
+        live = crest_all[bisect_left(crest_all, -(-q * max(need_rest, room) // p)) :]
         for cmax in cmax_all[bisect_left(cmax_all, -(-q * need_max // p)) :]:
             if not live:
                 break

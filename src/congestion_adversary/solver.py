@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, List, Optional, Tuple
 
 from .core import (
@@ -65,7 +64,6 @@ class TraceEvent:
     target: int
     cost_before: ExtendedRational  # INFINITY for an entering player
     cost_after: Fraction
-    loads_after: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -75,22 +73,16 @@ class SolveTrace:
     Each of `moves` is ``(round, source, target, cost, k, dev, j)``: source
     None for an entering player, whose ``cost, k`` are None; otherwise
     ``cost, k`` is the mover's cost before the move and ``dev, j`` after it,
-    each an integer pair worth ``p / (k * scale)``.  `m` is the resource
-    count and `scale` the common denominator D of the instance's integer form.
+    each an integer pair worth ``p / (k * scale)``.  `scale` is the common
+    denominator D of the instance's integer form.
     """
 
     moves: Tuple[tuple, ...]
     per_round_deviation_counts: Tuple[int, ...]
-    m: int
     scale: int
 
-    @cached_property
-    def events(self) -> Tuple[TraceEvent, ...]:
-        """One TraceEvent per move, with Fraction costs and the loads after it."""
-        return tuple(self.iter_events())
-
     def iter_events(self) -> Iterator[TraceEvent]:
-        """The events of :attr:`events` one at a time, built afresh and kept nowhere."""
+        """One TraceEvent per move, with Fraction costs, built afresh and kept nowhere."""
         scale = self.scale
         return (
             TraceEvent(
@@ -100,22 +92,12 @@ class SolveTrace:
                 target,
                 INFINITY if source is None else Fraction(cost, cost_den * scale),
                 Fraction(dev, dev_den * scale),
-                tuple(loads),
             )
-            for (k, source, target, cost, cost_den, dev, dev_den), loads in zip(
-                self.moves, self._applied(self.m)
-            )
+            for k, source, target, cost, cost_den, dev, dev_den in self.moves
         )
 
     def replay(self, m: int) -> Tuple[int, ...]:
-        """Re-apply all moves from the empty profile; returns the final loads."""
-        loads = [0] * m
-        for loads in self._applied(m):
-            pass
-        return tuple(loads)
-
-    def _applied(self, m: int):
-        """The load list after each move, one list updated in place.
+        """Re-apply all moves from the empty profile; returns the final loads.
 
         Raises GameError on an empty or out-of-range source, an out-of-range
         target, or a move that leaves the loads out of non-increasing order.
@@ -131,7 +113,7 @@ class SolveTrace:
                 raise GameError(f"move {move} targets resource {target}, not in range({m})")
             loads[target] += 1
             _check_order(loads, source, target, GameError)
-            yield loads
+        return tuple(loads)
 
 
 @dataclass(frozen=True)
@@ -206,7 +188,7 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
             moves.append((k, source, target, cost, cost_den, dev, dev_den))
         per_round.append(deviations)
 
-    return tuple(loads), SolveTrace(tuple(moves), tuple(per_round), m, form[2])
+    return tuple(loads), SolveTrace(tuple(moves), tuple(per_round), form[2])
 
 
 def _deviator(form, priced, tails, alpha):

@@ -107,7 +107,7 @@ def test_criterion_3_seven_player_trace(capsys, seven_player):
         loads, trace = solve(seven_player, SolverConfig.default())
         assert loads == (2, 2, 1, 1, 1)
         last_round = [
-            ev for ev in trace.events if ev.round == 7 and ev.kind == "deviation"
+            ev for ev in trace.iter_events() if ev.round == 7 and ev.kind == "deviation"
         ]
         assert [(ev.source, ev.target) for ev in last_round] == [(4, 1), (0, 4)]
         assert needed_alpha(seven_player, loads) == Fraction(25, 24)

@@ -17,8 +17,8 @@ from congestion_adversary import (
     validate_instance,
 )
 from congestion_adversary.cli import main
-from congestion_adversary.documents import trace_to_json
 from congestion_adversary.optimal import _scaled_form, _shape_table
+from test_documents import replayed_loads, trace_to_json
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EXAMPLE1 = str(FIXTURES_DIR / "example1.json")
@@ -92,9 +92,24 @@ class TestSolveK:
         assert code == 0
         assert "trace" not in obj
         events = json.loads(trace_path.read_text())
-        assert events[-1]["loads_after"] == [2, 2, 1, 1, 1]
+        assert replayed_loads(events, 5) == obj["loads"] == [2, 2, 1, 1, 1]
         _, inline, _ = run_json(capsys, "solve-k", APPENDIX)
         assert events == inline["trace"]
+
+    @pytest.mark.parametrize("guard", ["strict", "lenient"])
+    def test_trace_is_its_moves(self, capsys, tmp_path, guard):
+        # An event holds no loads: replaying its from/to moves, inline or
+        # in the --trace file, reaches the result's loads.
+        instance, trace_path = tmp_path / "gen.json", tmp_path / "trace.json"
+        instance.write_text(run(capsys, "gen", "--n", "300", "--m", "12", "--seed", "3")[1])
+        argv = ["solve-k", str(instance), "--guard", guard]
+        _, inline, _ = run_json(capsys, *argv)
+        _, obj, _ = run_json(capsys, *argv, "--trace", str(trace_path))
+        written = json.loads(trace_path.read_text())
+        for events, loads in ((inline["trace"], inline["loads"]), (written, obj["loads"])):
+            assert len(events) > 300
+            assert not any("loads_after" in event for event in events)
+            assert replayed_loads(events, 12) == loads
 
     @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
     def test_inline_trace_is_the_json_of_the_document(self, capsys, pretty):
@@ -135,18 +150,25 @@ class TestSolveK:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_refuses_oversized_instances_up_front(self, capsys, monkeypatch, tmp_path):
-        # n * (m + 50) on 50 resources: exactly the 10 000 000 allowed units
-        # of work at 100 000 players, 100 units more at 100 001.
+        # 50 * n + m: exactly the allowed units of work at (players,
+        # resources), 50 more with one more player.  Accepted too: what the
+        # old limit, n * (m + 50) <= 10 000 000, accepted at its boundary,
+        # and 200 000 players on 20 000 resources.
         class Reached(Exception):
             pass
 
         def reached(inst, config):
             raise Reached
 
+        limit = cli_module.SOLVE_K_MAX_WORK
+        players, resources = (limit - 50) // 50, 50 + (limit - 50) % 50
+        accepted = [(10**7 // (m + 50), m) for m in (1, 50, 950, 20_000)]
+        accepted += [(200_000, 20_000), (players, resources)]
         monkeypatch.setattr(cli_module, "solve", reached)
-        for players, refused in ((100_000, False), (100_001, True)):
-            path = tmp_path / f"n{players}.json"
-            doc = {"players": players, "budget": "1", "coefficients": ["1"] * 50}
+        cases = [(n, m, False) for n, m in accepted] + [(players + 1, resources, True)]
+        for n, m, refused in cases:
+            path = tmp_path / f"n{n}-m{m}.json"
+            doc = {"players": n, "budget": "1", "coefficients": ["1"] * m}
             path.write_text(json.dumps(doc))
             if not refused:
                 with pytest.raises(Reached):
@@ -155,7 +177,7 @@ class TestSolveK:
             code, out, err = run(capsys, "solve-k", str(path))
             assert code == 2 and not out
             assert err.startswith("error: solve-k refuses") and err.count("\n") == 1
-            assert "10000100" in err
+            assert f"got {limit + 50} at" in err
 
     def test_refuses_a_hundred_million_players_at_once(self, capsys, tmp_path):
         path = tmp_path / "huge.json"

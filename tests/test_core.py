@@ -191,11 +191,37 @@ def random_profile(inst, rng):
     return tuple(loads)
 
 
+#: Mersenne primes of 61 to 127 bits, 384 together.
+LONG_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
 class TestValidation:
     def test_sorts_coefficients(self):
         inst = validate_instance([5, 0, 2], 5, 6)
         assert inst.coefficients == (Fraction(0), Fraction(2), Fraction(5))
         assert inst.m == 3
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**130),
+                st.sampled_from([1, 2, 3, 4, 6, 7, 12, 10**12, *LONG_PRIMES]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([(2, 4), (1, 1), (1, 2), (12, 6), (2, 1), (0, 7), (10**12 + 1, 10**12)])
+    @example([(p // 2, p) for p in LONG_PRIMES] + [(2**120, 3), (1, 2)])
+    def test_sorts_as_the_fractions_do(self, pairs):
+        # Mixed denominators, and equal values written over different ones
+        # (2/4 and 1/2, 12/6 and the int 2): the integer sort key orders
+        # them as Fraction comparisons do.  Denominators whose lcm may pass
+        # 256 bits, as LONG_PRIMES together do, are sorted as Fractions.
+        raw = [p if q == 1 else Fraction(p, q) for p, q in pairs]
+        inst = validate_instance(raw, 3, 1)
+        assert inst.coefficients == tuple(sorted(Fraction(a) for a in raw))
+        assert all(type(a) is Fraction for a in inst.coefficients)
 
     def test_rejects_empty_resources(self):
         with pytest.raises(GameError, match="^need at least one resource$") as exc:

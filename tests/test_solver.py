@@ -40,16 +40,16 @@ from test_core import (
 def reference_solve(inst, config):
     """The insertion/settling schedule with every move priced by the Fraction spec.
 
-    Returns ``(loads, events, per-round deviation counts)``, as :func:`traced_solve` does.
+    Returns ``(loads, events, per-round deviation counts, loads after each
+    move)``, as :func:`traced_solve` does; the loads are its own, kept move by move.
     """
     loads = [0] * inst.m
-    events, per_round = [], []
+    events, per_round, profiles = [], [], []
     for k in range(1, inst.n + 1):
         cost, target = reference_cheapest_deviation(inst, loads, None)
         loads[target] += 1
-        events.append(
-            TraceEvent(PLAYER_ADDED, k, None, target, INFINITY, cost, tuple(loads))
-        )
+        events.append(TraceEvent(PLAYER_ADDED, k, None, target, INFINITY, cost))
+        profiles.append(tuple(loads))
         deviations = 0
         while (source := reference_select_deviator(inst, loads, config.alpha)) is not None:
             deviations += 1
@@ -59,17 +59,28 @@ def reference_solve(inst, config):
             after, target = reference_cheapest_deviation(inst, loads, source)
             loads[source] -= 1
             loads[target] += 1
-            events.append(
-                TraceEvent(DEVIATION, k, source, target, before, after, tuple(loads))
-            )
+            events.append(TraceEvent(DEVIATION, k, source, target, before, after))
+            profiles.append(tuple(loads))
         per_round.append(deviations)
-    return tuple(loads), tuple(events), tuple(per_round)
+    return tuple(loads), tuple(events), tuple(per_round), tuple(profiles)
+
+
+def replayed_profiles(moves, m):
+    """The loads after each move, re-applied one at a time from the empty profile."""
+    loads, profiles = [0] * m, []
+    for _, source, target, *_ in moves:
+        if source is not None:
+            loads[source] -= 1
+        loads[target] += 1
+        profiles.append(tuple(loads))
+    return tuple(profiles)
 
 
 def traced_solve(inst, config):
-    """solve's ``(loads, events, per-round deviation counts)``."""
+    """solve's ``(loads, events, per-round deviation counts, loads after each move)``."""
     loads, trace = solve(inst, config)
-    return loads, trace.events, trace.per_round_deviation_counts
+    events = tuple(trace.iter_events())
+    return loads, events, trace.per_round_deviation_counts, replayed_profiles(trace.moves, inst.m)
 
 
 class TestConfig:
@@ -140,7 +151,7 @@ class TestSolve:
         loads, trace = solve(seven_player, SolverConfig.default())
         assert loads == (2, 2, 1, 1, 1)
         assert trace.per_round_deviation_counts == (0, 0, 0, 0, 0, 0, 2)
-        last = [ev for ev in trace.events if ev.round == 7]
+        last = [ev for ev in trace.iter_events() if ev.round == 7]
         assert [ev.kind for ev in last] == [PLAYER_ADDED, DEVIATION, DEVIATION]
         assert (last[1].source, last[1].target) == (4, 1)
         assert (last[2].source, last[2].target) == (0, 4)
@@ -148,7 +159,7 @@ class TestSolve:
 
     def test_insertion_events_have_infinite_prior_cost(self, example1):
         _, trace = solve(example1, SolverConfig.default())
-        added = [ev for ev in trace.events if ev.kind == PLAYER_ADDED]
+        added = [ev for ev in trace.iter_events() if ev.kind == PLAYER_ADDED]
         assert len(added) == example1.n
         assert all(ev.cost_before == INFINITY for ev in added)
         assert [ev.round for ev in added] == list(range(1, example1.n + 1))
@@ -162,14 +173,15 @@ class TestSolve:
     def test_replay_rejects_altered_moves(self, seven_player):
         loads, trace = solve(seven_player, SolverConfig.default())
         m = seven_player.m
-        assert trace.replay(m) == trace.events[-1].loads_after == loads
+        profiles = replayed_profiles(trace.moves, m)
+        assert trace.replay(m) == profiles[-1] == loads
         # Every move with its target one index to the right, and every
         # deviation leaving a resource that is empty before it.
         altered = []
-        for i, (move, event) in enumerate(zip(trace.moves, trace.events)):
+        for i, move in enumerate(trace.moves):
             altered.append((i, move[:2] + (move[2] + 1,) + move[3:]))
-            before = trace.events[i - 1].loads_after if i else (0,) * m
-            if event.kind == DEVIATION:
+            before = profiles[i - 1] if i else (0,) * m
+            if move[1] is not None:
                 altered += [(i, move[:1] + (r,) + move[2:]) for r in range(m) if not before[r]]
         assert len(altered) > len(trace.moves)
         for i, move in altered:
@@ -198,16 +210,17 @@ class TestSolve:
         ],
     )
     def test_replay_rejects_a_hand_built_trace(self, moves):
-        trace = SolveTrace(tuple(moves), (len(moves) - 1,), 3, 1)
+        trace = SolveTrace(tuple(moves), (len(moves) - 1,), 1)
         with pytest.raises(GameError):
             trace.replay(3)
-        with pytest.raises(GameError):
-            trace.events
 
-    def test_events_are_built_once_from_the_moves(self, example1):
+    def test_events_are_built_afresh_from_the_moves(self, example1):
         _, trace = solve(example1, SolverConfig.default())
-        assert trace.events is trace.events
-        assert [(ev.round, ev.source, ev.target) for ev in trace.events] == [
+        # The trace keeps its moves and nothing built from them.
+        assert set(vars(trace)) == {"moves", "per_round_deviation_counts", "scale"}
+        events = tuple(trace.iter_events())
+        assert events == tuple(trace.iter_events())
+        assert [(ev.round, ev.source, ev.target) for ev in events] == [
             move[:3] for move in trace.moves
         ]
 
@@ -247,7 +260,7 @@ class TestSolveMatchesReference:
 
 
 def solve_outcome(solver, inst, config):
-    """``(loads, events, per-round counts)``, or GuardExceeded when the guard stops the run."""
+    """The solver's four-part outcome, or GuardExceeded when the guard stops the run."""
     try:
         return solver(inst, config)
     except GuardExceeded:
@@ -284,8 +297,7 @@ class TestSolveMatchesReferenceOnTies:
         # A resource whose cheapest target is itself never improves, so the
         # runner-up move never decides a step; the factor each profile of
         # the trace needs does depend on it.
-        for event in () if outcome is GuardExceeded else outcome[1]:
-            loads = event.loads_after
+        for loads in () if outcome is GuardExceeded else outcome[3]:
             assert binding_deviation(inst, loads) == reference_binding_deviation(inst, loads)
         # Steer the search toward runs with many deviations, or ones the guard stops.
         deviations = (
@@ -328,8 +340,8 @@ class TestSolveMatchesReferenceOnWideBands:
         assert outcome == solve_outcome(reference_solve, inst, config)
         if outcome is not GuardExceeded:
             # Steer the search toward many bands and many deviations.
-            events = outcome[1]
-            target(float(max(len(set(ev.loads_after)) for ev in events)), label="bands")
+            _, events, _, profiles = outcome
+            target(float(max(len(set(loads)) for loads in profiles)), label="bands")
             target(float(sum(ev.kind == DEVIATION for ev in events)), label="deviations")
 
     @given(
