@@ -19,7 +19,6 @@ from typing import List, Optional
 
 from .core import GameError, binding_deviation, is_alpha_pne, needed_alpha
 from .documents import (
-    ParseError,
     format_extended_rational,
     format_rational,
     generate_instance,
@@ -71,9 +70,9 @@ ORACLE_MAX_WORK = 5_000_000
 ORACLE_UNIT = "the oracle's profiles times m + 20, counted up to the limit"
 #: gen's time is making, sorting and printing its m Fraction coefficients.
 #: Whole process, --n 5 --seed 1, 2-core Xeon host, Python 3.11: m = 100 000
-#: takes 0.65 s and 33 MB, 300 000 1.6 s and 59 MB, and 500 000 2.8 s and
-#: 86 MB (3.8 s and 120 MB with --pretty); refused, 1 000 000 takes 6.1 s
-#: and 154 MB.
+#: takes 0.65 s and 33 MB, 300 000 1.6 s and 59 MB, and 500 000 2.9-4.2 s
+#: and 90 MB (3.8-4.4 s and 120 MB with --pretty); refused, 1 000 000
+#: takes 6.1 s and 154 MB.
 GEN_MAX_M = 500_000
 
 
@@ -353,7 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GameError, ParseError) as exc:
+    except GameError as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
 
 

@@ -15,7 +15,7 @@ throughout the code base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -49,17 +49,27 @@ class GameError(ValueError):
     """Invalid game data or an invalid operation on it; the message names the fault."""
 
 
+#: validate_instance refuses an instance whose integer form, m times the bit
+#: length of D, the lcm of the denominators, passes this, counted as D grows.
+#: solve-k on 3 players and 1/p over the first k primes, whole process, 2-core
+#: Xeon host, Python 3.11: k = 2 000 is 5.0e7 bits, 0.2 s and 23 MB; 4 000
+#: 2.2e8, 0.5 s and 45 MB; 6 000 5.1e8, 0.9-1.0 s and 83 MB; past it, 8 000
+#: 9.4e8, 1.2-1.6 s and 139 MB.  Refused, 8 000 or 20 000 take 0.3 s, 23 MB.
+FORM_MAX_BITS = 2**29
+
+
 @dataclass(frozen=True)
 class Instance:
     """A game instance: player count, sorted cost coefficients, adversary budget.
 
-    Construct through :func:`validate_instance`; the constructor itself does
-    not sort or validate.
+    `form` is ``(A, B, D)``, coefficients and budget times D, the lcm of their
+    denominators.  Build only through :func:`validate_instance`.
     """
 
     n: int
     coefficients: Tuple[Fraction, ...]
     budget: Fraction
+    form: Tuple[Tuple[int, ...], int, int] = field(repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -75,13 +85,9 @@ def validate_instance(
 
     Original resource labels are discarded: the game is symmetric in resources
     of equal coefficient and every algorithm here assumes the sorted order.
+    Raises GameError past FORM_MAX_BITS, before taking the whole lcm.
     """
     coeffs = [Fraction(a) for a in raw_coefficients]
-    # Fraction comparisons run in pure Python: sort by each value times the lcm
-    # of the denominators, exact integers, unless that lcm may be long.
-    dens = {a.denominator for a in coeffs}
-    lcm = math.lcm(*dens) if sum(d.bit_length() for d in dens) <= 256 else None
-    coeffs = tuple(sorted(coeffs, key=lcm and (lambda a: a.numerator * (lcm // a.denominator))))
     budget = Fraction(budget)
     if not coeffs:
         raise GameError("need at least one resource")
@@ -89,10 +95,23 @@ def validate_instance(
         raise GameError(f"player count must be positive, got {n}")
     if budget <= 0:
         raise GameError(f"budget must be positive, got {budget}")
-    for a in coeffs:
-        if a < 0:
-            raise GameError(f"coefficient must be non-negative, got {a}")
-    return Instance(n=n, coefficients=coeffs, budget=budget)
+    m, scale = len(coeffs), budget.denominator
+    for d in {a.denominator for a in coeffs}:
+        scale = math.lcm(scale, d)
+        if m * scale.bit_length() > FORM_MAX_BITS:
+            raise GameError(
+                f"m times the bit length of the denominators' lcm passes {FORM_MAX_BITS} (m={m})"
+            )
+
+    def scaled(a: Fraction) -> int:
+        return a.numerator * (scale // a.denominator)
+
+    # Sorting by the scaled integers orders the Fractions without comparing them.
+    coeffs.sort(key=scaled)
+    if coeffs[0] < 0:
+        raise GameError(f"coefficient must be non-negative, got {coeffs[0]}")
+    form = (tuple(map(scaled, coeffs)), scaled(budget), scale)
+    return Instance(n=n, coefficients=tuple(coeffs), budget=budget, form=form)
 
 
 def scale_instance(inst: Instance, factor: Union[Fraction, int]) -> Instance:
@@ -100,11 +119,7 @@ def scale_instance(inst: Instance, factor: Union[Fraction, int]) -> Instance:
     factor = Fraction(factor)
     if factor <= 0:
         raise GameError(f"scale factor must be positive, got {factor}")
-    return Instance(
-        n=inst.n,
-        coefficients=tuple(a * factor for a in inst.coefficients),
-        budget=inst.budget * factor,
-    )
+    return validate_instance((a * factor for a in inst.coefficients), inst.n, inst.budget * factor)
 
 
 # resource_cost and deviation_cost price one player or one move at a time, in
@@ -156,18 +171,6 @@ def _seated_cost(inst: Instance, loads: Loads, r: int) -> Fraction:
     return base + inst.budget / loads.count(peak)
 
 
-def _integer_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
-    """``(A, B, D)``: coefficients and budget times D, the lcm of their denominators.
-
-    Callers compute it once per call and pass it to every :func:`_pricing` of
-    that call; it is not cached on the Instance, so instances stay as small
-    as their fields.
-    """
-    scale = math.lcm(inst.budget.denominator, *(a.denominator for a in inst.coefficients))
-    coeffs = tuple(a.numerator * (scale // a.denominator) for a in inst.coefficients)
-    return coeffs, inst.budget.numerator * (scale // inst.budget.denominator), scale
-
-
 def _pricing(form, loads: Loads, targets=None, peaks=None):
     """Exact integer pricing of a profile in one pass over candidate targets.
 
@@ -186,7 +189,7 @@ def _pricing(form, loads: Loads, targets=None, peaks=None):
     P, and per kind ``(dev, j, target, dev2, target2)``, the cheapest and
     runner-up targets (``dev2``, ``target2`` None when m = 1); ``below[:3]``
     is the entering player's move.  A pair ``p, k`` is the cost ``p / (k *
-    D)``, with `form` = ``(A, B, D)`` from :func:`_integer_form`; compare
+    D)``, with `form` = ``(A, B, D)``, an Instance's `form`; compare
     costs by cross-multiplication.  Without `peaks`, raises GameError unless
     the profile has m non-negative loads.
     """
@@ -273,7 +276,7 @@ def needed_alpha(inst: Instance, loads: Loads) -> ExtendedRational:
     single resource there is no deviation and the profile is vacuously an
     exact equilibrium, so 1 is returned.
     """
-    found = _binding(_integer_form(inst), loads)
+    found = _binding(inst.form, loads)
     if found is None:
         return Fraction(1)
     num, den = found[0]
@@ -288,13 +291,12 @@ def binding_deviation(
     Returns ``(ratio, r, r_to, cost, dev)`` for the occupied resource r with
     the largest cost-to-best-deviation ratio, or None when m = 1.
     """
-    form = _integer_form(inst)
-    found = _binding(form, loads)
+    found = _binding(inst.form, loads)
     if found is None:
         return None
     (num, den), r, cost, k, dev, j, target = found
     ratio = INFINITY if den == 0 else Fraction(num, den)
-    return ratio, r, target, _fraction(form, cost, k), _fraction(form, dev, j)
+    return ratio, r, target, _fraction(inst.form, cost, k), _fraction(inst.form, dev, j)
 
 
 def _binding(form, loads):

@@ -19,7 +19,6 @@ from .core import GameError, Instance, compute_K, validate_instance
 from .solver import SolveTrace
 
 __all__ = [
-    "ParseError",
     "InstanceDocument",
     "parse_rational",
     "format_rational",
@@ -32,18 +31,23 @@ __all__ = [
 
 RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
-
-class ParseError(ValueError):
-    """Malformed instance document or rational string."""
+#: load_instance_document refuses a document of more characters than this, one
+#: byte each in ASCII, before parsing it; read in text mode, it allocates no
+#: buffer of this size.  gen --n 10 --seed 1 at its limit, m = 500 000, writes
+#: 3.0 MB, and 5.0 MB with --pretty.  solve-k on those, whole process, 2-core
+#: Xeon host, Python 3.11: 3.1-3.8 s and 99 MB, and 3.5-4.5 s and 100 MB; at
+#: the limit, 914 077 resources, 6.3-10.3 s and 169-173 MB; past it, 2 000 000
+#: (11.9 MB) 12.4 s and 360 MB, while the refusal takes 0.13 s and 22 MB.
+DOCUMENT_MAX_CHARS = 5_500_000
 
 
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not RATIONAL_RE.fullmatch(text):
-        raise ParseError(f"not a rational string: {text!r}")
+        raise GameError(f"not a rational string: {text!r}")
     try:
         return Fraction(text)
     except ValueError as exc:  # More digits than Python converts to an int.
-        raise ParseError(f"not a usable rational: {exc}") from None
+        raise GameError(f"not a usable rational: {exc}") from None
 
 
 def format_rational(value: Union[Fraction, int]) -> str:
@@ -69,9 +73,7 @@ class InstanceDocument:
             {
                 "players": self.instance.n,
                 "budget": format_rational(self.instance.budget),
-                "coefficients": [
-                    format_rational(a) for a in self.instance.coefficients
-                ],
+                "coefficients": [format_rational(a) for a in self.instance.coefficients],
             }
         )
         return obj
@@ -82,41 +84,40 @@ class InstanceDocument:
 
 def parse_instance_document(obj: dict) -> InstanceDocument:
     if not isinstance(obj, dict):
-        raise ParseError("instance document must be a JSON object")
+        raise GameError("instance document must be a JSON object")
     try:
         players = obj["players"]
         budget = obj["budget"]
         coefficients = obj["coefficients"]
     except KeyError as exc:
-        raise ParseError(f"missing key {exc.args[0]!r}") from None
+        raise GameError(f"missing key {exc.args[0]!r}") from None
     if not isinstance(players, int) or isinstance(players, bool):
-        raise ParseError(f"players must be an integer, got {players!r}")
+        raise GameError(f"players must be an integer, got {players!r}")
     if not isinstance(coefficients, list):
-        raise ParseError("coefficients must be an array of rational strings")
-    try:
-        instance = validate_instance(
-            [parse_rational(c) for c in coefficients],
-            players,
-            parse_rational(budget),
-        )
-    except GameError as exc:
-        raise ParseError(str(exc)) from exc
+        raise GameError("coefficients must be an array of rational strings")
+    instance = validate_instance(
+        [parse_rational(c) for c in coefficients], players, parse_rational(budget)
+    )
     name = obj.get("name")
     description = obj.get("description")
     if name is not None and not isinstance(name, str):
-        raise ParseError("name must be a string")
+        raise GameError("name must be a string")
     if description is not None and not isinstance(description, str):
-        raise ParseError("description must be a string")
+        raise GameError("description must be a string")
     return InstanceDocument(instance=instance, name=name, description=description)
 
 
 def load_instance_document(path: str) -> InstanceDocument:
+    """The document at `path`; GameError if it is over DOCUMENT_MAX_CHARS, before parsing."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    # ValueError: bad UTF-8, bad JSON or a number past Python's int digit limit.
+            text = handle.read(DOCUMENT_MAX_CHARS + 1)
+        if len(text) > DOCUMENT_MAX_CHARS:
+            raise ValueError(f"over {DOCUMENT_MAX_CHARS} characters")
+        obj = json.loads(text)
+    # ValueError: too long, bad UTF-8, bad JSON or a number past Python's int digit limit.
     except (OSError, ValueError, RecursionError) as exc:
-        raise ParseError(f"cannot read instance from {path}: {exc}") from exc
+        raise GameError(f"cannot read instance from {path}: {exc}") from exc
     return parse_instance_document(obj)
 
 
@@ -209,11 +210,9 @@ def generate_instance(
     denominator in [1, 4]; the budget has numerator in [1, budget_max].
     """
     if n < 1 or m < 1 or coeff_max < 0 or budget_max < 1:
-        raise ParseError("generator parameters must be positive")
+        raise GameError("generator parameters must be positive")
     rng = random.Random(seed)
-    coefficients = [
-        Fraction(rng.randint(0, coeff_max), rng.randint(1, 4)) for _ in range(m)
-    ]
+    coefficients = [Fraction(rng.randint(0, coeff_max), rng.randint(1, 4)) for _ in range(m)]
     budget = Fraction(rng.randint(1, budget_max), rng.randint(1, 4))
     instance = validate_instance(coefficients, n, budget)
     return InstanceDocument(

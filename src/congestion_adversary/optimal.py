@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .core import Instance, _integer_form, _score, binding_deviation, is_alpha_pne
+from .core import Instance, _score, binding_deviation, is_alpha_pne
 
 __all__ = ["best_alpha"]
 
@@ -44,12 +44,12 @@ class OptResult:
 
 
 def _scaled_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
-    """``(A, B, D)`` of :func:`core._integer_form`, each times L = lcm(1..m).
+    """The instance's `form` ``(A, B, D)``, each times L = lcm(1..m).
 
     A cost value a_r * load + B / p with p <= m is then the integer
     ``A[r] * load + B // p`` over the common denominator D, exactly.
     """
-    coeffs, budget, scale = _integer_form(inst)
+    coeffs, budget, scale = inst.form
     shares = math.lcm(*range(1, inst.m + 1))
     return tuple(a * shares for a in coeffs), budget * shares, scale * shares
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
-from .core import Instance, _fraction, _integer_form, _occupied, _score
+from .core import Instance, _fraction, _occupied, _score
 
 __all__ = [
     "enumerate_profiles",
@@ -54,13 +54,12 @@ def oracle_best_alpha(inst: Instance) -> Tuple[Fraction, Tuple[int, ...]]:
     whenever the result is at most 2, which the universal existence bound
     guarantees.
     """
-    form = _integer_form(inst)
     best: Optional[Tuple[int, int]] = None
     best_profile: Optional[Tuple[int, ...]] = None
     for profile in enumerate_profiles(inst.n, inst.m):
         # An INFINITY score (1, 0) never wins: by the existence theorem
         # some profile needs at most K.
-        value = _score(form, profile)
+        value = _score(inst.form, profile)
         if best is None or value[0] * best[1] < best[0] * value[1]:
             best, best_profile = value, profile
     return Fraction(*best), best_profile
@@ -73,17 +72,16 @@ def oracle_best_additive_epsilon(
 
     The slack of a profile is the worst, over occupied resources, of
     cost minus best deviation cost, clamped at zero.  The swap argument
-    behind the decreasing-profile restriction is only proven for the
-    multiplicative notion, so this optimum is exact under that same
-    restriction (see README).
+    behind the decreasing-profile restriction is made for the factor; for
+    the slack the tests check it, against the minimum over every ordered
+    load vector (see README).
     """
-    form = _integer_form(inst)
     best: Optional[Tuple[int, int]] = None
     best_profile: Optional[Tuple[int, ...]] = None
     for profile in enumerate_profiles(inst.n, inst.m):
         # Slacks are integer cost pairs like those of _occupied, compared crosswise.
         slack = (0, 1)
-        for _, cost, k, dev, j, _ in _occupied(form, profile):
+        for _, cost, k, dev, j, _ in _occupied(inst.form, profile):
             if dev is None:
                 continue
             gap = (cost * j - dev * k, k * j)
@@ -91,4 +89,4 @@ def oracle_best_additive_epsilon(
                 slack = gap
         if best is None or slack[0] * best[1] < best[0] * slack[1]:
             best, best_profile = slack, profile
-    return _fraction(form, *best), best_profile
+    return _fraction(inst.form, *best), best_profile

@@ -24,7 +24,6 @@ from .core import (
     INFINITY,
     Instance,
     _fraction,
-    _integer_form,
     _pricing,
     k_upper_bound,
 )
@@ -155,7 +154,7 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     bands = {0: [0, m - 1]}
     moves = []
     per_round: List[int] = []
-    form = _integer_form(inst)
+    form = inst.form
     priced, tails = _price_bands(form, loads, bands)
 
     for k in range(1, inst.n + 1):

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 import congestion_adversary.cli as cli_module
+import congestion_adversary.documents as documents_module
 import congestion_adversary.oracle as oracle_module
 from congestion_adversary import (
     GuardExceeded,
     SolverConfig,
     enumerate_profiles,
+    generate_instance,
     make_fixtures,
     parse_instance_document,
     solve,
@@ -525,3 +527,54 @@ class TestGenAndFixtures:
         assert names == set(make_fixtures())
         for p in obj["written"]:
             parse_instance_document(json.loads(pathlib.Path(p).read_text()))
+
+
+def first_primes(count):
+    """The first `count` primes, by a sieve up to 15 * count."""
+    sieve = bytearray([1]) * (15 * count)
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(len(sieve) ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [p for p, prime in enumerate(sieve) if prime][:count]
+
+
+#: Every command that reads an instance document, with the arguments after it.
+READERS = [("solve-k",), ("best-alpha",), ("verify", "2,1,0", "2"), ("oracle",)]
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize("command", READERS)
+    def test_a_long_integer_form_is_refused_in_under_a_second(self, capsys, tmp_path, command):
+        # 1/p over 20 000 primes: D would hold about 320 000 bits, and the
+        # form 20 000 times that; the count stops the lcm near 2^29 bits.
+        path = tmp_path / "primes.json"
+        coefficients = [f"1/{p}" for p in first_primes(20_000)]
+        path.write_text(json.dumps({"players": 3, "budget": "1", "coefficients": coefficients}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: m times the bit length of the denominators' lcm passes {2**29} (m=20000)\n"
+
+    @pytest.mark.parametrize("command", READERS)
+    def test_a_document_over_the_length_limit_is_refused_before_parsing(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"players": 3, "budget": "1", "coefficients": ["0", "2", "5"]}))
+        size = path.stat().st_size  # ASCII: one character a byte
+        monkeypatch.setattr(documents_module, "DOCUMENT_MAX_CHARS", size)
+        code, _, err = run(capsys, command[0], str(path), *command[1:])
+        assert code in (0, 1) and err == ""
+        monkeypatch.setattr(documents_module, "DOCUMENT_MAX_CHARS", size - 1)
+        refusal = f"error: cannot read instance from {path}: over {size - 1} characters\n"
+        assert run(capsys, command[0], str(path), *command[1:]) == (2, "", refusal)
+        # Not JSON at all: the length alone refuses it, before json would fail.
+        path.write_text("x" * size)
+        assert run(capsys, command[0], str(path), *command[1:]) == (2, "", refusal)
+
+    def test_gen_output_at_its_limit_loads(self):
+        # With --pretty, the longer layout, and a newline as the command prints it.
+        doc = generate_instance(10, cli_module.GEN_MAX_M, 1)
+        assert len(doc.dumps(pretty=True)) + 1 <= documents_module.DOCUMENT_MAX_CHARS

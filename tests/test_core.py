@@ -1,4 +1,5 @@
 import importlib
+import math
 import pkgutil
 import random
 from fractions import Fraction
@@ -22,7 +23,8 @@ from congestion_adversary import (
     scale_instance,
     validate_instance,
 )
-from congestion_adversary.core import _fraction, _integer_form, _occupied, _pricing
+import congestion_adversary.core as core_module
+from congestion_adversary.core import _fraction, _occupied, _pricing
 from congestion_adversary.solver import _deviator
 
 rationals = st.fractions(min_value=0, max_value=20, max_denominator=8)
@@ -157,7 +159,7 @@ def kernel_moves(inst, loads):
     cost None; each occupied resource's entry comes from ``_occupied``.  A
     move is ``(deviation_cost, target)``, None when m = 1.
     """
-    form = _integer_form(inst)
+    form = inst.form
 
     def move(dev, j, target):
         return None if dev is None else (_fraction(form, dev, j), target)
@@ -180,7 +182,7 @@ def assert_matches_reference(inst, loads, alpha):
         for source in sources
     }
     assert binding_deviation(inst, loads) == reference_binding_deviation(inst, loads)
-    found = whole_deviator(_integer_form(inst), loads, alpha)
+    found = whole_deviator(inst.form, loads, alpha)
     assert (None if found is None else found[0]) == reference_select_deviator(inst, loads, alpha)
 
 
@@ -216,8 +218,8 @@ class TestValidation:
     def test_sorts_as_the_fractions_do(self, pairs):
         # Mixed denominators, and equal values written over different ones
         # (2/4 and 1/2, 12/6 and the int 2): the integer sort key orders
-        # them as Fraction comparisons do.  Denominators whose lcm may pass
-        # 256 bits, as LONG_PRIMES together do, are sorted as Fractions.
+        # them as Fraction comparisons do, also when the lcm of the
+        # denominators is long, as that of LONG_PRIMES is.
         raw = [p if q == 1 else Fraction(p, q) for p, q in pairs]
         inst = validate_instance(raw, 3, 1)
         assert inst.coefficients == tuple(sorted(Fraction(a) for a in raw))
@@ -247,6 +249,40 @@ class TestValidation:
     def test_scale_rejects_non_positive_factor(self, example1, factor):
         with pytest.raises(GameError, match="scale factor must be positive"):
             scale_instance(example1, factor)
+
+    @given(instances(), positive_rationals)
+    def test_form_is_the_instance_times_the_lcm_of_its_denominators(self, inst, factor):
+        for each in (inst, scale_instance(inst, factor)):
+            scale = math.lcm(each.budget.denominator, *(a.denominator for a in each.coefficients))
+            scaled = [a * scale for a in each.coefficients + (each.budget,)]
+            assert all(x.denominator == 1 for x in scaled)
+            ints = tuple(int(x) for x in scaled)
+            assert each.form == (ints[:-1], ints[-1], scale)
+
+    def test_refuses_an_integer_form_past_its_limit(self, monkeypatch):
+        # D = lcm(2, 3, 5, 7) = 210 has 8 bits, so the form of 3 coefficients is 24 bits.
+        raw, budget = [Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)], Fraction(1, 2)
+        monkeypatch.setattr(core_module, "FORM_MAX_BITS", 24)
+        assert validate_instance(raw, 2, budget).form == ((30, 42, 70), 105, 210)
+        monkeypatch.setattr(core_module, "FORM_MAX_BITS", 23)
+        with pytest.raises(GameError) as exc:
+            validate_instance(raw, 2, budget)
+        assert str(exc.value) == "m times the bit length of the denominators' lcm passes 23 (m=3)"
+
+    def test_form_refusal_stops_taking_the_lcm_at_the_limit(self, monkeypatch):
+        # 1/p over 200 primes: D passes 200 * 64 bits long before its last factor.
+        primes = [p for p in range(2, 1300) if all(p % q for q in range(2, math.isqrt(p) + 1))][:200]
+        steps, lcm = [], math.lcm
+
+        def counted(*args):
+            steps.append(args)
+            return lcm(*args)
+
+        monkeypatch.setattr(core_module, "FORM_MAX_BITS", 200 * 64)
+        monkeypatch.setattr(core_module.math, "lcm", counted)
+        with pytest.raises(GameError, match="passes 12800 "):
+            validate_instance([Fraction(1, p) for p in primes], 3, 1)
+        assert 0 < len(steps) < 20
 
 
 def attack_shares(inst, loads):
@@ -542,10 +578,10 @@ class TestThresholdConstant:
         assert fine <= coarse
 
 
-#: The package's public names, 35 of them.
+#: The package's public names, 34 of them.
 PUBLIC_NAMES = {
     "AWAY_FROM_ZERO", "DEVIATION", "FIXTURE_NAMES", "GameError", "GuardExceeded",
-    "INFINITY", "InstanceDocument", "LENIENT", "PLAYER_ADDED", "ParseError", "STRICT",
+    "INFINITY", "InstanceDocument", "LENIENT", "PLAYER_ADDED", "STRICT",
     "SolveTrace", "SolverConfig", "TOWARD_ZERO", "TraceEvent", "best_alpha",
     "binding_deviation", "compute_K", "deviation_cost", "enumerate_profiles",
     "format_rational", "generate_instance", "is_alpha_pne", "k_upper_bound",
@@ -571,7 +607,7 @@ def test_every_exported_name_resolves():
     declared = [name for names in lists.values() for name in names]
     assert len(declared) == len(set(declared))
     assert sorted(package.__all__) == sorted(declared)
-    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 35
+    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 34
     for module, names in lists.items():
         for name in names:
             assert getattr(getattr(package, name), "__module__", module) == module, name

@@ -7,8 +7,8 @@ import pytest
 
 from congestion_adversary import (
     FIXTURE_NAMES,
+    GameError,
     InstanceDocument,
-    ParseError,
     SolverConfig,
     format_rational,
     generate_instance,
@@ -68,7 +68,7 @@ class TestRationals:
         "text", ["1.5", "1/0", "", "1/-2", "a", "1e3", None, 3, "7/6\n", "3\n", " 7/6"]
     )
     def test_rejects_non_rational_strings(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(GameError):
             parse_rational(text)
 
     def test_format_round_trip(self):
@@ -106,11 +106,11 @@ class TestInstanceDocuments:
         ],
     )
     def test_rejects_malformed_documents(self, obj):
-        with pytest.raises(ParseError):
+        with pytest.raises(GameError):
             parse_instance_document(obj)
 
     def test_load_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(GameError):
             load_instance_document(str(tmp_path / "nope.json"))
 
 
@@ -127,9 +127,9 @@ class TestGenerator:
             assert 0 < inst.budget <= 3
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(GameError):
             generate_instance(0, 3, 1)
-        with pytest.raises(ParseError):
+        with pytest.raises(GameError):
             generate_instance(3, 0, 1)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from congestion_adversary import (
     enumerate_profiles,
     generate_instance,
     is_alpha_pne,
+    make_fixtures,
     needed_alpha,
     oracle_best_additive_epsilon,
     oracle_best_alpha,
@@ -30,20 +32,25 @@ def all_compositions(n, m):
         yield tuple(parts)
 
 
+def reference_slack(inst, profile):
+    """The profile's additive slack, every move priced through the Fraction spec."""
+    return max(
+        [
+            resource_cost(inst, profile, r) - deviation_cost(inst, profile, r, s)
+            for r in range(inst.m)
+            if profile[r] > 0
+            for s in range(inst.m)
+            if s != r
+        ]
+        + [Fraction(0)]
+    )
+
+
 def reference_best_additive_epsilon(inst):
-    """Every move priced through the Fraction spec; first minimum over profiles."""
+    """The first minimum of reference_slack over decreasing profiles."""
     best = None
     for profile in enumerate_profiles(inst.n, inst.m):
-        slack = max(
-            [
-                resource_cost(inst, profile, r) - deviation_cost(inst, profile, r, s)
-                for r in range(inst.m)
-                if profile[r] > 0
-                for s in range(inst.m)
-                if s != r
-            ]
-            + [Fraction(0)]
-        )
+        slack = reference_slack(inst, profile)
         if best is None or slack < best[0]:
             best = (slack, profile)
     return best
@@ -57,6 +64,14 @@ def reference_oracle_best_alpha(inst):
         if best is None or value < best[0]:
             best = (value, profile)
     return best
+
+
+def jittered(inst, seed):
+    """`inst` with each coefficient and the budget times a seeded factor within 2 % of 1."""
+    rng = random.Random(seed)
+    factors = [1 + Fraction(rng.randint(-100, 100), 5000) for _ in range(inst.m + 1)]
+    coefficients = [a * f for a, f in zip(inst.coefficients, factors)]
+    return validate_instance(coefficients, inst.n, inst.budget * factors[-1])
 
 
 class TestEnumeration:
@@ -167,6 +182,18 @@ class TestAdditiveEpsilon:
     def test_matches_reference(self, seed):
         inst = generate_instance(n=1 + seed % 8, m=1 + seed % 4, seed=seed).instance
         assert oracle_best_additive_epsilon(inst) == reference_best_additive_epsilon(inst)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [generate_instance(n=1 + i % 8, m=1 + i % 4, seed=i).instance for i in range(64)]
+        + [jittered(doc.instance, seed) for doc in make_fixtures().values() for seed in range(5)],
+    )
+    def test_decreasing_profiles_reach_the_minimum_over_all_compositions(self, inst):
+        # The swap argument behind the restriction is made for the factor;
+        # for the slack, this compares with every ordered load vector.
+        epsilon, witness = oracle_best_additive_epsilon(inst)
+        assert epsilon == min(reference_slack(inst, c) for c in all_compositions(inst.n, inst.m))
+        assert reference_slack(inst, witness) == epsilon
 
     def test_single_resource_has_no_slack(self):
         inst = validate_instance([3], 5, 2)

@@ -26,7 +26,7 @@ from congestion_adversary import (
     solve,
     validate_instance,
 )
-from congestion_adversary.core import _integer_form, _pricing
+from congestion_adversary.core import _pricing
 from congestion_adversary.solver import _deviator, _price_bands
 from test_core import (
     kernel_moves,
@@ -123,7 +123,7 @@ class TestUnhappySet:
 
     def test_no_exact_equilibrium_profile(self, example1):
         # On (2,2,1) only the r2 players have a strictly improving move.
-        form = _integer_form(example1)
+        form = example1.form
         assert whole_deviator(form, (2, 2, 1), Fraction(1))[0] == 1
         assert whole_deviator(form, (2, 2, 1), Fraction(7, 6)) is None
 
@@ -131,13 +131,13 @@ class TestUnhappySet:
         inst = validate_instance([0, 3, 3], 4, 4)
         # (0,2,2): the two max-load resources both cost 8 and both improve by
         # moving to the free resource; the tie goes to index 2.
-        found = whole_deviator(_integer_form(inst), (0, 2, 2), Fraction(1))
+        found = whole_deviator(inst.form, (0, 2, 2), Fraction(1))
         assert found[0] == 2
         moves = kernel_moves(inst, (0, 2, 2))
         assert moves[1][0] == moves[2][0] == Fraction(8)
 
     def test_select_deviator_none_when_all_settled(self, example1):
-        assert whole_deviator(_integer_form(example1), (2, 2, 1), Fraction(2)) is None
+        assert whole_deviator(example1.form, (2, 2, 1), Fraction(2)) is None
 
 
 class TestSolve:
@@ -360,7 +360,7 @@ class TestSolveMatchesReferenceOnWideBands:
         bands = {}
         for r, x in enumerate(loads):
             bands.setdefault(x, [r, r])[1] = r
-        form = _integer_form(inst)
+        form = inst.form
         priced, tails = _price_bands(form, loads, bands)
         assert priced == _pricing(form, loads)
         assert _deviator(form, priced, tails, alpha) == whole_deviator(form, loads, alpha)
