@@ -81,16 +81,16 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _best_alpha_work(inst) -> int:
+def _best_alpha_work(n: int, m: int) -> int:
     """best-alpha's work count in closed form, O(m): M summed over every shape the table tries."""
-    low, work = -(-inst.n // inst.m), 0
-    for k in range(1, min(inst.m, inst.n // low + 1)):
-        high = inst.n // k  # M runs over low..high, for (m - k + 1)(m - k + 2) / 2 shapes each
-        work += (high - low + 1) * (high + low) // 2 * (inst.m - k + 1) * (inst.m - k + 2) // 2
+    low, work = -(-n // m), 0
+    for k in range(1, min(m, n // low + 1)):
+        high = n // k  # M runs over low..high, for (m - k + 1)(m - k + 2) / 2 shapes each
+        work += (high - low + 1) * (high + low) // 2 * (m - k + 1) * (m - k + 2) // 2
     return work
 
 
-def _oracle_work(inst) -> int:
+def _oracle_work(n: int, m: int) -> int:
     """The oracle's work count: its profiles, counted in O(n * m), times m + 20.
 
     Counting stops once past ORACLE_MAX_WORK, so past it the count is a
@@ -98,7 +98,6 @@ def _oracle_work(inst) -> int:
     profiles, so an instance refused for those alone is refused before the
     list of n + 1 partition counts is made.
     """
-    n, m = inst.n, inst.m
     profiles = 1 if n == 1 or m == 1 else n // 2 + 1  # partitions into at most 2 parts
     if min(n, m) > 2 and profiles * (m + 20) <= ORACLE_MAX_WORK:
         counts = [j // 2 + 1 for j in range(n + 1)]
@@ -111,14 +110,12 @@ def _oracle_work(inst) -> int:
     return profiles * (m + 20)
 
 
-def _refusal(command: str, inst, work: int, limit: int, unit: str) -> Optional[str]:
-    """The error message when `work` on `inst` is past `limit`, else None."""
-    if work <= limit:
-        return None
-    return (
-        f"error: {command} refuses more than {limit} units of work, "
-        f"{unit} (got {work} at n={inst.n}, m={inst.m})"
-    )
+def _refuse(command: str, n: int, m: int, work: int, limit: int, unit: str) -> None:
+    """Raise GameError when `work` at n players and m resources is past `limit`."""
+    if work > limit:
+        raise GameError(
+            f"{command} refuses more than {limit} units of work, {unit} (got {work} at n={n}, m={m})"
+        )
 
 
 def _deviation_json(binding) -> dict:
@@ -133,6 +130,9 @@ def _deviation_json(binding) -> dict:
 
 
 def cmd_solve_k(args) -> int:
+    def check(n: int, m: int) -> None:
+        _refuse("solve-k", n, m, 50 * n + m, SOLVE_K_MAX_WORK, "50 * n + m")
+
     if args.precision < 1:
         return _fail(EXIT_PARSE, f"error: --precision must be >= 1, got {args.precision}")
     if args.precision > SOLVE_K_MAX_PRECISION:
@@ -140,11 +140,7 @@ def cmd_solve_k(args) -> int:
             EXIT_PARSE,
             f"error: solve-k refuses --precision > {SOLVE_K_MAX_PRECISION} (got {args.precision})",
         )
-    doc = load_instance_document(args.instance)
-    work = 50 * doc.instance.n + doc.instance.m
-    refusal = _refusal("solve-k", doc.instance, work, SOLVE_K_MAX_WORK, "50 * n + m")
-    if refusal:
-        return _fail(EXIT_PARSE, refusal)
+    doc = load_instance_document(args.instance, check)
     config = SolverConfig.default(precision=args.precision, guard_mode=args.guard)
     start = time.perf_counter()
     try:
@@ -171,14 +167,13 @@ def cmd_solve_k(args) -> int:
 
 
 def cmd_best_alpha(args) -> int:
-    doc = load_instance_document(args.instance)
-    inst = doc.instance
-    unit = "the shape table's peak loads summed"
-    refusal = _refusal("best-alpha", inst, _best_alpha_work(inst), BEST_ALPHA_MAX_WORK, unit)
-    if args.oracle_check and not refusal:
-        refusal = _refusal("--oracle-check", inst, _oracle_work(inst), ORACLE_MAX_WORK, ORACLE_UNIT)
-    if refusal:
-        return _fail(EXIT_PARSE, refusal)
+    def check(n: int, m: int) -> None:
+        unit = "the shape table's peak loads summed"
+        _refuse("best-alpha", n, m, _best_alpha_work(n, m), BEST_ALPHA_MAX_WORK, unit)
+        if args.oracle_check:
+            _refuse("--oracle-check", n, m, _oracle_work(n, m), ORACLE_MAX_WORK, ORACLE_UNIT)
+
+    inst = load_instance_document(args.instance, check).instance
     start = time.perf_counter()
     result = best_alpha(inst)
     elapsed = (time.perf_counter() - start) * 1000
@@ -236,11 +231,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    doc = load_instance_document(args.instance)
-    inst = doc.instance
-    refusal = _refusal("oracle", inst, _oracle_work(inst), ORACLE_MAX_WORK, ORACLE_UNIT)
-    if refusal:
-        return _fail(EXIT_PARSE, refusal)
+    def check(n: int, m: int) -> None:
+        _refuse("oracle", n, m, _oracle_work(n, m), ORACLE_MAX_WORK, ORACLE_UNIT)
+
+    inst = load_instance_document(args.instance, check).instance
     start = time.perf_counter()
     value, witness = oracle_best_alpha(inst)
     exact = value <= 1
@@ -261,9 +255,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    refusal = _refusal("gen", args, args.m, GEN_MAX_M, "the resource count m")
-    if refusal:
-        return _fail(EXIT_PARSE, refusal)
+    _refuse("gen", args.n, args.m, args.m, GEN_MAX_M, "the resource count m")
     doc = generate_instance(args.n, args.m, args.seed, args.coeff_max, args.budget_max)
     print(doc.dumps(pretty=args.pretty))
     return EXIT_OK

@@ -32,8 +32,6 @@ __all__ = [
     "is_alpha_pne",
     "compute_K",
     "k_upper_bound",
-    "TOWARD_ZERO",
-    "AWAY_FROM_ZERO",
 ]
 
 #: Marker for "no finite approximation factor suffices".  A float infinity
@@ -333,27 +331,20 @@ def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int]) -> b
     return needed_alpha(inst, loads) <= Fraction(alpha)
 
 
-TOWARD_ZERO = "toward-zero"
-AWAY_FROM_ZERO = "away-from-zero"
-
-
-def compute_K(precision: int, rounding: str = AWAY_FROM_ZERO) -> Fraction:
+def compute_K(precision: int) -> Tuple[Fraction, Fraction]:
     """Bracket the threshold constant by exact-rational bisection on [1, 2] (memoized).
 
     The constant is the unique root of x^3 - x^2/2 - 1 in (1, 2), roughly
-    1.1974.  ``away-from-zero`` endpoints lie at or above the root,
-    ``toward-zero`` endpoints at or below, and the two differ by at most
-    10**-precision.
+    1.1974.  Returns ``(lo, hi)``, with lo at or below the root, hi at or
+    above it, and hi - lo at most 10**-precision.
     """
-    return _bisect_K(precision, rounding)
+    return _bisect_K(precision)
 
 
 @lru_cache(maxsize=64, typed=True)
-def _bisect_K(precision: int, rounding: str) -> Fraction:
+def _bisect_K(precision: int) -> Tuple[Fraction, Fraction]:
     if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    if rounding not in (TOWARD_ZERO, AWAY_FROM_ZERO):
-        raise ValueError(f"unknown rounding direction {rounding!r}")
+        raise GameError(f"precision must be >= 1, got {precision}")
     lo, hi = Fraction(1), Fraction(2)
     width = Fraction(1, 10**precision)
     while hi - lo > width:
@@ -362,9 +353,9 @@ def _bisect_K(precision: int, rounding: str) -> Fraction:
             hi = mid
         else:
             lo = mid
-    return lo if rounding == TOWARD_ZERO else hi
+    return lo, hi
 
 
 def k_upper_bound(precision: int = 12) -> Fraction:
     """Rational upper bound on the threshold constant (safe solver alpha)."""
-    return compute_K(precision, AWAY_FROM_ZERO)
+    return compute_K(precision)[1]

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO, Union
+from typing import Callable, Optional, Sequence, TextIO, Union
 
 from .core import GameError, Instance, compute_K, validate_instance
 from .solver import SolveTrace
@@ -28,6 +28,9 @@ __all__ = [
     "make_fixtures",
     "FIXTURE_NAMES",
 ]
+
+#: A refusal by a document header's player and coefficient counts: raises or returns None.
+Check = Callable[[int, int], None]
 
 RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
@@ -82,7 +85,12 @@ class InstanceDocument:
         return json.dumps(self.to_json_obj(), indent=2 if pretty else None)
 
 
-def parse_instance_document(obj: dict) -> InstanceDocument:
+def parse_instance_document(obj: dict, check: Optional[Check] = None) -> InstanceDocument:
+    """The document in `obj`, refused first by `check`, if given.
+
+    `check(n, m)` runs on the header's player and coefficient counts before
+    any rational is parsed, and is skipped at n < 1 or m = 0.
+    """
     if not isinstance(obj, dict):
         raise GameError("instance document must be a JSON object")
     try:
@@ -95,6 +103,8 @@ def parse_instance_document(obj: dict) -> InstanceDocument:
         raise GameError(f"players must be an integer, got {players!r}")
     if not isinstance(coefficients, list):
         raise GameError("coefficients must be an array of rational strings")
+    if check is not None and players >= 1 and coefficients:
+        check(players, len(coefficients))
     instance = validate_instance(
         [parse_rational(c) for c in coefficients], players, parse_rational(budget)
     )
@@ -107,8 +117,8 @@ def parse_instance_document(obj: dict) -> InstanceDocument:
     return InstanceDocument(instance=instance, name=name, description=description)
 
 
-def load_instance_document(path: str) -> InstanceDocument:
-    """The document at `path`; GameError if it is over DOCUMENT_MAX_CHARS, before parsing."""
+def load_instance_document(path: str, check: Optional[Check] = None) -> InstanceDocument:
+    """The document at `path`, parsed with `check`; GameError if over DOCUMENT_MAX_CHARS."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read(DOCUMENT_MAX_CHARS + 1)
@@ -118,7 +128,7 @@ def load_instance_document(path: str) -> InstanceDocument:
     # ValueError: too long, bad UTF-8, bad JSON or a number past Python's int digit limit.
     except (OSError, ValueError, RecursionError) as exc:
         raise GameError(f"cannot read instance from {path}: {exc}") from exc
-    return parse_instance_document(obj)
+    return parse_instance_document(obj, check)
 
 
 def format_extended_rational(value) -> str:
@@ -231,7 +241,7 @@ def _tightness_coefficients():
     the threshold constant: the middle coefficient rounds down, the largest
     (the constant's reciprocal) rounds up.
     """
-    k_lo = compute_K(15, "toward-zero")
+    k_lo, _ = compute_K(15)
     a2 = Fraction(math.floor((k_lo / 2 - Fraction(1, 4)) * GRID), GRID)
     a3 = Fraction(math.ceil(GRID / k_lo), GRID)
     return Fraction(0), a2, a3

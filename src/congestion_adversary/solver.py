@@ -121,6 +121,7 @@ class SolverConfig:
     guard_mode: str = LENIENT
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha < 1:
             raise GameError(f"alpha must be >= 1, got {self.alpha}")
         if self.guard_mode not in (STRICT, LENIENT):

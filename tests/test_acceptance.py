@@ -16,10 +16,8 @@ from fractions import Fraction
 import pytest
 
 from congestion_adversary import (
-    AWAY_FROM_ZERO,
     STRICT,
     SolverConfig,
-    TOWARD_ZERO,
     best_alpha,
     compute_K,
     generate_instance,
@@ -93,8 +91,7 @@ def test_criterion_2_tightness_instance_approaches_threshold(capsys):
         from congestion_adversary import load_instance_document
 
         inst = load_instance_document(str(FIXTURES_DIR / "tightness.json")).instance
-        k_lo = compute_K(12, TOWARD_ZERO)
-        k_hi = compute_K(12, AWAY_FROM_ZERO)
+        k_lo, k_hi = compute_K(12)
         tolerance = Fraction(1, 10**6)
         solver_value = best_alpha(inst).alpha_star
         oracle_value, _ = oracle_best_alpha(inst)
@@ -164,8 +161,7 @@ def test_criterion_6_optimal_solver_matches_oracle(capsys):
 
 def test_criterion_7_threshold_constant_identity(capsys):
     with criterion(capsys, 7, "threshold constant satisfies its cubic", 1.0):
-        hi = compute_K(12, AWAY_FROM_ZERO)
-        lo = compute_K(12, TOWARD_ZERO)
+        lo, hi = compute_K(12)
         residual = hi**3 - hi**2 / 2 - 1
         assert 0 <= residual < Fraction(1, 10**11)
         assert hi - lo <= Fraction(1, 10**12)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import time
 from fractions import Fraction
 
@@ -341,7 +342,7 @@ class TestBestAlpha:
             for k in range(1, m)
             if k * M <= n
         )
-        assert cli_module._best_alpha_work(inst) == loop
+        assert cli_module._best_alpha_work(n, m) == loop
         assert sum(row[0][0] for row in _shape_table(inst, form)) <= loop
 
 
@@ -458,9 +459,8 @@ class TestOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 25])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 30])
     def test_work_count_is_the_profile_count(self, n, m):
-        inst = validate_instance([1] * m, n, 1)
         profiles = sum(1 for _ in enumerate_profiles(n, m))
-        assert cli_module._oracle_work(inst) == profiles * (m + 20)
+        assert cli_module._oracle_work(n, m) == profiles * (m + 20)
 
     @pytest.mark.parametrize("coefficients", [["1", "2"], ["1", "2", "3"]])
     def test_refuses_a_hundred_million_players_at_once(self, capsys, tmp_path, coefficients):
@@ -548,14 +548,89 @@ class TestInputRefusals:
     def test_a_long_integer_form_is_refused_in_under_a_second(self, capsys, tmp_path, command):
         # 1/p over 20 000 primes: D would hold about 320 000 bits, and the
         # form 20 000 times that; the count stops the lcm near 2^29 bits.
+        # best-alpha's work count refuses 20 000 resources from the header,
+        # so it gets one player on 9 000 primes, 4.1e7 units of its work.
+        players, count = (1, 9_000) if command[0] == "best-alpha" else (3, 20_000)
         path = tmp_path / "primes.json"
-        coefficients = [f"1/{p}" for p in first_primes(20_000)]
-        path.write_text(json.dumps({"players": 3, "budget": "1", "coefficients": coefficients}))
+        coefficients = [f"1/{p}" for p in first_primes(count)]
+        path.write_text(json.dumps({"players": players, "budget": "1", "coefficients": coefficients}))
         start = time.perf_counter()
         code, out, err = run(capsys, command[0], str(path), *command[1:])
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == f"error: m times the bit length of the denominators' lcm passes {2**29} (m=20000)\n"
+        assert err == f"error: m times the bit length of the denominators' lcm passes {2**29} (m={count})\n"
+
+    def test_best_alpha_refuses_primes_by_work_without_the_integer_form(self, capsys, tmp_path, monkeypatch):
+        # 1/p over 6 000 primes at n = 3 is 1.44e8 units of best-alpha's work,
+        # counted from the header: no rational is parsed, no lcm taken.
+        calls = []
+        monkeypatch.setattr(documents_module, "parse_rational", lambda text: calls.append(text))
+        monkeypatch.setattr(documents_module, "validate_instance", lambda *args: calls.append(args))
+        path = tmp_path / "primes.json"
+        coefficients = [f"1/{p}" for p in first_primes(6_000)]
+        path.write_text(json.dumps({"players": 3, "budget": "1", "coefficients": coefficients}))
+        assert run(capsys, "best-alpha", str(path)) == (2, "", (
+            "error: best-alpha refuses more than 50000000 units of work, the shape table's "
+            "peak loads summed (got 144006001 at n=3, m=6000)\n"
+        ))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv,players,resources,refusal",
+        [
+            (["solve-k"], 220_000, 3, "solve-k refuses more than 11000000 units of work, 50 * n + m (got 11000003"),
+            (["best-alpha"], 3065, 4, "best-alpha refuses more than 50000000 units of work, the shape table's peak loads summed (got 50015852"),
+            (["best-alpha", "--oracle-check"], 1613, 3, f"--oracle-check refuses more than 5000000 units of work, {cli_module.ORACLE_UNIT} (got 5005283"),
+            (["oracle"], 1613, 3, f"oracle refuses more than 5000000 units of work, {cli_module.ORACLE_UNIT} (got 5005283"),
+        ],
+        ids=["solve-k", "best-alpha", "oracle-check", "oracle"],
+    )
+    def test_work_is_refused_from_the_header_before_any_rational(
+        self, capsys, tmp_path, argv, players, resources, refusal
+    ):
+        # Neither the budget nor a coefficient is a rational: the header's
+        # counts alone refuse the document.
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"players": players, "budget": "x", "coefficients": ["x"] * resources}))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: {refusal} at n={players}, m={resources})\n"
+
+    @pytest.mark.parametrize("command", ["best-alpha", "oracle"])
+    def test_a_document_at_the_length_limit_is_refused_in_under_a_second(self, capsys, tmp_path, command):
+        # Ten players on 775 000 resources, the shape of gen's output, just
+        # under the character limit: parsing every coefficient took about 7 s.
+        rng = random.Random(1)
+        coefficients = [f"{rng.randint(0, 10)}/{rng.randint(1, 4)}" for _ in range(775_000)]
+        text = json.dumps({"players": 10, "budget": "3/2", "coefficients": coefficients})
+        assert len(text) <= documents_module.DOCUMENT_MAX_CHARS
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and err.startswith(f"error: {command} refuses more than")
+        assert err.endswith(" at n=10, m=775000)\n")
+
+    @pytest.mark.parametrize("argv", [["solve-k"], ["best-alpha", "--oracle-check"], ["oracle"]])
+    @pytest.mark.parametrize(
+        "players,coefficients,message",
+        [
+            (0, ["1"] * 3, "player count must be positive, got 0"),
+            (-5, ["x"] * 300_000, "not a rational string: 'x'"),
+            (True, ["1"] * 3, "players must be an integer, got True"),
+            (10**8, [], "need at least one resource"),
+        ],
+        ids=["zero", "negative", "true", "no_coefficients"],
+    )
+    def test_a_header_without_players_or_resources_keeps_its_message(
+        self, capsys, tmp_path, argv, players, coefficients, message
+    ):
+        # No work is counted at n < 1 or m = 0, where the counts would divide
+        # by zero; the document's own fault is reported.
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"players": players, "budget": "1", "coefficients": coefficients}))
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", READERS)
     def test_a_document_over_the_length_limit_is_refused_before_parsing(

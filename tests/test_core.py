@@ -9,10 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congestion_adversary import (
-    AWAY_FROM_ZERO,
     GameError,
     INFINITY,
-    TOWARD_ZERO,
     binding_deviation,
     compute_K,
     deviation_cost,
@@ -541,48 +539,50 @@ class TestNeededAlpha:
 class TestThresholdConstant:
     def test_brackets_the_root(self):
         for precision in (3, 6, 9, 12):
-            lo = compute_K(precision, TOWARD_ZERO)
-            hi = compute_K(precision, AWAY_FROM_ZERO)
+            lo, hi = compute_K(precision)
             assert lo**3 - lo**2 / 2 - 1 <= 0 <= hi**3 - hi**2 / 2 - 1
             assert 0 < hi - lo <= Fraction(1, 10**precision)
 
     def test_approximate_value(self):
         assert abs(float(k_upper_bound(12)) - 1.1974293) < 1e-6
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            compute_K(0)
-        with pytest.raises(ValueError):
-            compute_K(5, "nearest")
+    @pytest.mark.parametrize("precision", [0, -3])
+    def test_rejects_bad_arguments(self, precision):
+        # A GameError, which is still a ValueError.
+        for error in (GameError, ValueError):
+            with pytest.raises(error, match=f"precision must be >= 1, got {precision}"):
+                compute_K(precision)
+        with pytest.raises(TypeError):
+            compute_K(5, "toward-zero")
 
     def test_memoized_and_still_rejects_on_every_call(self):
-        assert compute_K(7, TOWARD_ZERO) is compute_K(7, TOWARD_ZERO)
-        assert compute_K(7, TOWARD_ZERO) != compute_K(7, AWAY_FROM_ZERO)
+        assert compute_K(7) is compute_K(7)
         for _ in range(2):
-            with pytest.raises(ValueError):
+            with pytest.raises(GameError):
                 compute_K(0)
-            with pytest.raises(ValueError):
-                compute_K(5, "nearest")
 
     def test_every_spelling_shares_one_cache_entry(self):
-        # A bisection returns a fresh Fraction, so one object means one run.
+        # A bisection returns a fresh tuple, so one object means one run.
         first = compute_K(23)
-        assert compute_K(23, AWAY_FROM_ZERO) is first
         assert compute_K(precision=23) is first
-        assert compute_K(precision=23, rounding=AWAY_FROM_ZERO) is first
-        assert k_upper_bound(23) is first
+        assert k_upper_bound(23) is first[1]
+        assert k_upper_bound(precision=23) is first[1]
 
     def test_tightens_with_precision(self):
-        coarse = compute_K(4, AWAY_FROM_ZERO)
-        fine = compute_K(12, AWAY_FROM_ZERO)
-        assert fine <= coarse
+        coarse_lo, coarse_hi = compute_K(4)
+        fine_lo, fine_hi = compute_K(12)
+        assert coarse_lo <= fine_lo <= fine_hi <= coarse_hi
+
+    def test_upper_bound_is_the_bracket_top(self):
+        # What the library's default solver factor and the benchmark read.
+        assert k_upper_bound() == compute_K(12)[1] == Fraction(658293739699, 549755813888)
 
 
-#: The package's public names, 34 of them.
+#: The package's public names, 32 of them.
 PUBLIC_NAMES = {
-    "AWAY_FROM_ZERO", "DEVIATION", "FIXTURE_NAMES", "GameError", "GuardExceeded",
+    "DEVIATION", "FIXTURE_NAMES", "GameError", "GuardExceeded",
     "INFINITY", "InstanceDocument", "LENIENT", "PLAYER_ADDED", "STRICT",
-    "SolveTrace", "SolverConfig", "TOWARD_ZERO", "TraceEvent", "best_alpha",
+    "SolveTrace", "SolverConfig", "TraceEvent", "best_alpha",
     "binding_deviation", "compute_K", "deviation_cost", "enumerate_profiles",
     "format_rational", "generate_instance", "is_alpha_pne", "k_upper_bound",
     "load_instance_document", "make_fixtures", "needed_alpha",
@@ -607,7 +607,7 @@ def test_every_exported_name_resolves():
     declared = [name for names in lists.values() for name in names]
     assert len(declared) == len(set(declared))
     assert sorted(package.__all__) == sorted(declared)
-    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 34
+    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 32
     for module, names in lists.items():
         for name in names:
             assert getattr(getattr(package, name), "__module__", module) == module, name

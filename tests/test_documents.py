@@ -113,6 +113,38 @@ class TestInstanceDocuments:
         with pytest.raises(GameError):
             load_instance_document(str(tmp_path / "nope.json"))
 
+    def test_check_sees_the_header_counts_before_any_rational(self, tmp_path):
+        # A check that raises refuses the document as it stands, rationals
+        # unparsed; one that returns lets the document load as without it.
+        class Refused(GameError):  # A ValueError, as the read errors that are rewrapped.
+            pass
+
+        seen = []
+
+        def check(n, m):
+            seen.append((n, m))
+            if n > 3:
+                raise Refused
+
+        obj = {"players": 4, "budget": "x", "coefficients": ["x", "1/0"]}
+        with pytest.raises(Refused):
+            parse_instance_document(obj, check)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(Refused):  # Not rewrapped as "cannot read instance".
+            load_instance_document(str(path), check)
+        obj = {"players": 3, "budget": "1", "coefficients": ["5", "0", "2"]}
+        assert parse_instance_document(obj, check) == parse_instance_document(obj)
+        assert seen == [(4, 2), (4, 2), (3, 3)]
+
+    @pytest.mark.parametrize("players,coefficients", [(0, ["1"]), (-2, ["1"]), (3, [])])
+    def test_check_is_skipped_without_players_or_resources(self, players, coefficients):
+        def check(n, m):
+            raise AssertionError("checked")
+
+        with pytest.raises(GameError):
+            parse_instance_document({"players": players, "budget": "1", "coefficients": coefficients}, check)
+
 
 class TestGenerator:
     def test_deterministic(self):

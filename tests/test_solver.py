@@ -101,6 +101,17 @@ class TestConfig:
     def test_default_alpha_is_threshold_upper_bound(self):
         assert SolverConfig.default().alpha == k_upper_bound(12)
 
+    @pytest.mark.parametrize("alpha", [1.25, 1])
+    @pytest.mark.parametrize("guard", [STRICT, LENIENT])
+    def test_float_or_int_alpha_solves_as_the_equal_fraction(self, alpha, guard):
+        # 22 deviations at 5/4 and 24 at 1: each compares costs against the factor.
+        inst = generate_instance(60, 6, seed=6).instance
+        config = SolverConfig(alpha=alpha, guard_mode=guard)
+        assert type(config.alpha) is Fraction and config.alpha == alpha
+        exact = traced_solve(inst, SolverConfig(alpha=Fraction(alpha), guard_mode=guard))
+        assert traced_solve(inst, config) == exact
+        assert sum(exact[2]) > 20
+
 
 class TestBestResponse:
     """The entering player's move, from ``_pricing(...)[2]``, and who may move."""
