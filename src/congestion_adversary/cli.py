@@ -30,7 +30,7 @@ from .documents import (
     write_trace,
 )
 from .optimal import best_alpha
-from .oracle import oracle_best_additive_epsilon, oracle_best_alpha
+from .oracle import oracle_best_alpha, oracle_optima
 from .solver import GuardExceeded, SolverConfig, solve
 
 EXIT_OK = 0
@@ -61,11 +61,11 @@ SOLVE_K_MAX_WORK = 11_000_000
 #: (1 000, 20) at 1.5e8 and (8 000, 2) at 7.2e7 take 5 and 10 s in the library.
 BEST_ALPHA_MAX_WORK = 50_000_000
 #: The oracle's work is its profiles, the partitions of n into at most m
-#: parts, each priced in time linear in m + 20: about 9 us per profile at
-#: m = 3 and 1.1 ms at m = 2 000, both searches.  Whole process, gen --seed 1,
-#: 2-core Xeon host, Python 3.11, 17 MB each: (200, 3) is 7.9e4 and takes
-#: 0.15 s, (100, 4) 1.9e5 and 0.24 s; at the limit (1 612, 3), (305, 4),
-#: (100, 6), (69, 8) and (26, 2 000) take 3.0, 3.2, 3.8, 4.2 and 3.4 s.
+#: parts, each priced once in time linear in m + 20: about 5 us per profile
+#: at m = 3 and 0.5 ms at m = 2 000.  Whole process, gen --seed 1, 2-core
+#: Xeon host, Python 3.11, 16 MB each: (200, 3) is 7.9e4 and takes 0.14-0.19 s,
+#: (100, 4) 1.9e5 and 0.19-0.24 s; at the limit (1 612, 3), (305, 4), (100, 6),
+#: (69, 8) and (26, 2 000) take 1.3, 1.2-1.3, 1.2-1.3, 1.4-1.8 and 1.2 s.
 ORACLE_MAX_WORK = 5_000_000
 ORACLE_UNIT = "the oracle's profiles times m + 20, counted up to the limit"
 #: gen's time is making, sorting and printing its m Fraction coefficients.
@@ -82,11 +82,17 @@ def _fail(code: int, message: str) -> int:
 
 
 def _best_alpha_work(n: int, m: int) -> int:
-    """best-alpha's work count in closed form, O(m): M summed over every shape the table tries."""
+    """best-alpha's work count in closed form, O(m): M summed over every shape the table tries.
+
+    Counting stops once past BEST_ALPHA_MAX_WORK, so past it the count is a
+    lower bound.
+    """
     low, work = -(-n // m), 0
     for k in range(1, min(m, n // low + 1)):
         high = n // k  # M runs over low..high, for (m - k + 1)(m - k + 2) / 2 shapes each
         work += (high - low + 1) * (high + low) // 2 * (m - k + 1) * (m - k + 2) // 2
+        if work > BEST_ALPHA_MAX_WORK:
+            break
     return work
 
 
@@ -113,9 +119,11 @@ def _oracle_work(n: int, m: int) -> int:
 def _refuse(command: str, n: int, m: int, work: int, limit: int, unit: str) -> None:
     """Raise GameError when `work` at n players and m resources is past `limit`."""
     if work > limit:
-        raise GameError(
-            f"{command} refuses more than {limit} units of work, {unit} (got {work} at n={n}, m={m})"
-        )
+        try:
+            got = str(work)
+        except ValueError:  # Past the digits Python prints: a power of ten at most 2**(bits - 1).
+            got = f"at least 10**{(work.bit_length() - 1) * 301_029 // 10**6}"
+        raise GameError(f"{command} refuses more than {limit} units of work, {unit} (got {got} at n={n}, m={m})")
 
 
 def _deviation_json(binding) -> dict:
@@ -168,7 +176,7 @@ def cmd_solve_k(args) -> int:
 
 def cmd_best_alpha(args) -> int:
     def check(n: int, m: int) -> None:
-        unit = "the shape table's peak loads summed"
+        unit = "the shape table's peak loads, summed up to the limit"
         _refuse("best-alpha", n, m, _best_alpha_work(n, m), BEST_ALPHA_MAX_WORK, unit)
         if args.oracle_check:
             _refuse("--oracle-check", n, m, _oracle_work(n, m), ORACLE_MAX_WORK, ORACLE_UNIT)
@@ -236,9 +244,8 @@ def cmd_oracle(args) -> int:
 
     inst = load_instance_document(args.instance, check).instance
     start = time.perf_counter()
-    value, witness = oracle_best_alpha(inst)
+    value, witness, epsilon, epsilon_witness = oracle_optima(inst)
     exact = value <= 1
-    epsilon, epsilon_witness = oracle_best_additive_epsilon(inst)
     elapsed = (time.perf_counter() - start) * 1000
     obj = result_document(
         witness,

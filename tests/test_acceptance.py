@@ -24,8 +24,8 @@ from congestion_adversary import (
     is_alpha_pne,
     k_upper_bound,
     needed_alpha,
-    oracle_best_additive_epsilon,
     oracle_best_alpha,
+    oracle_optima,
     scale_instance,
     solve,
     validate_instance,
@@ -177,18 +177,18 @@ def test_criterion_8_scale_invariance(capsys):
             factor = Fraction(rng.randint(1, 50), rng.randint(1, 50))
             scaled = scale_instance(inst, factor)
             assert oracle_best_alpha(scaled) == oracle_best_alpha(inst)
-            epsilon, witness = oracle_best_additive_epsilon(inst)
-            scaled_epsilon, scaled_witness = oracle_best_additive_epsilon(scaled)
+            epsilon, witness = oracle_optima(inst)[2:]
+            scaled_epsilon, scaled_witness = oracle_optima(scaled)[2:]
             assert scaled_epsilon == epsilon * factor
             assert scaled_witness == witness
         # No universal additive guarantee can exist: the example's slack is
         # positive, so scaling beats any fixed epsilon.
         example = validate_instance([0, 2, 5], 5, 6)
-        base_epsilon, _ = oracle_best_additive_epsilon(example)
+        base_epsilon, _ = oracle_optima(example)[2:]
         assert base_epsilon > 0
         target = Fraction(10**6)
         blown_up = scale_instance(example, target / base_epsilon + 1)
-        worst, _ = oracle_best_additive_epsilon(blown_up)
+        worst, _ = oracle_optima(blown_up)[2:]
         assert worst > target
 
 

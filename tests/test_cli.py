@@ -329,6 +329,18 @@ class TestBestAlpha:
         assert time.perf_counter() - start < 1
         assert code == 2 and not out and err.startswith("error: best-alpha refuses")
 
+    def test_refuses_a_four_thousand_digit_player_count_at_once(self, capsys, tmp_path):
+        # Counting stops at the first k past the limit, not after all 99 999
+        # of them.  The count has over 4 300 digits, past what Python prints,
+        # so the message gives a power of ten below it.
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"players": 10**4000, "budget": "1", "coefficients": ["1"] * 100_000}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "best-alpha", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out and err.startswith("error: best-alpha refuses")
+        assert "(got at least 10**8009 at n=1" in err
+
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 14, 30])
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_work_count_bounds_the_shape_table(self, n, m):
@@ -406,9 +418,9 @@ class TestOracle:
         assert obj["exact_pne"] is False
         assert obj["epsilon"] == "1"
 
-    def test_enumerates_profiles_once_per_measure(self, capsys, monkeypatch, tmp_path):
-        # One enumeration for the factor and the exact-equilibrium answer,
-        # one for the additive slack.
+    def test_enumerates_profiles_once_for_both_measures(self, capsys, monkeypatch, tmp_path):
+        # One enumeration gives the factor, the exact-equilibrium answer and
+        # the additive slack.
         calls = []
         enumerate_profiles = oracle_module.enumerate_profiles
         monkeypatch.setattr(
@@ -421,7 +433,7 @@ class TestOracle:
             json.dumps({"players": 4, "budget": "2", "coefficients": ["1", "1"]})
         )
         code, obj, _ = run_json(capsys, "oracle", str(exact))
-        assert code == 0 and len(calls) == 2
+        assert code == 0 and calls == [4]
         assert obj["exact_pne"] is True and obj["exact_pne_loads"] == obj["loads"] == [2, 2]
 
     def test_size_cap(self, capsys, tmp_path):
@@ -446,7 +458,7 @@ class TestOracle:
         def reached(inst):
             raise Reached
 
-        monkeypatch.setattr(cli_module, "oracle_best_alpha", reached)
+        monkeypatch.setattr(cli_module, "oracle_optima", reached)
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({"players": players, "budget": "1", "coefficients": ["1"] * coefficients}))
         if not refused:
@@ -562,7 +574,8 @@ class TestInputRefusals:
 
     def test_best_alpha_refuses_primes_by_work_without_the_integer_form(self, capsys, tmp_path, monkeypatch):
         # 1/p over 6 000 primes at n = 3 is 1.44e8 units of best-alpha's work,
-        # counted from the header: no rational is parsed, no lcm taken.
+        # counted from the header up to 1.08e8, the first k past the limit:
+        # no rational is parsed, no lcm taken.
         calls = []
         monkeypatch.setattr(documents_module, "parse_rational", lambda text: calls.append(text))
         monkeypatch.setattr(documents_module, "validate_instance", lambda *args: calls.append(args))
@@ -571,7 +584,7 @@ class TestInputRefusals:
         path.write_text(json.dumps({"players": 3, "budget": "1", "coefficients": coefficients}))
         assert run(capsys, "best-alpha", str(path)) == (2, "", (
             "error: best-alpha refuses more than 50000000 units of work, the shape table's "
-            "peak loads summed (got 144006001 at n=3, m=6000)\n"
+            "peak loads, summed up to the limit (got 108018000 at n=3, m=6000)\n"
         ))
         assert calls == []
 
@@ -579,7 +592,7 @@ class TestInputRefusals:
         "argv,players,resources,refusal",
         [
             (["solve-k"], 220_000, 3, "solve-k refuses more than 11000000 units of work, 50 * n + m (got 11000003"),
-            (["best-alpha"], 3065, 4, "best-alpha refuses more than 50000000 units of work, the shape table's peak loads summed (got 50015852"),
+            (["best-alpha"], 3065, 4, "best-alpha refuses more than 50000000 units of work, the shape table's peak loads, summed up to the limit (got 50015852"),
             (["best-alpha", "--oracle-check"], 1613, 3, f"--oracle-check refuses more than 5000000 units of work, {cli_module.ORACLE_UNIT} (got 5005283"),
             (["oracle"], 1613, 3, f"oracle refuses more than 5000000 units of work, {cli_module.ORACLE_UNIT} (got 5005283"),
         ],

@@ -586,7 +586,7 @@ PUBLIC_NAMES = {
     "binding_deviation", "compute_K", "deviation_cost", "enumerate_profiles",
     "format_rational", "generate_instance", "is_alpha_pne", "k_upper_bound",
     "load_instance_document", "make_fixtures", "needed_alpha",
-    "oracle_best_additive_epsilon", "oracle_best_alpha", "parse_instance_document",
+    "oracle_best_alpha", "oracle_optima", "parse_instance_document",
     "parse_rational", "resource_cost", "scale_instance", "solve", "validate_instance",
 }
 

@@ -13,12 +13,27 @@ from congestion_adversary import (
     is_alpha_pne,
     make_fixtures,
     needed_alpha,
-    oracle_best_additive_epsilon,
     oracle_best_alpha,
+    oracle_optima,
     resource_cost,
     scale_instance,
     validate_instance,
 )
+
+
+def descending(remaining, slots, cap):
+    """Recursive reference enumerator: the zero-padded partitions of `remaining` into
+    at most `slots` parts of at most `cap`, in lexicographically descending order."""
+    if remaining == 0:  # Zeros at once: recursing per empty slot would nest m deep.
+        yield (0,) * slots
+        return
+    if slots == 0:
+        return
+    for first in range(min(cap, remaining), -1, -1):
+        if first * slots < remaining:
+            break
+        for rest in descending(remaining - first, slots - 1, first):
+            yield (first,) + rest
 
 
 def all_compositions(n, m):
@@ -49,7 +64,7 @@ def reference_slack(inst, profile):
 def reference_best_additive_epsilon(inst):
     """The first minimum of reference_slack over decreasing profiles."""
     best = None
-    for profile in enumerate_profiles(inst.n, inst.m):
+    for profile in descending(inst.n, inst.m, inst.n):
         slack = reference_slack(inst, profile)
         if best is None or slack < best[0]:
             best = (slack, profile)
@@ -59,7 +74,7 @@ def reference_best_additive_epsilon(inst):
 def reference_oracle_best_alpha(inst):
     """max(needed_alpha, 1) of every profile in Fractions; first minimum over profiles."""
     best = None
-    for profile in enumerate_profiles(inst.n, inst.m):
+    for profile in descending(inst.n, inst.m, inst.n):
         value = max(needed_alpha(inst, profile), Fraction(1))
         if best is None or value < best[0]:
             best = (value, profile)
@@ -72,6 +87,17 @@ def jittered(inst, seed):
     factors = [1 + Fraction(rng.randint(-100, 100), 5000) for _ in range(inst.m + 1)]
     coefficients = [a * f for a, f in zip(inst.coefficients, factors)]
     return validate_instance(coefficients, inst.n, inst.budget * factors[-1])
+
+
+RANDOM = [generate_instance(n=1 + i % 8, m=1 + i % 4, seed=i).instance for i in range(64)]
+ZERO_COEFFICIENTS = [
+    validate_instance([0, 0, 1], 4, 2),
+    validate_instance([0, 0], 3, 1),
+    validate_instance([0, 0, 0], 5, 1),
+    validate_instance([0, Fraction(1, 7), Fraction(5, 11)], 6, Fraction(3, 4)),
+]
+#: Each fixture with coefficients and budget jittered, five seeds each.
+JITTERED = [jittered(doc.instance, seed) for doc in make_fixtures().values() for seed in range(5)]
 
 
 class TestEnumeration:
@@ -99,6 +125,14 @@ class TestEnumeration:
             list(enumerate_profiles(0, 3))
         with pytest.raises(ValueError):
             list(enumerate_profiles(3, 0))
+
+    @pytest.mark.parametrize("m", [*range(1, 9), 30])
+    def test_matches_the_recursive_reference(self, m):
+        for n in range(1, 26):
+            assert list(enumerate_profiles(n, m)) == list(descending(n, m, n))
+
+    def test_matches_the_recursive_reference_on_many_resources(self):
+        assert list(enumerate_profiles(26, 2000)) == list(descending(26, 2000, 26))
 
     def test_partition_counts(self):
         # p(10) = 42 partitions into at most 10 parts; 1 part -> single profile.
@@ -136,16 +170,7 @@ class TestBestAlpha:
         )
         assert value == full
 
-    @pytest.mark.parametrize(
-        "inst",
-        [generate_instance(n=1 + i % 8, m=1 + i % 4, seed=i).instance for i in range(40)]
-        + [
-            validate_instance([0, 0, 1], 4, 2),
-            validate_instance([0, 0], 3, 1),
-            validate_instance([0, 0, 0], 5, 1),
-            validate_instance([0, Fraction(1, 7), Fraction(5, 11)], 6, Fraction(3, 4)),
-        ],
-    )
+    @pytest.mark.parametrize("inst", RANDOM[:40] + ZERO_COEFFICIENTS)
     def test_matches_reference(self, inst):
         assert oracle_best_alpha(inst) == reference_oracle_best_alpha(inst)
 
@@ -159,7 +184,7 @@ class TestBestAlpha:
 
 class TestAdditiveEpsilon:
     def test_example_value(self, example1):
-        epsilon, witness = oracle_best_additive_epsilon(example1)
+        epsilon, witness = oracle_optima(example1)[2:]
         assert epsilon == Fraction(1)
         # (3,2,0) and (2,2,1) both have slack 1; enumeration order keeps the
         # lexicographically larger one.
@@ -168,34 +193,40 @@ class TestAdditiveEpsilon:
     def test_zero_iff_exact_equilibrium(self):
         for seed in range(25):
             inst = generate_instance(n=2 + seed % 5, m=2 + seed % 3, seed=seed).instance
-            epsilon, _ = oracle_best_additive_epsilon(inst)
+            epsilon, _ = oracle_optima(inst)[2:]
             assert (epsilon == 0) == (oracle_best_alpha(inst)[0] <= 1)
 
     def test_scales_linearly(self, example1):
-        epsilon, _ = oracle_best_additive_epsilon(example1)
-        scaled_epsilon, _ = oracle_best_additive_epsilon(
-            scale_instance(example1, Fraction(7, 3))
-        )
+        epsilon, _ = oracle_optima(example1)[2:]
+        scaled_epsilon, _ = oracle_optima(scale_instance(example1, Fraction(7, 3)))[2:]
         assert scaled_epsilon == epsilon * Fraction(7, 3)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_reference(self, seed):
         inst = generate_instance(n=1 + seed % 8, m=1 + seed % 4, seed=seed).instance
-        assert oracle_best_additive_epsilon(inst) == reference_best_additive_epsilon(inst)
+        assert oracle_optima(inst)[2:] == reference_best_additive_epsilon(inst)
 
-    @pytest.mark.parametrize(
-        "inst",
-        [generate_instance(n=1 + i % 8, m=1 + i % 4, seed=i).instance for i in range(64)]
-        + [jittered(doc.instance, seed) for doc in make_fixtures().values() for seed in range(5)],
-    )
+    @pytest.mark.parametrize("inst", RANDOM + JITTERED)
     def test_decreasing_profiles_reach_the_minimum_over_all_compositions(self, inst):
         # The swap argument behind the restriction is made for the factor;
         # for the slack, this compares with every ordered load vector.
-        epsilon, witness = oracle_best_additive_epsilon(inst)
+        epsilon, witness = oracle_optima(inst)[2:]
         assert epsilon == min(reference_slack(inst, c) for c in all_compositions(inst.n, inst.m))
         assert reference_slack(inst, witness) == epsilon
 
     def test_single_resource_has_no_slack(self):
         inst = validate_instance([3], 5, 2)
-        epsilon, witness = oracle_best_additive_epsilon(inst)
+        epsilon, witness = oracle_optima(inst)[2:]
         assert epsilon == 0 and witness == (5,)
+
+
+class TestOptima:
+    @pytest.mark.parametrize("inst", RANDOM + ZERO_COEFFICIENTS + JITTERED)
+    def test_both_optima_and_witnesses_match_the_references(self, inst):
+        # One pass keeps each measure's first minimum, as two separate passes would.
+        optima = oracle_optima(inst)
+        assert optima == reference_oracle_best_alpha(inst) + reference_best_additive_epsilon(inst)
+        assert oracle_best_alpha(inst) == optima[:2]
+
+    def test_example(self, example1):
+        assert oracle_optima(example1) == (Fraction(7, 6), (2, 2, 1), Fraction(1), (3, 2, 0))
