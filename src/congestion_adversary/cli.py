@@ -82,10 +82,10 @@ def _fail(code: int, message: str) -> int:
 
 
 def _best_alpha_work(n: int, m: int) -> int:
-    """best-alpha's work count in closed form, O(m): M summed over every shape the table tries.
+    """best-alpha's work count in closed form, O(m): M summed over every (M, k, k', k'').
 
-    Counting stops once past BEST_ALPHA_MAX_WORK, so past it the count is a
-    lower bound.
+    That is the shape table's loop bound, an upper bound on the rows it admits.
+    Counting stops once past BEST_ALPHA_MAX_WORK; past it the count is a lower bound.
     """
     low, work = -(-n // m), 0
     for k in range(1, min(m, n // low + 1)):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .core import Instance, _score, binding_deviation, is_alpha_pne
+from .core import Instance, _score, binding_deviation
 
 __all__ = ["best_alpha"]
 
@@ -145,15 +145,16 @@ def _tail_data(coeffs, M: int, k_dprime: int) -> Tuple[List[int], int, List[int]
 
 
 def _shape_table(inst: Instance, form) -> Iterator[tuple]:
-    """One row for every shape that fits n players, in scan order; none depends on alpha.
+    """One row for each shape of a decreasing profile not all at the peak, in scan order.
 
     A row is ``(shape, prefix, leftover, need_max, cmax, need_rest, crest,
-    room, steps)``: `shape` is ``(M, k, k', k'')``, `prefix` the loads of
-    resources 1..k''-1, `leftover` the players left for k''..m, then its
-    :func:`cbar_candidates` on the scale of `form`, the least integer
-    ``alpha * cbar_rest`` at which the tail seats the leftover players (None
-    if none does), and the tail's `steps` from :func:`_tail_data`, which is
-    built once per ``(M, k'')``.  Shapes are admitted by their prefix sums.
+    room, steps)``: ``(M, k, k', k'')``, the loads of resources 1..k''-1, the
+    players left for k''..m, the shape's :func:`cbar_candidates` on the scale
+    of `form`, the least integer ``alpha * cbar_rest`` at which the tail seats
+    them, and the tail's `steps` from :func:`_tail_data`, built once per
+    ``(M, k'')``.  Admitted iff ``0 <= leftover <= (m - k'' + 1) * (M - 3)``:
+    M - 3 players per tail resource, a bound that at M < 3 refuses a tail or a
+    band below load 0, and falls by one less than leftover per step of k''.
     """
     n, m, a = inst.n, inst.m, form[0]
     for M in range(-(-n // m), n + 1):
@@ -162,19 +163,18 @@ def _shape_table(inst: Instance, form) -> Iterator[tuple]:
             if k * M > n:
                 break
             for k_prime in range(k + 1, m + 2):
-                for k_dprime in range(k_prime, m + 2):
-                    upper, lower = k_prime - k - 1, k_dprime - k_prime
-                    leftover = n - k * M - upper * (M - 1) - lower * (M - 2)
-                    least = 3 if k_dprime <= m else 2 if lower else 1  # M with no band below 0
-                    if leftover < 0 or M < least or (k_dprime > m and leftover):
-                        continue
+                base = n - k * M - (k_prime - k - 1) * (M - 1)  # leftover at k'' = k'
+                for k_dprime in range(k_prime + max(0, base - (m - k_prime + 1) * (M - 3)), m + 2):
+                    leftover = base - (k_dprime - k_prime) * (M - 2)
+                    if leftover < 0:
+                        break
                     if k_dprime not in tails:
                         tails[k_dprime] = _tail_data(a, M, k_dprime)
                     terms, free, steps = tails[k_dprime]
                     short = leftover - (M - 3) * free
-                    room = 0 if short <= 0 else steps[short - 1] if short <= len(steps) else None
+                    room = steps[short - 1] if short > 0 else 0
                     shape = (M, k, k_prime, k_dprime)
-                    prefix = [M] * k + [M - 1] * upper + [M - 2] * lower
+                    prefix = [M] * k + [M - 1] * (k_prime - k - 1) + [M - 2] * (k_dprime - k_prime)
                     heads = cbar_candidates(form, *shape, terms)
                     yield (shape, prefix, leftover, *heads, room, steps)
 
@@ -192,8 +192,7 @@ def _least_factor(coeffs, row: tuple, cbar_max: int, cbar_rest: int) -> Optional
     """
     (M, _, _, k_dprime), _, leftover, need_max, _, need_rest, _, room, steps = row
     least = max(cbar_max, cbar_rest)
-    tail = k_dprime <= len(coeffs)
-    if room is None or not cbar_max or (tail and least > (M - 2) * coeffs[k_dprime - 1]):
+    if not cbar_max or (k_dprime <= len(coeffs) and least > (M - 2) * coeffs[k_dprime - 1]):
         return None
     total = bisect_left(steps, least)
     top = max(room, need_rest, steps[total - 1] if total else 0)
@@ -226,8 +225,6 @@ def best_alpha(inst: Instance) -> OptResult:
     recorded, kept_at = [], 0
     for row in _shape_table(inst, form):
         head, (need_max, cmax_all, need_rest, crest_all, room, _) = row[:3], row[3:]
-        if room is None:
-            continue
         live = crest_all[bisect_left(crest_all, -(-q * max(need_rest, room) // p)) :]
         for cmax in cmax_all[bisect_left(cmax_all, -(-q * need_max // p)) :]:
             if not live:
@@ -272,7 +269,10 @@ def best_alpha(inst: Instance) -> OptResult:
 
 
 def _checked(inst: Instance, alpha: Fraction, witness) -> OptResult:
-    """The result for this optimum and witness, once the witness passes at it."""
-    if witness is None or not is_alpha_pne(inst, witness, alpha):
-        raise RuntimeError(f"no witness passes at the optimum {alpha}")
-    return OptResult(alpha_star=alpha, witness=witness, binding=binding_deviation(inst, witness))
+    """The result for this optimum and witness, once one pricing shows it passes there."""
+    if witness is None or sum(witness) != inst.n:
+        raise RuntimeError(f"no witness of {inst.n} players at the optimum {alpha}")
+    binding = binding_deviation(inst, witness)
+    if binding is not None and binding[0] > alpha:
+        raise RuntimeError(f"the witness needs {binding[0]}, above the optimum {alpha}")
+    return OptResult(alpha_star=alpha, witness=witness, binding=binding)

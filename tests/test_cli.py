@@ -344,8 +344,8 @@ class TestBestAlpha:
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 14, 30])
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_work_count_bounds_the_shape_table(self, n, m):
-        # The closed form sums M over every (M, k, k', k'') the table loops
-        # over, so it bounds the peak loads of the rows it admits.
+        # The closed form sums M over every (M, k, k', k'') of the table's
+        # loop bound, so it bounds the peak loads of the rows it admits.
         inst = validate_instance(range(1, m + 1), n, 1)
         form = _scaled_form(inst)
         loop = sum(

@@ -24,6 +24,7 @@ from congestion_adversary import (
 from congestion_adversary import optimal
 from congestion_adversary.oracle import enumerate_profiles
 from congestion_adversary.optimal import (
+    _checked,
     _least_factor,
     _scaled_form,
     _shape_table,
@@ -326,6 +327,20 @@ def scan_inputs(inst):
     return form, list(_shape_table(inst, form))
 
 
+def assert_rows_are_the_profile_shapes(inst, rows):
+    """The table holds each shape of a decreasing profile not all at the peak once, and no other.
+
+    Admission by tail capacity is exact, so every row's tail seats its
+    leftover players: each room is an integer, never None.
+    """
+    shapes = [row[0] for row in rows]
+    assert len(set(shapes)) == len(shapes)
+    assert set(shapes) == {
+        shape_of(loads) for loads in enumerate_profiles(inst.n, inst.m) if loads[-1] != loads[0]
+    }
+    assert all(type(row[7]) is int for row in rows)
+
+
 def table_row(inst, shape):
     """The one row of the instance's shape table for `shape`."""
     (row,) = [row for row in scan_inputs(inst)[1] if row[0] == shape]
@@ -531,7 +546,7 @@ class TestShapeTable:
         # steps the reference builds for the row alone.
         form, rows = scan_inputs(inst)
         by_shape = {row[0]: row for row in rows}
-        assert len(by_shape) == len(rows)
+        assert_rows_are_the_profile_shapes(inst, rows)
         for loads in enumerate_profiles(inst.n, inst.m):
             shape = shape_of(loads)
             if shape[1] == inst.m:
@@ -545,8 +560,16 @@ class TestShapeTable:
             assert in_fractions(form, row)[3:] == reference_capped_candidates(inst, *shape)
             assert steps == shared_steps
             assert free == inst.coefficients[k_dprime - 1 :].count(0)
-            expected = reference_room(inst, row)
-            assert room == (None if expected is None else expected * form[2])
+            assert room == reference_room(inst, row) * form[2]
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_rows_are_the_profile_shapes_on_a_grid(self, m):
+        # Shapes depend on n and m alone, rooms on the zero coefficients too:
+        # a third of the coefficients are zero.
+        zeros = m // 3
+        for n in range(1, 31):
+            inst = validate_instance([0] * zeros + list(range(1, m - zeros + 1)), n, 1)
+            assert_rows_are_the_profile_shapes(inst, scan_inputs(inst)[1])
 
     @given(small_instances(min_m=2, max_n=12))
     @settings(deadline=None, max_examples=100)
@@ -745,6 +768,24 @@ class TestBestAlpha:
             best_alpha(inst)
             assert len(drawn) <= 1
             assert all(len(set(shapes)) == len(shapes) for shapes in drawn)
+
+    def test_checked_refuses_a_missing_witness_or_one_of_other_players(self, example1):
+        # (2, 1, 1) and (3, 2, 1) need only 5/6 but hold 4 and 6 of the 5 players.
+        for witness in (None, (2, 1, 1), (3, 2, 1)):
+            with pytest.raises(RuntimeError):
+                _checked(example1, Fraction(7, 6), witness)
+
+    def test_checked_refuses_every_profile_below_the_optimum(self, example1):
+        # example1 has no exact equilibrium: at 1 every profile needs more.
+        for loads in enumerate_profiles(example1.n, example1.m):
+            with pytest.raises(RuntimeError):
+                _checked(example1, Fraction(1), loads)
+        result = _checked(example1, Fraction(7, 6), (2, 2, 1))
+        assert result.binding == binding_deviation(example1, (2, 2, 1))
+
+    def test_checked_passes_a_single_resource_without_a_binding(self):
+        result = _checked(validate_instance([2], 3, 1), Fraction(1), (3,))
+        assert (result.alpha_star, result.witness, result.binding) == (1, (3,), None)
 
     def test_never_exceeds_threshold_upper_bound(self):
         for seed in range(30):
