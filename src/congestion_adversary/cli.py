@@ -52,14 +52,21 @@ SOLVE_K_MAX_PRECISION = 400
 #: (200 000, 20 000) 1.002e7 and 11.6-12.9 s and 99 MB, and (219 999, 50),
 #: at the limit, 10.3-13.9 s and 69 MB.
 SOLVE_K_MAX_WORK = 11_000_000
-#: best-alpha's work is its shape table: for each peak load M and count k of
-#: resources at it, k * M <= n, up to (m - k + 1)(m - k + 2) / 2 shapes with
-#: lists of up to M values per tail coefficient.  generate_instance(n, m, 1),
-#: whole process, 2-core Xeon host, Python 3.11, 16-17 MB each: (100, 10) is
-#: 3.6e5 and takes 0.16 s, (200, 20) 6e6 and 0.41 s, (1 000, 10) 3.6e7 and
-#: 0.54 s, (4 000, 3) 4.6e7 and 2.5 s, (6 600, 2) 4.9e7 and 7.6 s; refused,
-#: (1 000, 20) at 1.5e8 and (8 000, 2) at 7.2e7 take 5 and 10 s in the library.
-BEST_ALPHA_MAX_WORK = 50_000_000
+#: best-alpha's work is its shape table's rows and the tail steps they draw,
+#: see _best_alpha_work.  generate_instance(n, m, 1), whole process, 2-core
+#: Xeon host, Python 3.11, 16-17 MB each: (26, 2 000), (60, 1 000) and (100,
+#: 500) are 0.9e5-2.7e5 and take 0.13-0.16 s, (200, 20) 1.6e5 and 0.16-0.22
+#: s, (1 000, 10) 1.1e6 and 0.24-0.27 s, (1 000, 20) 1.9e6 and 0.5-0.57 s,
+#: (200, 100) 1.5e6 and 0.45-0.64 s, (2 000, 20) 6.4e6 and 1.1-1.6 s, (4 000,
+#: 3) 6.7e6 and 0.6-0.73 s, (3 000, 10) 9.2e6 and 1.1-1.2 s, (6 600, 2)
+#: 1.09e7 and 3.2-3.8 s; refused, (3 000, 20) at 1.35e7 takes 2.3 s, (5 000,
+#: 5) at 1.6e7 1.0-1.1 s, (8 000, 2) at 1.6e7 4.4-5.7 s, and (10, 20 000) at
+#: 1.25e7 is past the scaled form's bit limit too.  Past 1e6 units the count
+#: tracks the time within a factor of 7: 0.05-0.36 us per unit.
+BEST_ALPHA_MAX_WORK = 11_500_000
+#: Per the ladder above, a row takes 2.6 us and a counted step 0.14 us: about 16.
+BEST_ALPHA_ROW_WORK = 16
+BEST_ALPHA_UNIT = f"{BEST_ALPHA_ROW_WORK} per shape-table row, its tail steps and m * m // 32, counted up to the limit"
 #: The oracle's work is its profiles, the partitions of n into at most m
 #: parts, each priced once in time linear in m + 20: about 5 us per profile
 #: at m = 3 and 0.5 ms at m = 2 000.  Whole process, gen --seed 1, 2-core
@@ -82,17 +89,48 @@ def _fail(code: int, message: str) -> int:
 
 
 def _best_alpha_work(n: int, m: int) -> int:
-    """best-alpha's work count in closed form, O(m): M summed over every (M, k, k', k'').
+    """best-alpha's work count: BEST_ALPHA_ROW_WORK per row, a bound on its tail steps, and m * m // 32.
 
-    That is the shape table's loop bound, an upper bound on the rows it admits.
-    Counting stops once past BEST_ALPHA_MAX_WORK; past it the count is a lower bound.
+    Rows are counted exactly, per peak load M and first tail index k'': a
+    row is a way to write s = 2k + j (k resources at M, j at M - 1, k + j <
+    k'') that leaves ``n - (k'' - 1)(M - 2) - s`` players, between 0 and the
+    tail's ``(m - k'' + 1)(M - 3)``.  Each (M, k'') draws at most its largest
+    leftover plus one of its steps, and at most all of them: at most
+    ``min(n - 1 - (k'' - 1)(M - 2), (m - k'' + 1)(M - 3))``, summed here over
+    every M >= 3 and k'' that leaves a player, so that the count never falls
+    as n or m grows.  Below M = n // m + 1 no row is admitted and the first
+    term is the larger, which sums in closed form.  ``m * m // 32`` is the
+    integer form over lcm(1..m): m numbers of about 1.44 m bits each.
+    Counting stops once past BEST_ALPHA_MAX_WORK; past it the count is a
+    lower bound.
     """
-    low, work = -(-n // m), 0
-    for k in range(1, min(m, n // low + 1)):
-        high = n // k  # M runs over low..high, for (m - k + 1)(m - k + 2) / 2 shapes each
-        work += (high - low + 1) * (high + low) // 2 * (m - k + 1) * (m - k + 2) // 2
+
+    def ways(s: int, k_dprime: int) -> int:  # to write at most s as 2k + j, k >= 1, j >= 0, k + j < k''
+        over = max(0, s - k_dprime)
+        return s * s // 4 - over * (over + 1) // 2
+
+    if m < 2:
+        return 0
+    low, row = n // m, BEST_ALPHA_ROW_WORK
+    t = max(0, low - 3)
+    work = m * m // 32 + row * (n < m) + m * (m - 1) // 2 * (t * (t + 1) // 2)
+    for M in range(max(2, low + 1), n + 1):
         if work > BEST_ALPHA_MAX_WORK:
             break
+        s = n - m * (M - 2)  # No tail: the leftover 0 fixes s, and k < m.
+        if 2 <= s <= 2 * m:
+            work += row * (ways(s, m + 1) - ways(s - 1, m + 1) - (s == 2 * m))
+        if M < 3:
+            continue
+        b, c = M - 2, M - 3
+        last = min(m, (n - 2) // b + 1)  # the last k'' that leaves a player
+        split = min(max(2, n - m * c), last + 1)  # from here n - 1 - (k'' - 1) b is the smaller
+        work += c * ((split - 2) * (m - 1) - (split - 2) * (split - 3) // 2)
+        work += (last - split + 1) * (2 * n - 2 - b * (split + last - 2)) // 2
+        for k_dprime in range(max(2, -(-(n - m * c + 3) // 3)), last + 1):
+            top = n - (k_dprime - 1) * b  # leftover plus s
+            first = max(1, top - (m - k_dprime + 1) * c - 1)
+            work += row * max(0, ways(min(2 * k_dprime - 2, top), k_dprime) - ways(first, k_dprime))
     return work
 
 
@@ -176,8 +214,10 @@ def cmd_solve_k(args) -> int:
 
 def cmd_best_alpha(args) -> int:
     def check(n: int, m: int) -> None:
-        unit = "the shape table's peak loads, summed up to the limit"
-        _refuse("best-alpha", n, m, _best_alpha_work(n, m), BEST_ALPHA_MAX_WORK, unit)
+        # Not counted where a bound on the count, n peak loads of at most m**3
+        # rows and n * m steps each, fits: counting takes 18-29 us at n <= 15, m = 3.
+        if n * m * (BEST_ALPHA_ROW_WORK * m * m + n) + m * m // 32 > BEST_ALPHA_MAX_WORK:
+            _refuse("best-alpha", n, m, _best_alpha_work(n, m), BEST_ALPHA_MAX_WORK, BEST_ALPHA_UNIT)
         if args.oracle_check:
             _refuse("--oracle-check", n, m, _oracle_work(n, m), ORACLE_MAX_WORK, ORACLE_UNIT)
 

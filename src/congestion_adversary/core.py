@@ -178,10 +178,12 @@ def _pricing(form, loads: Loads, targets=None, peaks=None):
     the peak, each kind over a common denominator, and keeps the two
     cheapest targets of each kind, ties toward the smaller index.
 
-    `targets`, ``(t, loads[t])`` pairs in index order, must hold the two
-    cheapest of each kind, as the first two indices of each band of equal
-    load on a non-increasing profile do; `peaks` is ``(P, count at P, count
-    at P - 1)``.  By default both come from the whole profile.
+    `targets`, ``(t, loads[t])`` pairs in index order, must hold the
+    cheapest of each kind, as the first index of each band of equal load on
+    a non-increasing profile does; the runner-up is then the cheapest among
+    the other targets, which is exact wherever the cheapest target's band is
+    that one resource.  `peaks` is ``(P, count at P, count at P - 1)``.  By
+    default both come from the whole profile.
 
     Returns ``(peak, count, below, at_peak)``: P, the number of resources at
     P, and per kind ``(dev, j, target, dev2, target2)``, the cheapest and

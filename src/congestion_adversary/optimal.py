@@ -11,9 +11,12 @@ each pair has a least factor, a maximum of a few ratios of cost values.  One
 pass over a table of the shape data that does not depend on alpha fills each
 pair at its least factor and scores the fill by the factor it needs; the
 optimum is the least score, and the witness the first pair met on the way
-whose fill at the optimum passes there.  The scan is in exact integers on
-one scale, :func:`_scaled_form`; only the optimum and witness checks use
-Fractions.
+whose fill at the optimum passes there.  No pair past a row's cut has a
+least factor, so the scan reads each row's values only from the window its
+head conditions leave at the running score up to that cut, out of a prefix
+of the tail's steps shared by every row of the same M and k''.  The scan is
+in exact integers on one scale, :func:`_scaled_form`; only the optimum and
+witness checks use Fractions.
 
 Shape indices k, k', k'' are 1-based to match the non-increasing load
 picture; the sentinel value m+1 for k' (or k'') means no resource has load
@@ -24,12 +27,12 @@ everywhere else.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .core import Instance, _score, binding_deviation
+from .core import FORM_MAX_BITS, GameError, Instance, _score, binding_deviation
 
 __all__ = ["best_alpha"]
 
@@ -48,25 +51,31 @@ def _scaled_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
 
     A cost value a_r * load + B / p with p <= m is then the integer
     ``A[r] * load + B // p`` over the common denominator D, exactly.
+    Raises GameError when m times the bit length of D * L passes
+    FORM_MAX_BITS, as :func:`validate_instance` does for D, before any
+    coefficient is scaled.
     """
     coeffs, budget, scale = inst.form
     shares = math.lcm(*range(1, inst.m + 1))
+    if inst.m * (scale * shares).bit_length() > FORM_MAX_BITS:
+        raise GameError(f"m times the bit length of the scaled denominator passes {FORM_MAX_BITS} (m={inst.m})")
     return tuple(a * shares for a in coeffs), budget * shares, scale * shares
 
 
 def cbar_candidates(
-    form, M: int, k: int, k_prime: int, k_dprime: int, terms: List[int]
-) -> Tuple[int, List[int], int, List[int]]:
-    """This shape's head conditions, stated once: ``(need_max, cmax, need_rest, crest)``.
+    form, M: int, k: int, k_prime: int, k_dprime: int
+) -> Tuple[int, Optional[int], int, int]:
+    """This shape's head conditions, stated once: ``(need_max, cap_max, need_rest, cap_rest)``.
 
-    `cmax` holds every value the best-alternative cost of the max-load
-    players can take: each argument of its minimum, sorted, deduplicated and
-    cut at the smallest argument outside the tail, which bounds the realized
-    minimum.  `crest` is the same for the rest.  At a factor alpha, a value c
-    of `cmax` passes the head conditions iff ``need_max <= alpha * c``, and a
-    value of `crest` iff ``need_rest <= alpha * c``.  Values are integers on
-    the scale of `form`, the instance's :func:`_scaled_form`; `terms` are the
-    tail's, from :func:`_tail_data`.
+    The best-alternative cost of the max-load players is the least of the
+    tail's costs ``c * t`` (c a tail coefficient, t < M - 1) and of the
+    arguments outside the tail, whose least, `cap_max`, bounds it; None when
+    there is none.  So the values it can take are the distinct tail costs
+    below `cap_max`, then `cap_max`.  `cap_rest` is the same for the rest.
+    At a factor alpha, a value c passes the max-load head conditions iff
+    ``need_max <= alpha * c``, and those of the rest iff ``need_rest <=
+    alpha * c``.  Values are integers on the scale of `form`, the
+    instance's :func:`_scaled_form`.
     """
     a, B, _ = form
     top = a[0] * (M + 1) + B
@@ -81,11 +90,7 @@ def cbar_candidates(
         caps_max.append(a[k_prime - 1] * (M - 1) + (B // k_prime if k == 1 else 0))
         caps_rest.append(a[k_prime - 1] * (M - 1))
         need_rest = max(need_rest, a[k_dprime - 2] * (M - 2))
-
-    def capped(caps: List[int]) -> List[int]:
-        return terms[: bisect_left(terms, min(caps))] + [min(caps)] if caps else terms
-
-    return a[k - 1] * M + B // k, capped(caps_max), need_rest, capped(caps_rest)
+    return a[k - 1] * M + B // k, min(caps_max, default=None), need_rest, min(caps_rest)
 
 
 def feasible_load_vector(
@@ -128,33 +133,20 @@ def feasible_load_vector(
     return None if spare else tuple(loads)
 
 
-def _tail_data(coeffs, M: int, k_dprime: int) -> Tuple[List[int], int, List[int]]:
-    """What every shape with this ``(M, k'')`` shares: ``(terms, free, steps)``.
-
-    `terms` are the sorted distinct tail costs ``c * t``, t < M - 1, that
-    :func:`cbar_candidates` cuts; `free` counts zero tail coefficients;
-    `steps` are the sorted ``t * a_r``, a_r > 0 and t <= M - 3.  Tail load r
-    holds at most ``min(M - 3, floor(alpha * cbar_rest / a_r))`` players, so
-    ``alpha * cbar_rest`` seats one more at each step, and a lower tail bound
-    ``ceil(c / a_r) - 1`` counts r's steps below c.
-    """
-    tail = coeffs[k_dprime - 1 :]
-    terms = sorted({c * t for c in set(tail) for t in range(1, M - 1)})
-    steps = sorted([a * t for a in tail if a for t in range(1, M - 2)])
-    return terms, tail.count(0), steps
-
-
 def _shape_table(inst: Instance, form) -> Iterator[tuple]:
     """One row for each shape of a decreasing profile not all at the peak, in scan order.
 
-    A row is ``(shape, prefix, leftover, need_max, cmax, need_rest, crest,
-    room, steps)``: ``(M, k, k', k'')``, the loads of resources 1..k''-1, the
-    players left for k''..m, the shape's :func:`cbar_candidates` on the scale
-    of `form`, the least integer ``alpha * cbar_rest`` at which the tail seats
-    them, and the tail's `steps` from :func:`_tail_data`, built once per
-    ``(M, k'')``.  Admitted iff ``0 <= leftover <= (m - k'' + 1) * (M - 3)``:
-    M - 3 players per tail resource, a bound that at M < 3 refuses a tail or a
-    band below load 0, and falls by one less than leftover per step of k''.
+    A row is ``(shape, prefix, leftover, need_max, cap_max, need_rest,
+    cap_rest, tail)``: ``(M, k, k', k'')``, the loads of resources 1..k''-1,
+    the players left for k''..m, the shape's :func:`cbar_candidates` on the
+    scale of `form`, and the tail's step prefix ``[steps, values, bound]``
+    that :func:`_drawn` extends, shared by every row of one ``(M, k'')``
+    (None when k'' = m + 1).  Admitted iff ``0 <= leftover <= (m - k'' + 1)
+    * (M - 3)``: M - 3 players per tail resource, a bound that at M < 3
+    refuses a tail or a band below load 0, and falls by one less than
+    leftover per step of k''.  So the admitted k'' form a window, which is
+    empty until k' reaches the first that leaves ``base <= (m - k' + 1) *
+    (M - 2)``, and again once `base` turns negative.
     """
     n, m, a = inst.n, inst.m, form[0]
     for M in range(-(-n // m), n + 1):
@@ -162,41 +154,101 @@ def _shape_table(inst: Instance, form) -> Iterator[tuple]:
         for k in range(1, m):
             if k * M > n:
                 break
-            for k_prime in range(k + 1, m + 2):
-                base = n - k * M - (k_prime - k - 1) * (M - 1)  # leftover at k'' = k'
+            rest = n - k * M
+            for k_prime in range(k + 1 + max(0, rest - (m - k) * (M - 2)), m + 2):
+                base = rest - (k_prime - k - 1) * (M - 1)  # leftover at k'' = k'
+                if base < 0:
+                    break
                 for k_dprime in range(k_prime + max(0, base - (m - k_prime + 1) * (M - 3)), m + 2):
                     leftover = base - (k_dprime - k_prime) * (M - 2)
                     if leftover < 0:
                         break
                     if k_dprime not in tails:
-                        tails[k_dprime] = _tail_data(a, M, k_dprime)
-                    terms, free, steps = tails[k_dprime]
-                    short = leftover - (M - 3) * free
-                    room = steps[short - 1] if short > 0 else 0
+                        tails[k_dprime] = [[], [], a[k_dprime - 1]] if k_dprime <= m else None
                     shape = (M, k, k_prime, k_dprime)
                     prefix = [M] * k + [M - 1] * (k_prime - k - 1) + [M - 2] * (k_dprime - k_prime)
-                    heads = cbar_candidates(form, *shape, terms)
-                    yield (shape, prefix, leftover, *heads, room, steps)
+                    heads = cbar_candidates(form, *shape)
+                    yield (shape, prefix, leftover, *heads, tails[k_dprime])
 
 
-def _least_factor(coeffs, row: tuple, cbar_max: int, cbar_rest: int) -> Optional[Tuple[int, int]]:
-    """Least alpha at which the pair passes the row's head conditions and fills, or None.
+def _drawn(coeffs, M: int, k_dprime: int, tail: list, count: int) -> Tuple[List[int], List[int]]:
+    """The tail's sorted steps ``t * a_r`` (t <= M - 3), drawn to `count` or all: ``(steps, values)``.
+
+    `tail` is ``[steps, values, bound]``, the steps below `bound` and their
+    distinct `values`, extended in place one value band ``[bound, 2 *
+    bound)`` at a time: a ``range`` per tail coefficient that has steps in
+    it, and one sort.  The tail's least coefficient must be positive.
+    """
+    steps, values, bound = tail
+    most = (M - 3) * coeffs[-1]
+    while len(steps) < count and bound <= most:
+        high, band = 2 * bound, []
+        first = bisect_left(coeffs, -(-bound // (M - 3)), k_dprime - 1)
+        for a in coeffs[first : bisect_left(coeffs, high, first)]:
+            band += range(-(-bound // a) * a, min(high, (M - 3) * a + 1), a)
+        band.sort()
+        steps += band
+        values += dict.fromkeys(band)
+        bound = high
+    tail[2] = bound
+    return steps, values
+
+
+def _windows(coeffs, row: tuple, p: int, q: int) -> Optional[tuple]:
+    """The row's values that can make a pair of least factor at most p/q, or None if none can.
+
+    Returns ``(cmax, crest, room, steps)``.  A pair has no least factor once
+    its larger cost passes the cut: the least of ``(M - 2) * a_{k''}`` and
+    the ``(leftover + 1)``-th smallest step (see :func:`_least_factor`).  So
+    each list is the window of its values from ``ceil(need / alpha)`` up to
+    its cap or the cut: the distinct steps there, then the top itself if it
+    is the cap or ``(M - 2) * a_{k''}``, the one tail cost ``c * t`` up to
+    the cut that need not be a step.  `room` is the least integer ``alpha *
+    cbar_rest`` at which the tail seats the leftover players, the
+    leftover-th smallest step, and `steps` the prefix those reads come from.
+    """
+    (M, _, _, k_dprime), _, leftover, need_max, cap_max, need_rest, cap_rest, tail = row
+    if (cap_max is not None and need_max * q > p * cap_max) or need_rest * q > p * cap_rest:
+        return None
+    if tail is None:  # No tail, no cut: each list is its cap.
+        cut = last = max(cap_max, cap_rest)
+        room, steps, values = 0, [], []
+    else:
+        cut = last = (M - 2) * coeffs[k_dprime - 1]
+        if need_max * q > p * cut:
+            return None
+        steps, values = _drawn(coeffs, M, k_dprime, tail, leftover + 1)
+        room = steps[leftover - 1] if leftover else 0
+        if len(steps) > leftover:
+            cut = min(cut, steps[leftover])
+    windows = []
+    for low, cap in ((-(-q * need_max // p), cap_max), (-(-q * max(need_rest, room) // p), cap_rest)):
+        top = cut if cap is None else min(cap, cut)
+        window = values[bisect_left(values, low) : bisect_right(values, top)]
+        if low <= top and top in (cap, last) and not (window and window[-1] == top):
+            window.append(top)
+        windows.append(window)
+    return (*windows, room, steps)
+
+
+def _least_factor(steps, room, need_max, need_rest, cbar_max, cbar_rest) -> Optional[Tuple[int, int]]:
+    """Least alpha at which a pair within its row's cut passes the head conditions and fills, or None.
 
     Returned as ``(p, q)`` for p/q, not in lowest terms.  Besides 1 and the
     two ``need / c``, alpha must reach the row's ``room / cbar_rest`` and
     lift each upper tail bound of :func:`feasible_load_vector` to its lower
     one, ``lower_r = ceil(c / a_r) - 1`` for c the larger cost: ``lower_r *
-    a_r / cbar_rest``, the largest step below c.  None if c > ``(M - 2) *
-    a_r`` for the least tail coefficient (then lower_r > M - 3), or if the
-    steps below c, the lower bounds' sum, outnumber the leftover players.
+    a_r / cbar_rest``, the largest of the row's `steps` below c.  The lower
+    bounds fail past the cut of :func:`_windows`: lower_r > M - 3 for the
+    least tail coefficient, or more steps below c, the lower bounds' sum,
+    than leftover players.  Within it, None only for a zero `cbar_max`, or
+    a zero `cbar_rest` that must lift a bound.
     """
-    (M, _, _, k_dprime), _, leftover, need_max, _, need_rest, _, room, steps = row
-    least = max(cbar_max, cbar_rest)
-    if not cbar_max or (k_dprime <= len(coeffs) and least > (M - 2) * coeffs[k_dprime - 1]):
+    if not cbar_max:
         return None
-    total = bisect_left(steps, least)
+    total = bisect_left(steps, max(cbar_max, cbar_rest))
     top = max(room, need_rest, steps[total - 1] if total else 0)
-    if total > leftover or (top and not cbar_rest):
+    if top and not cbar_rest:
         return None
     if top * cbar_max >= need_max * (cbar_rest or 1):
         return (top, cbar_rest) if top > cbar_rest else (1, 1)
@@ -209,11 +261,12 @@ def best_alpha(inst: Instance) -> OptResult:
     One pass over the shape table fills each pair at its least factor and
     scores the fill; the optimum is the least score, from 2 or the all-equal
     profile's.  A pair of factor 1 whose fill is exact answers at once.  Only
-    pairs of factor at most the running score count: a row's `crest` values
-    below its ``need_rest`` or ``room`` at that score are cut up front, and
-    those that fail by their tail part are dropped for the rest of the row,
-    where the tail part only grows.  The witness is the all-equal profile or
+    pairs of factor at most the running score count: each row's values are
+    cut to its :func:`_windows` at that score up front, and `crest` values
+    that fail by their tail part are dropped for the rest of the row, where
+    the tail part only grows.  The witness is the all-equal profile or
     the first pair recorded on the way whose fill at the optimum passes there.
+    Raises GameError where :func:`_scaled_form` passes FORM_MAX_BITS.
     """
     form = _scaled_form(inst)
     n, m, a = inst.n, inst.m, form[0]
@@ -224,16 +277,19 @@ def best_alpha(inst: Instance) -> OptResult:
     p, q = start if start[0] <= 2 * start[1] else (2, 1)
     recorded, kept_at = [], 0
     for row in _shape_table(inst, form):
-        head, (need_max, cmax_all, need_rest, crest_all, room, _) = row[:3], row[3:]
-        live = crest_all[bisect_left(crest_all, -(-q * max(need_rest, room) // p)) :]
-        for cmax in cmax_all[bisect_left(cmax_all, -(-q * need_max // p)) :]:
+        windows = _windows(a, row, p, q)
+        if windows is None:
+            continue
+        head, need_max, need_rest = row[:3], row[3], row[5]
+        cmax_window, live, room, steps = windows
+        for cmax in cmax_window:
             if not live:
                 break
             if need_max * q > p * cmax:
                 continue
             kept = []
             for crest in live:
-                factor = _least_factor(a, row, cmax, crest)
+                factor = _least_factor(steps, room, need_max, need_rest, cmax, crest)
                 if factor is None:
                     continue
                 f, g = factor

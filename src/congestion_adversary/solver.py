@@ -145,9 +145,10 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     Returns the final load vector (an alpha-approximate equilibrium) and a
     trace of its moves.  Deterministic: identical inputs yield identical traces.
     Loads stay non-increasing, so equal loads form bands (``load -> [first,
-    last]``).  A step prices the first two indices of every band, O(bands) <=
-    sqrt(2n) + 1, which names the deviator among the band tails, its target
-    and both costs; the last pricing of a round holds the next entering move.
+    last]``).  A step prices the first index of every band, O(bands) <=
+    sqrt(2n) + 1, which names the deviator among the occupied band tails,
+    its target and both costs; the last pricing of a round holds the next
+    entering move.
     """
     m = inst.m
     alpha = config.alpha
@@ -194,10 +195,10 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
 def _deviator(form, priced, tails, alpha):
     """The costliest alpha-improving mover among `tails`, ties toward the largest index.
 
-    `tails` are ``(r, loads[r])`` pairs in index order, and `priced` is the
-    profile's :func:`_pricing`.  A mover on r pays ``cost, k`` and moves to
-    the cheapest target of its kind, or to the runner-up when that target is
-    r, at ``dev, j``.  Returns ``(r, cost, k, dev, j, target)``, or None
+    `tails` are ``(r, loads[r])`` pairs of occupied resources in index
+    order, and `priced` is the profile's :func:`_pricing`.  A mover on r
+    pays ``cost, k`` and moves to the cheapest target of its kind, or to the
+    runner-up when that target is r, at ``dev, j``.  Returns ``(r, cost, k, dev, j, target)``, or None
     when nobody improves by more than factor `alpha`, as always when m = 1.
     """
     peak, count, below, at_peak = priced
@@ -205,8 +206,6 @@ def _deviator(form, priced, tails, alpha):
     num, den = alpha.numerator, alpha.denominator
     found = None
     for r, x in tails:
-        if not x:
-            continue
         if x == peak:
             dev, j, target, dev2, target2 = at_peak
             cost, k = coeffs[r] * peak * count + budget, count
@@ -222,14 +221,20 @@ def _deviator(form, priced, tails, alpha):
 
 
 def _price_bands(form, loads, bands):
-    """The profile's pricing over its band heads, and its band tails."""
+    """The profile's pricing over the first index of each band, and its occupied band tails.
+
+    With coefficients sorted, a band's first index is its cheapest target of
+    either kind, ties toward the smaller index, so the cheapest target of
+    each kind is exact.  The runner-up may not be: it is read only when the
+    cheapest target is the mover, a band's last index, whose band is then
+    that one resource, and every other band's cheapest is its head.
+    """
     heads, tails = [], []
     for x in sorted(bands, reverse=True):
         first, last = bands[x]
         heads.append((first, x))
-        if first < last:
-            heads.append((first + 1, x))
-        tails.append((last, x))
+        if x:
+            tails.append((last, x))
     peak = heads[0][1]
     (first, last), (low, high) = bands[peak], bands.get(peak - 1, (1, 0))
     return _pricing(form, loads, heads, (peak, last - first + 1, high - low + 1)), tails

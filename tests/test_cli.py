@@ -296,9 +296,9 @@ class TestBestAlpha:
         assert err.startswith("error: solver found 7/6 but oracle found") and "bug" in err
 
     def test_refuses_oversized_instances_up_front(self, capsys, monkeypatch, tmp_path):
-        # The shape table's peak loads summed, on 4 resources: 49 999 756 of
-        # the 50 000 000 allowed units of work at n = 3 064, 50 015 852 at
-        # n = 3 065.
+        # The shape table's rows and tail steps, on 4 resources: 11 496 884
+        # of the 11 500 000 allowed units of work at n = 4 580, 11 500 058
+        # at n = 4 581.
         class Reached(Exception):
             pass
 
@@ -306,7 +306,7 @@ class TestBestAlpha:
             raise Reached
 
         monkeypatch.setattr(cli_module, "best_alpha", reached)
-        for players, refused in ((3064, False), (3065, True)):
+        for players, refused in ((4580, False), (4581, True)):
             path = tmp_path / f"n{players}.json"
             doc = {"players": players, "budget": "1", "coefficients": ["1", "2", "3", "4"]}
             path.write_text(json.dumps(doc))
@@ -317,7 +317,7 @@ class TestBestAlpha:
             code, out, err = run(capsys, "best-alpha", str(path))
             assert code == 2 and not out
             assert err.startswith("error: best-alpha refuses") and err.count("\n") == 1
-            assert "50015852" in err
+            assert "11500058" in err
 
     def test_refuses_a_hundred_million_players_at_once(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
@@ -330,8 +330,8 @@ class TestBestAlpha:
         assert code == 2 and not out and err.startswith("error: best-alpha refuses")
 
     def test_refuses_a_four_thousand_digit_player_count_at_once(self, capsys, tmp_path):
-        # Counting stops at the first k past the limit, not after all 99 999
-        # of them.  The count has over 4 300 digits, past what Python prints,
+        # Counting stops past the limit, before the first peak load it loops
+        # over.  The count has over 4 300 digits, past what Python prints,
         # so the message gives a power of ten below it.
         path = tmp_path / "digits.json"
         path.write_text(json.dumps({"players": 10**4000, "budget": "1", "coefficients": ["1"] * 100_000}))
@@ -339,23 +339,73 @@ class TestBestAlpha:
         code, out, err = run(capsys, "best-alpha", str(path))
         assert time.perf_counter() - start < 1
         assert code == 2 and not out and err.startswith("error: best-alpha refuses")
-        assert "(got at least 10**8009 at n=1" in err
+        assert "(got at least 10**7999 at n=1" in err
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 9, 14, 30])
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 14, 30, 61])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 40])
     def test_work_count_bounds_the_shape_table(self, n, m):
-        # The closed form sums M over every (M, k, k', k'') of the table's
-        # loop bound, so it bounds the peak loads of the rows it admits.
+        # The count is BEST_ALPHA_ROW_WORK per row of the table, exactly,
+        # plus at least the steps each (M, k'') draws: its largest leftover
+        # plus one, and at most all (m - k'' + 1)(M - 3) of them, plus
+        # m * m // 32.  The bound under which the check skips counting is
+        # larger, so the skip lets no header through that the count refuses.
         inst = validate_instance(range(1, m + 1), n, 1)
-        form = _scaled_form(inst)
-        loop = sum(
-            M * (m - k + 1) * (m - k + 2) // 2
-            for M in range(-(-n // m), n + 1)
-            for k in range(1, m)
-            if k * M <= n
-        )
-        assert cli_module._best_alpha_work(n, m) == loop
-        assert sum(row[0][0] for row in _shape_table(inst, form)) <= loop
+        rows = list(_shape_table(inst, _scaled_form(inst)))
+        drawn = {}
+        for (M, _, _, k_dprime), _, leftover, *_ in rows:
+            if k_dprime <= m:
+                most = min(leftover + 1, (m - k_dprime + 1) * (M - 3))
+                drawn[M, k_dprime] = max(drawn.get((M, k_dprime), 0), most)
+        work = cli_module._best_alpha_work(n, m)
+        tail = work - cli_module.BEST_ALPHA_ROW_WORK * len(rows) - m * m // 32
+        assert sum(drawn.values()) <= tail <= n * n * m
+        assert work <= n * m * (cli_module.BEST_ALPHA_ROW_WORK * m * m + n) + m * m // 32
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 20, 60])
+    def test_no_uncounted_header_is_past_the_limit(self, m):
+        # The check skips counting up to the largest n whose bound fits.
+        def bound(n):
+            return n * m * (cli_module.BEST_ALPHA_ROW_WORK * m * m + n) + m * m // 32
+
+        top = max(n for n in range(1, 4000) if bound(n) <= cli_module.BEST_ALPHA_MAX_WORK)
+        for n in [*range(1, top, max(1, top // 40)), top]:
+            assert cli_module._best_alpha_work(n, m) <= bound(n)
+
+    def test_work_count_does_not_fall_as_n_or_m_grows(self):
+        # So no header is let through while a smaller one is refused.  Past
+        # the limit the count stops early, and only its being past counts.
+        limit = cli_module.BEST_ALPHA_MAX_WORK
+
+        def work(n, m):
+            return min(cli_module._best_alpha_work(n, m), limit + 1)
+
+        grid = {(n, m): work(n, m) for n in range(1, 122) for m in range(1, 26)}
+        for (n, m), count in grid.items():
+            assert grid.get((n + 1, m), count) >= count and grid.get((n, m + 1), count) >= count
+        for m in (2, 3, 20, 500):
+            ladder = [work(n, m) for n in range(m, 40 * m, m)] + [work(10**6, m)]
+            assert ladder == sorted(ladder) and ladder[-1] == limit + 1
+        for n in (10, 26, 1000):
+            assert [work(n, m) for m in (2, 20, 200, 2000, 20000)] == sorted(work(n, m) for m in (2, 20, 200, 2000, 20000))
+
+    @pytest.mark.parametrize("n,m", [(1000, 20), (26, 2000)])
+    def test_accepts_what_the_library_answers_at_once(self, capsys, tmp_path, n, m):
+        # 1.9e6 and 1.3e5 units: the library answers each in under 0.5 s.
+        path = tmp_path / "gen.json"
+        path.write_text(run(capsys, "gen", "--n", str(n), "--m", str(m), "--seed", "1")[1])
+        code, obj, _ = run_json(capsys, "best-alpha", str(path))
+        assert code == 0 and sum(obj["loads"]) == n and len(obj["loads"]) == m
+
+    def test_refuses_the_first_rung_past_the_limit_from_the_header(self, capsys, tmp_path):
+        # (1 000, 20) and (2 000, 20) are let through; (3 000, 20) is past
+        # the limit, counted from the header before any rational is parsed.
+        assert cli_module._best_alpha_work(2000, 20) <= cli_module.BEST_ALPHA_MAX_WORK
+        path = tmp_path / "rung.json"
+        path.write_text(json.dumps({"players": 3000, "budget": "x", "coefficients": ["x"] * 20}))
+        code, out, err = run(capsys, "best-alpha", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: best-alpha refuses more than 11500000 units of work")
+        assert err.endswith(" at n=3000, m=20)\n")
 
 
 class TestVerify:
@@ -561,7 +611,7 @@ class TestInputRefusals:
         # 1/p over 20 000 primes: D would hold about 320 000 bits, and the
         # form 20 000 times that; the count stops the lcm near 2^29 bits.
         # best-alpha's work count refuses 20 000 resources from the header,
-        # so it gets one player on 9 000 primes, 4.1e7 units of its work.
+        # so it gets one player on 9 000 primes, 2.5e6 units of its work.
         players, count = (1, 9_000) if command[0] == "best-alpha" else (3, 20_000)
         path = tmp_path / "primes.json"
         coefficients = [f"1/{p}" for p in first_primes(count)]
@@ -573,18 +623,18 @@ class TestInputRefusals:
         assert err == f"error: m times the bit length of the denominators' lcm passes {2**29} (m={count})\n"
 
     def test_best_alpha_refuses_primes_by_work_without_the_integer_form(self, capsys, tmp_path, monkeypatch):
-        # 1/p over 6 000 primes at n = 3 is 1.44e8 units of best-alpha's work,
-        # counted from the header up to 1.08e8, the first k past the limit:
-        # no rational is parsed, no lcm taken.
+        # 1/p over 20 000 primes at n = 3 is 1.25e7 units of best-alpha's
+        # work, counted from the header, most of it the integer form over
+        # lcm(1..m): no rational is parsed, no lcm taken.
         calls = []
         monkeypatch.setattr(documents_module, "parse_rational", lambda text: calls.append(text))
         monkeypatch.setattr(documents_module, "validate_instance", lambda *args: calls.append(args))
         path = tmp_path / "primes.json"
-        coefficients = [f"1/{p}" for p in first_primes(6_000)]
+        coefficients = [f"1/{p}" for p in first_primes(20_000)]
         path.write_text(json.dumps({"players": 3, "budget": "1", "coefficients": coefficients}))
         assert run(capsys, "best-alpha", str(path)) == (2, "", (
-            "error: best-alpha refuses more than 50000000 units of work, the shape table's "
-            "peak loads, summed up to the limit (got 108018000 at n=3, m=6000)\n"
+            f"error: best-alpha refuses more than 11500000 units of work, {cli_module.BEST_ALPHA_UNIT} "
+            "(got 12500016 at n=3, m=20000)\n"
         ))
         assert calls == []
 
@@ -592,7 +642,7 @@ class TestInputRefusals:
         "argv,players,resources,refusal",
         [
             (["solve-k"], 220_000, 3, "solve-k refuses more than 11000000 units of work, 50 * n + m (got 11000003"),
-            (["best-alpha"], 3065, 4, "best-alpha refuses more than 50000000 units of work, the shape table's peak loads, summed up to the limit (got 50015852"),
+            (["best-alpha"], 4581, 4, f"best-alpha refuses more than 11500000 units of work, {cli_module.BEST_ALPHA_UNIT} (got 11500058"),
             (["best-alpha", "--oracle-check"], 1613, 3, f"--oracle-check refuses more than 5000000 units of work, {cli_module.ORACLE_UNIT} (got 5005283"),
             (["oracle"], 1613, 3, f"oracle refuses more than 5000000 units of work, {cli_module.ORACLE_UNIT} (got 5005283"),
         ],

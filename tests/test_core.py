@@ -146,8 +146,8 @@ def reference_select_deviator(inst, loads, alpha):
 
 
 def whole_deviator(form, loads, alpha):
-    """solve's deviator over a whole profile: every ``(r, loads[r])`` is a tail."""
-    return _deviator(form, _pricing(form, loads), list(enumerate(loads)), alpha)
+    """solve's deviator over a whole profile: every occupied ``(r, loads[r])`` is a tail."""
+    return _deviator(form, _pricing(form, loads), [(r, x) for r, x in enumerate(loads) if x], alpha)
 
 
 def kernel_moves(inst, loads):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congestion_adversary import (
+    GameError,
     best_alpha,
     binding_deviation,
     generate_instance,
@@ -25,19 +26,20 @@ from congestion_adversary import optimal
 from congestion_adversary.oracle import enumerate_profiles
 from congestion_adversary.optimal import (
     _checked,
+    _drawn,
     _least_factor,
     _scaled_form,
     _shape_table,
-    _tail_data,
+    _windows,
     cbar_candidates,
     feasible_load_vector,
 )
 
 # The V^2 candidate set and the shape scan that best_alpha replaced, with
 # each shape's uncapped candidate lists and its head conditions checked value
-# by value, and the scan's capped lists, tail bounds, fill, per-row room and
-# least factor in Fractions, kept as the specification the faster integer
-# versions must reproduce exactly.
+# by value, and the scan's capped lists, tail bounds, fill, per-row steps,
+# room and least factor in Fractions, built whole for every row, kept as the
+# specification the faster integer versions must reproduce exactly.
 
 
 def reference_candidate_alphas(inst, precision=12):
@@ -168,6 +170,25 @@ def reference_room(inst, row):
     short = leftover - (M - 3) * tail.count(0)
     steps = merge(*([a * t for t in range(1, M - 2)] for a in tail if a))
     return 0 if short <= 0 else next(islice(steps, short - 1, None), None)
+
+
+def reference_steps(inst, row):
+    """Every step ``t * a_r`` of the row's tail, a_r > 0 and t <= M - 3, sorted."""
+    (M, _, _, k_dprime), _, _ = row[:3]
+    return sorted(a * t for a in inst.coefficients[k_dprime - 1 :] if a for t in range(1, M - 2))
+
+
+def reference_cut(inst, row):
+    """The cost past which no pair of the row has a least factor, or None without a tail.
+
+    The least of ``(M - 2) * a_{k''}``, past which the least tail coefficient's
+    lower bound passes M - 3, and the ``(leftover + 1)``-th smallest step,
+    past which the lower bounds sum past the leftover players.
+    """
+    (M, _, _, k_dprime), _, leftover = row[:3]
+    if k_dprime > inst.m:
+        return None
+    return min([(M - 2) * inst.coefficients[k_dprime - 1]] + reference_steps(inst, row)[leftover : leftover + 1])
 
 
 def reference_least_factor(inst, row, room, cbar_max, cbar_rest):
@@ -327,18 +348,20 @@ def scan_inputs(inst):
     return form, list(_shape_table(inst, form))
 
 
-def assert_rows_are_the_profile_shapes(inst, rows):
+def assert_rows_are_the_profile_shapes(inst, form, rows):
     """The table holds each shape of a decreasing profile not all at the peak once, and no other.
 
-    Admission by tail capacity is exact, so every row's tail seats its
-    leftover players: each room is an integer, never None.
+    Admission by tail capacity is exact, so every row whose tail has no free
+    resource has at least leftover steps, and its room is one of them.
     """
     shapes = [row[0] for row in rows]
     assert len(set(shapes)) == len(shapes)
     assert set(shapes) == {
         shape_of(loads) for loads in enumerate_profiles(inst.n, inst.m) if loads[-1] != loads[0]
     }
-    assert all(type(row[7]) is int for row in rows)
+    for (M, _, _, k_dprime), _, leftover, *_, tail in rows:
+        if tail is not None and form[0][k_dprime - 1]:
+            assert len(_drawn(form[0], M, k_dprime, tail, leftover)[0]) >= leftover
 
 
 def table_row(inst, shape):
@@ -350,26 +373,61 @@ def table_row(inst, shape):
 def in_fractions(form, row):
     """A row's first seven fields, costs divided by the scale: the reference's values."""
     scale = form[2]
-    shape, prefix, leftover, need_max, cmax, need_rest, crest = row[:7]
+    shape, prefix, leftover, need_max, cap_max, need_rest, cap_rest = row[:7]
     return (
         shape,
         prefix,
         leftover,
         Fraction(need_max, scale),
-        [Fraction(c, scale) for c in cmax],
+        None if cap_max is None else Fraction(cap_max, scale),
         Fraction(need_rest, scale),
-        [Fraction(c, scale) for c in crest],
+        Fraction(cap_rest, scale),
     )
 
 
-def windows(row, alpha):
-    """The row's cmax and crest values that pass ``need <= alpha * c``, found as the scan finds them."""
-    _, _, _, need_max, cmax, need_rest, crest = row[:7]
-    p, q = alpha.numerator, alpha.denominator
+def scan_windows(form, row, alpha=None):
+    """The row's ``(cmax, crest, room, steps)`` as best_alpha cuts them at alpha, or None.
+
+    Without alpha, at a factor past every ratio the row can need, so that
+    each list runs from its least positive value up to the row's cut.
+    """
+    if alpha is None:
+        p, q = 1 + max(row[3], row[5], row[0][0] * max(form[0])), 1
+    else:
+        p, q = alpha.numerator, alpha.denominator
+    return _windows(form[0], row, p, q)
+
+
+def least_factor(form, row, cmax, crest):
+    """The least factor of a pair within the row's cut, from the room and steps best_alpha draws."""
+    cut = scan_windows(form, row)
+    return None if cut is None else _least_factor(cut[3], cut[2], row[3], row[5], cmax, crest)
+
+
+def reference_scan_windows(inst, row, alpha):
+    """The reference windows at alpha as the scan cuts them: up to the row's cut, crest from room / alpha."""
+    cut, room = reference_cut(inst, row), reference_room(inst, row)
+    cmax_ok, crest_ok = reference_windows(inst, row[0], alpha)
     return (
-        cmax[bisect_left(cmax, -(-q * need_max // p)) :],
-        crest[bisect_left(crest, -(-q * need_rest // p)) :],
+        [c for c in cmax_ok if cut is None or c <= cut],
+        [c for c in crest_ok if (cut is None or c <= cut) and room <= alpha * c],
     )
+
+
+def assert_scan_windows(inst, form, row, alpha):
+    """best_alpha's windows of the row at alpha are the reference's, and None only where one is empty."""
+    cut = scan_windows(form, row, alpha)
+    expected = reference_scan_windows(inst, row, alpha)
+    if cut is None:
+        assert not expected[0] or not expected[1]
+    else:
+        assert [[Fraction(c, form[2]) for c in values] for values in cut[:2]] == list(expected)
+
+
+def capped_ints(inst, form, shape):
+    """The reference's capped cmax and crest lists, on the integer scale of `form`."""
+    _, cmax, _, crest = reference_capped_candidates(inst, *shape)
+    return [int(c * form[2]) for c in cmax], [int(c * form[2]) for c in crest]
 
 
 def boundary_ratios(inst, form, rows):
@@ -396,9 +454,13 @@ def witness_at(inst, alpha):
         return (n // m,) * m
     form, rows = scan_inputs(inst)
     for row in rows:
-        for cmax in row[4]:
-            for crest in row[6]:
-                factor = _least_factor(form[0], row, cmax, crest)
+        cut = scan_windows(form, row, alpha)
+        if cut is None:
+            continue
+        cmax_window, crest_window, room, steps = cut
+        for cmax in cmax_window:
+            for crest in crest_window:
+                factor = _least_factor(steps, room, row[3], row[5], cmax, crest)
                 if factor is None or Fraction(*factor) > alpha:
                     continue
                 p, q = alpha.numerator, alpha.denominator
@@ -430,13 +492,13 @@ class TestFeasibleLoadVector:
         # before any fill, and no other shape holds a witness either.
         form, rows = scan_inputs(example1)
         row = table_row(example1, (2, 2, 4, 4))
-        _, _, _, need_max, cmax, _, _ = in_fractions(form, row)
-        assert need_max == 7 and Fraction(6) in cmax
-        assert windows(row, Fraction(8, 7))[0] == []
-        assert windows(row, Fraction(7, 6))[0] == [6 * form[2]]
+        _, _, _, need_max, cap_max, _, _ = in_fractions(form, row)
+        assert need_max == 7 and cap_max == 6
+        assert scan_windows(form, row, Fraction(8, 7)) is None
+        assert scan_windows(form, row, Fraction(7, 6))[0] == [6 * form[2]]
         assert witness_at(example1, Fraction(8, 7)) is None
         assert witness_at(example1, Fraction(7, 6)) == (2, 2, 1)
-        assert Fraction(*_least_factor(form[0], row, 6 * form[2], 6 * form[2])) == Fraction(7, 6)
+        assert Fraction(*least_factor(form, row, 6 * form[2], 6 * form[2])) == Fraction(7, 6)
 
     @given(small_instances(min_m=2, max_n=12), st.data())
     @settings(deadline=None, max_examples=150)
@@ -460,7 +522,9 @@ class TestFeasibleLoadVector:
         form = _scaled_form(inst)
         scale = form[2]
         row = table_row(inst, shape)
-        cmax_window, crest_window = windows(row, alpha)
+        cmax_window, crest_window = (
+            [int(c * scale) for c in values] for values in reference_windows(inst, shape, alpha)
+        )
         # Values off the table count too, so long as they pass the head
         # conditions of the specification.
         extra = data.draw(st.lists(st.integers(0, 40 * scale)))
@@ -497,11 +561,12 @@ class TestFeasibleLoadVector:
         )
         form, rows = scan_inputs(inst)
         scale = form[2]
+        capped = {row[0]: capped_ints(inst, form, row[0]) for row in rows}
         tails = [
             (row, a, c)
             for row in rows
             for a in set(inst.coefficients[row[0][3] - 1 :])
-            for c in row[6]
+            for c in capped[row[0]][1]
             if a > 0 and c > 0 and row[0][0] > 3
         ]
         ratios = sorted(boundary_ratios(inst, form, rows))
@@ -521,12 +586,10 @@ class TestFeasibleLoadVector:
             )
         p, q = alpha.numerator, alpha.denominator
         for row in rows:
-            assert [
-                [Fraction(c, scale) for c in values] for values in windows(row, alpha)
-            ] == list(reference_windows(inst, row[0], alpha))
+            assert_scan_windows(inst, form, row, alpha)
         for row in checked:
-            for cmax in row[4]:
-                for crest in row[6]:
+            for cmax in capped[row[0]][0]:
+                for crest in capped[row[0]][1]:
                     assert feasible_load_vector(
                         form[0], row, (p, q), cmax, crest
                     ) == reference_load_vector(
@@ -541,26 +604,45 @@ class TestShapeTable:
         # The fill takes a shape's prefix and leftover from its row and
         # checks neither, so every shape some profile has must be there once,
         # with exactly that profile's head loads and tail total, with the
-        # reference's capped lists on the integer scale, cut from the tail
-        # terms shared by every shape of its (M, k''), and with the room and
-        # steps the reference builds for the row alone.
+        # caps of the reference's capped lists on the integer scale, and,
+        # cut at every factor, with the reference's lists up to the row's
+        # cut, its room, and a prefix of its steps that reaches past
+        # leftover, drawn into the record every row of its (M, k'') shares.
         form, rows = scan_inputs(inst)
         by_shape = {row[0]: row for row in rows}
-        assert_rows_are_the_profile_shapes(inst, rows)
+        assert_rows_are_the_profile_shapes(inst, form, rows)
         for loads in enumerate_profiles(inst.n, inst.m):
             shape = shape_of(loads)
             if shape[1] == inst.m:
                 continue  # All at the peak: best_alpha tries it directly.
             row = by_shape[shape]
-            (M, _, _, k_dprime), prefix, leftover, *heads, room, steps = row
-            terms, free, shared_steps = _tail_data(form[0], M, k_dprime)
+            (M, _, _, k_dprime), prefix, leftover, *heads, tail = row
             assert prefix == list(loads[: k_dprime - 1])
             assert leftover == sum(loads[k_dprime - 1 :])
-            assert tuple(heads) == cbar_candidates(form, *shape, terms)
-            assert in_fractions(form, row)[3:] == reference_capped_candidates(inst, *shape)
-            assert steps == shared_steps
-            assert free == inst.coefficients[k_dprime - 1 :].count(0)
+            assert tuple(heads) == cbar_candidates(form, *shape)
+            need_max, cmax, need_rest, crest = reference_capped_candidates(inst, *shape)
+            assert in_fractions(form, row)[3:] == (
+                need_max,
+                None if heads[1] is None else cmax[-1],
+                need_rest,
+                crest[-1],
+            )
+            cut = scan_windows(form, row)
+            if cut is None:
+                continue  # A free tail resource or a zero cap: no pair has a least factor.
+            top = reference_cut(inst, row)
+            assert [Fraction(c, form[2]) for c in cut[0]] == [
+                c for c in cmax if c > 0 and (top is None or c <= top)
+            ]
+            room, steps = cut[2:]
             assert room == reference_room(inst, row) * form[2]
+            if tail is None:
+                assert steps == []
+            else:
+                assert steps is tail[0]
+            reference = [s * form[2] for s in reference_steps(inst, row)]
+            assert steps == reference[: len(steps)]
+            assert len(steps) > leftover or steps == reference
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_rows_are_the_profile_shapes_on_a_grid(self, m):
@@ -569,17 +651,17 @@ class TestShapeTable:
         zeros = m // 3
         for n in range(1, 31):
             inst = validate_instance([0] * zeros + list(range(1, m - zeros + 1)), n, 1)
-            assert_rows_are_the_profile_shapes(inst, scan_inputs(inst)[1])
+            assert_rows_are_the_profile_shapes(inst, *scan_inputs(inst))
 
     @given(small_instances(min_m=2, max_n=12))
     @settings(deadline=None, max_examples=100)
     def test_rows_of_one_m_and_k_dprime_share_their_tail_data(self, inst):
-        # Each (M, k'') builds its tail data once: every row of it holds the
-        # very same steps list.
+        # Each (M, k'') builds its tail record once: every row of it holds
+        # the very same one, whose step prefix each row draws further.
         _, rows = scan_inputs(inst)
         by_tail = {}
         for row in rows:
-            assert row[8] is by_tail.setdefault((row[0][0], row[0][3]), row[8])
+            assert row[7] is by_tail.setdefault((row[0][0], row[0][3]), row[7])
 
     @given(small_instances(min_m=2, max_n=12), st.data())
     @settings(deadline=None, max_examples=150)
@@ -600,14 +682,36 @@ class TestShapeTable:
         )
         for alpha in alphas:
             for row in rows:
-                assert [
-                    [Fraction(c, form[2]) for c in values] for values in windows(row, alpha)
-                ] == list(reference_windows(inst, row[0], alpha))
+                assert_scan_windows(inst, form, row, alpha)
             if alpha >= 1:  # Least factors start at 1, as every optimum does.
                 assert witness_at(inst, alpha) == reference_feasible_witness(inst, alpha)
 
 
 class TestLeastFactor:
+    @given(small_instances(min_m=2, max_n=12), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_no_pair_past_the_cut_has_a_least_factor(self, inst, data):
+        # best_alpha draws each row's values only up to its cut, the least of
+        # (M - 2) * a_{k''} and the (leftover + 1)-th smallest step, and
+        # prices no pair past it: the reference must find no least factor
+        # there, whatever the other cost.  A run of leading zero
+        # coefficients puts free resources in the tail, where the cut is 0.
+        zeros = data.draw(st.integers(0, inst.m - 1))
+        inst = validate_instance(
+            [0] * zeros + list(inst.coefficients[zeros:]), inst.n, inst.budget
+        )
+        _, rows = scan_inputs(inst)
+        for row in rows:
+            cut = reference_cut(inst, row)
+            if cut is None:
+                continue
+            room = reference_room(inst, row)
+            _, cmax_all, _, crest_all = reference_capped_candidates(inst, *row[0])
+            for cmax in cmax_all:
+                for crest in crest_all:
+                    if max(cmax, crest) > cut:
+                        assert reference_least_factor(inst, row, room, cmax, crest) is None
+
     @given(small_instances(), st.data())
     @settings(deadline=None, max_examples=100)
     def test_is_where_the_reference_starts_to_pass(self, inst, data):
@@ -635,10 +739,16 @@ class TestLeastFactor:
 
         for row in rows:
             room = reference_room(inst, row)
-            for cmax in row[4]:
-                for crest in row[6]:
+            cmax_window, crest_window, *_ = scan_windows(form, row) or ([], [])
+            cmax_all, crest_all = capped_ints(inst, form, row[0])
+            for cmax in cmax_all:
+                for crest in crest_all:
                     costs = Fraction(cmax, scale), Fraction(crest, scale)
-                    factor = _least_factor(form[0], row, cmax, crest)
+                    # A pair off the row's windows at every factor is one the
+                    # scan never prices: it must have no least factor.
+                    factor = None
+                    if cmax in cmax_window and crest in crest_window:
+                        factor = least_factor(form, row, cmax, crest)
                     assert (factor and Fraction(*factor)) == reference_least_factor(
                         inst, row, room, *costs
                     )
@@ -791,3 +901,14 @@ class TestBestAlpha:
         for seed in range(30):
             inst = generate_instance(n=2 + seed % 9, m=2 + seed % 4, seed=seed).instance
             assert best_alpha(inst).alpha_star <= k_upper_bound(12)
+
+    def test_refuses_a_scaled_form_past_the_bit_limit(self, monkeypatch):
+        # The scan's integers are the form times lcm(1..m): m of them, each
+        # of about as many bits as D * lcm(1..m), counted before any is made.
+        inst = validate_instance([Fraction(1, p) for p in (2, 3, 5, 7)], 3, 1)
+        bits = inst.m * (inst.form[2] * 12).bit_length()
+        monkeypatch.setattr(optimal, "FORM_MAX_BITS", bits)
+        assert best_alpha(inst).alpha_star >= 1
+        monkeypatch.setattr(optimal, "FORM_MAX_BITS", bits - 1)
+        with pytest.raises(GameError):
+            best_alpha(inst)

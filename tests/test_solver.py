@@ -363,9 +363,11 @@ class TestSolveMatchesReferenceOnWideBands:
     )
     @settings(deadline=None, max_examples=300)
     def test_band_pricing_equals_whole_pricing(self, inst, draws, lift, alpha):
-        # A resource that is its own cheapest target cannot improve, so the
-        # runner-up never decides a solve step and the trace cannot show it:
-        # compare the pricing itself, on any non-increasing profile.
+        # Compare the pricing itself, on any non-increasing profile, in what
+        # solve reads of it: the peak, its count and each kind's cheapest
+        # target.  The runner-up is read only when the cheapest target is the
+        # mover, a band's last index, so its band is that one resource; band
+        # pricing gets the runner-up right there, and need not elsewhere.
         loads = sorted(draws[: inst.m], reverse=True)
         loads[0] += lift + (loads[0] == 0)
         bands = {}
@@ -373,5 +375,11 @@ class TestSolveMatchesReferenceOnWideBands:
             bands.setdefault(x, [r, r])[1] = r
         form = inst.form
         priced, tails = _price_bands(form, loads, bands)
-        assert priced == _pricing(form, loads)
+        whole = _pricing(form, loads)
+        assert priced[:2] == whole[:2]
+        for kind in (2, 3):
+            assert priced[kind][:3] == whole[kind][:3]
+            first, last = bands[loads[priced[kind][2]]]
+            if first == last:
+                assert priced[kind][3:] == whole[kind][3:]
         assert _deviator(form, priced, tails, alpha) == whole_deviator(form, loads, alpha)
