@@ -138,34 +138,41 @@ def format_extended_rational(value) -> str:
     return format_rational(value)
 
 
-def write_trace(trace: SolveTrace, handle: TextIO, pretty: bool = False) -> None:
-    """Write the JSON list of the trace's events, holding one event at a time.
+#: One trace event, compact as json.dumps writes it and pretty as indent=2
+#: writes it one level deep, as the "trace" of an indented result document.
+EVENT = '{"kind": "%s", "round": %d, "from": %s, "to": %d, "cost_before": "%s", "cost_after": "%s"}'
+PRETTY_EVENT = EVENT.replace("{", "{\n      ").replace(", ", ",\n      ").replace("}", "\n    }")
 
-    An event is ``{kind, round, from, to, cost_before, cost_after}``.  With
-    `pretty`, the layout is that of ``indent=2`` one level deep, as the
-    "trace" of an indented result document; json's C encoder lays out each
-    flat event with indenting separators, since ``indent=`` runs its
-    pure-Python one.
+
+def _ratio(p: int, q: int) -> str:
+    """format_rational(Fraction(p, q)) for p >= 0 and q > 0, reduced by one gcd."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def write_trace(trace: SolveTrace, handle: TextIO, pretty: bool = False) -> None:
+    """Write the JSON list of the trace's events, one per move, from its integers.
+
+    An event is ``{kind, round, from, to, cost_before, cost_after}``, "from"
+    null and "cost_before" "inf" for an entering player; the bytes are those
+    of ``json.dumps`` on the list, with `pretty` as the "trace" of a result
+    document indented by 2.
     """
-    pad, end = ("\n    ", "\n  ]") if pretty else ("", "]")
-    separators = (",\n      ", ": ") if pretty else (", ", ": ")
-    handle.write("[")
-    sep = pad
-    for ev in trace.iter_events():
-        text = json.dumps(
-            {
-                "kind": ev.kind,
-                "round": ev.round,
-                "from": ev.source,
-                "to": ev.target,
-                "cost_before": format_extended_rational(ev.cost_before),
-                "cost_after": format_rational(ev.cost_after),
-            },
-            separators=separators,
-        )
-        handle.write(sep + ("{\n      " + text[1:-1] + "\n    }" if pretty else text))
-        sep = "," + (pad or " ")
-    handle.write("]" if sep == pad else end)
+    if not trace.moves:
+        handle.write("[]")
+        return
+    event, lead, sep, end = (
+        (PRETTY_EVENT, "[\n    ", ",\n    ", "\n  ]") if pretty else (EVENT, "[", ", ", "]")
+    )
+    scale = trace.scale
+    for k, source, target, cost, cost_den, dev, dev_den in trace.moves:
+        if source is None:
+            kind, source, before = "player_added", "null", "inf"
+        else:
+            kind, before = "deviation", _ratio(cost, cost_den * scale)
+        handle.write(lead + event % (kind, k, source, target, before, _ratio(dev, dev_den * scale)))
+        lead = sep
+    handle.write(end)
 
 
 def result_document(

@@ -8,40 +8,19 @@ the threshold constant (see :func:`congestion_adversary.core.compute_K`) this
 terminates, and the run is guarded by a per-round deviation budget that turns
 the termination guarantee into a runtime check.
 
-Players are interchangeable, so state is a load vector and trace events name
-resources, not players.
+Players are interchangeable, so state is a load vector and the trace's moves
+name resources, not players, with each cost an exact integer pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
-from .core import (
-    ExtendedRational,
-    GameError,
-    INFINITY,
-    Instance,
-    _fraction,
-    _pricing,
-    k_upper_bound,
-)
+from .core import GameError, Instance, _fraction, _pricing, k_upper_bound
 
-__all__ = [
-    "PLAYER_ADDED",
-    "DEVIATION",
-    "STRICT",
-    "LENIENT",
-    "GuardExceeded",
-    "TraceEvent",
-    "SolveTrace",
-    "SolverConfig",
-    "solve",
-]
-
-PLAYER_ADDED = "player_added"
-DEVIATION = "deviation"
+__all__ = ["STRICT", "LENIENT", "GuardExceeded", "SolveTrace", "SolverConfig", "solve"]
 
 STRICT = "strict"
 LENIENT = "lenient"
@@ -56,44 +35,19 @@ class GuardExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TraceEvent:
-    kind: str  # PLAYER_ADDED or DEVIATION
-    round: int  # 1-based insertion round
-    source: Optional[int]  # resource index, None for an entering player
-    target: int
-    cost_before: ExtendedRational  # INFINITY for an entering player
-    cost_after: Fraction
-
-
-@dataclass(frozen=True)
 class SolveTrace:
-    """The moves of a :func:`solve` run, from which its events are built on demand.
+    """The moves of a :func:`solve` run, in integers; `documents.write_trace` writes them.
 
-    Each of `moves` is ``(round, source, target, cost, k, dev, j)``: source
-    None for an entering player, whose ``cost, k`` are None; otherwise
-    ``cost, k`` is the mover's cost before the move and ``dev, j`` after it,
-    each an integer pair worth ``p / (k * scale)``.  `scale` is the common
-    denominator D of the instance's integer form.
+    Each of `moves` is ``(round, source, target, cost, k, dev, j)``, round
+    1-based: source None for an entering player, whose ``cost, k`` are
+    None; otherwise ``cost, k`` is the mover's cost before the move and
+    ``dev, j`` after it, each an integer pair worth ``p / (k * scale)``.
+    `scale` is the common denominator D of the instance's integer form.
     """
 
     moves: Tuple[tuple, ...]
     per_round_deviation_counts: Tuple[int, ...]
     scale: int
-
-    def iter_events(self) -> Iterator[TraceEvent]:
-        """One TraceEvent per move, with Fraction costs, built afresh and kept nowhere."""
-        scale = self.scale
-        return (
-            TraceEvent(
-                PLAYER_ADDED if source is None else DEVIATION,
-                k,
-                source,
-                target,
-                INFINITY if source is None else Fraction(cost, cost_den * scale),
-                Fraction(dev, dev_den * scale),
-            )
-            for k, source, target, cost, cost_den, dev, dev_den in self.moves
-        )
 
     def replay(self, m: int) -> Tuple[int, ...]:
         """Re-apply all moves from the empty profile; returns the final loads.

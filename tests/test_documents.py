@@ -27,6 +27,7 @@ from congestion_adversary.documents import (
     write_trace,
 )
 from congestion_adversary.solver import SolveTrace
+from test_solver import trace_events
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -35,15 +36,41 @@ def trace_to_json(trace):
     """The trace's event list as JSON objects: the reference for write_trace's bytes."""
     return [
         {
-            "kind": ev.kind,
-            "round": ev.round,
-            "from": ev.source,
-            "to": ev.target,
-            "cost_before": format_extended_rational(ev.cost_before),
-            "cost_after": format_rational(ev.cost_after),
+            "kind": kind,
+            "round": k,
+            "from": source,
+            "to": target,
+            "cost_before": format_extended_rational(before),
+            "cost_after": format_rational(after),
         }
-        for ev in trace.iter_events()
+        for kind, k, source, target, before, after in trace_events(trace)
     ]
+
+
+def solved_trace(case):
+    """solve's trace on gen (n, m) with seed n, or one of three named traces.
+
+    "empty" has no moves.  "unreduced" is hand-built with cost pairs not in
+    lowest terms at D = 6: 12/(1*6) reduces to 2, 0/(1*6) is a zero cost,
+    10/(4*6) = 5/12 has k = 4 and 9/(3*6) = 1/2 has k = 3.  "tightness-x40"
+    is the tightness fixture with players and budget times 40: 200 players
+    at D = 5e11.
+    """
+    if case == "empty":
+        return SolveTrace(moves=(), per_round_deviation_counts=(), scale=1)
+    if case == "unreduced":
+        moves = (
+            (1, None, 0, None, None, 12, 1),
+            (1, 0, 1, 10, 4, 0, 1),
+            (2, None, 0, None, None, 9, 3),
+        )
+        return SolveTrace(moves=moves, per_round_deviation_counts=(1, 0), scale=6)
+    if case == "tightness-x40":
+        inst = make_fixtures()["tightness"].instance
+        inst = validate_instance(inst.coefficients, 40 * inst.n, 40 * inst.budget)
+    else:
+        inst = generate_instance(*case, seed=case[0]).instance
+    return solve(inst, SolverConfig.default())[1]
 
 
 def replayed_loads(events, m):
@@ -196,24 +223,24 @@ class TestTraceSerialization:
         assert all(list(event) == keys for event in obj)
         assert replayed_loads(obj, example1.m) == list(loads)
 
-    @pytest.mark.parametrize("n,m", [(1, 1), (5, 3), (40, 6), (120, 9)])
-    def test_written_trace_is_the_json_of_the_event_list(self, n, m):
+    @pytest.mark.parametrize(
+        "case", [(1, 1), (5, 3), (40, 6), (120, 9), "unreduced", "tightness-x40"]
+    )
+    def test_written_trace_is_the_json_of_the_event_list(self, case):
         # write_trace streams what json.dumps(trace_to_json(trace)) would
         # give, byte for byte.
-        inst = generate_instance(n, m, seed=n).instance
-        _, trace = solve(inst, SolverConfig.default())
+        trace = solved_trace(case)
         handle = io.StringIO()
         write_trace(trace, handle)
         assert handle.getvalue() == json.dumps(trace_to_json(trace))
 
-    @pytest.mark.parametrize("n,m", [(0, 3), (1, 1), (5, 3), (40, 6), (120, 9)])
-    def test_pretty_written_trace_is_the_indented_event_list(self, n, m):
+    @pytest.mark.parametrize(
+        "case", ["empty", (1, 1), (5, 3), (40, 6), (120, 9), "unreduced", "tightness-x40"]
+    )
+    def test_pretty_written_trace_is_the_indented_event_list(self, case):
         # Pretty, write_trace lays the events out as json.dumps(indent=2)
-        # does one level deep; n = 0 stands for a trace without moves.
-        if n:
-            _, trace = solve(generate_instance(n, m, seed=n).instance, SolverConfig.default())
-        else:
-            trace = SolveTrace(moves=(), per_round_deviation_counts=(), scale=1)
+        # does one level deep.
+        trace = solved_trace(case)
         for pretty, head, tail in ((False, "{", "}"), (True, "{\n  ", "\n}")):
             handle = io.StringIO()
             write_trace(trace, handle, pretty)

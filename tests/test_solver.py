@@ -6,16 +6,13 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from congestion_adversary import (
-    DEVIATION,
     GameError,
     GuardExceeded,
     INFINITY,
     LENIENT,
-    PLAYER_ADDED,
     STRICT,
     SolveTrace,
     SolverConfig,
-    TraceEvent,
     binding_deviation,
     generate_instance,
     is_alpha_pne,
@@ -37,6 +34,26 @@ from test_core import (
 )
 
 
+def trace_events(trace):
+    """The trace's moves as ``(kind, round, source, target, cost_before, cost_after)``.
+
+    The Fraction view of a trace, the reference for what write_trace writes:
+    each cost pair ``(p, k)`` is ``Fraction(p, k * scale)``, and an entering
+    player's cost before is INFINITY.
+    """
+    return tuple(
+        (
+            "player_added" if source is None else "deviation",
+            k,
+            source,
+            target,
+            INFINITY if source is None else Fraction(cost, cost_den * trace.scale),
+            Fraction(dev, dev_den * trace.scale),
+        )
+        for k, source, target, cost, cost_den, dev, dev_den in trace.moves
+    )
+
+
 def reference_solve(inst, config):
     """The insertion/settling schedule with every move priced by the Fraction spec.
 
@@ -48,7 +65,7 @@ def reference_solve(inst, config):
     for k in range(1, inst.n + 1):
         cost, target = reference_cheapest_deviation(inst, loads, None)
         loads[target] += 1
-        events.append(TraceEvent(PLAYER_ADDED, k, None, target, INFINITY, cost))
+        events.append(("player_added", k, None, target, INFINITY, cost))
         profiles.append(tuple(loads))
         deviations = 0
         while (source := reference_select_deviator(inst, loads, config.alpha)) is not None:
@@ -59,7 +76,7 @@ def reference_solve(inst, config):
             after, target = reference_cheapest_deviation(inst, loads, source)
             loads[source] -= 1
             loads[target] += 1
-            events.append(TraceEvent(DEVIATION, k, source, target, before, after))
+            events.append(("deviation", k, source, target, before, after))
             profiles.append(tuple(loads))
         per_round.append(deviations)
     return tuple(loads), tuple(events), tuple(per_round), tuple(profiles)
@@ -79,8 +96,8 @@ def replayed_profiles(moves, m):
 def traced_solve(inst, config):
     """solve's ``(loads, events, per-round deviation counts, loads after each move)``."""
     loads, trace = solve(inst, config)
-    events = tuple(trace.iter_events())
-    return loads, events, trace.per_round_deviation_counts, replayed_profiles(trace.moves, inst.m)
+    profiles = replayed_profiles(trace.moves, inst.m)
+    return loads, trace_events(trace), trace.per_round_deviation_counts, profiles
 
 
 class TestConfig:
@@ -162,18 +179,18 @@ class TestSolve:
         loads, trace = solve(seven_player, SolverConfig.default())
         assert loads == (2, 2, 1, 1, 1)
         assert trace.per_round_deviation_counts == (0, 0, 0, 0, 0, 0, 2)
-        last = [ev for ev in trace.iter_events() if ev.round == 7]
-        assert [ev.kind for ev in last] == [PLAYER_ADDED, DEVIATION, DEVIATION]
-        assert (last[1].source, last[1].target) == (4, 1)
-        assert (last[2].source, last[2].target) == (0, 4)
+        last = [ev[:4] for ev in trace_events(trace) if ev[1] == 7]
+        assert [kind for kind, *_ in last] == ["player_added", "deviation", "deviation"]
+        assert last[1][2:] == (4, 1)
+        assert last[2][2:] == (0, 4)
         assert needed_alpha(seven_player, loads) == Fraction(25, 24)
 
     def test_insertion_events_have_infinite_prior_cost(self, example1):
         _, trace = solve(example1, SolverConfig.default())
-        added = [ev for ev in trace.iter_events() if ev.kind == PLAYER_ADDED]
+        added = [ev for ev in trace_events(trace) if ev[0] == "player_added"]
         assert len(added) == example1.n
-        assert all(ev.cost_before == INFINITY for ev in added)
-        assert [ev.round for ev in added] == list(range(1, example1.n + 1))
+        assert all(ev[4] == INFINITY for ev in added)
+        assert [ev[1] for ev in added] == list(range(1, example1.n + 1))
 
     def test_guard_trips_when_no_equilibrium_exists(self, example1):
         # At alpha = 1 the example has no equilibrium, so settling can never
@@ -229,11 +246,7 @@ class TestSolve:
         _, trace = solve(example1, SolverConfig.default())
         # The trace keeps its moves and nothing built from them.
         assert set(vars(trace)) == {"moves", "per_round_deviation_counts", "scale"}
-        events = tuple(trace.iter_events())
-        assert events == tuple(trace.iter_events())
-        assert [(ev.round, ev.source, ev.target) for ev in events] == [
-            move[:3] for move in trace.moves
-        ]
+        assert [ev[1:4] for ev in trace_events(trace)] == [move[:3] for move in trace.moves]
 
     def test_deterministic(self, seven_player):
         first = solve(seven_player, SolverConfig.default())
@@ -353,7 +366,7 @@ class TestSolveMatchesReferenceOnWideBands:
             # Steer the search toward many bands and many deviations.
             _, events, _, profiles = outcome
             target(float(max(len(set(loads)) for loads in profiles)), label="bands")
-            target(float(sum(ev.kind == DEVIATION for ev in events)), label="deviations")
+            target(float(sum(ev[0] == "deviation" for ev in events)), label="deviations")
 
     @given(
         wide_band_instances(),
