@@ -68,13 +68,19 @@ BEST_ALPHA_MAX_WORK = 11_500_000
 BEST_ALPHA_ROW_WORK = 16
 BEST_ALPHA_UNIT = f"{BEST_ALPHA_ROW_WORK} per shape-table row, its tail steps and m * m // 32, counted up to the limit"
 #: The oracle's work is its profiles, the partitions of n into at most m
-#: parts, each priced once in time linear in m + 20: about 5 us per profile
-#: at m = 3 and 0.5 ms at m = 2 000.  Whole process, gen --seed 1, 2-core
-#: Xeon host, Python 3.11, 16 MB each: (200, 3) is 7.9e4 and takes 0.14-0.19 s,
-#: (100, 4) 1.9e5 and 0.19-0.24 s; at the limit (1 612, 3), (305, 4), (100, 6),
-#: (69, 8) and (26, 2 000) take 1.3, 1.2-1.3, 1.2-1.3, 1.4-1.8 and 1.2 s.
+#: parts, each priced over its bands in time linear in its nonzero parts:
+#: min(n, m) + 20 units.  Reading the document and building the form take
+#: 5-7.5 us a coefficient, 20 units; the profiles outweigh that for the first
+#: min(n, m), so only those past them count, and below n = m a player more
+#: adds at least 23 units of profiles: the count never falls as n or m grows.
+#: Whole process, gen --seed 1, 2-core Xeon host, Python 3.11, 16-17 MB:
+#: (200, 3) is 7.9e4 and takes 0.15 s, (40, 2 000) 2.3e6 and 0.36-0.46 s; at
+#: the limit (1 612, 3), (305, 4), (69, 8), (47, 20) and (44, 2 000) take
+#: 1.2-1.3, 1.2-1.6, 1.7-1.8, 0.9-1.0 and 0.6-0.65 s, and (5, 249 990) 1.8-2.0
+#: s at 58 MB: 0.13-0.38 us per unit.  (10, 775 000) is refused in 0.23 s.
 ORACLE_MAX_WORK = 5_000_000
-ORACLE_UNIT = "the oracle's profiles times m + 20, counted up to the limit"
+ORACLE_COEFFICIENT_WORK = 20
+ORACLE_UNIT = f"profiles times min(n, m) + 20 and {ORACLE_COEFFICIENT_WORK} per coefficient past min(n, m), counted up to the limit"
 #: gen's time is making, sorting and printing its m Fraction coefficients.
 #: Whole process, --n 5 --seed 1, 2-core Xeon host, Python 3.11: m = 100 000
 #: takes 0.65 s and 33 MB, 300 000 1.6 s and 59 MB, and 500 000 2.9-4.2 s
@@ -135,23 +141,25 @@ def _best_alpha_work(n: int, m: int) -> int:
 
 
 def _oracle_work(n: int, m: int) -> int:
-    """The oracle's work count: its profiles, counted in O(n * m), times m + 20.
+    """The oracle's work: profiles, counted in O(n * m), times min(n, m) + 20, plus the reading (see ORACLE_UNIT).
 
     Counting stops once past ORACLE_MAX_WORK, so past it the count is a
     lower bound.  Over two or more resources there are at least n // 2 + 1
     profiles, so an instance refused for those alone is refused before the
     list of n + 1 partition counts is made.
     """
+    width = min(n, m) + 20
+    reading = ORACLE_COEFFICIENT_WORK * (m - min(n, m))
     profiles = 1 if n == 1 or m == 1 else n // 2 + 1  # partitions into at most 2 parts
-    if min(n, m) > 2 and profiles * (m + 20) <= ORACLE_MAX_WORK:
+    if min(n, m) > 2 and profiles * width + reading <= ORACLE_MAX_WORK:
         counts = [j // 2 + 1 for j in range(n + 1)]
         for k in range(3, min(n, m) + 1):  # partitions of each j into parts of at most k
             for j in range(k, n + 1):
                 counts[j] += counts[j - k]
-            if counts[n] * (m + 20) > ORACLE_MAX_WORK:
+            if counts[n] * width + reading > ORACLE_MAX_WORK:
                 break
         profiles = counts[n]
-    return profiles * (m + 20)
+    return profiles * width + reading
 
 
 def _refuse(command: str, n: int, m: int, work: int, limit: int, unit: str) -> None:

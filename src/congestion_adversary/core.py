@@ -235,19 +235,24 @@ def _pricing(form, loads: Loads, targets=None, peaks=None):
     return peak, count, (dev, joined, target, dev2, target2), (top, tied, at, top2, at2)
 
 
-def _occupied(form, loads: Loads):
+def _occupied(form, loads: Loads, priced=None, movers=None):
     """Every occupied resource's ``(r, cost, k, dev, j, target)``, in index order.
 
     ``cost, k`` is the cost of r's players and ``dev, j`` their cheapest
     move, to the cheapest target of their kind in the profile's
     :func:`_pricing`, or to the runner-up when that target is r; ``dev`` and
     ``target`` are None when m = 1.  Raises GameError if nobody sits.
+    `priced`, the profile's pricing, and `movers`, ``(r, loads[r])`` pairs
+    in index order, default to the whole profile's; given, only `movers`
+    are read, and not `loads`.
     """
-    peak, count, below, at_peak = _pricing(form, loads)
+    if priced is None:
+        priced, movers = _pricing(form, loads), enumerate(loads)
+    peak, count, below, at_peak = priced
     if peak == 0:
         raise GameError("profile seats no players")
     coeffs, budget, _ = form
-    for r, x in enumerate(loads):
+    for r, x in movers:
         if x == peak:
             dev, j, target, dev2, target2 = at_peak
             cost, k = coeffs[r] * peak * count + budget, count
@@ -330,7 +335,11 @@ def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int]) -> b
     """True iff no player can improve her cost by more than factor `alpha`."""
     if sum(loads) != inst.n:
         raise GameError(f"loads sum to {sum(loads)}, expected {inst.n} players")
-    return needed_alpha(inst, loads) <= Fraction(alpha)
+    found = _binding(inst.form, loads)
+    alpha = Fraction(alpha)
+    # needed_alpha <= alpha in integers: 1 when m = 1, and INFINITY, (1, 0), passes no alpha.
+    num, den = (1, 1) if found is None else found[0]
+    return num * alpha.denominator <= alpha.numerator * den
 
 
 def compute_K(precision: int) -> Tuple[Fraction, Fraction]:

@@ -3,16 +3,19 @@
 For factors up to 2 it suffices to search non-increasing load profiles (any
 equilibrium can be rearranged into one by swapping whole resources), which
 collapses the profile space to integer partitions of n into at most m parts.
-Every optimum the fast solvers report is checked against this enumeration
-in the test suite.
+Equal loads of such a profile form bands, at most about sqrt(2n) of them, and
+each profile is priced over its bands, not its resources: with coefficients
+sorted, a band's first index is its cheapest target and its last index its
+costliest mover.  Every optimum the fast solvers report is checked against
+this enumeration in the test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
-from .core import Instance, _fraction, _occupied
+from .core import Instance, _fraction, _occupied, _pricing
 
 __all__ = ["enumerate_profiles", "oracle_best_alpha", "oracle_optima"]
 
@@ -23,11 +26,20 @@ def enumerate_profiles(n: int, m: int) -> Iterator[Tuple[int, ...]]:
     Zero-padded partitions of n into at most m parts, yielded in
     lexicographically descending order, each exactly once.
     """
+    for parts in _partitions(n, m):
+        yield _padded(parts, m)
+
+
+def _partitions(n: int, m: int) -> Iterator[List[int]]:
+    """The nonzero parts of each profile of :func:`enumerate_profiles`, in its order.
+
+    Yields one list, stepped in place: copy it to keep a profile.
+    """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    parts = [n]  # The nonzero parts; zeros are only padding.
+    parts = [n]
     while True:
-        yield tuple(parts) + (0,) * (m - len(parts))
+        yield parts
         # Step the rightmost part that can lose a player and still refill
         # what follows it, plus that player, within m parts of at most its
         # new size; refilling greedily with that size gives the next profile.
@@ -40,6 +52,10 @@ def enumerate_profiles(n: int, m: int) -> Iterator[Tuple[int, ...]]:
         top = parts[i] - 1
         count, extra = divmod(rest, top)
         parts[i:] = [top] * (count + 1) + [extra] * (extra > 0)
+
+
+def _padded(parts: List[int], m: int) -> Tuple[int, ...]:
+    return tuple(parts) + (0,) * (m - len(parts))
 
 
 def oracle_optima(inst: Instance) -> Tuple[Fraction, Tuple[int, ...], Fraction, Tuple[int, ...]]:
@@ -55,14 +71,35 @@ def oracle_optima(inst: Instance) -> Tuple[Fraction, Tuple[int, ...], Fraction, 
     decreasing-profile restriction is made for the factor; for the slack
     the tests check it, against the minimum over every ordered load vector
     (see README).
+
+    Each profile is priced over its bands of equal load, in time linear in
+    its nonzero parts: band heads as targets, band tails as movers.  A
+    tail pays its band's largest cost, and every player of the band has the
+    same cheapest move, to a band head, unless that head is the player's
+    own resource; the runner-up is read only then, for a band of one
+    resource, where every other band's cheapest target is its head.  So
+    the tails attain both the largest ratio and the largest difference.
     """
-    form = inst.form
+    form, m = inst.form, inst.m
     best = least = None
-    for profile in enumerate_profiles(inst.n, inst.m):
+    for parts in _partitions(inst.n, m):
+        size, peak = len(parts), parts[0]
+        heads, tails, prev = [(0, peak)], [], peak
+        for i, x in enumerate(parts):
+            if x != prev:
+                tails.append((i - 1, prev))
+                heads.append((i, x))
+                prev = x
+        tails.append((size - 1, prev))
+        if size < m:
+            heads.append((size, 0))
+        # P, the count at P and the count at P - 1, zeros included.
+        peaks = (peak, tails[0][0] + 1, parts.count(peak - 1) if peak > 1 else m - size)
+        priced = _pricing(form, parts, heads, peaks)
         # Integer pairs p, q for p / q, compared crosswise as in _occupied: the
         # factor cost / dev, infinite at q = 0, and the slack cost - dev.
         factor, slack = (1, 1), (0, 1)
-        for _, cost, k, dev, j, _ in _occupied(form, profile):
+        for _, cost, k, dev, j, _ in _occupied(form, parts, priced, tails):
             if dev is None:  # One resource: no move, so factor 1 and no slack.
                 break
             if cost * j * factor[1] > factor[0] * k * dev:
@@ -72,10 +109,10 @@ def oracle_optima(inst: Instance) -> Tuple[Fraction, Tuple[int, ...], Fraction, 
         # An infinite factor never wins: by the existence theorem some
         # profile needs at most K.
         if best is None or factor[0] * best[1] < best[0] * factor[1]:
-            best, witness = factor, profile
+            best, witness = factor, parts[:]
         if least is None or slack[0] * least[1] < least[0] * slack[1]:
-            least, epsilon_witness = slack, profile
-    return Fraction(*best), witness, _fraction(form, *least), epsilon_witness
+            least, epsilon_witness = slack, parts[:]
+    return Fraction(*best), _padded(witness, m), _fraction(form, *least), _padded(epsilon_witness, m)
 
 
 def oracle_best_alpha(inst: Instance) -> Tuple[Fraction, Tuple[int, ...]]:

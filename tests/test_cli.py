@@ -472,11 +472,11 @@ class TestOracle:
         # One enumeration gives the factor, the exact-equilibrium answer and
         # the additive slack.
         calls = []
-        enumerate_profiles = oracle_module.enumerate_profiles
+        partitions = oracle_module._partitions
         monkeypatch.setattr(
             oracle_module,
-            "enumerate_profiles",
-            lambda n, m: calls.append(n) or enumerate_profiles(n, m),
+            "_partitions",
+            lambda n, m: calls.append(n) or partitions(n, m),
         )
         exact = tmp_path / "exact.json"
         exact.write_text(
@@ -499,7 +499,7 @@ class TestOracle:
 
     @pytest.mark.parametrize(
         "players,coefficients,refused",
-        [(1612, 3, False), (1613, 3, True), (305, 4, False), (306, 4, True), (26, 2000, False), (27, 2000, True)],
+        [(1612, 3, False), (1613, 3, True), (305, 4, False), (306, 4, True), (44, 2000, False), (45, 2000, True)],
     )
     def test_refuses_past_the_work_limit_up_front(self, capsys, monkeypatch, tmp_path, players, coefficients, refused):
         class Reached(Exception):
@@ -522,7 +522,26 @@ class TestOracle:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 30])
     def test_work_count_is_the_profile_count(self, n, m):
         profiles = sum(1 for _ in enumerate_profiles(n, m))
-        assert cli_module._oracle_work(n, m) == profiles * (m + 20)
+        width = min(n, m)
+        assert cli_module._oracle_work(n, m) == profiles * (width + 20) + 20 * (m - width)
+
+    def test_work_count_does_not_fall_as_n_or_m_grows(self):
+        # So no header is let through while a smaller one is refused.  Past
+        # the limit the count stops early, and only its being past counts.
+        limit = cli_module.ORACLE_MAX_WORK
+
+        def work(n, m):
+            return min(cli_module._oracle_work(n, m), limit + 1)
+
+        grid = {(n, m): work(n, m) for n in range(1, 80) for m in range(1, 60)}
+        for (n, m), count in grid.items():
+            assert grid.get((n + 1, m), count) >= count and grid.get((n, m + 1), count) >= count
+        for m in (2, 3, 2000, 10**6):
+            ladder = [work(n, m) for n in (1, 2, 3, 10, 26, 44, 45, 100, 2000, 10**6)]
+            assert ladder == sorted(ladder)
+        for n in (1, 2, 10, 44):
+            ladder = [work(n, m) for m in (1, 2, 3, 20, 2000, 200_000, 10**6)]
+            assert ladder == sorted(ladder) and ladder[-1] == limit + 1
 
     @pytest.mark.parametrize("coefficients", [["1", "2"], ["1", "2", "3"]])
     def test_refuses_a_hundred_million_players_at_once(self, capsys, tmp_path, coefficients):

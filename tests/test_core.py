@@ -535,6 +535,23 @@ class TestNeededAlpha:
         scaled = scale_instance(inst, factor)
         assert needed_alpha(scaled, loads) == needed_alpha(inst, loads)
 
+    @given(wide_games(), st.fractions(min_value=0, max_value=3, max_denominator=12))
+    @example((validate_instance([0, 0, 1], 3, 1), (2, 0, 1)), Fraction(2))
+    @example((validate_instance([3], 4, 2), (4,)), Fraction(1, 2))
+    @example((validate_instance([1, 2, 3], 6, Fraction(5, 7)), (3, 2, 1)), Fraction(1))
+    @settings(deadline=None, max_examples=200)
+    def test_is_alpha_pne_is_needed_alpha_at_most_alpha(self, game, alpha):
+        # is_alpha_pne decides in integers; needed_alpha builds the Fraction.
+        # The examples are an infinite factor (a zero-cost move), m = 1 below
+        # factor 1, and a sole peak over bands at P - 1 and P - 2.
+        inst, loads = game
+        needed = needed_alpha(inst, loads)
+        probes = [alpha, Fraction(1, 2), 1, 2, 1.5, 10**6]
+        if needed != INFINITY:
+            probes += [needed, needed - Fraction(1, 10**9), needed + Fraction(1, 10**9)]
+        for probe in probes:
+            assert is_alpha_pne(inst, loads, probe) == (needed <= Fraction(probe))
+
 
 class TestThresholdConstant:
     def test_brackets_the_root(self):

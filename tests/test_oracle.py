@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congestion_adversary import (
@@ -19,6 +19,7 @@ from congestion_adversary import (
     scale_instance,
     validate_instance,
 )
+from congestion_adversary.core import _fraction, _occupied
 
 
 def descending(remaining, slots, cap):
@@ -79,6 +80,61 @@ def reference_oracle_best_alpha(inst):
         if best is None or value < best[0]:
             best = (value, profile)
     return best
+
+
+def reference_oracle_optima(inst):
+    """The per-resource oracle: every profile priced over all m resources by _occupied.
+
+    Same integer pairs and first-minimum rule as oracle_optima, which prices
+    band heads and tails only; this one reads every resource.
+    """
+    form = inst.form
+    best = least = None
+    for profile in enumerate_profiles(inst.n, inst.m):
+        factor, slack = (1, 1), (0, 1)
+        for _, cost, k, dev, j, _ in _occupied(form, profile):
+            if dev is None:
+                break
+            if cost * j * factor[1] > factor[0] * k * dev:
+                factor = (cost * j, k * dev)
+            if (cost * j - dev * k) * slack[1] > slack[0] * k * j:
+                slack = (cost * j - dev * k, k * j)
+        if best is None or factor[0] * best[1] < best[0] * factor[1]:
+            best, witness = factor, profile
+        if least is None or slack[0] * least[1] < least[0] * slack[1]:
+            least, epsilon_witness = slack, profile
+    return Fraction(*best), witness, _fraction(form, *least), epsilon_witness
+
+
+@st.composite
+def banded_instances(draw):
+    """Up to 20 players on 1 to 12 resources, often fewer players than resources.
+
+    Coefficients are mostly drawn from a few values, zero among them, so
+    ties and zero-cost moves are common.  The oracle enumerates every
+    profile, so each instance brings profiles of up to five bands, and with
+    six or more players on three or more resources a sole peak P over bands
+    at P - 1 and P - 2.
+    """
+    m = draw(st.integers(min_value=1, max_value=12))
+    coefficient = st.one_of(
+        st.sampled_from([0, 0, 1, 1, Fraction(1, 3), 2]),
+        st.fractions(min_value=0, max_value=6, max_denominator=12),
+    )
+    coefficients = draw(st.lists(coefficient, min_size=m, max_size=m))
+    budget = draw(st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12))
+    return validate_instance(coefficients, draw(st.integers(min_value=1, max_value=20)), budget)
+
+
+def truncated(inst):
+    """`inst` on its n + 1 cheapest resources."""
+    return validate_instance(inst.coefficients[: inst.n + 1], inst.n, inst.budget)
+
+
+def padded(optima, m):
+    alpha, witness, epsilon, epsilon_witness = optima
+    pad = (0,) * (m - len(witness))
+    return alpha, witness + pad, epsilon, epsilon_witness + pad
 
 
 def jittered(inst, seed):
@@ -226,7 +282,37 @@ class TestOptima:
         # One pass keeps each measure's first minimum, as two separate passes would.
         optima = oracle_optima(inst)
         assert optima == reference_oracle_best_alpha(inst) + reference_best_additive_epsilon(inst)
+        assert optima == reference_oracle_optima(inst)
         assert oracle_best_alpha(inst) == optima[:2]
 
     def test_example(self, example1):
         assert oracle_optima(example1) == (Fraction(7, 6), (2, 2, 1), Fraction(1), (3, 2, 0))
+
+
+class TestBands:
+    @given(banded_instances())
+    @example(validate_instance([3], 5, 2))
+    @example(validate_instance([0, 0, 1, 1, 1], 3, 1))
+    @example(validate_instance([1, 1, 2, 3], 6, Fraction(5, 7)))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_the_per_resource_oracle(self, inst):
+        assert oracle_optima(inst) == reference_oracle_optima(inst)
+
+    def test_matches_the_per_resource_oracle_on_many_resources(self):
+        inst = generate_instance(26, 2000, 1).instance
+        assert oracle_optima(inst) == reference_oracle_optima(inst)
+
+    @pytest.mark.parametrize("extra", [2, 5, 9])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_resources_past_the_first_empty_one_never_matter(self, n, extra):
+        # Each resource past index n is an empty one no cheaper than the
+        # resource at n, so the per-resource oracle on the n + 1 cheapest
+        # gives the same optima, padded.
+        inst = generate_instance(n, n + extra, seed=100 * n + extra).instance
+        assert reference_oracle_optima(inst) == padded(reference_oracle_optima(truncated(inst)), inst.m)
+
+    def test_matches_the_per_resource_oracle_on_forty_players(self):
+        # The per-resource oracle takes about 25 s on all 2 000 resources;
+        # by the test above, its optima on the first 41 are the same, padded.
+        inst = generate_instance(40, 2000, 1).instance
+        assert oracle_optima(inst) == padded(reference_oracle_optima(truncated(inst)), inst.m)
