@@ -85,8 +85,11 @@ def validate_instance(
     of equal coefficient and every algorithm here assumes the sorted order.
     Raises GameError past FORM_MAX_BITS, before taking the whole lcm.
     """
-    coeffs = [Fraction(a) for a in raw_coefficients]
-    budget = Fraction(budget)
+    try:
+        coeffs = [Fraction(a) for a in raw_coefficients]
+    except (ValueError, OverflowError) as exc:
+        raise GameError(f"coefficient must be a finite rational: {exc}") from None
+    budget = _rational(budget, "budget")
     if not coeffs:
         raise GameError("need at least one resource")
     if n < 1:
@@ -114,10 +117,18 @@ def validate_instance(
 
 def scale_instance(inst: Instance, factor: Union[Fraction, int]) -> Instance:
     """Scale all coefficients and the budget by a positive rational factor."""
-    factor = Fraction(factor)
+    factor = _rational(factor, "scale factor")
     if factor <= 0:
         raise GameError(f"scale factor must be positive, got {factor}")
     return validate_instance((a * factor for a in inst.coefficients), inst.n, inst.budget * factor)
+
+
+def _rational(value, what: str) -> Fraction:
+    """Fraction(value), or GameError naming `what` for a nan, an infinity or a malformed string."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError) as exc:
+        raise GameError(f"{what} must be a finite rational: {exc}") from None
 
 
 # resource_cost and deviation_cost price one player or one move at a time, in
@@ -336,7 +347,10 @@ def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int]) -> b
     if sum(loads) != inst.n:
         raise GameError(f"loads sum to {sum(loads)}, expected {inst.n} players")
     found = _binding(inst.form, loads)
-    alpha = Fraction(alpha)
+    try:  # Not _rational: one call less on the check that follows every solve.
+        alpha = Fraction(alpha)
+    except (ValueError, OverflowError) as exc:
+        raise GameError(f"alpha must be a finite rational: {exc}") from None
     # needed_alpha <= alpha in integers: 1 when m = 1, and INFINITY, (1, 0), passes no alpha.
     num, den = (1, 1) if found is None else found[0]
     return num * alpha.denominator <= alpha.numerator * den

@@ -14,11 +14,13 @@ name resources, not players, with each cost an exact integer pair.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import List, Tuple
 
-from .core import GameError, Instance, _fraction, _pricing, k_upper_bound
+from .core import GameError, Instance, _fraction, _pricing, _rational, k_upper_bound
 
 __all__ = ["STRICT", "LENIENT", "GuardExceeded", "SolveTrace", "SolverConfig", "solve"]
 
@@ -75,7 +77,7 @@ class SolverConfig:
     guard_mode: str = LENIENT
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "alpha", _rational(self.alpha, "alpha"))
         if self.alpha < 1:
             raise GameError(f"alpha must be >= 1, got {self.alpha}")
         if self.guard_mode not in (STRICT, LENIENT):
@@ -98,31 +100,34 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
 
     Returns the final load vector (an alpha-approximate equilibrium) and a
     trace of its moves.  Deterministic: identical inputs yield identical traces.
-    Loads stay non-increasing, so equal loads form bands (``load -> [first,
-    last]``).  A step prices the first index of every band, O(bands) <=
-    sqrt(2n) + 1, which names the deviator among the occupied band tails,
-    its target and both costs; the last pricing of a round holds the next
-    entering move.
+    Loads stay non-increasing, so equal loads form bands, kept as two lists
+    in index order: `heads`, each band's ``(first, load)``, the load-0 band
+    included, and `tails`, each occupied band's ``(last, load)``.  A move
+    finds its resource's band by one bisection and changes at most one entry
+    of each list, plus at most one insert or delete.  A step prices the
+    heads, O(bands) <= sqrt(2n) + 1, which names the deviator among the
+    tails, its target and both costs; the last pricing of a round holds the
+    next entering move.
     """
     m = inst.m
     alpha = config.alpha
     loads: List[int] = [0] * m
-    bands = {0: [0, m - 1]}
+    heads, tails = [(0, 0)], []
     moves = []
     per_round: List[int] = []
     form = inst.form
-    priced, tails = _price_bands(form, loads, bands)
+    priced = _pricing(form, loads, heads, _peaks(heads, tails, m))
 
     for k in range(1, inst.n + 1):
         dev, dev_den, target = priced[2][:3]
-        _shift(bands, loads, target, 1)
+        _shift(heads, tails, loads, target, 1)
         _check_order(loads, None, target)
         moves.append((k, None, target, None, None, dev, dev_den))
 
         deviations = 0
         budget = config.round_budget(k, m)
         while True:
-            priced, tails = _price_bands(form, loads, bands)
+            priced = _pricing(form, loads, heads, _peaks(heads, tails, m))
             found = _deviator(form, priced, tails, alpha)
             if found is None:
                 break
@@ -137,8 +142,8 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
                 raise AssertionError(
                     f"selected deviation {source}->{target} is not alpha-improving"
                 )
-            _shift(bands, loads, source, -1)
-            _shift(bands, loads, target, 1)
+            _shift(heads, tails, loads, source, -1)
+            _shift(heads, tails, loads, target, 1)
             _check_order(loads, source, target)
             moves.append((k, source, target, cost, cost_den, dev, dev_den))
         per_round.append(deviations)
@@ -174,37 +179,46 @@ def _deviator(form, priced, tails, alpha):
     return found
 
 
-def _price_bands(form, loads, bands):
-    """The profile's pricing over the first index of each band, and its occupied band tails.
+def _peaks(heads, tails, m):
+    """``(P, count at P, count at P - 1)`` of the profile, read from its first two bands.
 
-    With coefficients sorted, a band's first index is its cheapest target of
-    either kind, ties toward the smaller index, so the cheapest target of
-    each kind is exact.  The runner-up may not be: it is read only when the
-    cheapest target is the mover, a band's last index, whose band is then
-    that one resource, and every other band's cheapest is its head.
+    The load-0 band, last if any, has no entry in `tails` and ends at m - 1.
     """
-    heads, tails = [], []
-    for x in sorted(bands, reverse=True):
-        first, last = bands[x]
-        heads.append((first, x))
-        if x:
-            tails.append((last, x))
     peak = heads[0][1]
-    (first, last), (low, high) = bands[peak], bands.get(peak - 1, (1, 0))
-    return _pricing(form, loads, heads, (peak, last - first + 1, high - low + 1)), tails
+    count = (tails[0][0] if tails else m - 1) + 1
+    if len(heads) > 1 and heads[1][1] == peak - 1:
+        return peak, count, (tails[1][0] if len(tails) > 1 else m - 1) - heads[1][0] + 1
+    return peak, count, 0
 
 
-def _shift(bands, loads, r, step):
-    """Add a player on r (step 1), first in its band, or take one off (-1), last in it."""
+def _shift(heads, tails, loads, r, step):
+    """Add a player on r (step 1), first in its band, or take one off (-1), last in it.
+
+    r leaves its band, which goes if r was its only resource, and joins the
+    neighbouring band toward the larger loads (step 1) or the smaller ones
+    (-1) if that band's load is r's new one, or else a band of r alone.
+    """
     x = loads[r]
-    loads[r] = x + step
-    bands[x][0 if step > 0 else 1] += step
-    if bands[x][0] > bands[x][1]:
-        del bands[x]
-    if x + step in bands:
-        bands[x + step][1 if step > 0 else 0] += step
+    loads[r] = y = x + step
+    # Loads pass m, so only an infinite load keeps every head at r left of the key.
+    i = bisect_right(heads, (r, inf)) - 1
+    if heads[i][0] == (tails[i][0] if x else len(loads) - 1):
+        del heads[i]
+        if x:
+            del tails[i]
+    elif step > 0:
+        heads[i] = (r + 1, x)
     else:
-        bands[x + step] = [r, r]
+        tails[i] = (r - 1, x)
+        i += 1
+    # r goes in at position i; its neighbour is the band before it or the one there.
+    near = i - 1 if step > 0 else i
+    if 0 <= near < len(heads) and heads[near][1] == y:
+        (tails if step > 0 else heads)[near] = (r, y)
+    else:
+        heads.insert(i, (r, y))
+        if y:
+            tails.insert(i, (r, y))
 
 
 def _check_order(loads, source, target, error=AssertionError):

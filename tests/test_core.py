@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from congestion_adversary import (
     GameError,
     INFINITY,
+    SolverConfig,
     binding_deviation,
     compute_K,
     deviation_cost,
@@ -256,6 +257,25 @@ class TestValidation:
             assert all(x.denominator == 1 for x in scaled)
             ints = tuple(int(x) for x in scaled)
             assert each.form == (ints[:-1], ints[-1], scale)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "x", "1/0x"])
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            (lambda inst, v: validate_instance([1, v], 3, 1), "coefficient"),
+            (lambda inst, v: validate_instance([1], 3, v), "budget"),
+            (lambda inst, v: scale_instance(inst, v), "scale factor"),
+            (lambda inst, v: SolverConfig(alpha=v), "alpha"),
+            (lambda inst, v: is_alpha_pne(inst, (2, 2, 1), v), "alpha"),
+        ],
+        ids=["coefficient", "budget", "scale_instance", "SolverConfig", "is_alpha_pne"],
+    )
+    def test_a_non_finite_or_malformed_rational_is_a_game_error(self, example1, entry, name, value):
+        # Fraction raises ValueError on nan and on a malformed string and
+        # OverflowError on an infinity; the message names the argument.
+        with pytest.raises(GameError, match=f"^{name} must be a finite rational: ") as exc:
+            entry(example1, value)
+        assert type(exc.value) is GameError
 
     def test_refuses_an_integer_form_past_its_limit(self, monkeypatch):
         # D = lcm(2, 3, 5, 7) = 210 has 8 bits, so the form of 3 coefficients is 24 bits.

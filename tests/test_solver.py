@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from congestion_adversary import (
@@ -24,7 +24,7 @@ from congestion_adversary import (
     validate_instance,
 )
 from congestion_adversary.core import _pricing
-from congestion_adversary.solver import _deviator, _price_bands
+from congestion_adversary.solver import _deviator, _peaks, _shift
 from test_core import (
     kernel_moves,
     reference_binding_deviation,
@@ -383,16 +383,53 @@ class TestSolveMatchesReferenceOnWideBands:
         # pricing gets the runner-up right there, and need not elsewhere.
         loads = sorted(draws[: inst.m], reverse=True)
         loads[0] += lift + (loads[0] == 0)
-        bands = {}
-        for r, x in enumerate(loads):
-            bands.setdefault(x, [r, r])[1] = r
+        heads, tails = derived_bands(loads)
         form = inst.form
-        priced, tails = _price_bands(form, loads, bands)
+        priced = _pricing(form, loads, heads, _peaks(heads, tails, inst.m))
         whole = _pricing(form, loads)
         assert priced[:2] == whole[:2]
         for kind in (2, 3):
             assert priced[kind][:3] == whole[kind][:3]
-            first, last = bands[loads[priced[kind][2]]]
-            if first == last:
+            if loads.count(loads[priced[kind][2]]) == 1:
                 assert priced[kind][3:] == whole[kind][3:]
         assert _deviator(form, priced, tails, alpha) == whole_deviator(form, loads, alpha)
+
+
+def derived_bands(loads):
+    """`heads` and `tails` of a non-increasing profile, as solve keeps them, from scratch."""
+    m = len(loads)
+    heads = [(r, x) for r, x in enumerate(loads) if r == 0 or loads[r - 1] != x]
+    tails = [(r, x) for r, x in enumerate(loads) if x and (r == m - 1 or loads[r + 1] != x)]
+    return heads, tails
+
+
+class TestBandBookkeeping:
+    """solve's band lists, kept move by move, against a derivation from the loads."""
+
+    @given(st.integers(1, 6), st.lists(st.integers(-40, 40), max_size=80))
+    # m = 1: the load-0 band empties, loads pass m, and it comes back.
+    @example(1, [0, 0, 0, -1, -1, -1, 0])
+    # Loads pass m = 2 on the sole peak, which a bisection key (r, m) misplaces.
+    @example(2, [0, 0, 0, 0])
+    # New sole peaks ([1, 0, 0], [2, 0, 0]); the one-resource bands of 2 and
+    # 1 merge ([2, 1, 0] to [2, 2, 0]); the load-0 band empties ([2, 2, 1])
+    # and comes back ([2, 2, 0]); a sole peak again by taking a player off
+    # the band it shared ([2, 1, 0]).
+    @example(3, [0, 0, 1, 1, 1, -1, -1])
+    @settings(deadline=None, max_examples=300)
+    def test_moves_keep_the_lists_and_peaks(self, m, ops):
+        # Each op adds a player on a band head (op >= 0, or nobody to take)
+        # or takes one off an occupied band's tail, the band picked by op.
+        loads, expected = [0] * m, [0] * m
+        heads, tails = [(0, 0)], []
+        for op in ops:
+            if op >= 0 or not tails:
+                r, step = heads[op % len(heads)][0], 1
+            else:
+                r, step = tails[op % len(tails)][0], -1
+            _shift(heads, tails, loads, r, step)
+            expected[r] += step
+            assert loads == expected
+            assert (heads, tails) == derived_bands(loads)
+            peak = max(loads)
+            assert _peaks(heads, tails, m) == (peak, loads.count(peak), loads.count(peak - 1))
