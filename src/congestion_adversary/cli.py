@@ -73,11 +73,15 @@ BEST_ALPHA_UNIT = f"{BEST_ALPHA_ROW_WORK} per shape-table row, its tail steps an
 #: 5-7.5 us a coefficient, 20 units; the profiles outweigh that for the first
 #: min(n, m), so only those past them count, and below n = m a player more
 #: adds at least 23 units of profiles: the count never falls as n or m grows.
+#: It counts every profile, a worst case: oracle_optima stops at the first
+#: exact equilibrium, and an instance with alpha* > 1 walks them all.
 #: Whole process, gen --seed 1, 2-core Xeon host, Python 3.11, 16-17 MB:
-#: (200, 3) is 7.9e4 and takes 0.15 s, (40, 2 000) 2.3e6 and 0.36-0.46 s; at
-#: the limit (1 612, 3), (305, 4), (69, 8), (47, 20) and (44, 2 000) take
-#: 1.2-1.3, 1.2-1.6, 1.7-1.8, 0.9-1.0 and 0.6-0.65 s, and (5, 249 990) 1.8-2.0
-#: s at 58 MB: 0.13-0.38 us per unit.  (10, 775 000) is refused in 0.23 s.
+#: (200, 3) is 7.9e4 and takes 0.1-0.15 s, (40, 2 000) 2.3e6 and 0.4-0.6 s;
+#: at the limit (1 612, 3), (305, 4), (69, 8) and (44, 2 000) take 1.2-1.6,
+#: 1.6-1.7, 1.6-1.9 and 0.6-0.8 s, walking 91 %, 99 %, 97 % and all of the
+#: profiles, and (5, 249 990) 1.6-2.1 s at 58 MB: 0.13-0.38 us per unit;
+#: (47, 20) stops at its 45th profile, in 0.1 s, where the full walk takes
+#: 0.9-1.2 s.  (10, 775 000) is refused in 0.23 s.
 ORACLE_MAX_WORK = 5_000_000
 ORACLE_COEFFICIENT_WORK = 20
 ORACLE_UNIT = f"profiles times min(n, m) + 20 and {ORACLE_COEFFICIENT_WORK} per coefficient past min(n, m), counted up to the limit"

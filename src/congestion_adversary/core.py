@@ -87,11 +87,13 @@ def validate_instance(
     """
     try:
         coeffs = [Fraction(a) for a in raw_coefficients]
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, TypeError) as exc:
         raise GameError(f"coefficient must be a finite rational: {exc}") from None
     budget = _rational(budget, "budget")
     if not coeffs:
         raise GameError("need at least one resource")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise GameError(f"player count must be an integer, got {n!r}")
     if n < 1:
         raise GameError(f"player count must be positive, got {n}")
     if budget <= 0:
@@ -124,10 +126,10 @@ def scale_instance(inst: Instance, factor: Union[Fraction, int]) -> Instance:
 
 
 def _rational(value, what: str) -> Fraction:
-    """Fraction(value), or GameError naming `what` for a nan, an infinity or a malformed string."""
+    """Fraction(value), or GameError naming `what` for a nan, an infinity, a malformed string or a non-number."""
     try:
         return Fraction(value)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, TypeError) as exc:
         raise GameError(f"{what} must be a finite rational: {exc}") from None
 
 
@@ -349,7 +351,7 @@ def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int]) -> b
     found = _binding(inst.form, loads)
     try:  # Not _rational: one call less on the check that follows every solve.
         alpha = Fraction(alpha)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, TypeError) as exc:
         raise GameError(f"alpha must be a finite rational: {exc}") from None
     # needed_alpha <= alpha in integers: 1 when m = 1, and INFINITY, (1, 0), passes no alpha.
     num, den = (1, 1) if found is None else found[0]

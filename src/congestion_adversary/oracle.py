@@ -72,6 +72,13 @@ def oracle_optima(inst: Instance) -> Tuple[Fraction, Tuple[int, ...], Fraction, 
     the tests check it, against the minimum over every ordered load vector
     (see README).
 
+    The pass stops at the first profile of factor 1.  Neither measure has
+    a value below its floor, factor 1 and slack 0, and a profile is at one
+    floor iff it is at the other: every tail's cost is at most its best
+    deviation cost (m = 1 included, where nobody moves).  Both minima are
+    kept on a strict improvement, so that profile is both witnesses and no
+    later one could replace either.
+
     Each profile is priced over its bands of equal load, in time linear in
     its nonzero parts: band heads as targets, band tails as movers.  A
     tail pays its band's largest cost, and every player of the band has the
@@ -112,6 +119,8 @@ def oracle_optima(inst: Instance) -> Tuple[Fraction, Tuple[int, ...], Fraction, 
             best, witness = factor, parts[:]
         if least is None or slack[0] * least[1] < least[0] * slack[1]:
             least, epsilon_witness = slack, parts[:]
+        if best == (1, 1):  # Both floors: no later profile replaces either witness.
+            break
     return Fraction(*best), _padded(witness, m), _fraction(form, *least), _padded(epsilon_witness, m)
 
 

@@ -234,6 +234,14 @@ class TestValidation:
             validate_instance([1], 0, 1)
         assert type(exc.value) is GameError
 
+    @pytest.mark.parametrize("n", [float("nan"), 2.5, 3.0, True, Fraction(3), "3", None])
+    def test_rejects_a_player_count_that_is_not_an_int(self, n):
+        # A float or a bool passed the n < 1 check and reached solve, which
+        # raised TypeError on a float and took True for one player.
+        with pytest.raises(GameError, match="^player count must be an integer, got ") as exc:
+            validate_instance([1, 2], n, 1)
+        assert type(exc.value) is GameError
+
     def test_rejects_non_positive_budget(self):
         with pytest.raises(GameError, match="^budget must be positive, got 0$") as exc:
             validate_instance([1], 2, 0)
@@ -258,7 +266,7 @@ class TestValidation:
             ints = tuple(int(x) for x in scaled)
             assert each.form == (ints[:-1], ints[-1], scale)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "x", "1/0x"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "x", "1/0x", None, [1]])
     @pytest.mark.parametrize(
         "entry, name",
         [
@@ -271,8 +279,9 @@ class TestValidation:
         ids=["coefficient", "budget", "scale_instance", "SolverConfig", "is_alpha_pne"],
     )
     def test_a_non_finite_or_malformed_rational_is_a_game_error(self, example1, entry, name, value):
-        # Fraction raises ValueError on nan and on a malformed string and
-        # OverflowError on an infinity; the message names the argument.
+        # Fraction raises ValueError on nan and on a malformed string,
+        # OverflowError on an infinity and TypeError on None or a list; the
+        # message names the argument.
         with pytest.raises(GameError, match=f"^{name} must be a finite rational: ") as exc:
             entry(example1, value)
         assert type(exc.value) is GameError

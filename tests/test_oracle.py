@@ -19,6 +19,7 @@ from congestion_adversary import (
     scale_instance,
     validate_instance,
 )
+from congestion_adversary import oracle as oracle_module
 from congestion_adversary.core import _fraction, _occupied
 
 
@@ -316,3 +317,55 @@ class TestBands:
         # by the test above, its optima on the first 41 are the same, padded.
         inst = generate_instance(40, 2000, 1).instance
         assert oracle_optima(inst) == padded(reference_oracle_optima(truncated(inst)), inst.m)
+
+
+class TestEarlyExit:
+    """oracle_optima stops at the first profile at factor 1, which is also at slack 0."""
+
+    @staticmethod
+    def priced(monkeypatch, inst):
+        """oracle_optima(inst) and the number of profiles it priced."""
+        calls, pricing = [], oracle_module._pricing
+
+        def counted(*args):
+            calls.append(None)
+            return pricing(*args)
+
+        monkeypatch.setattr(oracle_module, "_pricing", counted)
+        return oracle_optima(inst), len(calls)
+
+    @pytest.mark.parametrize("inst", RANDOM + ZERO_COEFFICIENTS + JITTERED)
+    def test_prices_up_to_the_first_exact_equilibrium(self, monkeypatch, inst):
+        # The references walk every profile; the witness of both measures is
+        # the first exact equilibrium, and nothing past it is priced.
+        optima, count = self.priced(monkeypatch, inst)
+        assert optima == reference_oracle_optima(inst)
+        alpha, witness, epsilon, epsilon_witness = optima
+        profiles = list(enumerate_profiles(inst.n, inst.m))
+        if alpha == 1:
+            assert (epsilon, epsilon_witness) == (0, witness)
+            assert count == profiles.index(witness) + 1
+        else:
+            assert epsilon > 0
+            assert count == len(profiles)
+
+    def test_the_pool_has_each_kind_of_exit(self):
+        # The test above sees the witness first, last and in between, and
+        # instances that walk every profile.
+        kinds = set()
+        for inst in RANDOM + ZERO_COEFFICIENTS + JITTERED:
+            alpha, witness = reference_oracle_optima(inst)[:2]
+            if alpha > 1:
+                kinds.add("walk")
+                continue
+            profiles = list(enumerate_profiles(inst.n, inst.m))
+            i = profiles.index(witness)
+            kinds.add("first" if i == 0 else "last" if i == len(profiles) - 1 else "between")
+        assert kinds == {"first", "last", "between", "walk"}
+
+    def test_example_walks_every_profile(self, monkeypatch, example1):
+        assert self.priced(monkeypatch, example1) == (oracle_optima(example1), 5)
+
+    def test_one_resource_prices_its_one_profile(self, monkeypatch):
+        inst = validate_instance([3], 5, 2)
+        assert self.priced(monkeypatch, inst) == ((1, (5,), 0, (5,)), 1)
