@@ -85,10 +85,7 @@ def validate_instance(
     of equal coefficient and every algorithm here assumes the sorted order.
     Raises GameError past FORM_MAX_BITS, before taking the whole lcm.
     """
-    try:
-        coeffs = [Fraction(a) for a in raw_coefficients]
-    except (ValueError, OverflowError, TypeError) as exc:
-        raise GameError(f"coefficient must be a finite rational: {exc}") from None
+    coeffs = [_rational(a, "coefficient") for a in raw_coefficients]
     budget = _rational(budget, "budget")
     if not coeffs:
         raise GameError("need at least one resource")
@@ -126,8 +123,10 @@ def scale_instance(inst: Instance, factor: Union[Fraction, int]) -> Instance:
 
 
 def _rational(value, what: str) -> Fraction:
-    """Fraction(value), or GameError naming `what` for a nan, an infinity, a malformed string or a non-number."""
+    """Fraction(value), or GameError naming `what` for a bool, a nan, an infinity, a malformed string or a non-number."""
     try:
+        if isinstance(value, bool):  # Fraction takes True as 1.
+            raise TypeError(f"got {value!r}")
         return Fraction(value)
     except (ValueError, OverflowError, TypeError) as exc:
         raise GameError(f"{what} must be a finite rational: {exc}") from None
@@ -349,10 +348,7 @@ def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int]) -> b
     if sum(loads) != inst.n:
         raise GameError(f"loads sum to {sum(loads)}, expected {inst.n} players")
     found = _binding(inst.form, loads)
-    try:  # Not _rational: one call less on the check that follows every solve.
-        alpha = Fraction(alpha)
-    except (ValueError, OverflowError, TypeError) as exc:
-        raise GameError(f"alpha must be a finite rational: {exc}") from None
+    alpha = _rational(alpha, "alpha")
     # needed_alpha <= alpha in integers: 1 when m = 1, and INFINITY, (1, 0), passes no alpha.
     num, den = (1, 1) if found is None else found[0]
     return num * alpha.denominator <= alpha.numerator * den

@@ -17,23 +17,14 @@ from typing import Iterator, List, Tuple
 
 from .core import Instance, _fraction, _occupied, _pricing
 
-__all__ = ["enumerate_profiles", "oracle_best_alpha", "oracle_optima"]
-
-
-def enumerate_profiles(n: int, m: int) -> Iterator[Tuple[int, ...]]:
-    """All non-increasing load vectors of length m summing to n.
-
-    Zero-padded partitions of n into at most m parts, yielded in
-    lexicographically descending order, each exactly once.
-    """
-    for parts in _partitions(n, m):
-        yield _padded(parts, m)
+__all__ = ["oracle_best_alpha", "oracle_optima"]
 
 
 def _partitions(n: int, m: int) -> Iterator[List[int]]:
-    """The nonzero parts of each profile of :func:`enumerate_profiles`, in its order.
+    """The partitions of n into at most m parts, in lexicographically descending order.
 
-    Yields one list, stepped in place: copy it to keep a profile.
+    Each is the nonzero parts of one non-increasing load vector, yielded
+    once, as one list stepped in place: copy it to keep a profile.
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")

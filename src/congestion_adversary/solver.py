@@ -108,9 +108,17 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     heads, O(bands) <= sqrt(2n) + 1, which names the deviator among the
     tails, its target and both costs; the last pricing of a round holds the
     next entering move.
+
+    A round is quiet when its player lands on a resource r at load P - 2 or
+    less, P the peak before: P and the counts at P and P - 1 stay, so every
+    other player keeps its cost and its move prices but r's, which rose, and
+    r's players pay the cheapest entering price, which no below-peak move
+    undercuts.  As the round began settled, nobody improves by any alpha >=
+    1, so a quiet round prices, for the next entering move, and never scans.
     """
     m = inst.m
     alpha = config.alpha
+    num, den = alpha.numerator, alpha.denominator
     loads: List[int] = [0] * m
     heads, tails = [(0, 0)], []
     moves = []
@@ -119,19 +127,20 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     priced = _pricing(form, loads, heads, _peaks(heads, tails, m))
 
     for k in range(1, inst.n + 1):
-        dev, dev_den, target = priced[2][:3]
+        peak, _, (dev, dev_den, target, _, _), _ = priced
         _shift(heads, tails, loads, target, 1)
         _check_order(loads, None, target)
         moves.append((k, None, target, None, None, dev, dev_den))
+        quiet = loads[target] <= peak - 2
 
         deviations = 0
-        budget = config.round_budget(k, m)
         while True:
             priced = _pricing(form, loads, heads, _peaks(heads, tails, m))
-            found = _deviator(form, priced, tails, alpha)
+            found = None if quiet else _deviator(form, priced, tails, num, den)
             if found is None:
                 break
             deviations += 1
+            budget = config.round_budget(k, m)
             if deviations > budget:
                 raise GuardExceeded(
                     f"round {k} exceeded {budget} deviations "
@@ -151,18 +160,17 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     return tuple(loads), SolveTrace(tuple(moves), tuple(per_round), form[2])
 
 
-def _deviator(form, priced, tails, alpha):
-    """The costliest alpha-improving mover among `tails`, ties toward the largest index.
+def _deviator(form, priced, tails, num, den):
+    """The costliest mover improving by more than ``num / den``, ties toward the largest index.
 
     `tails` are ``(r, loads[r])`` pairs of occupied resources in index
     order, and `priced` is the profile's :func:`_pricing`.  A mover on r
     pays ``cost, k`` and moves to the cheapest target of its kind, or to the
     runner-up when that target is r, at ``dev, j``.  Returns ``(r, cost, k, dev, j, target)``, or None
-    when nobody improves by more than factor `alpha`, as always when m = 1.
+    when nobody improves by more than the factor, as always when m = 1.
     """
     peak, count, below, at_peak = priced
     coeffs, budget, _ = form
-    num, den = alpha.numerator, alpha.denominator
     found = None
     for r, x in tails:
         if x == peak:

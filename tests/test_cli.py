@@ -12,7 +12,6 @@ import congestion_adversary.oracle as oracle_module
 from congestion_adversary import (
     GuardExceeded,
     SolverConfig,
-    enumerate_profiles,
     generate_instance,
     make_fixtures,
     parse_instance_document,
@@ -22,6 +21,7 @@ from congestion_adversary import (
 from congestion_adversary.cli import main
 from congestion_adversary.optimal import _scaled_form, _shape_table
 from test_documents import replayed_loads, trace_to_json
+from test_oracle import padded_partitions
 
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EXAMPLE1 = str(FIXTURES_DIR / "example1.json")
@@ -521,7 +521,7 @@ class TestOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 25])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 30])
     def test_work_count_is_the_profile_count(self, n, m):
-        profiles = sum(1 for _ in enumerate_profiles(n, m))
+        profiles = sum(1 for _ in padded_partitions(n, m))
         width = min(n, m)
         assert cli_module._oracle_work(n, m) == profiles * (width + 20) + 20 * (m - width)
 
@@ -660,7 +660,7 @@ class TestInputRefusals:
     @pytest.mark.parametrize(
         "argv,players,resources,refusal",
         [
-            (["solve-k"], 220_000, 3, "solve-k refuses more than 11000000 units of work, 50 * n + m (got 11000003"),
+            (["solve-k"], 240_000, 3, "solve-k refuses more than 12000000 units of work, 50 * n + m (got 12000003"),
             (["best-alpha"], 4581, 4, f"best-alpha refuses more than 11500000 units of work, {cli_module.BEST_ALPHA_UNIT} (got 11500058"),
             (["best-alpha", "--oracle-check"], 1613, 3, f"--oracle-check refuses more than 5000000 units of work, {cli_module.ORACLE_UNIT} (got 5005283"),
             (["oracle"], 1613, 3, f"oracle refuses more than 5000000 units of work, {cli_module.ORACLE_UNIT} (got 5005283"),

@@ -148,7 +148,8 @@ def reference_select_deviator(inst, loads, alpha):
 
 def whole_deviator(form, loads, alpha):
     """solve's deviator over a whole profile: every occupied ``(r, loads[r])`` is a tail."""
-    return _deviator(form, _pricing(form, loads), [(r, x) for r, x in enumerate(loads) if x], alpha)
+    tails = [(r, x) for r, x in enumerate(loads) if x]
+    return _deviator(form, _pricing(form, loads), tails, alpha.numerator, alpha.denominator)
 
 
 def kernel_moves(inst, loads):
@@ -266,7 +267,9 @@ class TestValidation:
             ints = tuple(int(x) for x in scaled)
             assert each.form == (ints[:-1], ints[-1], scale)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "x", "1/0x", None, [1]])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), "x", "1/0x", None, [1], True, False]
+    )
     @pytest.mark.parametrize(
         "entry, name",
         [
@@ -280,8 +283,9 @@ class TestValidation:
     )
     def test_a_non_finite_or_malformed_rational_is_a_game_error(self, example1, entry, name, value):
         # Fraction raises ValueError on nan and on a malformed string,
-        # OverflowError on an infinity and TypeError on None or a list; the
-        # message names the argument.
+        # OverflowError on an infinity and TypeError on None or a list, and
+        # takes a bool as 0 or 1, which is refused first; the message names
+        # the argument.
         with pytest.raises(GameError, match=f"^{name} must be a finite rational: ") as exc:
             entry(example1, value)
         assert type(exc.value) is GameError
@@ -624,11 +628,11 @@ class TestThresholdConstant:
         assert k_upper_bound() == compute_K(12)[1] == Fraction(658293739699, 549755813888)
 
 
-#: The package's public names, 29 of them.
+#: The package's public names, 28 of them.
 PUBLIC_NAMES = {
     "FIXTURE_NAMES", "GameError", "GuardExceeded", "INFINITY",
     "InstanceDocument", "LENIENT", "STRICT", "SolveTrace", "SolverConfig",
-    "best_alpha", "binding_deviation", "compute_K", "deviation_cost", "enumerate_profiles",
+    "best_alpha", "binding_deviation", "compute_K", "deviation_cost",
     "format_rational", "generate_instance", "is_alpha_pne", "k_upper_bound",
     "load_instance_document", "make_fixtures", "needed_alpha",
     "oracle_best_alpha", "oracle_optima", "parse_instance_document",
@@ -652,7 +656,7 @@ def test_every_exported_name_resolves():
     declared = [name for names in lists.values() for name in names]
     assert len(declared) == len(set(declared))
     assert sorted(package.__all__) == sorted(declared)
-    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 29
+    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 28
     for module, names in lists.items():
         for name in names:
             assert getattr(getattr(package, name), "__module__", module) == module, name

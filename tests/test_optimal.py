@@ -23,7 +23,6 @@ from congestion_adversary import (
     validate_instance,
 )
 from congestion_adversary import optimal
-from congestion_adversary.oracle import enumerate_profiles
 from congestion_adversary.optimal import (
     _checked,
     _drawn,
@@ -34,6 +33,7 @@ from congestion_adversary.optimal import (
     cbar_candidates,
     feasible_load_vector,
 )
+from test_oracle import padded_partitions
 
 # The V^2 candidate set and the shape scan that best_alpha replaced, with
 # each shape's uncapped candidate lists and its head conditions checked value
@@ -357,7 +357,7 @@ def assert_rows_are_the_profile_shapes(inst, form, rows):
     shapes = [row[0] for row in rows]
     assert len(set(shapes)) == len(shapes)
     assert set(shapes) == {
-        shape_of(loads) for loads in enumerate_profiles(inst.n, inst.m) if loads[-1] != loads[0]
+        shape_of(loads) for loads in padded_partitions(inst.n, inst.m) if loads[-1] != loads[0]
     }
     for (M, _, _, k_dprime), _, leftover, *_, tail in rows:
         if tail is not None and form[0][k_dprime - 1]:
@@ -611,7 +611,7 @@ class TestShapeTable:
         form, rows = scan_inputs(inst)
         by_shape = {row[0]: row for row in rows}
         assert_rows_are_the_profile_shapes(inst, form, rows)
-        for loads in enumerate_profiles(inst.n, inst.m):
+        for loads in padded_partitions(inst.n, inst.m):
             shape = shape_of(loads)
             if shape[1] == inst.m:
                 continue  # All at the peak: best_alpha tries it directly.
@@ -887,7 +887,7 @@ class TestBestAlpha:
 
     def test_checked_refuses_every_profile_below_the_optimum(self, example1):
         # example1 has no exact equilibrium: at 1 every profile needs more.
-        for loads in enumerate_profiles(example1.n, example1.m):
+        for loads in padded_partitions(example1.n, example1.m):
             with pytest.raises(RuntimeError):
                 _checked(example1, Fraction(1), loads)
         result = _checked(example1, Fraction(7, 6), (2, 2, 1))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from congestion_adversary import (
     deviation_cost,
-    enumerate_profiles,
     generate_instance,
     is_alpha_pne,
     make_fixtures,
@@ -21,6 +20,12 @@ from congestion_adversary import (
 )
 from congestion_adversary import oracle as oracle_module
 from congestion_adversary.core import _fraction, _occupied
+
+
+def padded_partitions(n, m):
+    """The oracle's profiles in its order: each of oracle._partitions, zero-padded to m."""
+    for parts in oracle_module._partitions(n, m):
+        yield oracle_module._padded(parts, m)
 
 
 def descending(remaining, slots, cap):
@@ -91,7 +96,7 @@ def reference_oracle_optima(inst):
     """
     form = inst.form
     best = least = None
-    for profile in enumerate_profiles(inst.n, inst.m):
+    for profile in padded_partitions(inst.n, inst.m):
         factor, slack = (1, 1), (0, 1)
         for _, cost, k, dev, j, _ in _occupied(form, profile):
             if dev is None:
@@ -161,7 +166,7 @@ class TestEnumeration:
     @given(st.integers(1, 9), st.integers(1, 5))
     @settings(deadline=None)
     def test_profiles_are_exactly_sorted_compositions(self, n, m):
-        profiles = list(enumerate_profiles(n, m))
+        profiles = list(padded_partitions(n, m))
         expected = {
             tuple(sorted(c, reverse=True)) for c in all_compositions(n, m)
         }
@@ -171,7 +176,7 @@ class TestEnumeration:
     @given(st.integers(1, 12), st.integers(1, 6))
     @settings(deadline=None)
     def test_descending_order_and_shape(self, n, m):
-        profiles = list(enumerate_profiles(n, m))
+        profiles = list(padded_partitions(n, m))
         assert profiles == sorted(profiles, reverse=True)
         for p in profiles:
             assert len(p) == m and sum(p) == n
@@ -179,23 +184,23 @@ class TestEnumeration:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            list(enumerate_profiles(0, 3))
+            list(padded_partitions(0, 3))
         with pytest.raises(ValueError):
-            list(enumerate_profiles(3, 0))
+            list(padded_partitions(3, 0))
 
     @pytest.mark.parametrize("m", [*range(1, 9), 30])
     def test_matches_the_recursive_reference(self, m):
         for n in range(1, 26):
-            assert list(enumerate_profiles(n, m)) == list(descending(n, m, n))
+            assert list(padded_partitions(n, m)) == list(descending(n, m, n))
 
     def test_matches_the_recursive_reference_on_many_resources(self):
-        assert list(enumerate_profiles(26, 2000)) == list(descending(26, 2000, 26))
+        assert list(padded_partitions(26, 2000)) == list(descending(26, 2000, 26))
 
     def test_partition_counts(self):
         # p(10) = 42 partitions into at most 10 parts; 1 part -> single profile.
-        assert len(list(enumerate_profiles(10, 10))) == 42
-        assert len(list(enumerate_profiles(10, 1))) == 1
-        assert len(list(enumerate_profiles(1, 7))) == 1
+        assert len(list(padded_partitions(10, 10))) == 42
+        assert len(list(padded_partitions(10, 1))) == 1
+        assert len(list(padded_partitions(1, 7))) == 1
 
 
 class TestBestAlpha:
@@ -341,7 +346,7 @@ class TestEarlyExit:
         optima, count = self.priced(monkeypatch, inst)
         assert optima == reference_oracle_optima(inst)
         alpha, witness, epsilon, epsilon_witness = optima
-        profiles = list(enumerate_profiles(inst.n, inst.m))
+        profiles = list(padded_partitions(inst.n, inst.m))
         if alpha == 1:
             assert (epsilon, epsilon_witness) == (0, witness)
             assert count == profiles.index(witness) + 1
@@ -358,7 +363,7 @@ class TestEarlyExit:
             if alpha > 1:
                 kinds.add("walk")
                 continue
-            profiles = list(enumerate_profiles(inst.n, inst.m))
+            profiles = list(padded_partitions(inst.n, inst.m))
             i = profiles.index(witness)
             kinds.add("first" if i == 0 else "last" if i == len(profiles) - 1 else "between")
         assert kinds == {"first", "last", "between", "walk"}

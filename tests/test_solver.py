@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,7 @@ from congestion_adversary import (
     solve,
     validate_instance,
 )
-from congestion_adversary.core import _pricing
+from congestion_adversary.core import _fraction, _pricing
 from congestion_adversary.solver import _deviator, _peaks, _shift
 from test_core import (
     kernel_moves,
@@ -392,7 +394,8 @@ class TestSolveMatchesReferenceOnWideBands:
             assert priced[kind][:3] == whole[kind][:3]
             if loads.count(loads[priced[kind][2]]) == 1:
                 assert priced[kind][3:] == whole[kind][3:]
-        assert _deviator(form, priced, tails, alpha) == whole_deviator(form, loads, alpha)
+        found = _deviator(form, priced, tails, alpha.numerator, alpha.denominator)
+        assert found == whole_deviator(form, loads, alpha)
 
 
 def derived_bands(loads):
@@ -433,3 +436,80 @@ class TestBandBookkeeping:
             assert (heads, tails) == derived_bands(loads)
             peak = max(loads)
             assert _peaks(heads, tails, m) == (peak, loads.count(peak), loads.count(peak - 1))
+
+
+def scanned_solve(inst, config, rounds):
+    """solve's schedule with the deviator scan run in every round, quiet or not.
+
+    The same band lists, pricing and deviator as solve, but no round is
+    skipped: after each insertion that leaves its resource at P - 2 or
+    less, P the peak before it, the scan must find nobody.  Counts each
+    round in `rounds` by ``(P - load after the insertion, deviated)``.
+    Returns ``(loads, moves, per-round deviation counts)`` as solve's
+    result and trace hold them, or raises GuardExceeded where solve does.
+    """
+    m, form, alpha = inst.m, inst.form, config.alpha
+    loads, heads, tails = [0] * m, [(0, 0)], []
+    moves, per_round = [], []
+    priced = _pricing(form, loads, heads, _peaks(heads, tails, m))
+    for k in range(1, inst.n + 1):
+        peak, (dev, j, target) = priced[0], priced[2][:3]
+        _shift(heads, tails, loads, target, 1)
+        moves.append((k, None, target, None, None, dev, j))
+        gap, deviations = peak - loads[target], 0
+        while True:
+            priced = _pricing(form, loads, heads, _peaks(heads, tails, m))
+            found = _deviator(form, priced, tails, alpha.numerator, alpha.denominator)
+            if found is None:
+                break
+            assert gap < 2 or deviations, f"round {k} is quiet, yet {found} moves"
+            deviations += 1
+            if deviations > config.round_budget(k, m):
+                raise GuardExceeded(f"round {k}")
+            source, cost, cost_den, dev, dev_den, target = found
+            assert _fraction(form, cost, cost_den) > alpha * _fraction(form, dev, dev_den)
+            _shift(heads, tails, loads, source, -1)
+            _shift(heads, tails, loads, target, 1)
+            moves.append((k, source, target, cost, cost_den, dev, dev_den))
+        per_round.append(deviations)
+        rounds[gap, deviations > 0] += 1
+    return tuple(loads), tuple(moves), tuple(per_round)
+
+
+def solved_moves(inst, config):
+    """solve's ``(loads, moves, per-round deviation counts)``."""
+    loads, trace = solve(inst, config)
+    return loads, trace.moves, trace.per_round_deviation_counts
+
+
+class TestQuietRounds:
+    """A round whose player lands at P - 2 or below moves nobody, at any alpha >= 1.
+
+    Each run is scanned in every round and must equal solve's, which skips
+    the scan in quiet rounds, so the lemma is checked, not the skip.
+    """
+
+    def test_criterion_4_instances(self):
+        rng = random.Random(20260823)
+        config = SolverConfig.default(guard_mode=STRICT)
+        rounds = Counter()
+        for i in range(10_000):
+            inst = generate_instance(n=rng.randint(1, 30), m=rng.randint(1, 10), seed=i).instance
+            assert scanned_solve(inst, config, rounds) == solved_moves(inst, config)
+        quiet = sum(count for (gap, _), count in rounds.items() if gap >= 2)
+        assert quiet > 0
+        # A round that lands at P - 1 can move someone: the bound is tight.
+        assert rounds[1, True] > 0
+
+    @given(
+        st.one_of(tie_heavy_instances(), wide_band_instances()),
+        st.sampled_from([Fraction(1), Fraction(11, 10), k_upper_bound(12)]),
+        st.sampled_from([STRICT, LENIENT]),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_ties_and_zero_coefficients(self, inst, alpha, guard):
+        config = SolverConfig(alpha=alpha, guard_mode=guard)
+        rounds = Counter()
+        outcome = solve_outcome(lambda *args: scanned_solve(*args, rounds), inst, config)
+        assert outcome == solve_outcome(solved_moves, inst, config)
+        target(float(sum(count for (gap, _), count in rounds.items() if gap >= 2)), label="quiet")
