@@ -46,13 +46,13 @@ SOLVE_K_MAX_PRECISION = 400
 #: solve-k's trace holds one event per move, about two per player, and no
 #: loads, so its work is 50 * n + m, at most the n * (m + 50) it was while
 #: each event held m loads.  Whole process with --trace, gen --seed 1, 2-core
-#: Xeon host, Python 3.11: (10 000, 950) is 5e5 and takes 0.38-0.56 s and
-#: 19 MB, (10, 500 000) 5e5 and 3.7-4.5 s and 99 MB, (100 000, 1 000) 5e6
-#: and 2.6-2.7 s and 49 MB, (200 000, 50) 1e7 and 4.9-5.3 s and 64 MB,
-#: (200 000, 20 000) 1.002e7 and 5.5-5.6 s and 101 MB, and (239 999, 50),
-#: at the limit, 5.9-6.5 s and 74 MB: the time (219 999, 50), at 1.1e7,
-#: took on the same host, 5.7-6.3 s, before quiet rounds skipped their scan.
-SOLVE_K_MAX_WORK = 12_000_000
+#: Xeon host, Python 3.11: (10 000, 950) is 5e5 and takes 0.22-0.26 s and
+#: 19 MB, (10, 500 000) 5e5 and 1.5-1.9 s and 76 MB, (100 000, 1 000) 5e6
+#: and 1.7-2.1 s and 49 MB, (200 000, 50) 1e7 and 3.0-3.9 s and 65 MB,
+#: (200 000, 20 000) 1.002e7 and 3.3-3.8 s and 101 MB, and (279 999, 50),
+#: at the limit, 3.7-5.1 s and 83 MB: the time (239 999, 50), at 1.2e7,
+#: took on the same host, 3.8-5.1 s, while each move built Fractions.
+SOLVE_K_MAX_WORK = 14_000_000
 #: best-alpha's work is its shape table's rows and the tail steps they draw,
 #: see _best_alpha_work.  generate_instance(n, m, 1), whole process, 2-core
 #: Xeon host, Python 3.11, 16-17 MB each: (26, 2 000), (60, 1 000) and (100,

@@ -124,6 +124,8 @@ def scale_instance(inst: Instance, factor: Union[Fraction, int]) -> Instance:
 
 def _rational(value, what: str) -> Fraction:
     """Fraction(value), or GameError naming `what` for a bool, a nan, an infinity, a malformed string or a non-number."""
+    if type(value) is Fraction:  # Already exact: Fraction(value) would only copy it.
+        return value
     try:
         if isinstance(value, bool):  # Fraction takes True as 1.
             raise TypeError(f"got {value!r}")

@@ -38,17 +38,19 @@ RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 #: byte each in ASCII, before parsing it; read in text mode, it allocates no
 #: buffer of this size.  gen --n 10 --seed 1 at its limit, m = 500 000, writes
 #: 3.0 MB, and 5.0 MB with --pretty.  solve-k on those, whole process, 2-core
-#: Xeon host, Python 3.11: 3.1-3.8 s and 99 MB, and 3.5-4.5 s and 100 MB; at
-#: the limit, 914 077 resources, 6.3-10.3 s and 169-173 MB; past it, 2 000 000
-#: (11.9 MB) 12.4 s and 360 MB, while the refusal takes 0.13 s and 22 MB.
+#: Xeon host, Python 3.11: 1.5-1.7 s and 76 MB, and 1.4-1.8 s and 78 MB; at
+#: the limit, 914 077 resources, 3.1-4.5 s and 125 MB; 2 000 000 (11.9 MB),
+#: unrefused, took 12.4 s and 360 MB; refused, 0.11-0.14 s and 27 MB.
 DOCUMENT_MAX_CHARS = 5_500_000
 
 
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not RATIONAL_RE.fullmatch(text):
         raise GameError(f"not a rational string: {text!r}")
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        # The match leaves two digit strings: no second parse of `text` by Fraction.
+        return Fraction(int(num), int(den or 1))
     except ValueError as exc:  # More digits than Python converts to an int.
         raise GameError(f"not a usable rational: {exc}") from None
 

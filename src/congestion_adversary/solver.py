@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import inf
 from typing import List, Tuple
 
-from .core import GameError, Instance, _fraction, _pricing, _rational, k_upper_bound
+from .core import GameError, Instance, _pricing, _rational, k_upper_bound
 
 __all__ = ["STRICT", "LENIENT", "GuardExceeded", "SolveTrace", "SolverConfig", "solve"]
 
@@ -147,7 +147,8 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
                     f"({config.guard_mode} guard, alpha={alpha})"
                 )
             source, cost, cost_den, dev, dev_den, target = found
-            if not _fraction(form, cost, cost_den) > alpha * _fraction(form, dev, dev_den):
+            # cost / (cost_den * D) > alpha * dev / (dev_den * D), every denominator positive.
+            if not cost * dev_den * den > num * dev * cost_den:
                 raise AssertionError(
                     f"selected deviation {source}->{target} is not alpha-improving"
                 )

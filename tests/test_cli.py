@@ -660,7 +660,7 @@ class TestInputRefusals:
     @pytest.mark.parametrize(
         "argv,players,resources,refusal",
         [
-            (["solve-k"], 240_000, 3, "solve-k refuses more than 12000000 units of work, 50 * n + m (got 12000003"),
+            (["solve-k"], 280_000, 3, "solve-k refuses more than 14000000 units of work, 50 * n + m (got 14000003"),
             (["best-alpha"], 4581, 4, f"best-alpha refuses more than 11500000 units of work, {cli_module.BEST_ALPHA_UNIT} (got 11500058"),
             (["best-alpha", "--oracle-check"], 1613, 3, f"--oracle-check refuses more than 5000000 units of work, {cli_module.ORACLE_UNIT} (got 5005283"),
             (["oracle"], 1613, 3, f"oracle refuses more than 5000000 units of work, {cli_module.ORACLE_UNIT} (got 5005283"),

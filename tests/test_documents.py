@@ -1,9 +1,12 @@
 import io
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from congestion_adversary import (
     FIXTURE_NAMES,
@@ -20,7 +23,9 @@ from congestion_adversary import (
     solve,
     validate_instance,
 )
+from congestion_adversary.core import _rational
 from congestion_adversary.documents import (
+    RATIONAL_RE,
     format_extended_rational,
     result_document,
     write_result,
@@ -101,6 +106,99 @@ class TestRationals:
     def test_format_round_trip(self):
         for value in (Fraction(7, 6), Fraction(-3), Fraction(0), Fraction(25, 24)):
             assert parse_rational(format_rational(value)) == value
+
+
+#: Python's int digit limit, 4 300 by default, which parse_rational inherits from int().
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+def digits(min_size, max_size):
+    return st.text("0123456789", min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def rational_strings(draw, max_digits=200):
+    """Strings RATIONAL_RE matches: a sign, leading zeros, -0, and an optional denominator."""
+    sign = draw(st.sampled_from(["", "-"]))
+    num = draw(st.sampled_from(["", "0", "000"])) + draw(digits(1, max_digits))
+    if not draw(st.booleans()):
+        return sign + num
+    return f"{sign}{num}/{draw(st.sampled_from('123456789'))}{draw(digits(0, max_digits))}"
+
+
+class TestIngestion:
+    """parse_rational and _rational against Fraction, the reference they skip."""
+
+    @given(rational_strings())
+    @example("-0")
+    @example("-000/7")
+    @example("0012/10")
+    @example("1" * DIGIT_LIMIT)
+    @example("-" + "9" * DIGIT_LIMIT + "/1" + "0" * (DIGIT_LIMIT - 1))
+    @settings(max_examples=500)
+    def test_parse_equals_fraction(self, text):
+        assert RATIONAL_RE.fullmatch(text)
+        assert parse_rational(text) == Fraction(text)
+        assert type(parse_rational(text)) is Fraction
+
+    @given(st.text(max_size=12).filter(lambda text: not RATIONAL_RE.fullmatch(text)))
+    @example("1/00")
+    @example("--1")
+    @example("+1")
+    @example("1/")
+    @example("/2")
+    @example("\uff11")
+    def test_non_matching_strings_are_refused(self, text):
+        with pytest.raises(GameError, match="not a rational string"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" * (DIGIT_LIMIT + 1),
+            "-" + "0" * (DIGIT_LIMIT + 1),
+            "1/1" + "0" * DIGIT_LIMIT,
+            "7/" + "9" * (DIGIT_LIMIT + 1),
+        ],
+    )
+    def test_past_the_digit_limit_is_refused(self, text):
+        with pytest.raises(GameError, match="not a usable rational"):
+            parse_rational(text)
+
+    @given(st.fractions())
+    def test_a_fraction_is_returned_unchanged(self, value):
+        assert _rational(value, "x") is value
+
+    def test_a_fraction_subclass_becomes_a_fraction(self):
+        class Sub(Fraction):
+            pass
+
+        value = _rational(Sub(7, 6), "x")
+        assert type(value) is Fraction and value == Fraction(7, 6)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            *make_fixtures().values(),
+            *(generate_instance(n, m, seed) for n, m, seed in [(5, 3, 7), (40, 25, 1), (3, 200, 2)]),
+        ],
+        ids=lambda doc: doc.name,
+    )
+    def test_every_path_in_gives_the_same_instance(self, doc):
+        # Fractions, now returned unchanged; strings through Fraction(str);
+        # and the document through parse_rational.
+        inst = doc.instance
+        again = [
+            validate_instance(inst.coefficients, inst.n, inst.budget),
+            validate_instance(map(str, inst.coefficients), inst.n, str(inst.budget)),
+            parse_instance_document(json.loads(doc.dumps())).instance,
+        ]
+        for other in again:
+            assert (other.coefficients, other.budget, other.form) == (
+                inst.coefficients,
+                inst.budget,
+                inst.form,
+            )
 
 
 class TestInstanceDocuments:

@@ -200,6 +200,38 @@ class TestSolve:
         with pytest.raises(GuardExceeded):
             solve(example1, SolverConfig(alpha=Fraction(1), guard_mode=STRICT))
 
+    @pytest.mark.parametrize("alpha", [k_upper_bound(12), Fraction(11, 10)])
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_in_loop_assertion_fires_at_the_factor(self, seven_player, monkeypatch, alpha, above):
+        # The first move _deviator selects comes back with its cost set to
+        # alpha times its cost after, plus `above` over a denominator of
+        # j * den: cost * j * den == num * dev * k at 0, just past it at 1.
+        num, den = alpha.numerator, alpha.denominator
+        altered = []
+
+        def deviator(form, priced, tails, num_, den_):
+            found = _deviator(form, priced, tails, num_, den_)
+            if found is None or altered:
+                return found
+            r, _, _, dev, j, target = found
+            altered.append((r, num * dev + above, j * den, dev, j, target))
+            return altered[0]
+
+        monkeypatch.setattr("congestion_adversary.solver._deviator", deviator)
+        config = SolverConfig(alpha=alpha)
+        if above:
+            loads, trace = solve(seven_player, config)
+            assert is_alpha_pne(seven_player, loads, alpha)
+            r, cost, k, dev, j, target = altered[0]
+            assert any(move[1:] == (r, target, cost, k, dev, j) for move in trace.moves)
+            return
+        with pytest.raises(AssertionError, match="is not alpha-improving"):
+            solve(seven_player, config)
+        # The Fraction form of the same test sits exactly at the factor.
+        _, cost, k, dev, j, _ = altered[0]
+        form = seven_player.form
+        assert _fraction(form, cost, k) == alpha * _fraction(form, dev, j)
+
     def test_replay_rejects_altered_moves(self, seven_player):
         loads, trace = solve(seven_player, SolverConfig.default())
         m = seven_player.m
