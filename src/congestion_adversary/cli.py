@@ -47,7 +47,7 @@ SOLVE_K_MAX_PRECISION = 400
 #: loads, so its work is 50 * n + m, at most the n * (m + 50) it was while
 #: each event held m loads.  Whole process with --trace, gen --seed 1, 2-core
 #: Xeon host, Python 3.11: (10 000, 950) is 5e5 and takes 0.22-0.26 s and
-#: 19 MB, (10, 500 000) 5e5 and 1.5-1.9 s and 76 MB, (100 000, 1 000) 5e6
+#: 19 MB, (10, 500 000) 5e5 and 0.6-1.1 s and 54 MB, (100 000, 1 000) 5e6
 #: and 1.7-2.1 s and 49 MB, (200 000, 50) 1e7 and 3.0-3.9 s and 65 MB,
 #: (200 000, 20 000) 1.002e7 and 3.3-3.8 s and 101 MB, and (279 999, 50),
 #: at the limit, 3.7-5.1 s and 83 MB: the time (239 999, 50), at 1.2e7,
@@ -62,7 +62,7 @@ SOLVE_K_MAX_WORK = 14_000_000
 #: 3) 6.7e6 and 0.6-0.73 s, (3 000, 10) 9.2e6 and 1.1-1.2 s, (6 600, 2)
 #: 1.09e7 and 3.2-3.8 s; refused, (3 000, 20) at 1.35e7 takes 2.3 s, (5 000,
 #: 5) at 1.6e7 1.0-1.1 s, (8 000, 2) at 1.6e7 4.4-5.7 s, and (10, 20 000) at
-#: 1.25e7 is past the scaled form's bit limit too.  Past 1e6 units the count
+#: 1.25e7, whose scan takes 0.01 s in process.  Past 1e6 units the count
 #: tracks the time within a factor of 7: 0.05-0.36 us per unit.
 BEST_ALPHA_MAX_WORK = 11_500_000
 #: Per the ladder above, a row takes 2.6 us and a counted step 0.14 us: about 16.
@@ -71,26 +71,27 @@ BEST_ALPHA_UNIT = f"{BEST_ALPHA_ROW_WORK} per shape-table row, its tail steps an
 #: The oracle's work is its profiles, the partitions of n into at most m
 #: parts, each priced over its bands in time linear in its nonzero parts:
 #: min(n, m) + 20 units.  Reading the document and building the form take
-#: 5-7.5 us a coefficient, 20 units; the profiles outweigh that for the first
-#: min(n, m), so only those past them count, and below n = m a player more
-#: adds at least 23 units of profiles: the count never falls as n or m grows.
+#: 1.6-2 us a coefficient, charged 20 units, 2-8 us; the profiles outweigh
+#: that for the first min(n, m), so only those past them count, and below n
+#: = m a player more adds at least 23 units of profiles: the count never
+#: falls as n or m grows.
 #: It counts every profile, a worst case: oracle_optima stops at the first
 #: exact equilibrium, and an instance with alpha* > 1 walks them all.
 #: Whole process, gen --seed 1, 2-core Xeon host, Python 3.11, 16-17 MB:
 #: (200, 3) is 7.9e4 and takes 0.1-0.15 s, (40, 2 000) 2.3e6 and 0.4-0.6 s;
 #: at the limit (1 612, 3), (305, 4), (69, 8) and (44, 2 000) take 1.2-1.6,
 #: 1.6-1.7, 1.6-1.9 and 0.6-0.8 s, walking 91 %, 99 %, 97 % and all of the
-#: profiles, and (5, 249 990) 1.6-2.1 s at 58 MB: 0.13-0.38 us per unit;
+#: profiles, and (5, 249 990) 0.5-0.6 s at 35 MB: 0.1-0.38 us per unit;
 #: (47, 20) stops at its 45th profile, in 0.1 s, where the full walk takes
 #: 0.9-1.2 s.  (10, 775 000) is refused in 0.23 s.
 ORACLE_MAX_WORK = 5_000_000
 ORACLE_COEFFICIENT_WORK = 20
 ORACLE_UNIT = f"profiles times min(n, m) + 20 and {ORACLE_COEFFICIENT_WORK} per coefficient past min(n, m), counted up to the limit"
-#: gen's time is making, sorting and printing its m Fraction coefficients.
-#: Whole process, --n 5 --seed 1, 2-core Xeon host, Python 3.11: m = 100 000
-#: takes 0.65 s and 33 MB, 300 000 1.6 s and 59 MB, and 500 000 2.9-4.2 s
-#: and 90 MB (3.8-4.4 s and 120 MB with --pretty); refused, 1 000 000
-#: takes 6.1 s and 154 MB.
+#: gen's time is drawing, sorting and printing its m coefficients.  Whole
+#: process, --n 5 --seed 1, 2-core Xeon host, Python 3.11: m = 100 000 takes
+#: 0.33-0.38 s and 28 MB, 300 000 0.7-0.9 s and 45 MB, and 500 000 0.9-1.4 s
+#: and 62 MB (0.9-1.5 s and 94 MB with --pretty); refused, 1 000 000 takes
+#: 0.1 s and 16 MB.
 GEN_MAX_M = 500_000
 
 
@@ -111,7 +112,8 @@ def _best_alpha_work(n: int, m: int) -> int:
     every M >= 3 and k'' that leaves a player, so that the count never falls
     as n or m grows.  Below M = n // m + 1 no row is admitted and the first
     term is the larger, which sums in closed form.  ``m * m // 32`` is the
-    integer form over lcm(1..m): m numbers of about 1.44 m bits each.
+    integer form over lcm(1..m), m numbers of about 1.44 m bits each, which
+    over-counts past m = n + 1, where the scan scales by lcm(1..n + 1).
     Counting stops once past BEST_ALPHA_MAX_WORK; past it the count is a
     lower bound.
     """

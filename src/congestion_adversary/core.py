@@ -15,10 +15,10 @@ throughout the code base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "INFINITY",
@@ -47,8 +47,8 @@ class GameError(ValueError):
     """Invalid game data or an invalid operation on it; the message names the fault."""
 
 
-#: validate_instance refuses an instance whose integer form, m times the bit
-#: length of D, the lcm of the denominators, passes this, counted as D grows.
+#: _instance refuses an instance whose integer form, m times the bit length
+#: of D, the lcm of the denominators, passes this, counted as D grows.
 #: solve-k on 3 players and 1/p over the first k primes, whole process, 2-core
 #: Xeon host, Python 3.11: k = 2 000 is 5.0e7 bits, 0.2 s and 23 MB; 4 000
 #: 2.2e8, 0.5 s and 45 MB; 6 000 5.1e8, 0.9-1.0 s and 83 MB; past it, 8 000
@@ -58,20 +58,28 @@ FORM_MAX_BITS = 2**29
 
 @dataclass(frozen=True)
 class Instance:
-    """A game instance: player count, sorted cost coefficients, adversary budget.
+    """A game instance: player count and integer form, built only by :func:`_instance`.
 
-    `form` is ``(A, B, D)``, coefficients and budget times D, the lcm of their
-    denominators.  Build only through :func:`validate_instance`.
+    `form` is ``(A, B, D)``: the sorted coefficients and the budget times D,
+    the lcm of their lowest-terms denominators, so equality and hash over
+    ``(n, form)`` are those of the values.  `coefficients` and `budget` are
+    Fraction views of it, made on first access.
     """
 
     n: int
-    coefficients: Tuple[Fraction, ...]
-    budget: Fraction
-    form: Tuple[Tuple[int, ...], int, int] = field(repr=False, compare=False)
+    form: Tuple[Tuple[int, ...], int, int]
 
     @property
     def m(self) -> int:
-        return len(self.coefficients)
+        return len(self.form[0])
+
+    @cached_property
+    def coefficients(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.form[2]) for a in self.form[0])
+
+    @cached_property
+    def budget(self) -> Fraction:
+        return Fraction(self.form[1], self.form[2])
 
 
 def validate_instance(
@@ -83,35 +91,43 @@ def validate_instance(
 
     Original resource labels are discarded: the game is symmetric in resources
     of equal coefficient and every algorithm here assumes the sorted order.
-    Raises GameError past FORM_MAX_BITS, before taking the whole lcm.
+    Raises GameError as :func:`_instance` does, after any value that is not
+    a finite rational.
     """
-    coeffs = [_rational(a, "coefficient") for a in raw_coefficients]
-    budget = _rational(budget, "budget")
-    if not coeffs:
+    values = [_rational(a, "coefficient") for a in raw_coefficients]
+    values.append(_rational(budget, "budget"))
+    return _instance(n, [a.numerator for a in values], [a.denominator for a in values])
+
+
+def _instance(n, nums: List[int], dens: List[int]) -> Instance:
+    """The Instance of n players whose budget is ``nums[-1] / dens[-1]`` and coefficients the other pairs.
+
+    Each pair is in lowest terms, its denominator positive.  Raises GameError,
+    in this order, for no resource, a player count that is not a positive
+    int, a budget <= 0, a form past FORM_MAX_BITS, before the lcm grows
+    further, and a negative coefficient.
+    """
+    m, scale = len(nums) - 1, 1
+    if not m:
         raise GameError("need at least one resource")
     if not isinstance(n, int) or isinstance(n, bool):
         raise GameError(f"player count must be an integer, got {n!r}")
     if n < 1:
         raise GameError(f"player count must be positive, got {n}")
-    if budget <= 0:
-        raise GameError(f"budget must be positive, got {budget}")
-    m, scale = len(coeffs), budget.denominator
-    for d in {a.denominator for a in coeffs}:
+    if nums[-1] <= 0:
+        raise GameError(f"budget must be positive, got {Fraction(nums[-1], dens[-1])}")
+    for d in set(dens):
         scale = math.lcm(scale, d)
         if m * scale.bit_length() > FORM_MAX_BITS:
             raise GameError(
                 f"m times the bit length of the denominators' lcm passes {FORM_MAX_BITS} (m={m})"
             )
-
-    def scaled(a: Fraction) -> int:
-        return a.numerator * (scale // a.denominator)
-
-    # Sorting by the scaled integers orders the Fractions without comparing them.
-    coeffs.sort(key=scaled)
+    coeffs = [a * (scale // d) for a, d in zip(nums, dens)]
+    budget = coeffs.pop()
+    coeffs.sort()
     if coeffs[0] < 0:
-        raise GameError(f"coefficient must be non-negative, got {coeffs[0]}")
-    form = (tuple(map(scaled, coeffs)), scaled(budget), scale)
-    return Instance(n=n, coefficients=tuple(coeffs), budget=budget, form=form)
+        raise GameError(f"coefficient must be non-negative, got {Fraction(coeffs[0], scale)}")
+    return Instance(n, (tuple(coeffs), budget, scale))
 
 
 def scale_instance(inst: Instance, factor: Union[Fraction, int]) -> Instance:

@@ -13,9 +13,9 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, TextIO, Union
+from typing import Callable, List, Optional, Sequence, TextIO, Tuple, Union
 
-from .core import GameError, Instance, compute_K, validate_instance
+from .core import GameError, Instance, _instance, compute_K, validate_instance
 from .solver import SolveTrace
 
 __all__ = [
@@ -37,22 +37,34 @@ RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 #: load_instance_document refuses a document of more characters than this, one
 #: byte each in ASCII, before parsing it; read in text mode, it allocates no
 #: buffer of this size.  gen --n 10 --seed 1 at its limit, m = 500 000, writes
-#: 3.0 MB, and 5.0 MB with --pretty.  solve-k on those, whole process, 2-core
-#: Xeon host, Python 3.11: 1.5-1.7 s and 76 MB, and 1.4-1.8 s and 78 MB; at
-#: the limit, 914 077 resources, 3.1-4.5 s and 125 MB; 2 000 000 (11.9 MB),
-#: unrefused, took 12.4 s and 360 MB; refused, 0.11-0.14 s and 27 MB.
+#: 3.0 MB, and 5.0 MB with --pretty.  solve-k --trace on those, whole
+#: process, 2-core Xeon host, Python 3.11: 0.6-1.1 s and 54 MB, and 0.7-1.2 s
+#: and 57 MB; at the limit, 914 077 resources, 1.3-2.0 s and 87 MB; 2 000 000
+#: (11.9 MB), unrefused, takes 2.2 s and 166 MB; refused, 0.12-0.14 s and 27 MB.
 DOCUMENT_MAX_CHARS = 5_500_000
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not RATIONAL_RE.fullmatch(text):
-        raise GameError(f"not a rational string: {text!r}")
-    num, _, den = text.partition("/")
-    try:
-        # The match leaves two digit strings: no second parse of `text` by Fraction.
-        return Fraction(int(num), int(den or 1))
-    except ValueError as exc:  # More digits than Python converts to an int.
-        raise GameError(f"not a usable rational: {exc}") from None
+    nums, dens = _parse_rationals([text])
+    return Fraction(nums[0], dens[0])
+
+
+def _parse_rationals(texts: Sequence) -> Tuple[List[int], List[int]]:
+    """Each string's numerator and denominator in lowest terms, from the two digit strings of one match."""
+    nums, dens = [], []
+    match, gcd = RATIONAL_RE.fullmatch, math.gcd
+    for text in texts:
+        if not isinstance(text, str) or not match(text):
+            raise GameError(f"not a rational string: {text!r}")
+        num, _, den = text.partition("/")
+        try:
+            p, q = int(num), int(den or 1)
+        except ValueError as exc:  # More digits than Python converts to an int.
+            raise GameError(f"not a usable rational: {exc}") from None
+        g = gcd(p, q)
+        nums.append(p // g)
+        dens.append(q // g)
+    return nums, dens
 
 
 def format_rational(value: Union[Fraction, int]) -> str:
@@ -74,11 +86,12 @@ class InstanceDocument:
             obj["name"] = self.name
         if self.description is not None:
             obj["description"] = self.description
+        coeffs, budget, scale = self.instance.form
         obj.update(
             {
                 "players": self.instance.n,
-                "budget": format_rational(self.instance.budget),
-                "coefficients": [format_rational(a) for a in self.instance.coefficients],
+                "budget": _ratio(budget, scale),
+                "coefficients": [_ratio(a, scale) for a in coeffs],
             }
         )
         return obj
@@ -107,9 +120,7 @@ def parse_instance_document(obj: dict, check: Optional[Check] = None) -> Instanc
         raise GameError("coefficients must be an array of rational strings")
     if check is not None and players >= 1 and coefficients:
         check(players, len(coefficients))
-    instance = validate_instance(
-        [parse_rational(c) for c in coefficients], players, parse_rational(budget)
-    )
+    instance = _instance(players, *_parse_rationals([*coefficients, budget]))
     name = obj.get("name")
     description = obj.get("description")
     if name is not None and not isinstance(name, str):
@@ -231,13 +242,14 @@ def generate_instance(
     if n < 1 or m < 1 or coeff_max < 0 or budget_max < 1:
         raise GameError("generator parameters must be positive")
     rng = random.Random(seed)
-    coefficients = [Fraction(rng.randint(0, coeff_max), rng.randint(1, 4)) for _ in range(m)]
-    budget = Fraction(rng.randint(1, budget_max), rng.randint(1, 4))
-    instance = validate_instance(coefficients, n, budget)
-    return InstanceDocument(
-        instance=instance,
-        name=f"random-n{n}-m{m}-seed{seed}",
-    )
+    nums, dens = [], []
+    for low, high in [(0, coeff_max)] * m + [(1, budget_max)]:  # m coefficients, then the budget
+        p, q = rng.randint(low, high), rng.randint(1, 4)
+        g = math.gcd(p, q)
+        nums.append(p // g)
+        dens.append(q // g)
+    instance = _instance(n, nums, dens)
+    return InstanceDocument(instance=instance, name=f"random-n{n}-m{m}-seed{seed}")
 
 
 GRID = 10**12

@@ -47,16 +47,20 @@ class OptResult:
 
 
 def _scaled_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
-    """The instance's `form` ``(A, B, D)``, each times L = lcm(1..m).
+    """The instance's `form` ``(A, B, D)``, each times L = lcm(1..min(m, n + 1)).
 
-    A cost value a_r * load + B / p with p <= m is then the integer
-    ``A[r] * load + B // p`` over the common denominator D, exactly.
-    Raises GameError when m times the bit length of D * L passes
-    FORM_MAX_BITS, as :func:`validate_instance` does for D, before any
-    coefficient is scaled.
+    Every budget share the scan forms is B / p with p in {k, k + 1, k'}, all
+    at most m.  They are at most n + 1 too: k * M <= n gives k <= n, and B /
+    k' is formed only when k = 1 and k' < k'', where one resource carries M
+    and k' - 2 carry M - 1 >= 1, so k' <= n (at M = 1 the table admits no k'
+    < k'': those resources would sit at load -1).  A cost value a_r * load +
+    B / p is then the integer ``A[r] * load + B // p`` over the common
+    denominator D, exactly; pricing and scoring never divide.  Raises
+    GameError when m times the bit length of D * L passes FORM_MAX_BITS, as
+    :func:`_instance` does for D, before any coefficient is scaled.
     """
     coeffs, budget, scale = inst.form
-    shares = math.lcm(*range(1, inst.m + 1))
+    shares = math.lcm(*range(1, min(inst.m, inst.n + 1) + 1))
     if inst.m * (scale * shares).bit_length() > FORM_MAX_BITS:
         raise GameError(f"m times the bit length of the scaled denominator passes {FORM_MAX_BITS} (m={inst.m})")
     return tuple(a * shares for a in coeffs), budget * shares, scale * shares

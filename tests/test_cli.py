@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -570,6 +571,23 @@ class TestGenAndFixtures:
         code2, obj2, _ = run_json(capsys, "gen", "--n", "5", "--m", "3", "--seed", "7")
         assert obj == obj2
 
+    #: sha256 of gen's stdout for these arguments: the bytes are pinned.
+    GEN_DIGESTS = {
+        "--n 5 --m 3 --seed 7": "772a0f8b599ad16494ac00503b00dccd588bc798a3ef404ee8b3fd762bff73b8",
+        "--n 40 --m 25 --seed 1 --pretty": "797c28b02dd815a9e3921e159b8fb9ba37c8e0686cb93ffbab3a3b7993991878",
+        "--n 3 --m 200 --seed 2": "bf290e06d89a1427b690b0269f6e222d9ee128c6e13237e5578da8744f725bdb",
+        "--n 10 --m 1000 --seed 3": "36513234f556939d0f2138dbc19bcd847f433a7506adf08bf659eeb64165fc12",
+        "--n 7 --m 1 --seed 0 --pretty": "384d19874ad1a705407f8aa3a077554ec65bfb913fc00420eaaaade62f8e9c0e",
+        "--n 4 --m 50 --seed 5 --coeff-max 0": "6a2fd58464dd8ff6dd7e3572de37a5d3badfdba0eca24dcdcb9b4c1f09ad56cd",
+        "--n 6 --m 300 --seed 9 --coeff-max 1000 --budget-max 100": "5b58eca268ff78d8acbf9b170098acb1e88119b96beca42da5db5d3cfaa7a123",
+    }
+
+    @pytest.mark.parametrize("args", GEN_DIGESTS)
+    def test_gen_writes_its_pinned_bytes(self, capsys, args):
+        code, out, err = run(capsys, "gen", *args.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GEN_DIGESTS[args]
+
     def test_gen_rejects_bad_parameters(self, capsys):
         code, _, err = run(capsys, "gen", "--n", "0", "--m", "3", "--seed", "1")
         assert code == 2 and "error" in err
@@ -646,8 +664,8 @@ class TestInputRefusals:
         # work, counted from the header, most of it the integer form over
         # lcm(1..m): no rational is parsed, no lcm taken.
         calls = []
-        monkeypatch.setattr(documents_module, "parse_rational", lambda text: calls.append(text))
-        monkeypatch.setattr(documents_module, "validate_instance", lambda *args: calls.append(args))
+        monkeypatch.setattr(documents_module, "_parse_rationals", lambda texts: calls.append(texts))
+        monkeypatch.setattr(documents_module, "_instance", lambda *args: calls.append(args))
         path = tmp_path / "primes.json"
         coefficients = [f"1/{p}" for p in first_primes(20_000)]
         path.write_text(json.dumps({"players": 3, "budget": "1", "coefficients": coefficients}))

@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import random
 import sys
 from fractions import Fraction
 
@@ -13,16 +14,20 @@ from congestion_adversary import (
     GameError,
     InstanceDocument,
     SolverConfig,
+    best_alpha,
+    binding_deviation,
     format_rational,
     generate_instance,
     load_instance_document,
     make_fixtures,
     needed_alpha,
+    oracle_optima,
     parse_instance_document,
     parse_rational,
     solve,
     validate_instance,
 )
+import congestion_adversary.core as core_module
 from congestion_adversary.core import _rational
 from congestion_adversary.documents import (
     RATIONAL_RE,
@@ -181,24 +186,97 @@ class TestIngestion:
         [
             *make_fixtures().values(),
             *(generate_instance(n, m, seed) for n, m, seed in [(5, 3, 7), (40, 25, 1), (3, 200, 2)]),
+            {
+                "name": "unreduced",
+                "players": 4,
+                "budget": "6/4",
+                "coefficients": ["0012/10", "-000/7", "6/4", "3", "0012/10", "0"],
+            },
         ],
-        ids=lambda doc: doc.name,
+        ids=lambda doc: doc["name"] if isinstance(doc, dict) else doc.name,
     )
     def test_every_path_in_gives_the_same_instance(self, doc):
-        # Fractions, now returned unchanged; strings through Fraction(str);
-        # and the document through parse_rational.
-        inst = doc.instance
+        # The document's strings through parse_rational's integers; through
+        # Fraction(str); as Fractions, returned unchanged; the Fraction views
+        # back in; and the document the instance writes.
+        obj = doc if isinstance(doc, dict) else doc.to_json_obj()
+        n, coefficients, budget = obj["players"], obj["coefficients"], obj["budget"]
+        inst = parse_instance_document(obj).instance
+        assert (inst.coefficients, inst.budget) == (tuple(sorted(map(Fraction, coefficients))), Fraction(budget))
         again = [
-            validate_instance(inst.coefficients, inst.n, inst.budget),
-            validate_instance(map(str, inst.coefficients), inst.n, str(inst.budget)),
-            parse_instance_document(json.loads(doc.dumps())).instance,
+            validate_instance(coefficients, n, budget),
+            validate_instance(map(Fraction, coefficients), n, Fraction(budget)),
+            validate_instance(inst.coefficients, n, inst.budget),
+            parse_instance_document(json.loads(InstanceDocument(instance=inst).dumps())).instance,
         ]
+        if not isinstance(doc, dict):
+            again.append(doc.instance)
         for other in again:
-            assert (other.coefficients, other.budget, other.form) == (
+            assert (other.n, other.form, other.coefficients, other.budget) == (
+                inst.n,
+                inst.form,
                 inst.coefficients,
                 inst.budget,
-                inst.form,
             )
+            assert other == inst and hash(other) == hash(inst)
+
+
+class TestIntegerForm:
+    """An Instance stores n and its form; `coefficients` and `budget` are views made on demand."""
+
+    def test_no_solver_makes_the_fraction_views(self, tmp_path):
+        # example1 has alpha* = 7/6: best_alpha scans its whole shape table
+        # and the oracle walks every profile.
+        path = tmp_path / "gen.json"
+        path.write_text(generate_instance(7, 5, 3).dumps())
+        paths_in = [
+            load_instance_document(str(FIXTURES_DIR / "example1.json")).instance,
+            load_instance_document(str(path)).instance,
+            generate_instance(7, 5, 3).instance,
+        ]
+        for inst in paths_in:
+            steps = [
+                lambda: solve(inst, SolverConfig.default()),
+                lambda: best_alpha(inst),
+                lambda: oracle_optima(inst),
+                lambda: binding_deviation(inst, best_alpha(inst).witness),
+            ]
+            for step in [lambda: None, *steps]:
+                step()
+                assert "coefficients" not in inst.__dict__ and "budget" not in inst.__dict__
+            assert inst.coefficients == inst.__dict__["coefficients"]
+            assert inst.budget == inst.__dict__["budget"]
+
+    def test_errors_keep_their_order_and_messages(self, monkeypatch):
+        # A malformed coefficient, then the budget string, then no resource,
+        # the player count, the budget's sign, the form's size and a
+        # negative coefficient; validate_instance says the same from valid
+        # strings.
+        monkeypatch.setattr(core_module, "FORM_MAX_BITS", 20)
+        cases = [
+            ({"players": 0, "budget": "x", "coefficients": ["1", "1.5"]}, "not a rational string: '1.5'"),
+            ({"players": 0, "budget": "x", "coefficients": ["1"]}, "not a rational string: 'x'"),
+            ({"players": 0, "budget": "-1", "coefficients": []}, "need at least one resource"),
+            ({"players": 0, "budget": "-1", "coefficients": ["1"]}, "player count must be positive, got 0"),
+            ({"players": 3, "budget": "-6/4", "coefficients": ["-1"]}, "budget must be positive, got -3/2"),
+            ({"players": 3, "budget": "0/5", "coefficients": ["-1"]}, "budget must be positive, got 0"),
+            (
+                {"players": 3, "budget": "1", "coefficients": ["-1/3", "1/5", "1/7"]},
+                "m times the bit length of the denominators' lcm passes 20 (m=3)",
+            ),
+            (
+                {"players": 3, "budget": "1", "coefficients": ["2", "-2/6", "-1/4", "0"]},
+                "coefficient must be non-negative, got -1/3",
+            ),
+        ]
+        for obj, message in cases:
+            with pytest.raises(GameError) as exc:
+                parse_instance_document(obj)
+            assert str(exc.value) == message
+            if not message.startswith("not a rational string"):
+                with pytest.raises(GameError) as exc:
+                    validate_instance(obj["coefficients"], obj["players"], obj["budget"])
+                assert str(exc.value) == message
 
 
 class TestInstanceDocuments:
@@ -282,6 +360,14 @@ class TestGenerator:
             assert inst.n == 6 and inst.m == 4
             assert all(0 <= a <= 7 for a in inst.coefficients)
             assert 0 < inst.budget <= 3
+
+    @pytest.mark.parametrize("n,m,seed", [(5, 3, 7), (40, 25, 1), (3, 200, 2), (2, 1, 0)])
+    def test_draws_are_those_of_the_fraction_reference(self, n, m, seed):
+        # Each coefficient's numerator and denominator, then the budget's.
+        rng = random.Random(seed)
+        coefficients = [Fraction(rng.randint(0, 10), rng.randint(1, 4)) for _ in range(m)]
+        budget = Fraction(rng.randint(1, 10), rng.randint(1, 4))
+        assert generate_instance(n, m, seed).instance == validate_instance(coefficients, n, budget)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(GameError):

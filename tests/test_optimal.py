@@ -23,6 +23,7 @@ from congestion_adversary import (
     validate_instance,
 )
 from congestion_adversary import optimal
+from congestion_adversary.core import FORM_MAX_BITS
 from congestion_adversary.optimal import (
     _checked,
     _drawn,
@@ -903,8 +904,9 @@ class TestBestAlpha:
             assert best_alpha(inst).alpha_star <= k_upper_bound(12)
 
     def test_refuses_a_scaled_form_past_the_bit_limit(self, monkeypatch):
-        # The scan's integers are the form times lcm(1..m): m of them, each
-        # of about as many bits as D * lcm(1..m), counted before any is made.
+        # The scan's integers are the form times lcm(1..min(m, n + 1)), here
+        # lcm(1..4): m of them, each of about as many bits as D * 12, counted
+        # before any is made.
         inst = validate_instance([Fraction(1, p) for p in (2, 3, 5, 7)], 3, 1)
         bits = inst.m * (inst.form[2] * 12).bit_length()
         monkeypatch.setattr(optimal, "FORM_MAX_BITS", bits)
@@ -912,3 +914,96 @@ class TestBestAlpha:
         monkeypatch.setattr(optimal, "FORM_MAX_BITS", bits - 1)
         with pytest.raises(GameError):
             best_alpha(inst)
+
+
+def all_shares_form(inst):
+    """The instance's form times lcm(1..m), a budget share B / p for every p <= m: the reference scale."""
+    coeffs, budget, scale = inst.form
+    shares = math.lcm(*range(1, inst.m + 1))
+    return tuple(a * shares for a in coeffs), budget * shares, scale * shares
+
+
+def widened(inst, seed, kind):
+    """`inst` on n + 2 + seed % 3 resources, the added coefficients drawn by `kind`.
+
+    "spread" draws them up to three times the largest coefficient, "high"
+    from 1.5 to 3 times it, and "far" from one to two times n times it plus
+    the budget, where few profiles put a player.
+    """
+    rng = random.Random(seed)
+    top = max(inst.coefficients[-1], Fraction(1))
+    low, high, unit = {
+        "spread": (0, 300, top),
+        "high": (150, 300, top),
+        "far": (100, 200, inst.n * top + inst.budget),
+    }[kind]
+    more = [unit * Fraction(rng.randint(low, high), 100) for _ in range(inst.n + 2 + seed % 3 - inst.m)]
+    return validate_instance([*inst.coefficients, *more], inst.n, inst.budget)
+
+
+#: Instances with m > n + 1: the jittered fixtures, players times 1 to 3,
+#: widened, and generated ones with few distinct coefficients, so zero and
+#: tied ones.
+WIDE = {
+    **{
+        f"{name}x{t}-{kind}-{seed}": widened(jittered(name, t, seed), seed, kind)
+        for name in ("example1", "tightness", "appendix_a")
+        for t in (1, 2, 3)
+        for seed, kind in enumerate(["spread", "high", "far"] * 3)
+    },
+    **{
+        f"gen{i}": generate_instance(1 + i % 7, 3 + i % 7 + i % 5, i, coeff_max=1 + i % 4).instance
+        for i in range(100)
+    },
+}
+
+
+class TestShareScale:
+    """best_alpha scales by lcm(1..min(m, n + 1)); the reference scale is lcm(1..m)."""
+
+    @pytest.mark.parametrize("name", WIDE)
+    def test_wide_instances_match_the_reference_scale(self, monkeypatch, name):
+        # Every share a row forms, B / p for p in k, k + 1 and k' as
+        # cbar_candidates forms them, is exact on the scale.
+        inst = WIDE[name]
+        assert inst.m > inst.n + 1
+        form = _scaled_form(inst)
+        for (_, k, k_prime, k_dprime), *_ in _shape_table(inst, form):
+            shares = [k, k + 1] if k_prime >= k + 2 else [k]
+            shares += [k_prime] if k == 1 and k_prime < k_dprime else []
+            assert all(form[1] % p == 0 for p in shares)
+        result = best_alpha(inst)
+        monkeypatch.setattr(optimal, "_scaled_form", all_shares_form)
+        reference = best_alpha(inst)
+        assert (result.alpha_star, result.witness, result.binding) == (
+            reference.alpha_star,
+            reference.witness,
+            reference.binding,
+        )
+
+    def test_the_wide_set_reaches_past_factor_one(self):
+        # Only the jittered fixtures on the "high" and "far" resources do.
+        assert sum(best_alpha(inst).alpha_star > 1 for inst in WIDE.values()) == 30
+
+    @given(small_instances(min_m=3, max_m=9, max_n=7))
+    @settings(max_examples=300)
+    def test_random_wide_instances_match_the_reference_scale(self, inst):
+        assume(inst.m > inst.n + 1)
+        result = best_alpha(inst)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(optimal, "_scaled_form", all_shares_form)
+            reference = best_alpha(inst)
+        assert (result.alpha_star, result.witness, result.binding) == (
+            reference.alpha_star,
+            reference.witness,
+            reference.binding,
+        )
+
+    def test_a_wide_generated_instance_stays_under_the_bit_limit(self):
+        # gen (10, 20 000): lcm(1..11) = 27 720 scales the form, where
+        # lcm(1..20 000), about 28 800 bits, passes FORM_MAX_BITS.
+        inst = generate_instance(10, 20_000, 1).instance
+        assert inst.m * (inst.form[2] * math.lcm(*range(1, inst.m + 1))).bit_length() > FORM_MAX_BITS
+        assert _scaled_form(inst)[2] == inst.form[2] * 27_720
+        result = best_alpha(inst)
+        assert is_alpha_pne(inst, result.witness, result.alpha_star)
