@@ -17,9 +17,8 @@ import sys
 import time
 from typing import List, Optional
 
-from .core import GameError, binding_deviation, is_alpha_pne, needed_alpha
+from .core import INFINITY, GameError, binding_deviation, is_alpha_pne, needed_alpha
 from .documents import (
-    format_extended_rational,
     format_rational,
     generate_instance,
     load_instance_document,
@@ -288,7 +287,8 @@ def cmd_verify(args) -> int:
     ok = binding is None or binding[0] <= alpha
     obj = {"loads": loads, "alpha": format_rational(alpha), "is_alpha_pne": ok}
     if not ok:
-        obj["violation"] = {**_deviation_json(binding), "ratio": format_extended_rational(binding[0])}
+        ratio = "inf" if binding[0] == INFINITY else format_rational(binding[0])
+        obj["violation"] = {**_deviation_json(binding), "ratio": ratio}
     write_result(obj, sys.stdout, args.pretty)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

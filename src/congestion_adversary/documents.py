@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple, Union
 
-from .core import GameError, Instance, _instance, compute_K, validate_instance
+from .core import INFINITY, GameError, Instance, _instance, compute_K, validate_instance
 from .solver import SolveTrace
 
 __all__ = [
@@ -144,13 +144,6 @@ def load_instance_document(path: str, check: Optional[Check] = None) -> Instance
     return parse_instance_document(obj, check)
 
 
-def format_extended_rational(value) -> str:
-    """format_rational, extended with "inf" for INFINITY."""
-    if value == math.inf:
-        return "inf"
-    return format_rational(value)
-
-
 #: One trace event, compact as json.dumps writes it and pretty as indent=2
 #: writes it one level deep, as the "trace" of an indented result document.
 EVENT = '{"kind": "%s", "round": %d, "from": %s, "to": %d, "cost_before": "%s", "cost_after": "%s"}'
@@ -202,7 +195,7 @@ def result_document(
     if alpha is not None:
         obj["alpha"] = format_rational(alpha)
     if needed is not None:
-        obj["needed_alpha"] = format_extended_rational(needed)
+        obj["needed_alpha"] = "inf" if needed == INFINITY else format_rational(needed)
     if trace is not None:
         obj["trace"] = trace
     obj.update(extra)

@@ -210,6 +210,10 @@ def _windows(coeffs, row: tuple, p: int, q: int) -> Optional[tuple]:
     the cut that need not be a step.  `room` is the least integer ``alpha *
     cbar_rest`` at which the tail seats the leftover players, the
     leftover-th smallest step, and `steps` the prefix those reads come from.
+    Before the draw, a = a_{k''}, whose own steps are a, 2a, ..., bounds
+    both: ``cut <= min(leftover + 1, M - 2) * a``, and ``room >=
+    ceil(leftover / (m - k'' + 1)) * a``, as no tail coefficient has more
+    than x // a steps up to x; a row that these show empty is not drawn.
     """
     (M, _, _, k_dprime), _, leftover, need_max, cap_max, need_rest, cap_rest, tail = row
     if (cap_max is not None and need_max * q > p * cap_max) or need_rest * q > p * cap_rest:
@@ -218,8 +222,10 @@ def _windows(coeffs, row: tuple, p: int, q: int) -> Optional[tuple]:
         cut = last = max(cap_max, cap_rest)
         room, steps, values = 0, [], []
     else:
-        cut = last = (M - 2) * coeffs[k_dprime - 1]
-        if need_max * q > p * cut:
+        least = coeffs[k_dprime - 1]
+        cut, last = min(leftover + 1, M - 2) * least, (M - 2) * least
+        room = -(-leftover // (len(coeffs) - k_dprime + 1)) * least
+        if need_max * q > p * cut or max(need_rest, room) * q > p * min(cap_rest, cut):
             return None
         steps, values = _drawn(coeffs, M, k_dprime, tail, leftover + 1)
         room = steps[leftover - 1] if leftover else 0
@@ -266,9 +272,10 @@ def best_alpha(inst: Instance) -> OptResult:
     scores the fill; the optimum is the least score, from 2 or the all-equal
     profile's.  A pair of factor 1 whose fill is exact answers at once.  Only
     pairs of factor at most the running score count: each row's values are
-    cut to its :func:`_windows` at that score up front, and `crest` values
-    that fail by their tail part are dropped for the rest of the row, where
-    the tail part only grows.  The witness is the all-equal profile or
+    cut to its :func:`_windows` at that score up front, without drawing its
+    tail where the least tail coefficient shows a window empty, and `crest`
+    values that fail by their tail part are dropped for the rest of the row,
+    where the tail part only grows.  The witness is the all-equal profile or
     the first pair recorded on the way whose fill at the optimum passes there.
     Raises GameError where :func:`_scaled_form` passes FORM_MAX_BITS.
     """

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from congestion_adversary import (
     FIXTURE_NAMES,
+    INFINITY,
     GameError,
     InstanceDocument,
     SolverConfig,
@@ -31,7 +32,6 @@ import congestion_adversary.core as core_module
 from congestion_adversary.core import _rational
 from congestion_adversary.documents import (
     RATIONAL_RE,
-    format_extended_rational,
     result_document,
     write_result,
     write_trace,
@@ -50,7 +50,7 @@ def trace_to_json(trace):
             "round": k,
             "from": source,
             "to": target,
-            "cost_before": format_extended_rational(before),
+            "cost_before": "inf" if before == INFINITY else format_rational(before),
             "cost_after": format_rational(after),
         }
         for kind, k, source, target, before, after in trace_events(trace)
@@ -445,5 +445,9 @@ class TestTraceSerialization:
             assert handle.getvalue() == json.dumps(doc, indent=2 if pretty else None) + "\n"
 
     def test_needed_alpha_serializes_infinity(self):
+        # A free deviation needs an infinite factor, written "inf"; a finite
+        # one is written as a rational.
         inst = validate_instance([0, 0, 1], 3, 1)
-        assert format_extended_rational(needed_alpha(inst, (2, 0, 1))) == "inf"
+        for loads, written in (((2, 0, 1), "inf"), ((1, 1, 1), "4/3")):
+            doc = result_document(loads, "incremental", 0.0, needed=needed_alpha(inst, loads))
+            assert doc["needed_alpha"] == written

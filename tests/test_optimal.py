@@ -687,6 +687,32 @@ class TestShapeTable:
             if alpha >= 1:  # Least factors start at 1, as every optimum does.
                 assert witness_at(inst, alpha) == reference_feasible_witness(inst, alpha)
 
+    @pytest.mark.parametrize("name", ["example1", "tightness"])
+    @pytest.mark.parametrize("t", [2, 3, 12])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_refused_before_the_draw_have_an_empty_window(self, name, t, seed):
+        # _windows refuses a row before drawing its tail where the least
+        # tail coefficient's own steps bound the cut below what cmax needs,
+        # or the room above what crest allows.  High peaks with few leftover
+        # players, as on these hard instances, are the rows those bounds
+        # refuse; each must have an empty reference window, at the optimum,
+        # just below it, and at factors past it.
+        inst = jittered(name, t, seed)
+        form, rows = scan_inputs(inst)
+        optimum = best_alpha(inst).alpha_star
+        for alpha in (optimum, optimum - (optimum - 1) / 10**9, Fraction(6, 5), Fraction(2)):
+            for row in rows:
+                assert_scan_windows(inst, form, row, alpha)
+
+    @given(small_instances(max_n=40), st.sampled_from([Fraction(1), Fraction(101, 100), Fraction(3, 2)]))
+    @settings(deadline=None, max_examples=100)
+    def test_rows_refused_before_the_draw_have_an_empty_window_on_random_instances(self, inst, alpha):
+        # Up to 40 players on at most 6 resources: peaks high enough for the
+        # tail's least coefficient to refuse rows at small leftover.
+        form, rows = scan_inputs(inst)
+        for row in rows:
+            assert_scan_windows(inst, form, row, alpha)
+
 
 class TestLeastFactor:
     @given(small_instances(min_m=2, max_n=12), st.data())
@@ -879,6 +905,35 @@ class TestBestAlpha:
             best_alpha(inst)
             assert len(drawn) <= 1
             assert all(len(set(shapes)) == len(shapes) for shapes in drawn)
+
+    def test_a_row_that_draws_has_a_cmax_window(self, monkeypatch):
+        # A row is refused before its tail is drawn wherever the least tail
+        # coefficient's steps show a window empty: over these 100 hard
+        # instances (80 with alpha* > 1) no row that draws ends with an empty
+        # cmax window, where the caps and (M - 2) * a_{k''} alone leave most
+        # drawing rows empty.
+        drew, results = [], []
+        drawn, windows = optimal._drawn, optimal._windows
+
+        def counted_draw(*args):
+            drew.append(None)
+            return drawn(*args)
+
+        def logged_windows(*args):
+            before = len(drew)
+            result = windows(*args)
+            if len(drew) > before:
+                results.append(result)
+            return result
+
+        monkeypatch.setattr(optimal, "_drawn", counted_draw)
+        monkeypatch.setattr(optimal, "_windows", logged_windows)
+        for name in ("example1", "tightness"):
+            for t in (2, 3, 4, 6, 12):
+                for seed in range(10):
+                    best_alpha(jittered(name, t, seed))
+        assert results
+        assert all(cmax_window for cmax_window, *_ in results)
 
     def test_checked_refuses_a_missing_witness_or_one_of_other_players(self, example1):
         # (2, 1, 1) and (3, 2, 1) need only 5/6 but hold 4 and 6 of the 5 players.
