@@ -17,13 +17,14 @@ import sys
 import time
 from typing import List, Optional
 
-from .core import INFINITY, GameError, binding_deviation, is_alpha_pne, needed_alpha
+from .core import GameError, _binding, is_alpha_pne, needed_alpha
 from .documents import (
+    _parse_rationals,
+    _ratio,
     format_rational,
     generate_instance,
     load_instance_document,
     make_fixtures,
-    parse_rational,
     result_document,
     write_result,
     write_trace,
@@ -269,26 +270,29 @@ def cmd_verify(args) -> int:
         loads = [int(part) for part in args.loads.split(",")]
     except ValueError as exc:  # More digits than Python converts to an int.
         return _fail(EXIT_PARSE, f"error: {exc}")
-    alpha = parse_rational(args.alpha)
+    (p,), (q,) = _parse_rationals([args.alpha])  # alpha = p/q in lowest terms
     inst = doc.instance
     if (
         len(loads) != inst.m
         or any(x < 0 for x in loads)
         or sum(loads) != inst.n
-        or alpha < 1
+        or p < q
     ):
         return _fail(
             EXIT_PARSE,
             f"error: loads must be {inst.m} non-negative integers summing to "
             f"{inst.n} and alpha must be >= 1",
         )
-    # One pricing for the verdict and the violation; None (m = 1) passes.
-    binding = binding_deviation(inst, loads)
-    ok = binding is None or binding[0] <= alpha
-    obj = {"loads": loads, "alpha": format_rational(alpha), "is_alpha_pne": ok}
+    # One integer pricing for the verdict and the violation; None (m = 1)
+    # passes, and an infinite ratio, (1, 0), passes no alpha.
+    found = _binding(inst.form, loads)
+    ok = found is None or found[0][0] * q <= p * found[0][1]
+    obj = {"loads": loads, "alpha": _ratio(p, q), "is_alpha_pne": ok}
     if not ok:
-        ratio = "inf" if binding[0] == INFINITY else format_rational(binding[0])
-        obj["violation"] = {**_deviation_json(binding), "ratio": ratio}
+        (num, den), r, cost, k, dev, j, target = found
+        cost, dev = _ratio(cost, k * inst.form[2]), _ratio(dev, j * inst.form[2])
+        ratio = "inf" if den == 0 else _ratio(num, den)
+        obj["violation"] = {"from": r, "to": target, "cost": cost, "deviation_cost": dev, "ratio": ratio}
     write_result(obj, sys.stdout, args.pretty)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -395,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_pretty(p)
     p.set_defaults(func=cmd_fixtures)
 
+    parser.commands = sub.choices  # Each command's parser, as the top-level one dispatches to it.
     return parser
 
 
@@ -403,7 +408,13 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    # One parse: the command's own parser reads its arguments, and reports
+    # them with its usage line; the top-level one runs only when none is named.
+    if argv and argv[0] in parser.commands:
+        parser, argv = parser.commands[argv[0]], argv[1:]
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except GameError as exc:

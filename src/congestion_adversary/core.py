@@ -146,7 +146,7 @@ def _rational(value, what: str) -> Fraction:
         if isinstance(value, bool):  # Fraction takes True as 1.
             raise TypeError(f"got {value!r}")
         return Fraction(value)
-    except (ValueError, OverflowError, TypeError) as exc:
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
         raise GameError(f"{what} must be a finite rational: {exc}") from None
 
 

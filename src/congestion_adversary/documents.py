@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
 from dataclasses import dataclass
@@ -34,13 +35,14 @@ Check = Callable[[int, int], None]
 
 RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
-#: load_instance_document refuses a document of more characters than this, one
-#: byte each in ASCII, before parsing it; read in text mode, it allocates no
-#: buffer of this size.  gen --n 10 --seed 1 at its limit, m = 500 000, writes
-#: 3.0 MB, and 5.0 MB with --pretty.  solve-k --trace on those, whole
-#: process, 2-core Xeon host, Python 3.11: 0.6-1.1 s and 54 MB, and 0.7-1.2 s
-#: and 57 MB; at the limit, 914 077 resources, 1.3-2.0 s and 87 MB; 2 000 000
-#: (11.9 MB), unrefused, takes 2.2 s and 166 MB; refused, 0.12-0.14 s and 27 MB.
+#: load_instance_document refuses a document of more bytes than this, as many
+#: characters in ASCII, before parsing it; it reads a regular file at the
+#: file's size, allocating no buffer of this size.  gen --n 10 --seed 1 at its
+#: limit, m = 500 000, writes 3.0 MB, and 5.0 MB with --pretty.  solve-k
+#: --trace on those, whole process, 2-core Xeon host, Python 3.11: 0.6-1.1 s
+#: and 54 MB, and 0.7-1.2 s and 57 MB; at the limit, 914 077 resources,
+#: 1.3-2.0 s and 87 MB; 2 000 000 (11.9 MB), unrefused, takes 2.2 s and 166
+#: MB; refused by its size, 0.06-0.09 s and 16 MB (0.07-0.1 s and 27 MB read).
 DOCUMENT_MAX_CHARS = 5_500_000
 
 
@@ -131,12 +133,22 @@ def parse_instance_document(obj: dict, check: Optional[Check] = None) -> Instanc
 
 
 def load_instance_document(path: str, check: Optional[Check] = None) -> InstanceDocument:
-    """The document at `path`, parsed with `check`; GameError if over DOCUMENT_MAX_CHARS."""
+    """The document at `path`, parsed with `check`; GameError if over DOCUMENT_MAX_CHARS bytes.
+
+    A regular file is refused by the size fstat gives, or read at that size;
+    a pipe, of size 0, is read up to one byte past the limit.  The bytes are
+    strict UTF-8, their newlines read as text mode reads them.
+    """
+    limit = DOCUMENT_MAX_CHARS
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read(DOCUMENT_MAX_CHARS + 1)
-        if len(text) > DOCUMENT_MAX_CHARS:
-            raise ValueError(f"over {DOCUMENT_MAX_CHARS} characters")
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            data = handle.read(size or limit + 1) if size <= limit else b""
+        if max(size, len(data)) > limit:
+            raise ValueError(f"over {limit} characters")
+        text = data.decode("utf-8")  # json.loads would also take UTF-16 and UTF-32 bytes.
+        if "\r" in text:  # Newlines as text mode read them, for json's error positions.
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         obj = json.loads(text)
     # ValueError: too long, bad UTF-8, bad JSON or a number past Python's int digit limit.
     except (OSError, ValueError, RecursionError) as exc:

@@ -11,10 +11,14 @@ import congestion_adversary.cli as cli_module
 import congestion_adversary.documents as documents_module
 import congestion_adversary.oracle as oracle_module
 from congestion_adversary import (
+    INFINITY,
     GuardExceeded,
     SolverConfig,
+    binding_deviation,
+    format_rational,
     generate_instance,
     make_fixtures,
+    needed_alpha,
     parse_instance_document,
     solve,
     validate_instance,
@@ -51,6 +55,8 @@ class TestParserReuse:
         ("verify", EXAMPLE1),
         ("best-alpha",),
         ("solve-k", EXAMPLE1, "--guard", "loose"),
+        ("nosuch",),
+        ("verify", EXAMPLE1, "2,2,1", "7/6", "extra"),
         (),
     ]
 
@@ -80,6 +86,19 @@ class TestParserReuse:
             main(argv)
         capsys.readouterr()
         assert cli_module._parser() is parser
+
+    def test_an_unrecognized_argument_is_reported_with_the_command_usage(self, capsys, monkeypatch):
+        # The command's own parser reads its arguments, so its usage line is
+        # the one printed, not the top-level one.
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", EXAMPLE1, "2,2,1", "7/6", "extra"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "",
+            "usage: congestion-adversary verify [-h] [--pretty] instance loads alpha\n"
+            "congestion-adversary verify: error: unrecognized arguments: extra\n",
+        )
 
 
 class TestSolveK:
@@ -215,6 +234,16 @@ class TestSolveK:
         code, out, err = run(capsys, command, str(bad), *extra)
         assert code == 2
         assert not out and err.startswith("error: cannot read instance") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve-k", "best-alpha", "verify", "oracle"])
+    def test_document_with_a_utf8_bom(self, capsys, tmp_path, command):
+        # Read as strict UTF-8, not utf-8-sig: json refuses the BOM it keeps.
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(EXAMPLE1).read_bytes())
+        extra = ["2,2,1", "1"] if command == "verify" else []
+        code, out, err = run(capsys, command, str(bom), *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read instance from {bom}: Unexpected UTF-8 BOM")
 
     @pytest.mark.parametrize("command", ["solve-k", "best-alpha", "verify", "oracle"])
     @pytest.mark.parametrize(
@@ -453,6 +482,48 @@ class TestVerify:
     def test_malformed_arguments(self, capsys, loads, alpha):
         code, out, err = run(capsys, "verify", EXAMPLE1, loads, alpha)
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_fraction_reference(self, capsys, tmp_path, seed):
+        # verify decides and formats in integers; the reference prices the
+        # same profile through binding_deviation's Fractions and
+        # format_rational.  Zero coefficients give infinite ratios, and the
+        # factors are drawn on both sides of each profile's needed factor.
+        rng = random.Random(seed)
+        seen = set()
+        for i in range(25):
+            m = rng.choice([1, 2, 3, 4, 6])
+            n = rng.randint(1, 9)
+            coefficients = [f"{rng.choice([0, 0, 1, 2, 3, 5, 7])}/{rng.randint(1, 4)}" for _ in range(m)]
+            obj = {"players": n, "budget": f"{rng.randint(1, 9)}/{rng.randint(1, 4)}", "coefficients": coefficients}
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(obj))
+            inst = parse_instance_document(obj).instance
+            cuts = sorted(rng.randint(0, n) for _ in range(inst.m - 1))
+            loads = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+            needed = needed_alpha(inst, loads)
+            factors = [Fraction(1), Fraction(rng.randint(1, 40), rng.randint(1, 30)) + 1]
+            if needed != INFINITY and needed > 1:
+                factors += [needed, needed - Fraction(1, 10**9) * (needed - 1)]
+            binding = binding_deviation(inst, loads)
+            for alpha in factors:
+                ok = binding is None or binding[0] <= alpha
+                expected = {"loads": loads, "alpha": format_rational(alpha), "is_alpha_pne": ok}
+                if not ok:
+                    ratio, source, target, cost, dev = binding
+                    expected["violation"] = {
+                        "from": source,
+                        "to": target,
+                        "cost": format_rational(cost),
+                        "deviation_cost": format_rational(dev),
+                        "ratio": "inf" if ratio == INFINITY else format_rational(ratio),
+                    }
+                pretty = ["--pretty"] if i % 2 else []
+                indent = 2 if pretty else None
+                argv = ["verify", str(path), ",".join(map(str, loads)), format_rational(alpha), *pretty]
+                assert run(capsys, *argv) == (0 if ok else 1, json.dumps(expected, indent=indent) + "\n", "")
+                seen.update({("m", inst.m == 1), ("ok", ok), ("inf", needed == INFINITY)})
+        assert {("m", True), ("ok", True), ("ok", False), ("inf", True)} <= seen
 
     @pytest.mark.parametrize("loads", [" 2,+2,0_1", "\u0662,2,1", "2,2,1\n", "2,,1", "2,2,1 "])
     def test_loads_are_ascii_digits_only(self, capsys, loads):

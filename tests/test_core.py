@@ -268,7 +268,7 @@ class TestValidation:
             assert each.form == (ints[:-1], ints[-1], scale)
 
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), float("-inf"), "x", "1/0x", None, [1], True, False]
+        "value", [float("nan"), float("inf"), float("-inf"), "x", "1/0x", "1/0", None, [1], True, False]
     )
     @pytest.mark.parametrize(
         "entry, name",
@@ -283,9 +283,9 @@ class TestValidation:
     )
     def test_a_non_finite_or_malformed_rational_is_a_game_error(self, example1, entry, name, value):
         # Fraction raises ValueError on nan and on a malformed string,
-        # OverflowError on an infinity and TypeError on None or a list, and
-        # takes a bool as 0 or 1, which is refused first; the message names
-        # the argument.
+        # OverflowError on an infinity, ZeroDivisionError on a zero
+        # denominator and TypeError on None or a list, and takes a bool as 0
+        # or 1, which is refused first; the message names the argument.
         with pytest.raises(GameError, match=f"^{name} must be a finite rational: ") as exc:
             entry(example1, value)
         assert type(exc.value) is GameError

@@ -1,8 +1,10 @@
 import io
 import json
+import os
 import pathlib
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from congestion_adversary import (
     validate_instance,
 )
 import congestion_adversary.core as core_module
+import congestion_adversary.documents as documents_module
 from congestion_adversary.core import _rational
 from congestion_adversary.documents import (
     RATIONAL_RE,
@@ -347,6 +350,76 @@ class TestInstanceDocuments:
 
         with pytest.raises(GameError):
             parse_instance_document({"players": players, "budget": "1", "coefficients": coefficients}, check)
+
+
+class TestDocumentRead:
+    """load_instance_document reads bytes: sized by fstat, strict UTF-8, newlines as text mode reads them."""
+
+    DOC = {
+        "name": "d\u00e9j\u00e0 \u2713",
+        "description": "\u00dcber \U0001f600",
+        "players": 5,
+        "budget": "6",
+        "coefficients": ["0", "2", "5"],
+    }
+
+    @staticmethod
+    def load_fifo(path, data):
+        # A FIFO has fstat size 0: the read is bounded by the limit, not by the size.
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            return load_instance_document(str(path))
+        finally:
+            writer.join(10)
+            assert not writer.is_alive()
+
+    def test_crlf_and_non_ascii_load_as_lf_and_ascii(self, tmp_path):
+        texts = [json.dumps(self.DOC, indent=2), json.dumps(self.DOC, indent=2, ensure_ascii=False)]
+        texts += [text.replace("\n", "\r\n") for text in texts]
+        loaded = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"{i}.json"
+            path.write_bytes(text.encode("utf-8"))
+            loaded.append(load_instance_document(str(path)))
+        assert loaded == [parse_instance_document(self.DOC)] * 4
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_a_json_error_is_placed_as_in_text_mode(self, tmp_path, newline):
+        text = '{\n  "players": 3,\n  "budget": x\n}'
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(GameError) as exc:
+            load_instance_document(str(path))
+        assert str(exc.value) == f"cannot read instance from {path}: {expected.value}"
+
+    def test_the_limit_counts_bytes(self, tmp_path, monkeypatch):
+        text = json.dumps(self.DOC, ensure_ascii=False)
+        path = tmp_path / "doc.json"
+        path.write_bytes(text.encode("utf-8"))
+        size = path.stat().st_size
+        assert size > len(text)
+        monkeypatch.setattr(documents_module, "DOCUMENT_MAX_CHARS", size)
+        assert load_instance_document(str(path)).name == self.DOC["name"]
+        monkeypatch.setattr(documents_module, "DOCUMENT_MAX_CHARS", size - 1)
+        with pytest.raises(GameError, match=f": over {size - 1} characters$"):
+            load_instance_document(str(path))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_fifo_loads(self, tmp_path):
+        data = json.dumps(self.DOC).encode("utf-8")
+        assert self.load_fifo(tmp_path / "doc.fifo", data) == parse_instance_document(self.DOC)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("past", [1, 1000])
+    def test_a_fifo_past_the_limit_is_refused(self, tmp_path, monkeypatch, past):
+        data = json.dumps(self.DOC).encode("utf-8")
+        monkeypatch.setattr(documents_module, "DOCUMENT_MAX_CHARS", len(data))
+        with pytest.raises(GameError, match=f": over {len(data)} characters$"):
+            self.load_fifo(tmp_path / "doc.fifo", data + b" " * past)
 
 
 class TestGenerator:
