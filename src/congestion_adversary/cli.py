@@ -4,7 +4,8 @@ Subcommands: solve-k, best-alpha, verify, oracle, gen, fixtures.  Results are
 JSON on stdout (``--pretty`` for indented output); diagnostics go to stderr.
 
 Exit codes: 0 success (verify: profile passes), 1 verify failure, 2 malformed
-input or refused parameters, 3 solver guard exceeded, 4 oracle mismatch.
+input or refused parameters, 3 solver guard exceeded (at alpha >= K, a broken
+termination bound: a bug), 4 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -61,13 +62,12 @@ SOLVE_K_MAX_WORK = 14_000_000
 #: (200, 100) 1.5e6 and 0.45-0.64 s, (2 000, 20) 6.4e6 and 1.1-1.6 s, (4 000,
 #: 3) 6.7e6 and 0.6-0.73 s, (3 000, 10) 9.2e6 and 1.1-1.2 s, (6 600, 2)
 #: 1.09e7 and 3.2-3.8 s; refused, (3 000, 20) at 1.35e7 takes 2.3 s, (5 000,
-#: 5) at 1.6e7 1.0-1.1 s, (8 000, 2) at 1.6e7 4.4-5.7 s, and (10, 20 000) at
-#: 1.25e7, whose scan takes 0.01 s in process.  Past 1e6 units the count
-#: tracks the time within a factor of 7: 0.05-0.36 us per unit.
+#: 5) at 1.6e7 1.0-1.1 s and (8 000, 2) at 1.6e7 4.4-5.7 s.  Past 1e6 units
+#: the count tracks the time within a factor of 7: 0.05-0.36 us per unit.
 BEST_ALPHA_MAX_WORK = 11_500_000
 #: Per the ladder above, a row takes 2.6 us and a counted step 0.14 us: about 16.
 BEST_ALPHA_ROW_WORK = 16
-BEST_ALPHA_UNIT = f"{BEST_ALPHA_ROW_WORK} per shape-table row, its tail steps and m * m // 32, counted up to the limit"
+BEST_ALPHA_UNIT = f"{BEST_ALPHA_ROW_WORK} per shape-table row, its tail steps and m * min(m, n + 1) // 32, counted up to the limit"
 #: The oracle's work is its profiles, the partitions of n into at most m
 #: parts, each priced over its bands in time linear in its nonzero parts:
 #: min(n, m) + 20 units.  Reading the document and building the form take
@@ -101,7 +101,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def _best_alpha_work(n: int, m: int) -> int:
-    """best-alpha's work count: BEST_ALPHA_ROW_WORK per row, a bound on its tail steps, and m * m // 32.
+    """best-alpha's work count: BEST_ALPHA_ROW_WORK per row, a bound on its tail steps, and m * min(m, n + 1) // 32.
 
     Rows are counted exactly, per peak load M and first tail index k'': a
     row is a way to write s = 2k + j (k resources at M, j at M - 1, k + j <
@@ -111,9 +111,9 @@ def _best_alpha_work(n: int, m: int) -> int:
     ``min(n - 1 - (k'' - 1)(M - 2), (m - k'' + 1)(M - 3))``, summed here over
     every M >= 3 and k'' that leaves a player, so that the count never falls
     as n or m grows.  Below M = n // m + 1 no row is admitted and the first
-    term is the larger, which sums in closed form.  ``m * m // 32`` is the
-    integer form over lcm(1..m), m numbers of about 1.44 m bits each, which
-    over-counts past m = n + 1, where the scan scales by lcm(1..n + 1).
+    term is the larger, which sums in closed form.  ``m * min(m, n + 1) //
+    32`` is the integer form over lcm(1..min(m, n + 1)), the scan's scale: m
+    numbers of about 1.44 min(m, n + 1) bits each.
     Counting stops once past BEST_ALPHA_MAX_WORK; past it the count is a
     lower bound.
     """
@@ -126,7 +126,7 @@ def _best_alpha_work(n: int, m: int) -> int:
         return 0
     low, row = n // m, BEST_ALPHA_ROW_WORK
     t = max(0, low - 3)
-    work = m * m // 32 + row * (n < m) + m * (m - 1) // 2 * (t * (t + 1) // 2)
+    work = m * min(m, n + 1) // 32 + row * (n < m) + m * (m - 1) // 2 * (t * (t + 1) // 2)
     for M in range(max(2, low + 1), n + 1):
         if work > BEST_ALPHA_MAX_WORK:
             break
@@ -202,7 +202,7 @@ def cmd_solve_k(args) -> int:
             f"error: solve-k refuses --precision > {SOLVE_K_MAX_PRECISION} (got {args.precision})",
         )
     doc = load_instance_document(args.instance, check)
-    config = SolverConfig.default(precision=args.precision, guard_mode=args.guard)
+    config = SolverConfig.default(precision=args.precision)
     start = time.perf_counter()
     try:
         loads, trace = solve(doc.instance, config)
@@ -231,7 +231,7 @@ def cmd_best_alpha(args) -> int:
     def check(n: int, m: int) -> None:
         # Not counted where a bound on the count, n peak loads of at most m**3
         # rows and n * m steps each, fits: counting takes 18-29 us at n <= 15, m = 3.
-        if n * m * (BEST_ALPHA_ROW_WORK * m * m + n) + m * m // 32 > BEST_ALPHA_MAX_WORK:
+        if n * m * (BEST_ALPHA_ROW_WORK * m * m + n) + m * min(m, n + 1) // 32 > BEST_ALPHA_MAX_WORK:
             _refuse("best-alpha", n, m, _best_alpha_work(n, m), BEST_ALPHA_MAX_WORK, BEST_ALPHA_UNIT)
         if args.oracle_check:
             _refuse("--oracle-check", n, m, _oracle_work(n, m), ORACLE_MAX_WORK, ORACLE_UNIT)
@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-k", help="compute a threshold-approximate equilibrium")
     p.add_argument("instance", help="path to an instance JSON document")
     p.add_argument("--precision", type=int, default=12)
-    p.add_argument("--guard", choices=["strict", "lenient"], default="lenient")
     p.add_argument("--trace", help="write the event trace to this path")
     add_pretty(p)
     p.set_defaults(func=cmd_solve_k)

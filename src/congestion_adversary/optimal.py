@@ -66,37 +66,6 @@ def _scaled_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
     return tuple(a * shares for a in coeffs), budget * shares, scale * shares
 
 
-def cbar_candidates(
-    form, M: int, k: int, k_prime: int, k_dprime: int
-) -> Tuple[int, Optional[int], int, int]:
-    """This shape's head conditions, stated once: ``(need_max, cap_max, need_rest, cap_rest)``.
-
-    The best-alternative cost of the max-load players is the least of the
-    tail's costs ``c * t`` (c a tail coefficient, t < M - 1) and of the
-    arguments outside the tail, whose least, `cap_max`, bounds it; None when
-    there is none.  So the values it can take are the distinct tail costs
-    below `cap_max`, then `cap_max`.  `cap_rest` is the same for the rest.
-    At a factor alpha, a value c passes the max-load head conditions iff
-    ``need_max <= alpha * c``, and those of the rest iff ``need_rest <=
-    alpha * c``.  Values are integers on the scale of `form`, the
-    instance's :func:`_scaled_form`.
-    """
-    a, B, _ = form
-    top = a[0] * (M + 1) + B
-    caps_max = [top] if k >= 2 else []
-    caps_rest = [top]
-    need_rest = 0
-    if k_prime >= k + 2:
-        caps_max.append(a[k] * M + B // k)  # a_{k+1}, 0-based a[k]
-        caps_rest.append(a[k] * M + B // (k + 1))
-        need_rest = a[k_prime - 2] * (M - 1)
-    if k_prime < k_dprime:
-        caps_max.append(a[k_prime - 1] * (M - 1) + (B // k_prime if k == 1 else 0))
-        caps_rest.append(a[k_prime - 1] * (M - 1))
-        need_rest = max(need_rest, a[k_dprime - 2] * (M - 2))
-    return a[k - 1] * M + B // k, min(caps_max, default=None), need_rest, min(caps_rest)
-
-
 def feasible_load_vector(
     coeffs, row: tuple, alpha: Tuple[int, int], cbar_max: int, cbar_rest: int
 ) -> Optional[Tuple[int, ...]]:
@@ -142,37 +111,62 @@ def _shape_table(inst: Instance, form) -> Iterator[tuple]:
 
     A row is ``(shape, prefix, leftover, need_max, cap_max, need_rest,
     cap_rest, tail)``: ``(M, k, k', k'')``, the loads of resources 1..k''-1,
-    the players left for k''..m, the shape's :func:`cbar_candidates` on the
-    scale of `form`, and the tail's step prefix ``[steps, values, bound]``
-    that :func:`_drawn` extends, shared by every row of one ``(M, k'')``
-    (None when k'' = m + 1).  Admitted iff ``0 <= leftover <= (m - k'' + 1)
-    * (M - 3)``: M - 3 players per tail resource, a bound that at M < 3
-    refuses a tail or a band below load 0, and falls by one less than
-    leftover per step of k''.  So the admitted k'' form a window, which is
-    empty until k' reaches the first that leaves ``base <= (m - k' + 1) *
-    (M - 2)``, and again once `base` turns negative.
+    the players left for k''..m, the shape's head conditions on the scale of
+    `form`, and the tail's step prefix ``[steps, values, bound]`` that
+    :func:`_drawn` extends, shared by every row of one ``(M, k'')`` (None
+    when k'' = m + 1).  Admitted iff ``0 <= leftover <= (m - k'' + 1) * (M -
+    3)``: M - 3 players per tail resource, a bound that at M < 3 refuses a
+    tail or a band below load 0, and falls by one less than leftover per
+    step of k''.  So the admitted k'' form a window, which is empty until k'
+    reaches the first that leaves ``base <= (m - k' + 1) * (M - 2)``, and
+    again once `base` turns negative.
+
+    The best-alternative cost of the max-load players is the least of the
+    tail's costs ``c * t`` (c a tail coefficient, t < M - 1) and of the
+    arguments outside the tail, whose least, `cap_max`, bounds it; None when
+    there is none.  So the values it can take are the distinct tail costs
+    below `cap_max`, then `cap_max`.  `cap_rest` is the same for the rest.
+    At a factor alpha, a value c passes the max-load head conditions iff
+    ``need_max <= alpha * c``, and those of the rest iff ``need_rest <=
+    alpha * c``.  Only need_rest's ``a_{k''-1} * (M - 2)`` is found per row.
     """
-    n, m, a = inst.n, inst.m, form[0]
+    n, m = inst.n, inst.m
+    a, B, _ = form
     for M in range(-(-n // m), n + 1):
-        tails = {}
+        tails, top = {}, a[0] * (M + 1) + B
         for k in range(1, m):
             if k * M > n:
                 break
             rest = n - k * M
+            need_max, first = a[k - 1] * M + B // k, top if k >= 2 else None
+            # A band at M - 1 adds a_{k+1} (0-based a[k]) to each cap, one at M - 2 a_{k'}.
+            second = a[k] * M + B // k if k == 1 else min(top, a[k] * M + B // k)
+            second_rest = min(top, a[k] * M + B // (k + 1))
             for k_prime in range(k + 1 + max(0, rest - (m - k) * (M - 2)), m + 2):
                 base = rest - (k_prime - k - 1) * (M - 1)  # leftover at k'' = k'
                 if base < 0:
                     break
+                if k_prime >= k + 2:
+                    cap_max, need, cap_rest = second, a[k_prime - 2] * (M - 1), second_rest
+                else:
+                    cap_max, need, cap_rest = first, 0, top
+                if k_prime <= m:
+                    low = a[k_prime - 1] * (M - 1)
+                    band_max = low + (B // k_prime if k == 1 else 0)
+                    band_max = band_max if cap_max is None else min(cap_max, band_max)
+                    band_rest = min(cap_rest, low)
                 for k_dprime in range(k_prime + max(0, base - (m - k_prime + 1) * (M - 3)), m + 2):
                     leftover = base - (k_dprime - k_prime) * (M - 2)
                     if leftover < 0:
                         break
                     if k_dprime not in tails:
                         tails[k_dprime] = [[], [], a[k_dprime - 1]] if k_dprime <= m else None
-                    shape = (M, k, k_prime, k_dprime)
                     prefix = [M] * k + [M - 1] * (k_prime - k - 1) + [M - 2] * (k_dprime - k_prime)
-                    heads = cbar_candidates(form, *shape)
-                    yield (shape, prefix, leftover, *heads, tails[k_dprime])
+                    if k_dprime == k_prime:
+                        heads = (need_max, cap_max, need, cap_rest)
+                    else:
+                        heads = (need_max, band_max, max(need, a[k_dprime - 2] * (M - 2)), band_rest)
+                    yield ((M, k, k_prime, k_dprime), prefix, leftover, *heads, tails[k_dprime])
 
 
 def _drawn(coeffs, M: int, k_dprime: int, tail: list, count: int) -> Tuple[List[int], List[int]]:

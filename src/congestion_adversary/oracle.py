@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterator, List, Tuple
 
 from .core import Instance, _fraction, _occupied, _pricing
+from .solver import _peaks
 
 __all__ = ["oracle_best_alpha", "oracle_optima"]
 
@@ -91,9 +92,7 @@ def oracle_optima(inst: Instance) -> Tuple[Fraction, Tuple[int, ...], Fraction, 
         tails.append((size - 1, prev))
         if size < m:
             heads.append((size, 0))
-        # P, the count at P and the count at P - 1, zeros included.
-        peaks = (peak, tails[0][0] + 1, parts.count(peak - 1) if peak > 1 else m - size)
-        priced = _pricing(form, parts, heads, peaks)
+        priced = _pricing(form, parts, heads, _peaks(heads, tails, m))
         # Integer pairs p, q for p / q, compared crosswise as in _occupied: the
         # factor cost / dev, infinite at q = 0, and the slack cost - dev.
         factor, slack = (1, 1), (0, 1)

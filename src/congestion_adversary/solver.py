@@ -5,8 +5,8 @@ some seated player could cut her cost by more than the configured factor, the
 most expensive such player moves to a best response, until everyone is
 settled; only then is the next player inserted.  For any factor at or above
 the threshold constant (see :func:`congestion_adversary.core.compute_K`) this
-terminates, and the run is guarded by a per-round deviation budget that turns
-the termination guarantee into a runtime check.
+terminates with at most 2k deviations in round k, the bound of the
+termination analysis, which the run checks as its one guard.
 
 Players are interchangeable, so state is a load vector and the trace's moves
 name resources, not players, with each cost an exact integer pair.
@@ -22,14 +22,14 @@ from typing import List, Tuple
 
 from .core import GameError, Instance, _pricing, _rational, k_upper_bound
 
-__all__ = ["STRICT", "LENIENT", "GuardExceeded", "SolveTrace", "SolverConfig", "solve"]
+__all__ = ["STRICT", "GuardExceeded", "SolveTrace", "SolverConfig", "solve"]
 
+#: The only guard mode; it stays a name because the benchmark passes it.
 STRICT = "strict"
-LENIENT = "lenient"
 
 
 class GuardExceeded(RuntimeError):
-    """A settling round exceeded its deviation budget.
+    """A settling round k took more than 2k deviations.
 
     With alpha at or above the threshold constant this signals a bug; with a
     smaller alpha it may simply mean no such equilibrium is reachable.
@@ -74,25 +74,18 @@ class SolveTrace:
 @dataclass(frozen=True)
 class SolverConfig:
     alpha: Fraction
-    guard_mode: str = LENIENT
+    guard_mode: str = STRICT  # Accepts only STRICT, kept for the benchmark's keyword.
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _rational(self.alpha, "alpha"))
         if self.alpha < 1:
             raise GameError(f"alpha must be >= 1, got {self.alpha}")
-        if self.guard_mode not in (STRICT, LENIENT):
+        if self.guard_mode != STRICT:
             raise GameError(f"unknown guard mode {self.guard_mode!r}")
 
-    def round_budget(self, round_index: int, m: int) -> int:
-        # Strict is the bound from the termination analysis (no player moves
-        # more than twice per round); lenient adds O(m) slack.
-        if self.guard_mode == STRICT:
-            return 2 * round_index
-        return 2 * round_index + 3 * m + 3
-
     @classmethod
-    def default(cls, precision: int = 12, guard_mode: str = LENIENT) -> "SolverConfig":
-        return cls(alpha=k_upper_bound(precision), guard_mode=guard_mode)
+    def default(cls, precision: int = 12) -> "SolverConfig":
+        return cls(alpha=k_upper_bound(precision))
 
 
 def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveTrace]:
@@ -140,12 +133,8 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
             if found is None:
                 break
             deviations += 1
-            budget = config.round_budget(k, m)
-            if deviations > budget:
-                raise GuardExceeded(
-                    f"round {k} exceeded {budget} deviations "
-                    f"({config.guard_mode} guard, alpha={alpha})"
-                )
+            if deviations > 2 * k:
+                raise GuardExceeded(f"round {k} exceeded {2 * k} deviations (strict guard, alpha={alpha})")
             source, cost, cost_den, dev, dev_den, target = found
             # cost / (cost_den * D) > alpha * dev / (dev_den * D), every denominator positive.
             if not cost * dev_den * den > num * dev * cost_den:

@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 
 from congestion_adversary import (
-    STRICT,
     SolverConfig,
     best_alpha,
     compute_K,
@@ -116,7 +115,7 @@ def test_criterion_4_termination_within_strict_guard(capsys):
         capsys, 4, "10000 random instances settle within the strict guard", 120.0
     ):
         rng = random.Random(20260823)
-        config = SolverConfig.default(guard_mode=STRICT)
+        config = SolverConfig.default()
         for i in range(10_000):
             inst = generate_instance(
                 n=rng.randint(1, 30), m=rng.randint(1, 10), seed=i

@@ -50,11 +50,11 @@ class TestParserReuse:
     CALLS = [
         ("verify", EXAMPLE1, "2,2,1", "1"),
         ("oracle", EXAMPLE1),
-        ("solve-k", EXAMPLE1, "--guard", "strict", "--pretty"),
+        ("solve-k", EXAMPLE1, "--pretty"),
         ("verify", EXAMPLE1, "2,2,1", "7/6", "--pretty"),
         ("verify", EXAMPLE1),
         ("best-alpha",),
-        ("solve-k", EXAMPLE1, "--guard", "loose"),
+        ("solve-k", EXAMPLE1, "--guard", "strict"),
         ("nosuch",),
         ("verify", EXAMPLE1, "2,2,1", "7/6", "extra"),
         (),
@@ -100,6 +100,20 @@ class TestParserReuse:
             "congestion-adversary verify: error: unrecognized arguments: extra\n",
         )
 
+    def test_solve_k_has_no_guard_option(self, capsys, monkeypatch):
+        # The strict 2k budget is the only guard, so --guard is an unknown argument.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-k", EXAMPLE1, "--guard", "strict"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "",
+            "usage: congestion-adversary solve-k [-h] [--precision PRECISION]\n"
+            "                                    [--trace TRACE] [--pretty]\n"
+            "                                    instance\n"
+            "congestion-adversary solve-k: error: unrecognized arguments: --guard strict\n",
+        )
+
 
 class TestSolveK:
     def test_solves_example(self, capsys):
@@ -119,13 +133,13 @@ class TestSolveK:
         _, inline, _ = run_json(capsys, "solve-k", APPENDIX)
         assert events == inline["trace"]
 
-    @pytest.mark.parametrize("guard", ["strict", "lenient"])
-    def test_trace_is_its_moves(self, capsys, tmp_path, guard):
+    @pytest.mark.parametrize("seed", ["3", "4"])
+    def test_trace_is_its_moves(self, capsys, tmp_path, seed):
         # An event holds no loads: replaying its from/to moves, inline or
         # in the --trace file, reaches the result's loads.
         instance, trace_path = tmp_path / "gen.json", tmp_path / "trace.json"
-        instance.write_text(run(capsys, "gen", "--n", "300", "--m", "12", "--seed", "3")[1])
-        argv = ["solve-k", str(instance), "--guard", guard]
+        instance.write_text(run(capsys, "gen", "--n", "300", "--m", "12", "--seed", seed)[1])
+        argv = ["solve-k", str(instance)]
         _, inline, _ = run_json(capsys, *argv)
         _, obj, _ = run_json(capsys, *argv, "--trace", str(trace_path))
         written = json.loads(trace_path.read_text())
@@ -377,7 +391,7 @@ class TestBestAlpha:
         # The count is BEST_ALPHA_ROW_WORK per row of the table, exactly,
         # plus at least the steps each (M, k'') draws: its largest leftover
         # plus one, and at most all (m - k'' + 1)(M - 3) of them, plus
-        # m * m // 32.  The bound under which the check skips counting is
+        # m * min(m, n + 1) // 32.  The bound under which the check skips counting is
         # larger, so the skip lets no header through that the count refuses.
         inst = validate_instance(range(1, m + 1), n, 1)
         rows = list(_shape_table(inst, _scaled_form(inst)))
@@ -387,15 +401,16 @@ class TestBestAlpha:
                 most = min(leftover + 1, (m - k_dprime + 1) * (M - 3))
                 drawn[M, k_dprime] = max(drawn.get((M, k_dprime), 0), most)
         work = cli_module._best_alpha_work(n, m)
-        tail = work - cli_module.BEST_ALPHA_ROW_WORK * len(rows) - m * m // 32
+        form_work = m * min(m, n + 1) // 32
+        tail = work - cli_module.BEST_ALPHA_ROW_WORK * len(rows) - form_work
         assert sum(drawn.values()) <= tail <= n * n * m
-        assert work <= n * m * (cli_module.BEST_ALPHA_ROW_WORK * m * m + n) + m * m // 32
+        assert work <= n * m * (cli_module.BEST_ALPHA_ROW_WORK * m * m + n) + form_work
 
     @pytest.mark.parametrize("m", [2, 3, 5, 20, 60])
     def test_no_uncounted_header_is_past_the_limit(self, m):
         # The check skips counting up to the largest n whose bound fits.
         def bound(n):
-            return n * m * (cli_module.BEST_ALPHA_ROW_WORK * m * m + n) + m * m // 32
+            return n * m * (cli_module.BEST_ALPHA_ROW_WORK * m * m + n) + m * min(m, n + 1) // 32
 
         top = max(n for n in range(1, 4000) if bound(n) <= cli_module.BEST_ALPHA_MAX_WORK)
         for n in [*range(1, top, max(1, top // 40)), top]:
@@ -418,9 +433,10 @@ class TestBestAlpha:
         for n in (10, 26, 1000):
             assert [work(n, m) for m in (2, 20, 200, 2000, 20000)] == sorted(work(n, m) for m in (2, 20, 200, 2000, 20000))
 
-    @pytest.mark.parametrize("n,m", [(1000, 20), (26, 2000)])
+    @pytest.mark.parametrize("n,m", [(1000, 20), (26, 2000), (10, 20_000)])
     def test_accepts_what_the_library_answers_at_once(self, capsys, tmp_path, n, m):
-        # 1.9e6 and 1.3e5 units: the library answers each in under 0.5 s.
+        # 1.9e6, 1.3e5 and 7.4e3 units: the library answers each in under 0.5 s.
+        # At (10, 20 000) the form is over lcm(1..11), as the scan scales it.
         path = tmp_path / "gen.json"
         path.write_text(run(capsys, "gen", "--n", str(n), "--m", str(m), "--seed", "1")[1])
         code, obj, _ = run_json(capsys, "best-alpha", str(path))
@@ -718,33 +734,16 @@ class TestInputRefusals:
     def test_a_long_integer_form_is_refused_in_under_a_second(self, capsys, tmp_path, command):
         # 1/p over 20 000 primes: D would hold about 320 000 bits, and the
         # form 20 000 times that; the count stops the lcm near 2^29 bits.
-        # best-alpha's work count refuses 20 000 resources from the header,
-        # so it gets one player on 9 000 primes, 2.5e6 units of its work.
-        players, count = (1, 9_000) if command[0] == "best-alpha" else (3, 20_000)
+        # best-alpha's work count charges the form over lcm(1..4) at n = 3,
+        # 2 548 units, so this document reaches the same count.
         path = tmp_path / "primes.json"
-        coefficients = [f"1/{p}" for p in first_primes(count)]
-        path.write_text(json.dumps({"players": players, "budget": "1", "coefficients": coefficients}))
+        coefficients = [f"1/{p}" for p in first_primes(20_000)]
+        path.write_text(json.dumps({"players": 3, "budget": "1", "coefficients": coefficients}))
         start = time.perf_counter()
         code, out, err = run(capsys, command[0], str(path), *command[1:])
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == f"error: m times the bit length of the denominators' lcm passes {2**29} (m={count})\n"
-
-    def test_best_alpha_refuses_primes_by_work_without_the_integer_form(self, capsys, tmp_path, monkeypatch):
-        # 1/p over 20 000 primes at n = 3 is 1.25e7 units of best-alpha's
-        # work, counted from the header, most of it the integer form over
-        # lcm(1..m): no rational is parsed, no lcm taken.
-        calls = []
-        monkeypatch.setattr(documents_module, "_parse_rationals", lambda texts: calls.append(texts))
-        monkeypatch.setattr(documents_module, "_instance", lambda *args: calls.append(args))
-        path = tmp_path / "primes.json"
-        coefficients = [f"1/{p}" for p in first_primes(20_000)]
-        path.write_text(json.dumps({"players": 3, "budget": "1", "coefficients": coefficients}))
-        assert run(capsys, "best-alpha", str(path)) == (2, "", (
-            f"error: best-alpha refuses more than 11500000 units of work, {cli_module.BEST_ALPHA_UNIT} "
-            "(got 12500016 at n=3, m=20000)\n"
-        ))
-        assert calls == []
+        assert err == f"error: m times the bit length of the denominators' lcm passes {2**29} (m=20000)\n"
 
     @pytest.mark.parametrize(
         "argv,players,resources,refusal",
@@ -767,13 +766,16 @@ class TestInputRefusals:
         assert (code, out) == (2, "")
         assert err == f"error: {refusal} at n={players}, m={resources})\n"
 
-    @pytest.mark.parametrize("command", ["best-alpha", "oracle"])
-    def test_a_document_at_the_length_limit_is_refused_in_under_a_second(self, capsys, tmp_path, command):
-        # Ten players on 775 000 resources, the shape of gen's output, just
-        # under the character limit: parsing every coefficient took about 7 s.
+    @pytest.mark.parametrize("command,players", [("best-alpha", 300), ("oracle", 10)], ids=["best-alpha", "oracle"])
+    def test_a_document_at_the_length_limit_is_refused_in_under_a_second(self, capsys, tmp_path, command, players):
+        # 775 000 resources, the shape of gen's output, just under the
+        # character limit: parsing every coefficient took about 7 s.  The
+        # oracle refuses ten players; best-alpha, whose form is over
+        # lcm(1..min(m, n + 1)), answers them, and 200, in about 2 s, and
+        # refuses 300 at 1.17e7 units.
         rng = random.Random(1)
         coefficients = [f"{rng.randint(0, 10)}/{rng.randint(1, 4)}" for _ in range(775_000)]
-        text = json.dumps({"players": 10, "budget": "3/2", "coefficients": coefficients})
+        text = json.dumps({"players": players, "budget": "3/2", "coefficients": coefficients})
         assert len(text) <= documents_module.DOCUMENT_MAX_CHARS
         path = tmp_path / "long.json"
         path.write_text(text)
@@ -781,7 +783,7 @@ class TestInputRefusals:
         code, out, err = run(capsys, command, str(path))
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "") and err.startswith(f"error: {command} refuses more than")
-        assert err.endswith(" at n=10, m=775000)\n")
+        assert err.endswith(f" at n={players}, m=775000)\n")
 
     @pytest.mark.parametrize("argv", [["solve-k"], ["best-alpha", "--oracle-check"], ["oracle"]])
     @pytest.mark.parametrize(

@@ -31,7 +31,6 @@ from congestion_adversary.optimal import (
     _scaled_form,
     _shape_table,
     _windows,
-    cbar_candidates,
     feasible_load_vector,
 )
 from test_oracle import padded_partitions
@@ -620,7 +619,6 @@ class TestShapeTable:
             (M, _, _, k_dprime), prefix, leftover, *heads, tail = row
             assert prefix == list(loads[: k_dprime - 1])
             assert leftover == sum(loads[k_dprime - 1 :])
-            assert tuple(heads) == cbar_candidates(form, *shape)
             need_max, cmax, need_rest, crest = reference_capped_candidates(inst, *shape)
             assert in_fractions(form, row)[3:] == (
                 need_max,
@@ -1019,7 +1017,7 @@ class TestShareScale:
     @pytest.mark.parametrize("name", WIDE)
     def test_wide_instances_match_the_reference_scale(self, monkeypatch, name):
         # Every share a row forms, B / p for p in k, k + 1 and k' as
-        # cbar_candidates forms them, is exact on the scale.
+        # _shape_table forms them, is exact on the scale.
         inst = WIDE[name]
         assert inst.m > inst.n + 1
         form = _scaled_form(inst)
