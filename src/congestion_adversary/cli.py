@@ -55,17 +55,17 @@ SOLVE_K_MAX_PRECISION = 400
 #: took on the same host, 3.8-5.1 s, while each move built Fractions.
 SOLVE_K_MAX_WORK = 14_000_000
 #: best-alpha's work is its shape table's rows and the tail steps they draw,
-#: see _best_alpha_work.  generate_instance(n, m, 1), whole process, 2-core
-#: Xeon host, Python 3.11, 16-17 MB each: (26, 2 000), (60, 1 000) and (100,
-#: 500) are 0.9e5-2.7e5 and take 0.13-0.16 s, (200, 20) 1.6e5 and 0.16-0.22
-#: s, (1 000, 10) 1.1e6 and 0.24-0.27 s, (1 000, 20) 1.9e6 and 0.5-0.57 s,
-#: (200, 100) 1.5e6 and 0.45-0.64 s, (2 000, 20) 6.4e6 and 1.1-1.6 s, (4 000,
-#: 3) 6.7e6 and 0.6-0.73 s, (3 000, 10) 9.2e6 and 1.1-1.2 s, (6 600, 2)
-#: 1.09e7 and 3.2-3.8 s; refused, (3 000, 20) at 1.35e7 takes 2.3 s, (5 000,
-#: 5) at 1.6e7 1.0-1.1 s and (8 000, 2) at 1.6e7 4.4-5.7 s.  Past 1e6 units
-#: the count tracks the time within a factor of 7: 0.05-0.36 us per unit.
+#: see _best_alpha_work: a bound on the scan, which runs only where the
+#: insertion profile is not exact: with gen's draws at seed 1, at (200, 100)
+#: alone of the accepted rungs measured.  The scan alone on those draws with
+#: numerators from [1, 10], whole process, 2-core Xeon host, Python 3.11:
+#: (1 000, 10) is 1.1e6 and takes 0.17-0.23 s, (1 000, 20) 1.9e6 and
+#: 0.22-0.36 s, (2 000, 20) 6.4e6 and 0.52 s, (4 000, 3) 6.7e6 and
+#: 0.75-0.92 s, (3 000, 10) 9.2e6 and 0.68-0.78 s, (6 600, 2) 1.09e7 and
+#: 1.45-1.5 s; refused, (3 000, 20) at 1.35e7 0.96-1.13 s, (5 000, 5) and
+#: (8 000, 2) at 1.6e7 0.73-0.85 and 2.2-2.4 s: 0.08-0.19 us per unit.
 BEST_ALPHA_MAX_WORK = 11_500_000
-#: Per the ladder above, a row takes 2.6 us and a counted step 0.14 us: about 16.
+#: Per the gen ladder the count was fitted on, a row takes 2.6 us and a counted step 0.14 us: about 16.
 BEST_ALPHA_ROW_WORK = 16
 BEST_ALPHA_UNIT = f"{BEST_ALPHA_ROW_WORK} per shape-table row, its tail steps and m * min(m, n + 1) // 32, counted up to the limit"
 #: The oracle's work is its profiles, the partitions of n into at most m
@@ -272,12 +272,7 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_PARSE, f"error: {exc}")
     (p,), (q,) = _parse_rationals([args.alpha])  # alpha = p/q in lowest terms
     inst = doc.instance
-    if (
-        len(loads) != inst.m
-        or any(x < 0 for x in loads)
-        or sum(loads) != inst.n
-        or p < q
-    ):
+    if len(loads) != inst.m or sum(loads) != inst.n or p < q:  # The digits make every load >= 0.
         return _fail(
             EXIT_PARSE,
             f"error: loads must be {inst.m} non-negative integers summing to "

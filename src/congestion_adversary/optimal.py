@@ -16,7 +16,8 @@ least factor, so the scan reads each row's values only from the window its
 head conditions leave at the running score up to that cut, out of a prefix
 of the tail's steps shared by every row of the same M and k''.  The scan is
 in exact integers on one scale, :func:`_scaled_form`; only the optimum and
-witness checks use Fractions.
+witness checks use Fractions.  It runs only where inserting each player at
+its cheapest move ends off an exact equilibrium, from that profile's score.
 
 Shape indices k, k', k'' are 1-based to match the non-increasing load
 picture; the sentinel value m+1 for k' (or k'') means no resource has load
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .core import FORM_MAX_BITS, GameError, Instance, _score, binding_deviation
+from .core import FORM_MAX_BITS, GameError, Instance, _pricing, _score, binding_deviation
+from .solver import _peaks, _shift
 
 __all__ = ["best_alpha"]
 
@@ -262,24 +264,42 @@ def _least_factor(steps, room, need_max, need_rest, cbar_max, cbar_rest) -> Opti
 def best_alpha(inst: Instance) -> OptResult:
     """Smallest factor for which an approximate equilibrium exists, with witness.
 
-    One pass over the shape table fills each pair at its least factor and
-    scores the fill; the optimum is the least score, from 2 or the all-equal
-    profile's.  A pair of factor 1 whose fill is exact answers at once.  Only
-    pairs of factor at most the running score count: each row's values are
-    cut to its :func:`_windows` at that score up front, without drawing its
-    tail where the least tail coefficient shows a window empty, and `crest`
-    values that fail by their tail part are dropped for the rest of the row,
-    where the tail part only grows.  The witness is the all-equal profile or
-    the first pair recorded on the way whose fill at the optimum passes there.
-    Raises GameError where :func:`_scaled_form` passes FORM_MAX_BITS.
+    Each player enters in turn at its cheapest move, as in :func:`solver.solve`
+    with no settling; an exact equilibrium there is the witness at 1, which
+    may not be the scan's.  Else :func:`_scan` answers, seeded with its
+    score.  Raises GameError where :func:`_scaled_form` passes FORM_MAX_BITS.
     """
     form = _scaled_form(inst)
+    loads, heads, tails = [0] * inst.m, [(0, 0)], []
+    for _ in range(inst.n):
+        _shift(heads, tails, loads, _pricing(form, loads, heads, _peaks(heads, tails, inst.m))[2][2], 1)
+    seed = _score(form, loads)
+    return _checked(inst, Fraction(1), tuple(loads)) if seed == (1, 1) else _scan(inst, form, seed)
+
+
+def _scan(inst: Instance, form, seed: Tuple[int, int]) -> OptResult:
+    """The optimum and witness from one pass over the shape table of `form`, the scaled form.
+
+    The pass fills each pair at its least factor and scores the fill; the
+    optimum is the least score, from the least of 2, the all-equal profile's
+    and `seed`, some profile's ``(p, q)``.  A pair of factor 1 whose fill is
+    exact answers at once.  Only pairs of factor at most the running score
+    count: each row's values are cut to its :func:`_windows` at that score
+    up front, without drawing its tail where the least tail coefficient
+    shows a window empty, and `crest` values that fail by their tail part
+    are dropped for the rest of the row, where the tail part only grows.
+    The witness is the all-equal profile or the first pair recorded on the
+    way whose fill at the optimum passes there; every pair of least factor
+    at most the optimum is recorded under any running score at least the
+    optimum, so `seed` changes neither.
+    """
     n, m, a = inst.n, inst.m, form[0]
     equal = (n // m,) * m if n % m == 0 else None
     start = _score(form, equal) if equal else (2, 1)
     if start == (1, 1):
         return _checked(inst, Fraction(1), equal)
     p, q = start if start[0] <= 2 * start[1] else (2, 1)
+    p, q = seed if seed[0] * q < p * seed[1] else (p, q)
     recorded, kept_at = [], 0
     for row in _shape_table(inst, form):
         windows = _windows(a, row, p, q)

@@ -13,6 +13,7 @@ from congestion_adversary import (
     GameError,
     best_alpha,
     binding_deviation,
+    deviation_cost,
     generate_instance,
     is_alpha_pne,
     k_upper_bound,
@@ -23,12 +24,13 @@ from congestion_adversary import (
     validate_instance,
 )
 from congestion_adversary import optimal
-from congestion_adversary.core import FORM_MAX_BITS
+from congestion_adversary.core import FORM_MAX_BITS, _score
 from congestion_adversary.optimal import (
     _checked,
     _drawn,
     _least_factor,
     _scaled_form,
+    _scan,
     _shape_table,
     _windows,
     feasible_load_vector,
@@ -312,6 +314,22 @@ def jittered(name, t, seed):
     return validate_instance(
         [a * jitter() for a in base.coefficients], base.n * t, base.budget * jitter() * t
     )
+
+
+def inserted(inst):
+    """Each player in turn at its cheapest entering move, ties toward the smaller index.
+
+    The profile best_alpha tries first, priced here one move at a time.
+    """
+    loads = [0] * inst.m
+    for _ in range(inst.n):
+        loads[min(range(inst.m), key=lambda t: deviation_cost(inst, loads, None, t))] += 1
+    return tuple(loads)
+
+
+def scanned(inst, seed=(2, 1)):
+    """The shape scan alone, its running score starting at the least of 2, `seed` and the all-equal profile's."""
+    return _scan(inst, _scaled_form(inst), seed)
 
 
 @st.composite
@@ -837,8 +855,14 @@ class TestBestAlpha:
         ],
     )
     def test_matches_reference(self, inst):
-        result = best_alpha(inst)
+        result = scanned(inst)
         assert (result.alpha_star, result.witness, result.binding) == reference_best_alpha(inst)
+        # best_alpha answers the same optimum, with the scan's witness too
+        # unless the insertion profile is exact.
+        answer = best_alpha(inst)
+        assert answer.alpha_star == result.alpha_star
+        if not is_alpha_pne(inst, inserted(inst), 1):
+            assert answer == result
 
     def test_jittered_fixtures_are_hard(self):
         # The jittered classes above exercise the scoring: no pair of factor 1
@@ -877,7 +901,7 @@ class TestBestAlpha:
 
         monkeypatch.setattr(optimal, "feasible_load_vector", logged_fill)
         monkeypatch.setattr(optimal, "_score", logged_score)
-        result = best_alpha(inst)
+        result = scanned(inst)
         # The all-equal profile is scored first, then each fill once.
         scored = list(zip(fills, scores[len(scores) - len(fills) :]))
         first_one = scored.index((1, 1))
@@ -885,6 +909,59 @@ class TestBestAlpha:
         assert first_one == len(scored) - 1
         assert result.alpha_star == 1
         assert result.witness == reference_feasible_witness(inst, Fraction(1))
+        answer = best_alpha(inst)
+        assert answer.alpha_star == result.alpha_star
+        if not is_alpha_pne(inst, inserted(inst), 1):
+            assert answer == result
+
+    @given(small_instances())
+    @settings(max_examples=300)
+    def test_agrees_with_the_scan(self, inst):
+        # An exact insertion profile is the witness; elsewhere the scan,
+        # seeded with the profile's score, answers as it does unseeded.
+        result, scan = best_alpha(inst), scanned(inst)
+        assert result.alpha_star == scan.alpha_star
+        assert is_alpha_pne(inst, result.witness, result.alpha_star)
+        profile = inserted(inst)
+        if is_alpha_pne(inst, profile, 1):
+            assert result.witness == profile
+        else:
+            assert result == scan
+
+    @pytest.mark.parametrize("name", ["example1", "tightness"])
+    @pytest.mark.parametrize("t", [2, 3, 4, 6, 12])
+    def test_seeding_the_scan_changes_nothing(self, name, t):
+        # The insertion profile's score is feasible, so at least the optimum:
+        # a scan that starts there records the same pairs at or below it.
+        seeded = 0
+        for seed in range(3):
+            inst = jittered(name, t, seed)
+            form = _scaled_form(inst)
+            score = _score(form, inserted(inst))
+            seeded += score[0] < 2 * score[1]
+            assert scanned(inst, score) == scanned(inst)
+        assert seeded
+
+    def test_an_exact_insertion_profile_draws_no_table_row(self, monkeypatch):
+        drawn = []
+
+        def counted(inst, form):
+            for row in _shape_table(inst, form):
+                drawn.append(row[0])
+                yield row
+
+        monkeypatch.setattr(optimal, "_shape_table", counted)
+        answered = 0
+        for i in range(40):
+            inst = generate_instance(n=20 + i, m=3 + i % 5, seed=i).instance
+            drawn.clear()
+            result = best_alpha(inst)
+            if is_alpha_pne(inst, inserted(inst), 1):
+                answered += 1
+                assert result.witness == inserted(inst) and not drawn
+        assert answered
+        best_alpha(jittered("example1", 2, 0))
+        assert drawn
 
     def test_one_call_draws_each_table_row_at_most_once(self, monkeypatch):
         drawn = []
