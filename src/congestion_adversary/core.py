@@ -326,12 +326,16 @@ def binding_deviation(
     Returns ``(ratio, r, r_to, cost, dev)`` for the occupied resource r with
     the largest cost-to-best-deviation ratio, or None when m = 1.
     """
-    found = _binding(inst.form, loads)
+    return _deviation(inst.form, _binding(inst.form, loads))
+
+
+def _deviation(form, found):
+    """A :func:`_binding` result as :func:`binding_deviation` returns it; None stays None."""
     if found is None:
         return None
     (num, den), r, cost, k, dev, j, target = found
     ratio = INFINITY if den == 0 else Fraction(num, den)
-    return ratio, r, target, _fraction(inst.form, cost, k), _fraction(inst.form, dev, j)
+    return ratio, r, target, _fraction(form, cost, k), _fraction(form, dev, j)
 
 
 def _binding(form, loads):

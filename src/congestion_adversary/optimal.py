@@ -8,16 +8,17 @@ rest; given a shape, those two values, and a factor alpha, a short greedy
 procedure either produces a witness load vector or proves none exists.  For
 a fixed shape and pair of values the factors that pass form a half-line, so
 each pair has a least factor, a maximum of a few ratios of cost values.  One
-pass over a table of the shape data that does not depend on alpha fills each
-pair at its least factor and scores the fill by the factor it needs; the
-optimum is the least score, and the witness the first pair met on the way
-whose fill at the optimum passes there.  No pair past a row's cut has a
-least factor, so the scan reads each row's values only from the window its
-head conditions leave at the running score up to that cut, out of a prefix
-of the tail's steps shared by every row of the same M and k''.  The scan is
-in exact integers on one scale, :func:`_scaled_form`; only the optimum and
-witness checks use Fractions.  It runs only where inserting each player at
-its cheapest move ends off an exact equilibrium, from that profile's score.
+pass over a table of each shape's alpha-free data fills each pair at its
+least factor and scores the fill by the factor it needs; the optimum is the
+least score, and the witness the first pair met on the way whose fill at
+the optimum passes there.  The table reads the running score and builds no
+row whose heads or tail's least coefficient leave no pair there; the scan
+reads each row's values from the window its heads leave at the score up to
+the row's cut, past which no pair has a least factor, out of a prefix of
+the tail's steps shared by every row of one M and k''.  All is in exact
+integers, the scan on one scale, :func:`_scaled_form`, built only where
+inserting each player at its cheapest move ends off an exact equilibrium;
+it starts from that profile's score.  Only the binding is in Fractions.
 
 Shape indices k, k', k'' are 1-based to match the non-increasing load
 picture; the sentinel value m+1 for k' (or k'') means no resource has load
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .core import FORM_MAX_BITS, GameError, Instance, _pricing, _score, binding_deviation
+from .core import FORM_MAX_BITS, GameError, Instance, _binding, _deviation, _pricing, _score
 from .solver import _peaks, _shift
 
 __all__ = ["best_alpha"]
@@ -108,7 +109,7 @@ def feasible_load_vector(
     return None if spare else tuple(loads)
 
 
-def _shape_table(inst: Instance, form) -> Iterator[tuple]:
+def _shape_table(inst: Instance, form, score) -> Iterator[tuple]:
     """One row for each shape of a decreasing profile not all at the peak, in scan order.
 
     A row is ``(shape, prefix, leftover, need_max, cap_max, need_rest,
@@ -131,6 +132,15 @@ def _shape_table(inst: Instance, form) -> Iterator[tuple]:
     At a factor alpha, a value c passes the max-load head conditions iff
     ``need_max <= alpha * c``, and those of the rest iff ``need_rest <=
     alpha * c``.  Only need_rest's ``a_{k''-1} * (M - 2)`` is found per row.
+
+    A row is built only if some pair can pass at `score`, the scan's running
+    ``(p, q)``, read afresh for each row ((1, 0) is infinite): both heads,
+    and two bounds from the tail's least coefficient a = a_{k''}, whose own
+    steps are a, 2a, ...: :func:`_windows`' ``cut <= min(leftover + 1, M -
+    2) * a``, and ``room >= ceil(leftover / (m - k'' + 1)) * a``, as no tail
+    coefficient has more than x // a steps up to x.  As k'' grows the needs
+    only grow and the caps only fall, so a head failure ends its loop; for
+    k >= 2 every cap_max is at most `top`, which skips (M, k).
     """
     n, m = inst.n, inst.m
     a, B, _ = form
@@ -141,6 +151,8 @@ def _shape_table(inst: Instance, form) -> Iterator[tuple]:
                 break
             rest = n - k * M
             need_max, first = a[k - 1] * M + B // k, top if k >= 2 else None
+            if k >= 2 and need_max * score[1] > score[0] * top:
+                continue
             # A band at M - 1 adds a_{k+1} (0-based a[k]) to each cap, one at M - 2 a_{k'}.
             second = a[k] * M + B // k if k == 1 else min(top, a[k] * M + B // k)
             second_rest = min(top, a[k] * M + B // (k + 1))
@@ -161,13 +173,20 @@ def _shape_table(inst: Instance, form) -> Iterator[tuple]:
                     leftover = base - (k_dprime - k_prime) * (M - 2)
                     if leftover < 0:
                         break
+                    cmax_cap, crest_cap = (cap_max, cap_rest) if k_dprime == k_prime else (band_max, band_rest)
+                    need_rest = need if k_dprime == k_prime else max(need, a[k_dprime - 2] * (M - 2))
+                    p, q = score
+                    if (cmax_cap is not None and need_max * q > p * cmax_cap) or need_rest * q > p * crest_cap:
+                        break  # and so every later k''
+                    if k_dprime <= m:
+                        least = a[k_dprime - 1]
+                        cut, room = min(leftover + 1, M - 2) * least, -(-leftover // (m - k_dprime + 1)) * least
+                        if need_max * q > p * cut or max(need_rest, room) * q > p * min(crest_cap, cut):
+                            continue
                     if k_dprime not in tails:
                         tails[k_dprime] = [[], [], a[k_dprime - 1]] if k_dprime <= m else None
                     prefix = [M] * k + [M - 1] * (k_prime - k - 1) + [M - 2] * (k_dprime - k_prime)
-                    if k_dprime == k_prime:
-                        heads = (need_max, cap_max, need, cap_rest)
-                    else:
-                        heads = (need_max, band_max, max(need, a[k_dprime - 2] * (M - 2)), band_rest)
+                    heads = (need_max, cmax_cap, need_rest, crest_cap)
                     yield ((M, k, k_prime, k_dprime), prefix, leftover, *heads, tails[k_dprime])
 
 
@@ -194,8 +213,8 @@ def _drawn(coeffs, M: int, k_dprime: int, tail: list, count: int) -> Tuple[List[
     return steps, values
 
 
-def _windows(coeffs, row: tuple, p: int, q: int) -> Optional[tuple]:
-    """The row's values that can make a pair of least factor at most p/q, or None if none can.
+def _windows(coeffs, row: tuple, p: int, q: int) -> tuple:
+    """The row's values that can make a pair of least factor at most p/q.
 
     Returns ``(cmax, crest, room, steps)``.  A pair has no least factor once
     its larger cost passes the cut: the least of ``(M - 2) * a_{k''}`` and
@@ -206,23 +225,16 @@ def _windows(coeffs, row: tuple, p: int, q: int) -> Optional[tuple]:
     the cut that need not be a step.  `room` is the least integer ``alpha *
     cbar_rest`` at which the tail seats the leftover players, the
     leftover-th smallest step, and `steps` the prefix those reads come from.
-    Before the draw, a = a_{k''}, whose own steps are a, 2a, ..., bounds
-    both: ``cut <= min(leftover + 1, M - 2) * a``, and ``room >=
-    ceil(leftover / (m - k'' + 1)) * a``, as no tail coefficient has more
-    than x // a steps up to x; a row that these show empty is not drawn.
+    The row must be one :func:`_shape_table` built at p/q: its least tail
+    coefficient is then positive.
     """
     (M, _, _, k_dprime), _, leftover, need_max, cap_max, need_rest, cap_rest, tail = row
-    if (cap_max is not None and need_max * q > p * cap_max) or need_rest * q > p * cap_rest:
-        return None
     if tail is None:  # No tail, no cut: each list is its cap.
         cut = last = max(cap_max, cap_rest)
         room, steps, values = 0, [], []
     else:
         least = coeffs[k_dprime - 1]
         cut, last = min(leftover + 1, M - 2) * least, (M - 2) * least
-        room = -(-leftover // (len(coeffs) - k_dprime + 1)) * least
-        if need_max * q > p * cut or max(need_rest, room) * q > p * min(cap_rest, cut):
-            return None
         steps, values = _drawn(coeffs, M, k_dprime, tail, leftover + 1)
         room = steps[leftover - 1] if leftover else 0
         if len(steps) > leftover:
@@ -264,17 +276,18 @@ def _least_factor(steps, room, need_max, need_rest, cbar_max, cbar_rest) -> Opti
 def best_alpha(inst: Instance) -> OptResult:
     """Smallest factor for which an approximate equilibrium exists, with witness.
 
-    Each player enters in turn at its cheapest move, as in :func:`solver.solve`
-    with no settling; an exact equilibrium there is the witness at 1, which
-    may not be the scan's.  Else :func:`_scan` answers, seeded with its
-    score.  Raises GameError where :func:`_scaled_form` passes FORM_MAX_BITS.
+    Each player enters in turn at its cheapest move on the instance's own
+    form, as :func:`solver.solve` inserts; an exact equilibrium there is the
+    witness at 1, checked by the pricing that found it.  Else :func:`_scan`
+    answers from its score on :func:`_scaled_form`, which may raise GameError.
     """
-    form = _scaled_form(inst)
-    loads, heads, tails = [0] * inst.m, [(0, 0)], []
+    form, loads, heads, tails = inst.form, [0] * inst.m, [(0, 0)], []
     for _ in range(inst.n):
         _shift(heads, tails, loads, _pricing(form, loads, heads, _peaks(heads, tails, inst.m))[2][2], 1)
-    seed = _score(form, loads)
-    return _checked(inst, Fraction(1), tuple(loads)) if seed == (1, 1) else _scan(inst, form, seed)
+    found = _binding(form, loads)
+    if found is None or found[0][0] <= found[0][1]:
+        return _checked(inst, Fraction(1), tuple(loads), found)
+    return _scan(inst, _scaled_form(inst), found[0])
 
 
 def _scan(inst: Instance, form, seed: Tuple[int, int]) -> OptResult:
@@ -284,10 +297,10 @@ def _scan(inst: Instance, form, seed: Tuple[int, int]) -> OptResult:
     optimum is the least score, from the least of 2, the all-equal profile's
     and `seed`, some profile's ``(p, q)``.  A pair of factor 1 whose fill is
     exact answers at once.  Only pairs of factor at most the running score
-    count: each row's values are cut to its :func:`_windows` at that score
-    up front, without drawing its tail where the least tail coefficient
-    shows a window empty, and `crest` values that fail by their tail part
-    are dropped for the rest of the row, where the tail part only grows.
+    count: the table, reading that score, builds no row it shows empty, each
+    row's values are cut to its :func:`_windows` at that score up front, and
+    `crest` values that fail by their tail part are dropped for the rest of
+    the row, where the tail part only grows.
     The witness is the all-equal profile or the first pair recorded on the
     way whose fill at the optimum passes there; every pair of least factor
     at most the optimum is recorded under any running score at least the
@@ -300,13 +313,10 @@ def _scan(inst: Instance, form, seed: Tuple[int, int]) -> OptResult:
         return _checked(inst, Fraction(1), equal)
     p, q = start if start[0] <= 2 * start[1] else (2, 1)
     p, q = seed if seed[0] * q < p * seed[1] else (p, q)
-    recorded, kept_at = [], 0
-    for row in _shape_table(inst, form):
-        windows = _windows(a, row, p, q)
-        if windows is None:
-            continue
+    running, recorded, kept_at = [p, q], [], 0
+    for row in _shape_table(inst, form, running):
         head, need_max, need_rest = row[:3], row[3], row[5]
-        cmax_window, live, room, steps = windows
+        cmax_window, live, room, steps = _windows(a, row, p, q)
         for cmax in cmax_window:
             if not live:
                 break
@@ -330,7 +340,7 @@ def _scan(inst: Instance, form, seed: Tuple[int, int]) -> OptResult:
                     if f == g and score == (1, 1):
                         return _checked(inst, Fraction(1), fill)
                     if score[0] * q < p * score[1]:
-                        p, q = score
+                        p, q = running[:] = score
                         if len(recorded) > 2 * kept_at:  # drop what the new best rules out
                             recorded = [r for r in recorded if r[3][0] * q <= p * r[3][1]]
                             kept_at = len(recorded)
@@ -349,11 +359,12 @@ def _scan(inst: Instance, form, seed: Tuple[int, int]) -> OptResult:
     return _checked(inst, alpha, None)
 
 
-def _checked(inst: Instance, alpha: Fraction, witness) -> OptResult:
-    """The result for this optimum and witness, once one pricing shows it passes there."""
+def _checked(inst: Instance, alpha: Fraction, witness, found=None) -> OptResult:
+    """The result for this optimum and witness, once one integer pricing, `found` or its own, shows it passes."""
     if witness is None or sum(witness) != inst.n:
         raise RuntimeError(f"no witness of {inst.n} players at the optimum {alpha}")
-    binding = binding_deviation(inst, witness)
-    if binding is not None and binding[0] > alpha:
+    found = found or _binding(inst.form, witness)
+    binding = _deviation(inst.form, found)
+    if found is not None and found[0][0] * alpha.denominator > alpha.numerator * found[0][1]:
         raise RuntimeError(f"the witness needs {binding[0]}, above the optimum {alpha}")
     return OptResult(alpha_star=alpha, witness=witness, binding=binding)

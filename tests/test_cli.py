@@ -394,7 +394,7 @@ class TestBestAlpha:
         # m * min(m, n + 1) // 32.  The bound under which the check skips counting is
         # larger, so the skip lets no header through that the count refuses.
         inst = validate_instance(range(1, m + 1), n, 1)
-        rows = list(_shape_table(inst, _scaled_form(inst)))
+        rows = list(_shape_table(inst, _scaled_form(inst), (1, 0)))
         drawn = {}
         for (M, _, _, k_dprime), _, leftover, *_ in rows:
             if k_dprime <= m:

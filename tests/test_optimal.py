@@ -6,7 +6,7 @@ from heapq import merge
 from itertools import islice
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from congestion_adversary import (
@@ -24,7 +24,7 @@ from congestion_adversary import (
     validate_instance,
 )
 from congestion_adversary import optimal
-from congestion_adversary.core import FORM_MAX_BITS, _score
+from congestion_adversary.core import FORM_MAX_BITS, _binding, _score
 from congestion_adversary.optimal import (
     _checked,
     _drawn,
@@ -361,9 +361,9 @@ def shape_of(loads):
 
 
 def scan_inputs(inst):
-    """The instance's scaled form and its shape table as a list, as best_alpha builds them."""
+    """The instance's scaled form and its whole shape table, at the infinite score (1, 0), as a list."""
     form = _scaled_form(inst)
-    return form, list(_shape_table(inst, form))
+    return form, list(_shape_table(inst, form, (1, 0)))
 
 
 def assert_rows_are_the_profile_shapes(inst, form, rows):
@@ -403,8 +403,26 @@ def in_fractions(form, row):
     )
 
 
+def refused(form, row, p, q):
+    """Whether the shape table, at the score p/q, builds no row for this one of the unscored table.
+
+    Its heads fail, or one of two bounds from the tail's least coefficient
+    a = a_{k''} does: a's own steps a, 2a, ... put the cut at most
+    ``min(leftover + 1, M - 2) * a``, and the room, the leftover-th smallest
+    step, at least ``ceil(leftover / (m - k'' + 1)) * a``.
+    """
+    (M, _, _, k_dprime), _, leftover, need_max, cap_max, need_rest, cap_rest, tail = row
+    if (cap_max is not None and need_max * q > p * cap_max) or need_rest * q > p * cap_rest:
+        return True
+    if tail is None:
+        return False
+    least, tail_resources = form[0][k_dprime - 1], len(form[0]) - k_dprime + 1
+    cut, room = min(leftover + 1, M - 2) * least, -(-leftover // tail_resources) * least
+    return need_max * q > p * cut or max(need_rest, room) * q > p * min(cap_rest, cut)
+
+
 def scan_windows(form, row, alpha=None):
-    """The row's ``(cmax, crest, room, steps)`` as best_alpha cuts them at alpha, or None.
+    """The row's ``(cmax, crest, room, steps)`` as best_alpha cuts them at alpha, or None if refused.
 
     Without alpha, at a factor past every ratio the row can need, so that
     each list runs from its least positive value up to the row's cut.
@@ -413,7 +431,7 @@ def scan_windows(form, row, alpha=None):
         p, q = 1 + max(row[3], row[5], row[0][0] * max(form[0])), 1
     else:
         p, q = alpha.numerator, alpha.denominator
-    return _windows(form[0], row, p, q)
+    return None if refused(form, row, p, q) else _windows(form[0], row, p, q)
 
 
 def least_factor(form, row, cmax, crest):
@@ -707,8 +725,8 @@ class TestShapeTable:
     @pytest.mark.parametrize("t", [2, 3, 12])
     @pytest.mark.parametrize("seed", range(5))
     def test_rows_refused_before_the_draw_have_an_empty_window(self, name, t, seed):
-        # _windows refuses a row before drawing its tail where the least
-        # tail coefficient's own steps bound the cut below what cmax needs,
+        # The shape table builds no row whose least tail coefficient's own
+        # steps bound the cut below what cmax needs,
         # or the room above what crest allows.  High peaks with few leftover
         # players, as on these hard instances, are the rows those bounds
         # refuse; each must have an empty reference window, at the optimum,
@@ -728,6 +746,61 @@ class TestShapeTable:
         form, rows = scan_inputs(inst)
         for row in rows:
             assert_scan_windows(inst, form, row, alpha)
+
+
+def probe_scores(inst):
+    """The optimum, a factor just below it, 6/5 and 2, each as ``(p, q)``: where the scan's score sits."""
+    optimum = best_alpha(inst).alpha_star
+    below = optimum - (optimum - 1) / 10**9 if optimum > 1 else 1 - Fraction(1, 10**9)
+    return [(alpha.numerator, alpha.denominator) for alpha in (optimum, below, Fraction(6, 5), Fraction(2))]
+
+
+def assert_scored_table(inst, form, rows, p, q):
+    """The table at the score p/q is exactly the unscored table's rows that `refused` passes, in order."""
+    assert list(_shape_table(inst, form, (p, q))) == [row for row in rows if not refused(form, row, p, q)]
+
+
+class TestScoredTable:
+    """The table reads the scan's running score and builds only the rows the pre-draw refusal admits."""
+
+    @given(small_instances(min_m=2, max_n=40))
+    @example(validate_instance([0, 1], 1, 1))
+    @settings(deadline=None, max_examples=150)
+    def test_yields_the_unscored_rows_the_refusal_admits(self, inst):
+        # Up to 40 players: peaks high enough for the tail bounds to refuse
+        # rows, and zero coefficients, whose rows no score above 0 admits.
+        # The example's (M, k) = (1, 1) has need_max above the score times
+        # `top` just below 1, yet a row with no cap_max, which only k >= 2
+        # may skip for that.
+        form, rows = scan_inputs(inst)
+        for p, q in probe_scores(inst):
+            assert_scored_table(inst, form, rows, p, q)
+
+    @pytest.mark.parametrize("name", ["example1", "tightness"])
+    @pytest.mark.parametrize("t", [2, 3, 12])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_yields_the_unscored_rows_the_refusal_admits_on_hard_instances(self, name, t, seed):
+        # alpha* > 1 on most: the scores the scan meets on its way down.
+        inst = jittered(name, t, seed)
+        form, rows = scan_inputs(inst)
+        for p, q in probe_scores(inst):
+            assert_scored_table(inst, form, rows, p, q)
+
+    @pytest.mark.parametrize("name, t", [("example1", 3), ("tightness", 12)])
+    def test_reads_a_score_lowered_mid_row(self, name, t):
+        # The scan lowers its score while the table waits at a yield: every
+        # row after that one must be refused at the new score.
+        inst = jittered(name, t, 0)
+        form, rows = scan_inputs(inst)
+        for p, q in probe_scores(inst):
+            for at in (0, len(rows) // 3):
+                score = [2, 1]
+                table = _shape_table(inst, form, score)
+                before = list(islice(table, at + 1))
+                assert before == [row for row in rows if not refused(form, row, 2, 1)][: at + 1]
+                score[:] = p, q
+                after = rows[rows.index(before[-1]) + 1 :]
+                assert list(table) == [row for row in after if not refused(form, row, p, q)]
 
 
 class TestLeastFactor:
@@ -945,8 +1018,8 @@ class TestBestAlpha:
     def test_an_exact_insertion_profile_draws_no_table_row(self, monkeypatch):
         drawn = []
 
-        def counted(inst, form):
-            for row in _shape_table(inst, form):
+        def counted(inst, form, score):
+            for row in _shape_table(inst, form, score):
                 drawn.append(row[0])
                 yield row
 
@@ -966,9 +1039,9 @@ class TestBestAlpha:
     def test_one_call_draws_each_table_row_at_most_once(self, monkeypatch):
         drawn = []
 
-        def counted(inst, form):
+        def counted(inst, form, score):
             drawn.append([])
-            for row in _shape_table(inst, form):
+            for row in _shape_table(inst, form, score):
                 drawn[-1].append(row[0])
                 yield row
 
@@ -1024,6 +1097,29 @@ class TestBestAlpha:
         result = _checked(example1, Fraction(7, 6), (2, 2, 1))
         assert result.binding == binding_deviation(example1, (2, 2, 1))
 
+    @pytest.mark.parametrize(
+        "inst, alpha, witness",
+        [
+            (validate_instance([2], 3, 1), Fraction(1), (3,)),  # m = 1: no binding
+            (validate_instance([0, 0, 1], 3, 1), Fraction(2), (0, 0, 3)),  # a free move: INFINITY
+            (make_fixtures()["example1"].instance, Fraction(1), (2, 2, 1)),  # needs 7/6, above 1
+            (make_fixtures()["example1"].instance, Fraction(7, 6), (2, 2, 1)),
+            (make_fixtures()["example1"].instance, Fraction(7, 6), (4, 1, 0)),
+        ],
+    )
+    def test_checked_with_the_pricing_equals_checked_repricing(self, inst, alpha, witness):
+        # best_alpha hands _checked the insertion profile's own pricing; the
+        # result, or the error and its message, must be the one _checked
+        # finds when it prices the witness itself.
+        outcomes = []
+        for found in (None, _binding(inst.form, witness)):
+            try:
+                outcomes.append(_checked(inst, alpha, witness, found))
+            except RuntimeError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (needed_alpha(inst, witness) > alpha)
+
     def test_checked_passes_a_single_resource_without_a_binding(self):
         result = _checked(validate_instance([2], 3, 1), Fraction(1), (3,))
         assert (result.alpha_star, result.witness, result.binding) == (1, (3,), None)
@@ -1035,15 +1131,69 @@ class TestBestAlpha:
 
     def test_refuses_a_scaled_form_past_the_bit_limit(self, monkeypatch):
         # The scan's integers are the form times lcm(1..min(m, n + 1)), here
-        # lcm(1..4): m of them, each of about as many bits as D * 12, counted
-        # before any is made.
-        inst = validate_instance([Fraction(1, p) for p in (2, 3, 5, 7)], 3, 1)
-        bits = inst.m * (inst.form[2] * 12).bit_length()
+        # lcm(1..3): m of them, each of about as many bits as D * 6, counted
+        # before any is made.  alpha* > 1 here, so the insertion profile is
+        # not exact and the scan runs.
+        inst = jittered("example1", 2, 0)
+        bits = inst.m * (inst.form[2] * 6).bit_length()
         monkeypatch.setattr(optimal, "FORM_MAX_BITS", bits)
-        assert best_alpha(inst).alpha_star >= 1
+        assert best_alpha(inst).alpha_star > 1
         monkeypatch.setattr(optimal, "FORM_MAX_BITS", bits - 1)
         with pytest.raises(GameError):
             best_alpha(inst)
+
+    def test_an_exact_insertion_profile_builds_no_scaled_form(self, monkeypatch):
+        # The insertion is priced on the instance's own form, and the scale
+        # is built only for the scan.  So an instance whose insertion profile
+        # is exact is answered even where its scaled form passes the bit
+        # limit: here lcm(1..4) times D, where best_alpha used to raise.
+        def refuse(inst):
+            raise AssertionError("the scaled form was built")
+
+        inst = validate_instance([Fraction(1, p) for p in (2, 3, 5, 7)], 3, 1)
+        assert is_alpha_pne(inst, inserted(inst), 1)
+        monkeypatch.setattr(optimal, "FORM_MAX_BITS", inst.m * (inst.form[2] * 12).bit_length() - 1)
+        assert best_alpha(inst).witness == inserted(inst)
+        monkeypatch.setattr(optimal, "_scaled_form", refuse)
+        answered = 0
+        for i in range(40):
+            inst = generate_instance(n=20 + i, m=3 + i % 5, seed=i).instance
+            if is_alpha_pne(inst, inserted(inst), 1):
+                answered += 1
+                result = best_alpha(inst)
+                assert (result.alpha_star, result.witness) == (1, inserted(inst))
+                assert result.binding == binding_deviation(inst, inserted(inst))
+        assert answered
+        with pytest.raises(AssertionError, match="scaled form"):
+            best_alpha(jittered("example1", 2, 0))
+
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 7, 12, 24]), min_size=m, max_size=m),
+                st.lists(st.integers(1, 12), min_size=m, max_size=m),
+                st.booleans(),
+            )
+        ),
+        st.integers(1, 300),
+        st.builds(Fraction, st.integers(1, 60), st.integers(1, 12)),
+    )
+    @settings(max_examples=400)
+    def test_never_scans_at_two_resources(self, coefficients, n, budget):
+        # At m <= 2 the insertion profile has been exact on every instance
+        # tried, zero and tied coefficients included, so the scan never runs.
+        nums, dens, tied = coefficients
+        if tied:
+            nums[-1], dens[-1] = nums[0], dens[0]
+        inst = validate_instance([Fraction(a, d) for a, d in zip(nums, dens)], n, budget)
+
+        def refuse(*args):
+            raise AssertionError("the scan ran")
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(optimal, "_scan", refuse)
+            result = best_alpha(inst)
+        assert result.alpha_star == 1 and result.witness == inserted(inst)
 
 
 def all_shares_form(inst):
@@ -1098,7 +1248,7 @@ class TestShareScale:
         inst = WIDE[name]
         assert inst.m > inst.n + 1
         form = _scaled_form(inst)
-        for (_, k, k_prime, k_dprime), *_ in _shape_table(inst, form):
+        for (_, k, k_prime, k_dprime), *_ in _shape_table(inst, form, (1, 0)):
             shares = [k, k + 1] if k_prime >= k + 2 else [k]
             shares += [k_prime] if k == 1 and k_prime < k_dprime else []
             assert all(form[1] % p == 0 for p in shares)
