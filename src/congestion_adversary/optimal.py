@@ -10,15 +10,15 @@ a fixed shape and pair of values the factors that pass form a half-line, so
 each pair has a least factor, a maximum of a few ratios of cost values.  One
 pass over a table of each shape's alpha-free data fills each pair at its
 least factor and scores the fill by the factor it needs; the optimum is the
-least score, and the witness the first pair met on the way whose fill at
-the optimum passes there.  The table reads the running score and builds no
-row whose heads or tail's least coefficient leave no pair there; the scan
-reads each row's values from the window its heads leave at the score up to
-the row's cut, past which no pair has a least factor, out of a prefix of
-the tail's steps shared by every row of one M and k''.  All is in exact
-integers, the scan on one scale, :func:`_scaled_form`, built only where
-inserting each player at its cheapest move ends off an exact equilibrium;
-it starts from that profile's score.  Only the binding is in Fractions.
+least score, and the witness the first profile scored at it.  The table
+reads the running score and builds no row whose heads or tail's least
+coefficient leave no pair there; the scan reads each row's values from the
+window its heads leave at the score up to the row's cut, past which no pair
+has a least factor, out of a prefix of the tail's steps shared by every row
+of one M and k''.  All is in exact integers, the scan on one scale,
+:func:`_scaled_form`, built only where inserting each player at its
+cheapest move ends off an exact equilibrium; it starts from that profile.
+Only the binding is in Fractions.
 
 Shape indices k, k', k'' are 1-based to match the non-increasing load
 picture; the sentinel value m+1 for k' (or k'') means no resource has load
@@ -276,46 +276,48 @@ def _least_factor(steps, room, need_max, need_rest, cbar_max, cbar_rest) -> Opti
 def best_alpha(inst: Instance) -> OptResult:
     """Smallest factor for which an approximate equilibrium exists, with witness.
 
-    Each player enters in turn at its cheapest move on the instance's own
-    form, as :func:`solver.solve` inserts; an exact equilibrium there is the
-    witness at 1, checked by the pricing that found it.  Else :func:`_scan`
-    answers from its score on :func:`_scaled_form`, which may raise GameError.
+    One resource seats everyone at 1.  Else each player enters in turn at
+    its cheapest move on the instance's own form, as :func:`solver.solve`
+    inserts; an exact equilibrium there is the witness at 1, checked by the
+    pricing that found it.  Else :func:`_scan` answers, seeded with that
+    profile and its score, on :func:`_scaled_form`, which may raise GameError.
     """
+    if inst.m == 1:
+        return _checked(inst, Fraction(1), (inst.n,))
     form, loads, heads, tails = inst.form, [0] * inst.m, [(0, 0)], []
     for _ in range(inst.n):
         _shift(heads, tails, loads, _pricing(form, loads, heads, _peaks(heads, tails, inst.m))[2][2], 1)
     found = _binding(form, loads)
-    if found is None or found[0][0] <= found[0][1]:
+    if found[0][0] <= found[0][1]:
         return _checked(inst, Fraction(1), tuple(loads), found)
-    return _scan(inst, _scaled_form(inst), found[0])
+    return _scan(inst, _scaled_form(inst), tuple(loads), found[0])
 
 
-def _scan(inst: Instance, form, seed: Tuple[int, int]) -> OptResult:
+def _scan(inst: Instance, form, seed, seed_score: Tuple[int, int]) -> OptResult:
     """The optimum and witness from one pass over the shape table of `form`, the scaled form.
 
     The pass fills each pair at its least factor and scores the fill; the
     optimum is the least score, from the least of 2, the all-equal profile's
-    and `seed`, some profile's ``(p, q)``.  A pair of factor 1 whose fill is
-    exact answers at once.  Only pairs of factor at most the running score
-    count: the table, reading that score, builds no row it shows empty, each
-    row's values are cut to its :func:`_windows` at that score up front, and
-    `crest` values that fail by their tail part are dropped for the rest of
-    the row, where the tail part only grows.
-    The witness is the all-equal profile or the first pair recorded on the
-    way whose fill at the optimum passes there; every pair of least factor
-    at most the optimum is recorded under any running score at least the
-    optimum, so `seed` changes neither.
+    and `seed_score`, the ``(p, q)`` of the profile `seed`.  Only pairs of
+    factor at most the running score count: the table, reading that score,
+    builds no row it shows empty, each row's values are cut to its
+    :func:`_windows` at that score up front, and `crest` values that fail by
+    their tail part are dropped for the rest of the row, where the tail part
+    only grows.  The witness is the first profile whose score reached the
+    optimum: the all-equal profile, then `seed`, then each fill in scan
+    order; a fill that scores 1 answers at once.
     """
     n, m, a = inst.n, inst.m, form[0]
     equal = (n // m,) * m if n % m == 0 else None
     start = _score(form, equal) if equal else (2, 1)
     if start == (1, 1):
         return _checked(inst, Fraction(1), equal)
-    p, q = start if start[0] <= 2 * start[1] else (2, 1)
-    p, q = seed if seed[0] * q < p * seed[1] else (p, q)
-    running, recorded, kept_at = [p, q], [], 0
+    witness, (p, q) = (equal, start) if start[0] < 2 * start[1] else (None, (2, 1))
+    if seed_score[0] * q < p * seed_score[1]:
+        witness, (p, q) = seed, seed_score
+    running = [p, q]
     for row in _shape_table(inst, form, running):
-        head, need_max, need_rest = row[:3], row[3], row[5]
+        need_max, need_rest = row[3], row[5]
         cmax_window, live, room, steps = _windows(a, row, p, q)
         for cmax in cmax_window:
             if not live:
@@ -333,30 +335,18 @@ def _scan(inst: Instance, form, seed: Tuple[int, int]) -> OptResult:
                         kept.append(crest)
                     continue
                 kept.append(crest)
-                recorded.append((head, cmax, crest, factor))
                 if f == g or f * q < p * g:
-                    fill = feasible_load_vector(a, head, factor, cmax, crest)
+                    fill = feasible_load_vector(a, row, factor, cmax, crest)
                     score = _score(form, fill)
-                    if f == g and score == (1, 1):
+                    if score == (1, 1):
                         return _checked(inst, Fraction(1), fill)
                     if score[0] * q < p * score[1]:
-                        p, q = running[:] = score
-                        if len(recorded) > 2 * kept_at:  # drop what the new best rules out
-                            recorded = [r for r in recorded if r[3][0] * q <= p * r[3][1]]
-                            kept_at = len(recorded)
+                        witness, (p, q) = fill, score
+                        running[:] = score
             live = kept
     if p >= 2 * q:
         raise RuntimeError("no factor below 2 is feasible, against the existence guarantee")
-    alpha = Fraction(p, q)
-    if equal and start[0] * q <= p * start[1]:
-        return _checked(inst, alpha, equal)
-    for head, cmax, crest, (f, g) in recorded:
-        if f * q <= p * g:
-            fill = feasible_load_vector(a, head, (p, q), cmax, crest)
-            score = _score(form, fill)
-            if score[0] * q <= p * score[1]:
-                return _checked(inst, alpha, fill)
-    return _checked(inst, alpha, None)
+    return _checked(inst, Fraction(p, q), witness)
 
 
 def _checked(inst: Instance, alpha: Fraction, witness, found=None) -> OptResult:

@@ -442,6 +442,15 @@ class TestBestAlpha:
         code, obj, _ = run_json(capsys, "best-alpha", str(path))
         assert code == 0 and sum(obj["loads"]) == n and len(obj["loads"]) == m
 
+    def test_answers_one_resource_without_the_insertion(self, capsys, tmp_path):
+        # The work count is 0 at m = 1, so 10**12 players are accepted: the
+        # answer must come without seating them one at a time.
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps({"players": 10**12, "budget": "1", "coefficients": ["1"]}))
+        code, obj, _ = run_json(capsys, "best-alpha", str(path))
+        assert code == 0
+        assert (obj["loads"], obj["alpha"], obj["binding"]) == ([10**12], "1", None)
+
     def test_refuses_the_first_rung_past_the_limit_from_the_header(self, capsys, tmp_path):
         # (1 000, 20) and (2 000, 20) are let through; (3 000, 20) is past
         # the limit, counted from the header before any rational is parsed.

@@ -327,9 +327,9 @@ def inserted(inst):
     return tuple(loads)
 
 
-def scanned(inst, seed=(2, 1)):
-    """The shape scan alone, its running score starting at the least of 2, `seed` and the all-equal profile's."""
-    return _scan(inst, _scaled_form(inst), seed)
+def scanned(inst, seed=None, score=(2, 1)):
+    """The shape scan alone, seeded with the profile `seed` of score `score`; unseeded by default."""
+    return _scan(inst, _scaled_form(inst), seed, score)
 
 
 @st.composite
@@ -479,7 +479,7 @@ def boundary_ratios(inst, form, rows):
 
 
 def witness_at(inst, alpha):
-    """The witness best_alpha takes at an optimum alpha, found without the pass.
+    """The witness the reference probe finds at an optimum alpha, found without the pass.
 
     The all-equal profile if it passes at alpha; otherwise, over every pair
     of every row in scan order, the first with least factor at most alpha
@@ -887,11 +887,12 @@ class TestBestAlpha:
         assert (source, target, cost, dev) == (1, 0, Fraction(7), Fraction(6))
         assert ratio == Fraction(7, 6)
 
-    def test_single_resource(self):
-        inst = validate_instance([2], 3, 1)
+    @pytest.mark.parametrize("n", [3, 10**12])
+    def test_single_resource(self, n):
+        inst = validate_instance([2], n, 1)
         result = best_alpha(inst)
         assert result.alpha_star == 1
-        assert result.witness == (3,)
+        assert result.witness == (n,)
         assert result.binding is None
 
     def test_exact_equilibrium_instance(self):
@@ -947,26 +948,46 @@ class TestBestAlpha:
     @pytest.mark.parametrize("name", ["example1", "tightness"])
     @pytest.mark.parametrize("t", [2, 3, 4, 6])
     @pytest.mark.parametrize("seed", range(3))
-    def test_witness_is_the_reference_probe_at_the_optimum(self, name, t, seed):
-        # The pass records its pairs on the way and fills them at the optimum
-        # afterwards; the witness must be the one a probe over the whole
-        # table at that factor finds first.
+    def test_witness_is_the_first_profile_scored_at_the_optimum(self, name, t, seed, monkeypatch):
+        # The scan scores the all-equal profile, then takes the insertion
+        # profile's score as its seed, then scores each fill: the witness is
+        # the first of them to score the optimum.
         inst = jittered(name, t, seed)
-        result = best_alpha(inst)
-        assert result.witness == reference_feasible_witness(inst, result.alpha_star)
+        scored, score = [], optimal._score
 
-    def test_factor_one_pair_answers_after_an_earlier_score_of_one(self, monkeypatch):
+        def logged_score(form, loads):
+            scored.append((loads, score(form, loads)))
+            return scored[-1][1]
+
+        monkeypatch.setattr(optimal, "_score", logged_score)
+        result = best_alpha(inst)
+        profile = inserted(inst)
+        scored.insert(1 if inst.n % inst.m == 0 else 0, (profile, _score(inst.form, profile)))
+        alpha = result.alpha_star
+        assert result.witness == next(
+            loads for loads, (p, q) in scored if p * alpha.denominator == alpha.numerator * q
+        )
+
+    def test_an_insertion_profile_at_the_optimum_is_the_witness(self):
+        # gen (34, 5) at seed 1158: the insertion profile scores the optimum
+        # 16/15, where the unseeded scan reaches it with a fill of its own.
+        inst = generate_instance(n=34, m=5, seed=1158).instance
+        result = best_alpha(inst)
+        assert result.alpha_star == Fraction(16, 15)
+        assert result.witness == inserted(inst) == (11, 9, 6, 6, 2)
+        assert scanned(inst).witness == (10, 9, 7, 6, 2)
+
+    def test_a_fill_scoring_one_answers_at_once(self, monkeypatch):
         # On example1 x 6 (seed 0) a pair of factor above 1 fills to an
-        # exact equilibrium before any pair of factor 1 does.  The optimum is
-        # then 1, and the pass must go on to the first factor-1 pair whose
-        # fill is exact: that is the witness a probe at 1 finds.
+        # exact equilibrium before any pair of factor 1 does: the optimum is
+        # 1, and that fill is the last the scan makes and the witness.
         inst = jittered("example1", 6, 0)
         fills, scores = [], []
         fill, score = optimal.feasible_load_vector, optimal._score
 
         def logged_fill(coeffs, row, alpha, cmax, crest):
-            fills.append(Fraction(*alpha))
-            return fill(coeffs, row, alpha, cmax, crest)
+            fills.append((Fraction(*alpha), fill(coeffs, row, alpha, cmax, crest)))
+            return fills[-1][1]
 
         def logged_score(form, loads):
             scores.append(Fraction(*score(form, loads)))
@@ -976,22 +997,20 @@ class TestBestAlpha:
         monkeypatch.setattr(optimal, "_score", logged_score)
         result = scanned(inst)
         # The all-equal profile is scored first, then each fill once.
-        scored = list(zip(fills, scores[len(scores) - len(fills) :]))
-        first_one = scored.index((1, 1))
-        assert any(factor > 1 and value == 1 for factor, value in scored[:first_one])
-        assert first_one == len(scored) - 1
+        scored = scores[len(scores) - len(fills) :]
+        assert scored.index(1) == len(scored) - 1
+        factor, witness = fills[-1]
+        assert factor > 1
         assert result.alpha_star == 1
-        assert result.witness == reference_feasible_witness(inst, Fraction(1))
-        answer = best_alpha(inst)
-        assert answer.alpha_star == result.alpha_star
-        if not is_alpha_pne(inst, inserted(inst), 1):
-            assert answer == result
+        assert result.witness == witness
+        assert best_alpha(inst).alpha_star == 1
 
     @given(small_instances())
     @settings(max_examples=300)
     def test_agrees_with_the_scan(self, inst):
         # An exact insertion profile is the witness; elsewhere the scan,
-        # seeded with the profile's score, answers as it does unseeded.
+        # seeded with the profile and its score, answers at the optimum the
+        # unseeded scan finds.
         result, scan = best_alpha(inst), scanned(inst)
         assert result.alpha_star == scan.alpha_star
         assert is_alpha_pne(inst, result.witness, result.alpha_star)
@@ -999,20 +1018,33 @@ class TestBestAlpha:
         if is_alpha_pne(inst, profile, 1):
             assert result.witness == profile
         else:
-            assert result == scan
+            assert result == scanned(inst, profile, _score(inst.form, profile))
 
     @pytest.mark.parametrize("name", ["example1", "tightness"])
     @pytest.mark.parametrize("t", [2, 3, 4, 6, 12])
-    def test_seeding_the_scan_changes_nothing(self, name, t):
+    def test_seeding_the_scan_changes_nothing(self, name, t, monkeypatch):
         # The insertion profile's score is feasible, so at least the optimum:
-        # a scan that starts there records the same pairs at or below it.
-        seeded = 0
+        # a scan that starts there finds the same optimum, and keeps the
+        # profile as its witness exactly when nothing it scores comes below.
+        seeded, score = 0, optimal._score
         for seed in range(3):
             inst = jittered(name, t, seed)
             form = _scaled_form(inst)
-            score = _score(form, inserted(inst))
-            seeded += score[0] < 2 * score[1]
-            assert scanned(inst, score) == scanned(inst)
+            profile = inserted(inst)
+            p, q = score(form, profile)
+            seeded += p < 2 * q
+            unseeded, below = scanned(inst), []
+
+            def logged_score(form, loads):
+                value = score(form, loads)
+                below.append(value[0] * q < p * value[1])
+                return value
+
+            monkeypatch.setattr(optimal, "_score", logged_score)
+            result = scanned(inst, profile, (p, q))
+            monkeypatch.undo()
+            assert result.alpha_star == unseeded.alpha_star
+            assert (result.witness == profile) == (p < 2 * q and not any(below))
         assert seeded
 
     def test_an_exact_insertion_profile_draws_no_table_row(self, monkeypatch):
