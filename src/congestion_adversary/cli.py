@@ -30,8 +30,8 @@ from .documents import (
     write_result,
     write_trace,
 )
-from .optimal import best_alpha
-from .oracle import oracle_best_alpha, oracle_optima
+from .optimal import ROW_WORK, _scan_work, best_alpha
+from .oracle import _walk_work, oracle_best_alpha, oracle_optima
 from .solver import GuardExceeded, SolverConfig, solve
 
 EXIT_OK = 0
@@ -55,38 +55,30 @@ SOLVE_K_MAX_PRECISION = 400
 #: took on the same host, 3.8-5.1 s, while each move built Fractions.
 SOLVE_K_MAX_WORK = 14_000_000
 #: best-alpha's work is its shape table's rows and the tail steps they draw,
-#: see _best_alpha_work: a bound on the scan, which runs only where the
-#: insertion profile is not exact: with gen's draws at seed 1, at (200, 100)
-#: alone of the accepted rungs measured.  The scan alone on those draws with
+#: see optimal._scan_work: a bound on the scan, which runs only where the
+#: insertion profile is not exact: of the rungs below, on gen's draws at
+#: seed 1 at (5 000, 5) alone, and with numerators from [1, 10] at (1 000,
+#: 20) and (5 000, 5) alone.  The scan alone, from (2, 1), on the draws with
 #: numerators from [1, 10], whole process, 2-core Xeon host, Python 3.11:
-#: (1 000, 10) is 1.1e6 and takes 0.17-0.23 s, (1 000, 20) 1.9e6 and
-#: 0.22-0.36 s, (2 000, 20) 6.4e6 and 0.52 s, (4 000, 3) 6.7e6 and
-#: 0.75-0.92 s, (3 000, 10) 9.2e6 and 0.68-0.78 s, (6 600, 2) 1.09e7 and
-#: 1.45-1.5 s; refused, (3 000, 20) at 1.35e7 0.96-1.13 s, (5 000, 5) and
-#: (8 000, 2) at 1.6e7 0.73-0.85 and 2.2-2.4 s: 0.08-0.19 us per unit.
+#: (1 000, 10) is 1.1e6 and takes 0.24-0.26 s, (1 000, 20) 1.9e6 and
+#: 0.28-0.31 s, (2 000, 20) 6.4e6 and 0.51-0.66 s, (4 000, 3) 6.7e6 and
+#: 0.69-0.79 s, (3 000, 10) 9.2e6 and 0.63-0.69 s, (6 600, 2) 1.09e7 and
+#: 1.26-1.46 s; refused, (3 000, 20) at 1.35e7 0.68-1.04 s, (5 000, 5) and
+#: (8 000, 2) at 1.6e7 0.71-0.77 and 2.2-2.9 s: 0.04-0.18 us per unit.
 BEST_ALPHA_MAX_WORK = 11_500_000
-#: Per the gen ladder the count was fitted on, a row takes 2.6 us and a counted step 0.14 us: about 16.
-BEST_ALPHA_ROW_WORK = 16
-BEST_ALPHA_UNIT = f"{BEST_ALPHA_ROW_WORK} per shape-table row, its tail steps and m * min(m, n + 1) // 32, counted up to the limit"
-#: The oracle's work is its profiles, the partitions of n into at most m
-#: parts, each priced over its bands in time linear in its nonzero parts:
-#: min(n, m) + 20 units.  Reading the document and building the form take
-#: 1.6-2 us a coefficient, charged 20 units, 2-8 us; the profiles outweigh
-#: that for the first min(n, m), so only those past them count, and below n
-#: = m a player more adds at least 23 units of profiles: the count never
-#: falls as n or m grows.
-#: It counts every profile, a worst case: oracle_optima stops at the first
-#: exact equilibrium, and an instance with alpha* > 1 walks them all.
-#: Whole process, gen --seed 1, 2-core Xeon host, Python 3.11, 16-17 MB:
+BEST_ALPHA_UNIT = f"{ROW_WORK} per shape-table row, its tail steps and m * min(m, n + 1) // 32, counted up to the limit"
+#: The oracle's work is its profiles, see oracle._walk_work.  Whole
+#: process, gen --seed 1, 2-core Xeon host, Python 3.11, 16-17 MB:
 #: (200, 3) is 7.9e4 and takes 0.1-0.15 s, (40, 2 000) 2.3e6 and 0.4-0.6 s;
 #: at the limit (1 612, 3), (305, 4), (69, 8) and (44, 2 000) take 1.2-1.6,
 #: 1.6-1.7, 1.6-1.9 and 0.6-0.8 s, walking 91 %, 99 %, 97 % and all of the
-#: profiles, and (5, 249 990) 0.5-0.6 s at 35 MB: 0.1-0.38 us per unit;
-#: (47, 20) stops at its 45th profile, in 0.1 s, where the full walk takes
-#: 0.9-1.2 s.  (10, 775 000) is refused in 0.23 s.
+#: profiles: 0.1-0.38 us per unit; (47, 20) stops at its 45th profile, in
+#: 0.1 s, where the full walk takes 0.9-1.2 s.  Reading the document is not
+#: counted, as its length limit bounds it: (5, 300 000) takes 0.42-0.48 s
+#: and 40 MB, (10, 500 000) 0.57-0.72 s and 56 MB, and 10 players on
+#: 775 000 resources, just under that limit, 1.1-1.6 s and 104 MB.
 ORACLE_MAX_WORK = 5_000_000
-ORACLE_COEFFICIENT_WORK = 20
-ORACLE_UNIT = f"profiles times min(n, m) + 20 and {ORACLE_COEFFICIENT_WORK} per coefficient past min(n, m), counted up to the limit"
+ORACLE_UNIT = "profiles times min(n, m) + 20, counted up to the limit"
 #: gen's time is drawing, sorting and printing its m coefficients.  Whole
 #: process, --n 5 --seed 1, 2-core Xeon host, Python 3.11: m = 100 000 takes
 #: 0.33-0.38 s and 28 MB, 300 000 0.7-0.9 s and 45 MB, and 500 000 0.9-1.4 s
@@ -98,75 +90,6 @@ GEN_MAX_M = 500_000
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
-
-
-def _best_alpha_work(n: int, m: int) -> int:
-    """best-alpha's work count: BEST_ALPHA_ROW_WORK per row, a bound on its tail steps, and m * min(m, n + 1) // 32.
-
-    Rows are counted exactly, per peak load M and first tail index k'': a
-    row is a way to write s = 2k + j (k resources at M, j at M - 1, k + j <
-    k'') that leaves ``n - (k'' - 1)(M - 2) - s`` players, between 0 and the
-    tail's ``(m - k'' + 1)(M - 3)``.  Each (M, k'') draws at most its largest
-    leftover plus one of its steps, and at most all of them: at most
-    ``min(n - 1 - (k'' - 1)(M - 2), (m - k'' + 1)(M - 3))``, summed here over
-    every M >= 3 and k'' that leaves a player, so that the count never falls
-    as n or m grows.  Below M = n // m + 1 no row is admitted and the first
-    term is the larger, which sums in closed form.  ``m * min(m, n + 1) //
-    32`` is the integer form over lcm(1..min(m, n + 1)), the scan's scale: m
-    numbers of about 1.44 min(m, n + 1) bits each.
-    Counting stops once past BEST_ALPHA_MAX_WORK; past it the count is a
-    lower bound.
-    """
-
-    def ways(s: int, k_dprime: int) -> int:  # to write at most s as 2k + j, k >= 1, j >= 0, k + j < k''
-        over = max(0, s - k_dprime)
-        return s * s // 4 - over * (over + 1) // 2
-
-    if m < 2:
-        return 0
-    low, row = n // m, BEST_ALPHA_ROW_WORK
-    t = max(0, low - 3)
-    work = m * min(m, n + 1) // 32 + row * (n < m) + m * (m - 1) // 2 * (t * (t + 1) // 2)
-    for M in range(max(2, low + 1), n + 1):
-        if work > BEST_ALPHA_MAX_WORK:
-            break
-        s = n - m * (M - 2)  # No tail: the leftover 0 fixes s, and k < m.
-        if 2 <= s <= 2 * m:
-            work += row * (ways(s, m + 1) - ways(s - 1, m + 1) - (s == 2 * m))
-        if M < 3:
-            continue
-        b, c = M - 2, M - 3
-        last = min(m, (n - 2) // b + 1)  # the last k'' that leaves a player
-        split = min(max(2, n - m * c), last + 1)  # from here n - 1 - (k'' - 1) b is the smaller
-        work += c * ((split - 2) * (m - 1) - (split - 2) * (split - 3) // 2)
-        work += (last - split + 1) * (2 * n - 2 - b * (split + last - 2)) // 2
-        for k_dprime in range(max(2, -(-(n - m * c + 3) // 3)), last + 1):
-            top = n - (k_dprime - 1) * b  # leftover plus s
-            first = max(1, top - (m - k_dprime + 1) * c - 1)
-            work += row * max(0, ways(min(2 * k_dprime - 2, top), k_dprime) - ways(first, k_dprime))
-    return work
-
-
-def _oracle_work(n: int, m: int) -> int:
-    """The oracle's work: profiles, counted in O(n * m), times min(n, m) + 20, plus the reading (see ORACLE_UNIT).
-
-    Counting stops once past ORACLE_MAX_WORK, so past it the count is a
-    lower bound.  Over two or more resources there are at least n // 2 + 1
-    profiles, so an instance refused for those alone is refused before the
-    list of n + 1 partition counts is made.
-    """
-    width = min(n, m) + 20
-    reading = ORACLE_COEFFICIENT_WORK * (m - min(n, m))
-    profiles = 1 if n == 1 or m == 1 else n // 2 + 1  # partitions into at most 2 parts
-    if min(n, m) > 2 and profiles * width + reading <= ORACLE_MAX_WORK:
-        counts = [j // 2 + 1 for j in range(n + 1)]
-        for k in range(3, min(n, m) + 1):  # partitions of each j into parts of at most k
-            for j in range(k, n + 1):
-                counts[j] += counts[j - k]
-            if counts[n] * width + reading > ORACLE_MAX_WORK:
-                break
-        profiles = counts[n]
-    return profiles * width + reading
 
 
 def _refuse(command: str, n: int, m: int, work: int, limit: int, unit: str) -> None:
@@ -194,15 +117,13 @@ def cmd_solve_k(args) -> int:
     def check(n: int, m: int) -> None:
         _refuse("solve-k", n, m, 50 * n + m, SOLVE_K_MAX_WORK, "50 * n + m")
 
-    if args.precision < 1:
-        return _fail(EXIT_PARSE, f"error: --precision must be >= 1, got {args.precision}")
     if args.precision > SOLVE_K_MAX_PRECISION:
         return _fail(
             EXIT_PARSE,
             f"error: solve-k refuses --precision > {SOLVE_K_MAX_PRECISION} (got {args.precision})",
         )
+    config = SolverConfig.default(precision=args.precision)  # GameError below 1
     doc = load_instance_document(args.instance, check)
-    config = SolverConfig.default(precision=args.precision)
     start = time.perf_counter()
     try:
         loads, trace = solve(doc.instance, config)
@@ -229,12 +150,9 @@ def cmd_solve_k(args) -> int:
 
 def cmd_best_alpha(args) -> int:
     def check(n: int, m: int) -> None:
-        # Not counted where a bound on the count, n peak loads of at most m**3
-        # rows and n * m steps each, fits: counting takes 18-29 us at n <= 15, m = 3.
-        if n * m * (BEST_ALPHA_ROW_WORK * m * m + n) + m * min(m, n + 1) // 32 > BEST_ALPHA_MAX_WORK:
-            _refuse("best-alpha", n, m, _best_alpha_work(n, m), BEST_ALPHA_MAX_WORK, BEST_ALPHA_UNIT)
+        _refuse("best-alpha", n, m, _scan_work(n, m, BEST_ALPHA_MAX_WORK), BEST_ALPHA_MAX_WORK, BEST_ALPHA_UNIT)
         if args.oracle_check:
-            _refuse("--oracle-check", n, m, _oracle_work(n, m), ORACLE_MAX_WORK, ORACLE_UNIT)
+            _refuse("--oracle-check", n, m, _walk_work(n, m, ORACLE_MAX_WORK), ORACLE_MAX_WORK, ORACLE_UNIT)
 
     inst = load_instance_document(args.instance, check).instance
     start = time.perf_counter()
@@ -294,7 +212,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     def check(n: int, m: int) -> None:
-        _refuse("oracle", n, m, _oracle_work(n, m), ORACLE_MAX_WORK, ORACLE_UNIT)
+        _refuse("oracle", n, m, _walk_work(n, m, ORACLE_MAX_WORK), ORACLE_MAX_WORK, ORACLE_UNIT)
 
     inst = load_instance_document(args.instance, check).instance
     start = time.perf_counter()

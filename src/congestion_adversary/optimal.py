@@ -190,6 +190,63 @@ def _shape_table(inst: Instance, form, score) -> Iterator[tuple]:
                     yield ((M, k, k_prime, k_dprime), prefix, leftover, *heads, tails[k_dprime])
 
 
+#: Per the gen ladder the count was fitted on, a row takes 2.6 us and a counted step 0.14 us: about 16.
+ROW_WORK = 16
+
+
+def _scan_work(n: int, m: int, limit: int) -> int:
+    """The scan's work count: ROW_WORK per row of :func:`_shape_table`, a bound on its tail steps, and m * min(m, n + 1) // 32.
+
+    Rows are counted exactly, per peak load M and first tail index k'': a
+    row is a way to write s = 2k + j (k resources at M, j at M - 1, k + j <
+    k'') that leaves ``n - (k'' - 1)(M - 2) - s`` players, between 0 and the
+    tail's ``(m - k'' + 1)(M - 3)``.  Each (M, k'') draws at most its largest
+    leftover plus one of its steps, and at most all of them: at most
+    ``min(n - 1 - (k'' - 1)(M - 2), (m - k'' + 1)(M - 3))``, summed here over
+    every M >= 3 and k'' that leaves a player, so that the count never falls
+    as n or m grows.  Below M = n // m + 1 no row is admitted and the first
+    term is the larger, which sums in closed form.  ``m * min(m, n + 1) //
+    32`` is the integer form over lcm(1..min(m, n + 1)), the scan's scale: m
+    numbers of about 1.44 min(m, n + 1) bits each.
+    Where a bound on the count, n peak loads of at most m**3 rows and n * m
+    steps each, fits under `limit`, it is returned uncounted: counting takes
+    18-29 us at n <= 15, m = 3.  Else counting stops once past `limit`; past
+    it the count is a lower bound.
+    """
+
+    def ways(s: int, k_dprime: int) -> int:  # to write at most s as 2k + j, k >= 1, j >= 0, k + j < k''
+        over = max(0, s - k_dprime)
+        return s * s // 4 - over * (over + 1) // 2
+
+    if m < 2:
+        return 0
+    form = m * min(m, n + 1) // 32
+    work = n * m * (ROW_WORK * m * m + n) + form
+    if work <= limit:
+        return work
+    low, row = n // m, ROW_WORK
+    t = max(0, low - 3)
+    work = form + row * (n < m) + m * (m - 1) // 2 * (t * (t + 1) // 2)
+    for M in range(max(2, low + 1), n + 1):
+        if work > limit:
+            break
+        s = n - m * (M - 2)  # No tail: the leftover 0 fixes s, and k < m.
+        if 2 <= s <= 2 * m:
+            work += row * (ways(s, m + 1) - ways(s - 1, m + 1) - (s == 2 * m))
+        if M < 3:
+            continue
+        b, c = M - 2, M - 3
+        last = min(m, (n - 2) // b + 1)  # the last k'' that leaves a player
+        split = min(max(2, n - m * c), last + 1)  # from here n - 1 - (k'' - 1) b is the smaller
+        work += c * ((split - 2) * (m - 1) - (split - 2) * (split - 3) // 2)
+        work += (last - split + 1) * (2 * n - 2 - b * (split + last - 2)) // 2
+        for k_dprime in range(max(2, -(-(n - m * c + 3) // 3)), last + 1):
+            top = n - (k_dprime - 1) * b  # leftover plus s
+            first = max(1, top - (m - k_dprime + 1) * c - 1)
+            work += row * max(0, ways(min(2 * k_dprime - 2, top), k_dprime) - ways(first, k_dprime))
+    return work
+
+
 def _drawn(coeffs, M: int, k_dprime: int, tail: list, count: int) -> Tuple[List[int], List[int]]:
     """The tail's sorted steps ``t * a_r`` (t <= M - 3), drawn to `count` or all: ``(steps, values)``.
 
@@ -249,8 +306,8 @@ def _windows(coeffs, row: tuple, p: int, q: int) -> tuple:
     return (*windows, room, steps)
 
 
-def _least_factor(steps, room, need_max, need_rest, cbar_max, cbar_rest) -> Optional[Tuple[int, int]]:
-    """Least alpha at which a pair within its row's cut passes the head conditions and fills, or None.
+def _least_factor(steps, room, need_max, need_rest, cbar_max, cbar_rest) -> Tuple[int, int]:
+    """Least alpha at which a pair within its row's cut passes the head conditions and fills.
 
     Returned as ``(p, q)`` for p/q, not in lowest terms.  Besides 1 and the
     two ``need / c``, alpha must reach the row's ``room / cbar_rest`` and
@@ -259,15 +316,14 @@ def _least_factor(steps, room, need_max, need_rest, cbar_max, cbar_rest) -> Opti
     a_r / cbar_rest``, the largest of the row's `steps` below c.  The lower
     bounds fail past the cut of :func:`_windows`: lower_r > M - 3 for the
     least tail coefficient, or more steps below c, the lower bounds' sum,
-    than leftover players.  Within it, None only for a zero `cbar_max`, or
-    a zero `cbar_rest` that must lift a bound.
+    than leftover players.  Within the windows every pair has one: a
+    `cbar_max` window starts at ``ceil(need_max / alpha) >= 1``, as need_max
+    >= B / k >= 1 on the scaled form; and a zero `cbar_rest` needs need_rest
+    = room = 0, so leftover 0 and a cut at the least step, below which no
+    step lies: nothing to lift.
     """
-    if not cbar_max:
-        return None
     total = bisect_left(steps, max(cbar_max, cbar_rest))
     top = max(room, need_rest, steps[total - 1] if total else 0)
-    if top and not cbar_rest:
-        return None
     if top * cbar_max >= need_max * (cbar_rest or 1):
         return (top, cbar_rest) if top > cbar_rest else (1, 1)
     return (need_max, cbar_max) if need_max > cbar_max else (1, 1)
@@ -326,10 +382,7 @@ def _scan(inst: Instance, form, seed, seed_score: Tuple[int, int]) -> OptResult:
                 continue
             kept = []
             for crest in live:
-                factor = _least_factor(steps, room, need_max, need_rest, cmax, crest)
-                if factor is None:
-                    continue
-                f, g = factor
+                f, g = factor = _least_factor(steps, room, need_max, need_rest, cmax, crest)
                 if f * q > p * g:
                     if need_max * q > p * cmax:  # need_max / cmax alone fails: keep crest
                         kept.append(crest)

@@ -46,6 +46,31 @@ def _partitions(n: int, m: int) -> Iterator[List[int]]:
         parts[i:] = [top] * (count + 1) + [extra] * (extra > 0)
 
 
+def _walk_work(n: int, m: int, limit: int) -> int:
+    """The walk's work count: the profiles, counted in O(n * m), times min(n, m) + 20.
+
+    A profile is priced over its bands in time linear in its nonzero parts,
+    so min(n, m) + 20 units each.  It counts every profile, a worst case:
+    :func:`oracle_optima` stops at the first exact equilibrium, and an
+    instance with alpha* > 1 walks them all.  Counting stops once past
+    `limit`, so past it the count is a lower bound.  Over two or more
+    resources there are at least n // 2 + 1 profiles, so an instance refused
+    for those alone is refused before the list of n + 1 partition counts is
+    made.
+    """
+    width = min(n, m) + 20
+    profiles = 1 if n == 1 or m == 1 else n // 2 + 1  # partitions into at most 2 parts
+    if min(n, m) > 2 and profiles * width <= limit:
+        counts = [j // 2 + 1 for j in range(n + 1)]
+        for k in range(3, min(n, m) + 1):  # partitions of each j into parts of at most k
+            for j in range(k, n + 1):
+                counts[j] += counts[j - k]
+            if counts[n] * width > limit:
+                break
+        profiles = counts[n]
+    return profiles * width
+
+
 def _padded(parts: List[int], m: int) -> Tuple[int, ...]:
     return tuple(parts) + (0,) * (m - len(parts))
 

@@ -9,6 +9,7 @@ import pytest
 
 import congestion_adversary.cli as cli_module
 import congestion_adversary.documents as documents_module
+import congestion_adversary.optimal as optimal_module
 import congestion_adversary.oracle as oracle_module
 from congestion_adversary import (
     INFINITY,
@@ -37,6 +38,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cubic_bound(n, m):
+    """The bound on best-alpha's count under which the count is not taken."""
+    return n * m * (optimal_module.ROW_WORK * m * m + n) + m * min(m, n + 1) // 32
+
+
+def scan_count(n, m, limit=float("inf")):
+    """best-alpha's count taken, not skipped, up to `limit`.
+
+    Under a limit below the cubic bound the bound does not fit, so the count
+    is taken; as it never passes that bound, it is taken in full up to `limit`.
+    """
+    return optimal_module._scan_work(n, m, min(limit, cubic_bound(n, m) - 1))
 
 
 def run_json(capsys, *argv):
@@ -185,6 +200,19 @@ class TestSolveK:
         assert code == 2
         assert not out
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "precision,message",
+        [
+            ("0", "precision must be >= 1, got 0"),
+            ("-3", "precision must be >= 1, got -3"),
+            ("401", "solve-k refuses --precision > 400 (got 401)"),
+        ],
+    )
+    def test_precision_is_refused_before_the_document_is_read(self, capsys, tmp_path, precision, message):
+        # compute_K alone refuses a precision below 1; the document is missing.
+        code, out, err = run(capsys, "solve-k", str(tmp_path / "missing.json"), "--precision", precision)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_refuses_oversized_instances_up_front(self, capsys, monkeypatch, tmp_path):
         # 50 * n + m: exactly the allowed units of work at (players,
@@ -400,21 +428,20 @@ class TestBestAlpha:
             if k_dprime <= m:
                 most = min(leftover + 1, (m - k_dprime + 1) * (M - 3))
                 drawn[M, k_dprime] = max(drawn.get((M, k_dprime), 0), most)
-        work = cli_module._best_alpha_work(n, m)
+        work = scan_count(n, m)
         form_work = m * min(m, n + 1) // 32
-        tail = work - cli_module.BEST_ALPHA_ROW_WORK * len(rows) - form_work
+        tail = work - optimal_module.ROW_WORK * len(rows) - form_work
         assert sum(drawn.values()) <= tail <= n * n * m
-        assert work <= n * m * (cli_module.BEST_ALPHA_ROW_WORK * m * m + n) + form_work
+        assert work <= cubic_bound(n, m)
 
     @pytest.mark.parametrize("m", [2, 3, 5, 20, 60])
     def test_no_uncounted_header_is_past_the_limit(self, m):
-        # The check skips counting up to the largest n whose bound fits.
-        def bound(n):
-            return n * m * (cli_module.BEST_ALPHA_ROW_WORK * m * m + n) + m * min(m, n + 1) // 32
-
-        top = max(n for n in range(1, 4000) if bound(n) <= cli_module.BEST_ALPHA_MAX_WORK)
+        # The count returns its cubic bound uncounted up to the largest n
+        # where that bound fits under the limit.
+        limit = cli_module.BEST_ALPHA_MAX_WORK
+        top = max(n for n in range(1, 4000) if cubic_bound(n, m) <= limit)
         for n in [*range(1, top, max(1, top // 40)), top]:
-            assert cli_module._best_alpha_work(n, m) <= bound(n)
+            assert scan_count(n, m) <= cubic_bound(n, m) == optimal_module._scan_work(n, m, limit)
 
     def test_work_count_does_not_fall_as_n_or_m_grows(self):
         # So no header is let through while a smaller one is refused.  Past
@@ -422,7 +449,7 @@ class TestBestAlpha:
         limit = cli_module.BEST_ALPHA_MAX_WORK
 
         def work(n, m):
-            return min(cli_module._best_alpha_work(n, m), limit + 1)
+            return min(scan_count(n, m, limit), limit + 1)
 
         grid = {(n, m): work(n, m) for n in range(1, 122) for m in range(1, 26)}
         for (n, m), count in grid.items():
@@ -454,7 +481,7 @@ class TestBestAlpha:
     def test_refuses_the_first_rung_past_the_limit_from_the_header(self, capsys, tmp_path):
         # (1 000, 20) and (2 000, 20) are let through; (3 000, 20) is past
         # the limit, counted from the header before any rational is parsed.
-        assert cli_module._best_alpha_work(2000, 20) <= cli_module.BEST_ALPHA_MAX_WORK
+        assert optimal_module._scan_work(2000, 20, cli_module.BEST_ALPHA_MAX_WORK) <= cli_module.BEST_ALPHA_MAX_WORK
         path = tmp_path / "rung.json"
         path.write_text(json.dumps({"players": 3000, "budget": "x", "coefficients": ["x"] * 20}))
         code, out, err = run(capsys, "best-alpha", str(path))
@@ -619,8 +646,7 @@ class TestOracle:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 30])
     def test_work_count_is_the_profile_count(self, n, m):
         profiles = sum(1 for _ in padded_partitions(n, m))
-        width = min(n, m)
-        assert cli_module._oracle_work(n, m) == profiles * (width + 20) + 20 * (m - width)
+        assert oracle_module._walk_work(n, m, cli_module.ORACLE_MAX_WORK) == profiles * (min(n, m) + 20)
 
     def test_work_count_does_not_fall_as_n_or_m_grows(self):
         # So no header is let through while a smaller one is refused.  Past
@@ -628,7 +654,7 @@ class TestOracle:
         limit = cli_module.ORACLE_MAX_WORK
 
         def work(n, m):
-            return min(cli_module._oracle_work(n, m), limit + 1)
+            return min(oracle_module._walk_work(n, m, limit), limit + 1)
 
         grid = {(n, m): work(n, m) for n in range(1, 80) for m in range(1, 60)}
         for (n, m), count in grid.items():
@@ -636,9 +662,9 @@ class TestOracle:
         for m in (2, 3, 2000, 10**6):
             ladder = [work(n, m) for n in (1, 2, 3, 10, 26, 44, 45, 100, 2000, 10**6)]
             assert ladder == sorted(ladder)
-        for n in (1, 2, 10, 44):
+        for n in (1, 2, 10, 44):  # No charge for reading: from m = n on, more resources add nothing.
             ladder = [work(n, m) for m in (1, 2, 3, 20, 2000, 200_000, 10**6)]
-            assert ladder == sorted(ladder) and ladder[-1] == limit + 1
+            assert ladder == sorted(ladder) and ladder[-1] == work(n, n)
 
     @pytest.mark.parametrize("coefficients", [["1", "2"], ["1", "2", "3"]])
     def test_refuses_a_hundred_million_players_at_once(self, capsys, tmp_path, coefficients):
@@ -648,6 +674,14 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", str(path))
         assert time.perf_counter() - start < 1
         assert code == 2 and not out and err.startswith("error: oracle refuses")
+
+    def test_answers_five_players_on_three_hundred_thousand_resources(self, capsys, tmp_path):
+        # 7 profiles, 175 units: reading the document is bounded by its
+        # length limit, not charged to the count.
+        path = tmp_path / "wide.json"
+        path.write_text(generate_instance(5, 300_000, 1).dumps())
+        code, obj, _ = run_json(capsys, "oracle", str(path))
+        assert code == 0 and sum(obj["loads"]) == 5 and len(obj["loads"]) == 300_000
 
     def test_many_resources_few_players(self, capsys, tmp_path):
         # 2 000 resources: each profile's trailing zeros come at once, not
@@ -775,13 +809,16 @@ class TestInputRefusals:
         assert (code, out) == (2, "")
         assert err == f"error: {refusal} at n={players}, m={resources})\n"
 
-    @pytest.mark.parametrize("command,players", [("best-alpha", 300), ("oracle", 10)], ids=["best-alpha", "oracle"])
-    def test_a_document_at_the_length_limit_is_refused_in_under_a_second(self, capsys, tmp_path, command, players):
-        # 775 000 resources, the shape of gen's output, just under the
-        # character limit: parsing every coefficient took about 7 s.  The
-        # oracle refuses ten players; best-alpha, whose form is over
-        # lcm(1..min(m, n + 1)), answers them, and 200, in about 2 s, and
-        # refuses 300 at 1.17e7 units.
+    @pytest.mark.parametrize("command", ["best-alpha", "oracle"])
+    def test_a_document_at_the_length_limit_is_refused_in_under_a_second(self, capsys, tmp_path, command):
+        # 300 players on 775 000 resources, the shape of gen's output, just
+        # under the character limit: parsing every coefficient took about
+        # 7 s.  Neither count charges the reading, which the limit bounds:
+        # best-alpha, whose form is over lcm(1..min(m, n + 1)), answers 10
+        # or 200 players in about 2 s and refuses 300 at 1.17e7 units; the
+        # oracle answers 10 players in about 1.5 s, and refuses 300 by their
+        # profiles alone.
+        players = 300
         rng = random.Random(1)
         coefficients = [f"{rng.randint(0, 10)}/{rng.randint(1, 4)}" for _ in range(775_000)]
         text = json.dumps({"players": players, "budget": "3/2", "coefficients": coefficients})

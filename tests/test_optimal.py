@@ -497,7 +497,7 @@ def witness_at(inst, alpha):
         for cmax in cmax_window:
             for crest in crest_window:
                 factor = _least_factor(steps, room, row[3], row[5], cmax, crest)
-                if factor is None or Fraction(*factor) > alpha:
+                if Fraction(*factor) > alpha:
                     continue
                 p, q = alpha.numerator, alpha.denominator
                 fill = feasible_load_vector(form[0], row, (p, q), cmax, crest)
@@ -827,6 +827,30 @@ class TestLeastFactor:
                 for crest in crest_all:
                     if max(cmax, crest) > cut:
                         assert reference_least_factor(inst, row, room, cmax, crest) is None
+
+    @given(small_instances(min_m=2), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_every_window_pair_has_the_reference_factor_at_the_scan_scores(self, inst, data):
+        # The scan prices the pairs of a row's windows at its running score,
+        # from 2 down to alpha*, and counts on each having a least factor:
+        # every cmax is at least 1, and a zero crest leaves no step to lift.
+        # Checked at 2, 6/5, alpha* and just below it, where a run of
+        # leading zero coefficients puts free resources in the tail.
+        zeros = data.draw(st.integers(0, inst.m - 1))
+        inst = validate_instance(
+            [0] * zeros + list(inst.coefficients[zeros:]), inst.n, inst.budget
+        )
+        form, rows = scan_inputs(inst)
+        star = best_alpha(inst).alpha_star
+        for alpha in (Fraction(2), Fraction(6, 5), star, star - Fraction(1, 10**9)):
+            for row in rows:
+                cmax_window, crest_window, room, steps = scan_windows(form, row, alpha) or ([], [], 0, [])
+                for cmax in cmax_window:
+                    for crest in crest_window:
+                        factor = _least_factor(steps, room, row[3], row[5], cmax, crest)
+                        costs = Fraction(cmax, form[2]), Fraction(crest, form[2])
+                        expected = reference_least_factor(inst, row, reference_room(inst, row), *costs)
+                        assert cmax >= 1 and Fraction(*factor) == expected
 
     @given(small_instances(), st.data())
     @settings(deadline=None, max_examples=100)
