@@ -18,7 +18,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .core import GameError, _binding, is_alpha_pne, needed_alpha
+from .core import K, GameError, _above, _binding, is_alpha_pne, needed_alpha
 from .documents import (
     _parse_rationals,
     _ratio,
@@ -40,10 +40,6 @@ EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_ORACLE_MISMATCH = 4
 
-#: compute_K's bisection time grows about as precision**2.5.  solve-k on the
-#: fixtures, 2-core Xeon host, Python 3.11: 0.15 s at 100, 0.26 s at 400 and
-#: 0.8 s at 800, whole process; compute_K alone takes 3.4 s at 1 600.
-SOLVE_K_MAX_PRECISION = 400
 #: solve-k's trace holds one event per move, about two per player, and no
 #: loads, so its work is 50 * n + m, at most the n * (m + 50) it was while
 #: each event held m loads.  Whole process with --trace, gen --seed 1, 2-core
@@ -117,16 +113,10 @@ def cmd_solve_k(args) -> int:
     def check(n: int, m: int) -> None:
         _refuse("solve-k", n, m, 50 * n + m, SOLVE_K_MAX_WORK, "50 * n + m")
 
-    if args.precision > SOLVE_K_MAX_PRECISION:
-        return _fail(
-            EXIT_PARSE,
-            f"error: solve-k refuses --precision > {SOLVE_K_MAX_PRECISION} (got {args.precision})",
-        )
-    config = SolverConfig.default(precision=args.precision)  # GameError below 1
     doc = load_instance_document(args.instance, check)
     start = time.perf_counter()
     try:
-        loads, trace = solve(doc.instance, config)
+        loads, trace = solve(doc.instance, SolverConfig())
     except GuardExceeded as exc:
         return _fail(EXIT_GUARD, f"error: {exc}")
     elapsed = (time.perf_counter() - start) * 1000
@@ -140,7 +130,7 @@ def cmd_solve_k(args) -> int:
         loads,
         solver="incremental",
         elapsed_ms=elapsed,
-        alpha=config.alpha,
+        alpha=K,
         needed=needed_alpha(doc.instance, loads),
         trace=None if args.trace else trace,
     )
@@ -188,7 +178,8 @@ def cmd_verify(args) -> int:
         loads = [int(part) for part in args.loads.split(",")]
     except ValueError as exc:  # More digits than Python converts to an int.
         return _fail(EXIT_PARSE, f"error: {exc}")
-    (p,), (q,) = _parse_rationals([args.alpha])  # alpha = p/q in lowest terms
+    exact = args.alpha == "K"  # K itself, decided by its cubic's sign; K > 1.
+    (p,), (q,) = ([1], [1]) if exact else _parse_rationals([args.alpha])  # alpha = p/q in lowest terms
     inst = doc.instance
     if len(loads) != inst.m or sum(loads) != inst.n or p < q:  # The digits make every load >= 0.
         return _fail(
@@ -199,8 +190,8 @@ def cmd_verify(args) -> int:
     # One integer pricing for the verdict and the violation; None (m = 1)
     # passes, and an infinite ratio, (1, 0), passes no alpha.
     found = _binding(inst.form, loads)
-    ok = found is None or found[0][0] * q <= p * found[0][1]
-    obj = {"loads": loads, "alpha": _ratio(p, q), "is_alpha_pne": ok}
+    ok = found is None or not (_above(K, *found[0]) if exact else found[0][0] * q > p * found[0][1])
+    obj = {"loads": loads, "alpha": K if exact else _ratio(p, q), "is_alpha_pne": ok}
     if not ok:
         (num, den), r, cost, k, dev, j, target = found
         cost, dev = _ratio(cost, k * inst.form[2]), _ratio(dev, j * inst.form[2])
@@ -270,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-k", help="compute a threshold-approximate equilibrium")
     p.add_argument("instance", help="path to an instance JSON document")
-    p.add_argument("--precision", type=int, default=12)
     p.add_argument("--trace", help="write the event trace to this path")
     add_pretty(p)
     p.set_defaults(func=cmd_solve_k)
@@ -288,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a load profile against a factor")
     p.add_argument("instance")
     p.add_argument("loads", help="comma-separated loads, e.g. 2,2,1")
-    p.add_argument("alpha", help="rational factor, e.g. 7/6")
+    p.add_argument("alpha", help="rational factor, e.g. 7/6, or K")
     add_pretty(p)
     p.set_defaults(func=cmd_verify)
 

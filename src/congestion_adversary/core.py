@@ -30,6 +30,7 @@ __all__ = [
     "needed_alpha",
     "binding_deviation",
     "is_alpha_pne",
+    "K",
     "compute_K",
     "k_upper_bound",
 ]
@@ -39,6 +40,9 @@ __all__ = [
 INFINITY = float("inf")
 
 ExtendedRational = Union[Fraction, float]
+
+#: The threshold constant itself as a factor, as result documents write it; test it by identity.
+K = "K"
 
 Loads = Sequence[int]
 
@@ -365,15 +369,25 @@ def _score(form, loads) -> Tuple[int, int]:
     return found[0] if found is not None and found[0][0] > found[0][1] else (1, 1)
 
 
-def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int]) -> bool:
-    """True iff no player can improve her cost by more than factor `alpha`."""
+def is_alpha_pne(inst: Instance, loads: Loads, alpha: Union[Fraction, int, str]) -> bool:
+    """True iff no player can improve her cost by more than factor `alpha`, a rational or K."""
     if sum(loads) != inst.n:
         raise GameError(f"loads sum to {sum(loads)}, expected {inst.n} players")
     found = _binding(inst.form, loads)
-    alpha = _rational(alpha, "alpha")
+    alpha = alpha if alpha is K else _rational(alpha, "alpha")
     # needed_alpha <= alpha in integers: 1 when m = 1, and INFINITY, (1, 0), passes no alpha.
-    num, den = (1, 1) if found is None else found[0]
-    return num * alpha.denominator <= alpha.numerator * den
+    return not _above(alpha, *((1, 1) if found is None else found[0]))
+
+
+def _above(alpha, a: int, b: int) -> bool:
+    """True iff a/b > alpha, a Fraction or K, for a, b >= 0, b = 0 an infinite ratio.
+
+    f(x) = x^3 - x^2/2 - 1 is negative below its one real root K and positive
+    above, so a/b > K iff 2a^3 - a^2 b - 2b^3 > 0, which at b = 0 is a > 0.
+    """
+    if alpha is K:
+        return 2 * a * a * a - a * a * b - 2 * b * b * b > 0
+    return a * alpha.denominator > alpha.numerator * b
 
 
 def compute_K(precision: int) -> Tuple[Fraction, Fraction]:
@@ -393,14 +407,11 @@ def _bisect_K(precision: int) -> Tuple[Fraction, Fraction]:
     lo, hi = Fraction(1), Fraction(2)
     width = Fraction(1, 10**precision)
     while hi - lo > width:
-        mid = (lo + hi) / 2
-        if mid * mid * mid - mid * mid / 2 - 1 >= 0:
-            hi = mid
-        else:
-            lo = mid
+        mid = (lo + hi) / 2  # A rational, so never K itself.
+        lo, hi = (lo, mid) if _above(K, mid.numerator, mid.denominator) else (mid, hi)
     return lo, hi
 
 
 def k_upper_bound(precision: int = 12) -> Fraction:
-    """Rational upper bound on the threshold constant (safe solver alpha)."""
+    """Rational upper bound on K, for callers that need a Fraction: solve and is_alpha_pne take K itself."""
     return compute_K(precision)[1]

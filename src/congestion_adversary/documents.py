@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple, Union
 
-from .core import INFINITY, GameError, Instance, _instance, compute_K, validate_instance
+from .core import INFINITY, K, GameError, Instance, _instance, compute_K, validate_instance
 from .solver import SolveTrace
 
 __all__ = [
@@ -197,7 +197,7 @@ def result_document(
     loads: Sequence[int],
     solver: str,
     elapsed_ms: float,
-    alpha: Optional[Fraction] = None,
+    alpha: Optional[Union[Fraction, str]] = None,
     needed: Optional[object] = None,
     trace: Optional[SolveTrace] = None,
     **extra,
@@ -205,7 +205,7 @@ def result_document(
     """A solver's result; a `trace` is kept as is, for :func:`write_result` to stream."""
     obj = {"loads": list(loads), "solver": solver}
     if alpha is not None:
-        obj["alpha"] = format_rational(alpha)
+        obj["alpha"] = alpha if alpha is K else format_rational(alpha)
     if needed is not None:
         obj["needed_alpha"] = "inf" if needed == INFINITY else format_rational(needed)
     if trace is not None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .core import FORM_MAX_BITS, GameError, Instance, _binding, _deviation, _pricing, _score
+from .core import FORM_MAX_BITS, GameError, Instance, _above, _binding, _deviation, _pricing, _score
 from .solver import _peaks, _shift
 
 __all__ = ["best_alpha"]
@@ -408,6 +408,6 @@ def _checked(inst: Instance, alpha: Fraction, witness, found=None) -> OptResult:
         raise RuntimeError(f"no witness of {inst.n} players at the optimum {alpha}")
     found = found or _binding(inst.form, witness)
     binding = _deviation(inst.form, found)
-    if found is not None and found[0][0] * alpha.denominator > alpha.numerator * found[0][1]:
+    if found is not None and _above(alpha, *found[0]):
         raise RuntimeError(f"the witness needs {binding[0]}, above the optimum {alpha}")
     return OptResult(alpha_star=alpha, witness=witness, binding=binding)

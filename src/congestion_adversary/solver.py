@@ -4,9 +4,9 @@ Players are inserted one at a time onto a best-response resource.  Whenever
 some seated player could cut her cost by more than the configured factor, the
 most expensive such player moves to a best response, until everyone is
 settled; only then is the next player inserted.  For any factor at or above
-the threshold constant (see :func:`congestion_adversary.core.compute_K`) this
-terminates with at most 2k deviations in round k, the bound of the
-termination analysis, which the run checks as its one guard.
+the threshold constant K, the default (comparisons with K are exact, by the
+sign of its cubic), this terminates with at most 2k deviations in round k,
+the bound of the termination analysis, which the run checks as its one guard.
 
 Players are interchangeable, so state is a load vector and the trace's moves
 name resources, not players, with each cost an exact integer pair.
@@ -18,9 +18,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
-from .core import GameError, Instance, _pricing, _rational, k_upper_bound
+from .core import K, GameError, Instance, _above, _pricing, _rational, compute_K
 
 __all__ = ["STRICT", "GuardExceeded", "SolveTrace", "SolverConfig", "solve"]
 
@@ -73,19 +73,16 @@ class SolveTrace:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    alpha: Fraction
+    alpha: Union[Fraction, str] = K  # K itself, or a rational >= 1 stored as a Fraction.
     guard_mode: str = STRICT  # Accepts only STRICT, kept for the benchmark's keyword.
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _rational(self.alpha, "alpha"))
-        if self.alpha < 1:
-            raise GameError(f"alpha must be >= 1, got {self.alpha}")
+        if self.alpha is not K:
+            object.__setattr__(self, "alpha", _rational(self.alpha, "alpha"))
+            if self.alpha < 1:
+                raise GameError(f"alpha must be >= 1, got {self.alpha}")
         if self.guard_mode != STRICT:
             raise GameError(f"unknown guard mode {self.guard_mode!r}")
-
-    @classmethod
-    def default(cls, precision: int = 12) -> "SolverConfig":
-        return cls(alpha=k_upper_bound(precision))
 
 
 def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveTrace]:
@@ -111,7 +108,7 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     """
     m = inst.m
     alpha = config.alpha
-    num, den = alpha.numerator, alpha.denominator
+    num, den = (compute_K(12)[0] if alpha is K else alpha).as_integer_ratio()
     loads: List[int] = [0] * m
     heads, tails = [(0, 0)], []
     moves = []
@@ -129,7 +126,7 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
         deviations = 0
         while True:
             priced = _pricing(form, loads, heads, _peaks(heads, tails, m))
-            found = None if quiet else _deviator(form, priced, tails, num, den)
+            found = None if quiet else _deviator(form, priced, tails, alpha, num, den)
             if found is None:
                 break
             deviations += 1
@@ -137,7 +134,7 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
                 raise GuardExceeded(f"round {k} exceeded {2 * k} deviations (strict guard, alpha={alpha})")
             source, cost, cost_den, dev, dev_den, target = found
             # cost / (cost_den * D) > alpha * dev / (dev_den * D), every denominator positive.
-            if not cost * dev_den * den > num * dev * cost_den:
+            if not _above(alpha, cost * dev_den, dev * cost_den):
                 raise AssertionError(
                     f"selected deviation {source}->{target} is not alpha-improving"
                 )
@@ -150,14 +147,15 @@ def solve(inst: Instance, config: SolverConfig) -> Tuple[Tuple[int, ...], SolveT
     return tuple(loads), SolveTrace(tuple(moves), tuple(per_round), form[2])
 
 
-def _deviator(form, priced, tails, num, den):
-    """The costliest mover improving by more than ``num / den``, ties toward the largest index.
+def _deviator(form, priced, tails, alpha, num, den):
+    """The costliest mover improving by more than `alpha`, ties toward the largest index.
 
     `tails` are ``(r, loads[r])`` pairs of occupied resources in index
     order, and `priced` is the profile's :func:`_pricing`.  A mover on r
     pays ``cost, k`` and moves to the cheapest target of its kind, or to the
-    runner-up when that target is r, at ``dev, j``.  Returns ``(r, cost, k, dev, j, target)``, or None
-    when nobody improves by more than the factor, as always when m = 1.
+    runner-up when that target is r, at ``dev, j``.  ``num / den`` is alpha,
+    or for K a rational just below it, past which :func:`_above` decides.
+    Returns ``(r, cost, k, dev, j, target)``, or None when nobody improves, as always when m = 1.
     """
     peak, count, below, at_peak = priced
     coeffs, budget, _ = form
@@ -171,7 +169,7 @@ def _deviator(form, priced, tails, num, den):
             cost, k = coeffs[r] * x, 1
         if target == r:
             dev, target = dev2, target2
-        if dev is not None and cost * j * den > num * dev * k:
+        if dev is not None and cost * j * den > num * dev * k and (alpha is not K or _above(K, cost * j, dev * k)):
             if found is None or cost * found[2] >= found[1] * k:
                 found = (r, cost, k, dev, j, target)
     return found

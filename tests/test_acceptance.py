@@ -18,10 +18,10 @@ import pytest
 from congestion_adversary import (
     SolverConfig,
     best_alpha,
+    K,
     compute_K,
     generate_instance,
     is_alpha_pne,
-    k_upper_bound,
     needed_alpha,
     oracle_best_alpha,
     oracle_optima,
@@ -102,7 +102,7 @@ def test_criterion_2_tightness_instance_approaches_threshold(capsys):
 
 def test_criterion_3_seven_player_trace(capsys, seven_player):
     with criterion(capsys, 3, "seven-player run ends at 25/24", 1.0):
-        loads, trace = solve(seven_player, SolverConfig.default())
+        loads, trace = solve(seven_player, SolverConfig())
         assert loads == (2, 2, 1, 1, 1)
         last_round = [
             ev[2:4] for ev in trace_events(trace) if ev[1] == 7 and ev[0] == "deviation"
@@ -116,7 +116,7 @@ def test_criterion_4_termination_within_strict_guard(capsys):
         capsys, 4, "10000 random instances settle within the strict guard", 120.0
     ):
         rng = random.Random(20260823)
-        config = SolverConfig.default()
+        config = SolverConfig()
         for i in range(10_000):
             inst = generate_instance(
                 n=rng.randint(1, 30), m=rng.randint(1, 10), seed=i
@@ -204,7 +204,6 @@ def test_criterion_9_universal_bound_on_all_witnesses(capsys):
     with criterion(
         capsys, 9, "every computed equilibrium respects the universal bound", 120.0
     ):
-        ceiling = k_upper_bound(12)
         assert len(_collected) == 11_500  # criteria 4-6 all ran first
         for inst, witness in _collected:
-            assert needed_alpha(inst, witness) <= ceiling
+            assert is_alpha_pne(inst, witness, K)

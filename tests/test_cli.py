@@ -13,6 +13,7 @@ import congestion_adversary.optimal as optimal_module
 import congestion_adversary.oracle as oracle_module
 from congestion_adversary import (
     INFINITY,
+    K,
     GuardExceeded,
     SolverConfig,
     binding_deviation,
@@ -26,6 +27,7 @@ from congestion_adversary import (
 )
 from congestion_adversary.cli import main
 from congestion_adversary.optimal import _scaled_form, _shape_table
+from test_core import reference_exceeds
 from test_documents import replayed_loads, trace_to_json
 from test_oracle import padded_partitions
 
@@ -123,9 +125,7 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert capsys.readouterr() == (
             "",
-            "usage: congestion-adversary solve-k [-h] [--precision PRECISION]\n"
-            "                                    [--trace TRACE] [--pretty]\n"
-            "                                    instance\n"
+            "usage: congestion-adversary solve-k [-h] [--trace TRACE] [--pretty] instance\n"
             "congestion-adversary solve-k: error: unrecognized arguments: --guard strict\n",
         )
 
@@ -135,6 +135,7 @@ class TestSolveK:
         code, obj, _ = run_json(capsys, "solve-k", EXAMPLE1)
         assert code == 0
         assert obj["loads"] == [2, 2, 1]
+        assert obj["alpha"] == "K"
         assert obj["needed_alpha"] == "7/6"
         assert obj["trace"][0]["cost_before"] == "inf"
 
@@ -172,7 +173,7 @@ class TestSolveK:
         assert code == 0
         obj = json.loads(out)
         assert out == json.dumps(obj, indent=2 if pretty else None) + "\n"
-        _, trace = solve(inst, SolverConfig.default())
+        _, trace = solve(inst, SolverConfig())
         assert obj["trace"] == trace_to_json(trace)
         assert list(obj) == ["loads", "solver", "alpha", "needed_alpha", "trace", "elapsed_ms"]
 
@@ -185,15 +186,7 @@ class TestSolveK:
         assert code == 3 and not out
         assert err == "error: round 4 made 9 deviations\n"
 
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            ["--precision", "0"],
-            ["--precision", "-3"],
-            ["--trace", "{missing}/trace.json"],
-            ["--precision", str(cli_module.SOLVE_K_MAX_PRECISION + 1)],
-        ],
-    )
+    @pytest.mark.parametrize("extra", [["--trace", "{missing}/trace.json"]])
     def test_refused_parameters(self, capsys, tmp_path, extra):
         extra = [arg.format(missing=tmp_path / "missing") for arg in extra]
         code, out, err = run(capsys, "solve-k", EXAMPLE1, *extra)
@@ -201,18 +194,19 @@ class TestSolveK:
         assert not out
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "precision,message",
-        [
-            ("0", "precision must be >= 1, got 0"),
-            ("-3", "precision must be >= 1, got -3"),
-            ("401", "solve-k refuses --precision > 400 (got 401)"),
-        ],
-    )
-    def test_precision_is_refused_before_the_document_is_read(self, capsys, tmp_path, precision, message):
-        # compute_K alone refuses a precision below 1; the document is missing.
-        code, out, err = run(capsys, "solve-k", str(tmp_path / "missing.json"), "--precision", precision)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+    @pytest.mark.parametrize("precision", ["12", "0", "-3", "401"])
+    def test_precision_is_refused_before_the_document_is_read(self, capsys, monkeypatch, tmp_path, precision):
+        # solve-k runs at K itself, so --precision is an unrecognized
+        # argument whatever its value; the document is missing.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-k", str(tmp_path / "missing.json"), "--precision", precision])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "",
+            "usage: congestion-adversary solve-k [-h] [--trace TRACE] [--pretty] instance\n"
+            f"congestion-adversary solve-k: error: unrecognized arguments: --precision {precision}\n",
+        )
 
     def test_refuses_oversized_instances_up_front(self, capsys, monkeypatch, tmp_path):
         # 50 * n + m: exactly the allowed units of work at (players,
@@ -527,6 +521,8 @@ class TestVerify:
         "loads,alpha",
         [
             ("2,2", "1"), ("2,2,2", "1"), ("2,2,x", "1"), ("3,3,-1", "1"), ("2,2,1", "1/2"), ("2,2,1", "0.5"),
+            # K is spelled exactly so.
+            ("2,2,1", "k"), ("2,2,1", " K"), ("2,2,1", "K/1"),
             # Past Python's limit on the digits of an int.
             pytest.param("2,2," + "1" * 5000, "7/6", id="load_digits"),
         ],
@@ -534,6 +530,20 @@ class TestVerify:
     def test_malformed_arguments(self, capsys, loads, alpha):
         code, out, err = run(capsys, "verify", EXAMPLE1, loads, alpha)
         assert code == 2 and "error" in err
+
+    def test_decides_at_K(self, capsys):
+        # example1's (3, 1, 1) needs 5/4, above K; tightness's (2, 2, 1)
+        # needs its alpha*, within 10**-12 below K, and (3, 1, 1) as close
+        # above it.
+        code, obj, _ = run_json(capsys, "verify", EXAMPLE1, "3,1,1", "K")
+        assert (code, obj["alpha"], obj["is_alpha_pne"]) == (1, "K", False)
+        assert obj["violation"]["ratio"] == "5/4"
+        tightness = str(FIXTURES_DIR / "tightness.json")
+        assert run_json(capsys, "verify", tightness, "2,2,1", "K") == (
+            0, {"loads": [2, 2, 1], "alpha": "K", "is_alpha_pne": True}, ""
+        )
+        code, obj, _ = run_json(capsys, "verify", tightness, "3,1,1", "K")
+        assert (code, obj["is_alpha_pne"]) == (1, False)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_the_fraction_reference(self, capsys, tmp_path, seed):
@@ -554,13 +564,17 @@ class TestVerify:
             cuts = sorted(rng.randint(0, n) for _ in range(inst.m - 1))
             loads = [b - a for a, b in zip([0] + cuts, cuts + [n])]
             needed = needed_alpha(inst, loads)
-            factors = [Fraction(1), Fraction(rng.randint(1, 40), rng.randint(1, 30)) + 1]
+            factors = [Fraction(1), Fraction(rng.randint(1, 40), rng.randint(1, 30)) + 1, K]
             if needed != INFINITY and needed > 1:
                 factors += [needed, needed - Fraction(1, 10**9) * (needed - 1)]
             binding = binding_deviation(inst, loads)
             for alpha in factors:
-                ok = binding is None or binding[0] <= alpha
-                expected = {"loads": loads, "alpha": format_rational(alpha), "is_alpha_pne": ok}
+                if alpha is K:
+                    ok = binding is None or not reference_exceeds(binding[3], binding[4], K)
+                else:
+                    ok = binding is None or binding[0] <= alpha
+                text = alpha if alpha is K else format_rational(alpha)
+                expected = {"loads": loads, "alpha": text, "is_alpha_pne": ok}
                 if not ok:
                     ratio, source, target, cost, dev = binding
                     expected["violation"] = {
@@ -572,7 +586,7 @@ class TestVerify:
                     }
                 pretty = ["--pretty"] if i % 2 else []
                 indent = 2 if pretty else None
-                argv = ["verify", str(path), ",".join(map(str, loads)), format_rational(alpha), *pretty]
+                argv = ["verify", str(path), ",".join(map(str, loads)), text, *pretty]
                 assert run(capsys, *argv) == (0 if ok else 1, json.dumps(expected, indent=indent) + "\n", "")
                 seen.update({("m", inst.m == 1), ("ok", ok), ("inf", needed == INFINITY)})
         assert {("m", True), ("ok", True), ("ok", False), ("inf", True)} <= seen

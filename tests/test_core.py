@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from congestion_adversary import (
     GameError,
     INFINITY,
+    K,
     SolverConfig,
     binding_deviation,
     compute_K,
@@ -23,7 +24,7 @@ from congestion_adversary import (
     validate_instance,
 )
 import congestion_adversary.core as core_module
-from congestion_adversary.core import _fraction, _occupied, _pricing
+from congestion_adversary.core import _above, _fraction, _occupied, _pricing
 from congestion_adversary.solver import _deviator
 
 rationals = st.fractions(min_value=0, max_value=20, max_denominator=8)
@@ -126,13 +127,23 @@ def reference_binding_deviation(inst, loads):
     return best
 
 
+def reference_exceeds(cost, dev, alpha):
+    """cost > alpha * dev in Fractions; at K, by the sign of x^3 - x^2/2 - 1 at cost / dev."""
+    if alpha is not K:
+        return cost > alpha * dev
+    if dev == 0:
+        return cost > 0
+    ratio = cost / dev
+    return ratio**3 - ratio**2 / 2 - 1 > 0
+
+
 def reference_unhappy_set(inst, loads, alpha):
     return {
         r
         for r in range(inst.m)
         if loads[r] > 0
         and any(
-            resource_cost(inst, loads, r) > alpha * deviation_cost(inst, loads, r, s)
+            reference_exceeds(resource_cost(inst, loads, r), deviation_cost(inst, loads, r, s), alpha)
             for s in range(inst.m)
             if s != r
         )
@@ -146,10 +157,15 @@ def reference_select_deviator(inst, loads, alpha):
     return max(unhappy, key=lambda r: (resource_cost(inst, loads, r), r))
 
 
+def screen(alpha):
+    """The integer terms _deviator screens its movers by, as solve passes them: alpha's, or K's lower bracket."""
+    return (compute_K(12)[0] if alpha is K else alpha).as_integer_ratio()
+
+
 def whole_deviator(form, loads, alpha):
     """solve's deviator over a whole profile: every occupied ``(r, loads[r])`` is a tail."""
     tails = [(r, x) for r, x in enumerate(loads) if x]
-    return _deviator(form, _pricing(form, loads), tails, alpha.numerator, alpha.denominator)
+    return _deviator(form, _pricing(form, loads), tails, alpha, *screen(alpha))
 
 
 def kernel_moves(inst, loads):
@@ -584,6 +600,8 @@ class TestNeededAlpha:
             probes += [needed, needed - Fraction(1, 10**9), needed + Fraction(1, 10**9)]
         for probe in probes:
             assert is_alpha_pne(inst, loads, probe) == (needed <= Fraction(probe))
+        exceeds = needed == INFINITY or reference_exceeds(needed, Fraction(1), K)
+        assert is_alpha_pne(inst, loads, K) == (not exceeds)
 
 
 class TestThresholdConstant:
@@ -623,14 +641,77 @@ class TestThresholdConstant:
         fine_lo, fine_hi = compute_K(12)
         assert coarse_lo <= fine_lo <= fine_hi <= coarse_hi
 
+    def test_bisection_keeps_the_fraction_cubic_brackets(self):
+        # compute_K decides each midpoint by _above's integer cubic; the
+        # brackets are those of the bisection that evaluated the cubic on
+        # each Fraction midpoint and kept it as hi where it is >= 0.
+        for precision in range(1, 101):
+            lo, hi = Fraction(1), Fraction(2)
+            while hi - lo > Fraction(1, 10**precision):
+                mid = (lo + hi) / 2
+                if mid**3 - mid**2 / 2 - 1 >= 0:
+                    hi = mid
+                else:
+                    lo = mid
+            assert compute_K(precision) == (lo, hi), precision
+
     def test_upper_bound_is_the_bracket_top(self):
-        # What the library's default solver factor and the benchmark read.
+        # What the benchmark reads as its solver factor.
         assert k_upper_bound() == compute_K(12)[1] == Fraction(658293739699, 549755813888)
 
 
-#: The package's public names, 27 of them.
+#: Continued-fraction convergents of K, from 91/76 on: they alternate sides
+#: of K, each nearer than the last.  1706805/1425391 lies between
+#: compute_K(12)'s lo and K, and 19032725/15894654 between K and its hi.
+CONVERGENTS = [
+    (91, 76), (188, 157), (279, 233), (1025, 856), (2329, 1945), (19657, 16416),
+    (238213, 198937), (734296, 613227), (1706805, 1425391), (2441101, 2038618),
+    (4147906, 3464009), (19032725, 15894654), (42213356, 35253317),
+    (61246081, 51147971), (1879595786, 1569692447), (3820437653, 3190532865),
+]
+
+
+class TestAbove:
+    """_above(K, a, b) decides a/b > K exactly, by the sign of K's cubic."""
+
+    def test_convergents_alternate_and_the_cubic_decides(self):
+        sides = []
+        for i, (p, q) in enumerate(CONVERGENTS):
+            x = Fraction(p, q)
+            above = x**3 - x**2 / 2 - 1 > 0
+            assert above == (i % 2 == 1), (p, q)
+            assert _above(K, p, q) == above, (p, q)
+            # Scaled pairs are the same ratio.
+            assert _above(K, 3 * p, 3 * q) == above, (p, q)
+            sides.append((x, above))
+        # Neither end of a 12-digit bracket decides every convergent.
+        for end in compute_K(12):
+            assert any((x > end) != above for x, above in sides)
+
+    def test_infinite_and_zero_ratios(self):
+        # b = 0: a positive cost over a free move is an infinite ratio.
+        for a in (1, 2, 10**30):
+            assert _above(K, a, 0)
+            assert _above(Fraction(7, 6), a, 0)
+        assert not _above(K, 0, 0)
+        assert not _above(K, 0, 1)
+        assert not _above(Fraction(7, 6), 0, 0)
+
+    def test_rational_alpha_is_cross_multiplication(self):
+        assert _above(Fraction(7, 6), 8, 6) and not _above(Fraction(7, 6), 7, 6)
+        assert not _above(Fraction(7, 6), 14, 12)
+        assert _above(1, 2, 1) and not _above(1, 1, 1)
+
+    def test_is_alpha_pne_at_K(self, example1):
+        # (2, 2, 1) needs 7/6, below K; (3, 1, 1) needs 5/4, above it.
+        assert is_alpha_pne(example1, (2, 2, 1), K)
+        assert not is_alpha_pne(example1, (3, 1, 1), K)
+        assert not is_alpha_pne(example1, (3, 1, 1), k_upper_bound(12))
+
+
+#: The package's public names, 28 of them.
 PUBLIC_NAMES = {
-    "FIXTURE_NAMES", "GameError", "GuardExceeded", "INFINITY",
+    "FIXTURE_NAMES", "GameError", "GuardExceeded", "INFINITY", "K",
     "InstanceDocument", "STRICT", "SolveTrace", "SolverConfig",
     "best_alpha", "binding_deviation", "compute_K", "deviation_cost",
     "format_rational", "generate_instance", "is_alpha_pne", "k_upper_bound",
@@ -656,7 +737,7 @@ def test_every_exported_name_resolves():
     declared = [name for names in lists.values() for name in names]
     assert len(declared) == len(set(declared))
     assert sorted(package.__all__) == sorted(declared)
-    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 27
+    assert set(declared) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 28
     for module, names in lists.items():
         for name in names:
             assert getattr(getattr(package, name), "__module__", module) == module, name

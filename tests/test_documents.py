@@ -83,7 +83,7 @@ def solved_trace(case):
         inst = validate_instance(inst.coefficients, 40 * inst.n, 40 * inst.budget)
     else:
         inst = generate_instance(*case, seed=case[0]).instance
-    return solve(inst, SolverConfig.default())[1]
+    return solve(inst, SolverConfig())[1]
 
 
 def replayed_loads(events, m):
@@ -239,7 +239,7 @@ class TestIntegerForm:
         ]
         for inst in paths_in:
             steps = [
-                lambda: solve(inst, SolverConfig.default()),
+                lambda: solve(inst, SolverConfig()),
                 lambda: best_alpha(inst),
                 lambda: oracle_optima(inst),
                 lambda: binding_deviation(inst, best_alpha(inst).witness),
@@ -470,7 +470,7 @@ class TestFixtures:
 
 class TestTraceSerialization:
     def test_json_shape(self, example1):
-        loads, trace = solve(example1, SolverConfig.default())
+        loads, trace = solve(example1, SolverConfig())
         handle = io.StringIO()
         write_trace(trace, handle)
         obj = json.loads(handle.getvalue())
@@ -508,7 +508,7 @@ class TestTraceSerialization:
     def test_written_result_is_the_json_of_the_document(self, example1, pretty):
         # write_result streams a trace in place; the bytes are those of
         # json.dumps over the document with the event list in it.
-        loads, trace = solve(example1, SolverConfig.default())
+        loads, trace = solve(example1, SolverConfig())
         for with_trace in (None, trace):
             doc = result_document(loads, "incremental", 1.5, alpha=2, needed=1, trace=with_trace)
             handle = io.StringIO()

@@ -11,10 +11,12 @@ from congestion_adversary import (
     GameError,
     GuardExceeded,
     INFINITY,
+    K,
     STRICT,
     SolveTrace,
     SolverConfig,
     binding_deviation,
+    compute_K,
     generate_instance,
     is_alpha_pne,
     k_upper_bound,
@@ -30,7 +32,9 @@ from test_core import (
     kernel_moves,
     reference_binding_deviation,
     reference_cheapest_deviation,
+    reference_exceeds,
     reference_select_deviator,
+    screen,
     whole_deviator,
 )
 
@@ -130,8 +134,11 @@ class TestConfig:
             with pytest.raises(GameError, match="unknown guard mode"):
                 SolverConfig(alpha=2, guard_mode=guard)
 
-    def test_default_alpha_is_threshold_upper_bound(self):
-        assert SolverConfig.default().alpha == k_upper_bound(12)
+    def test_default_alpha_is_K(self):
+        # K itself, kept as the marker, not a rational bound on it.
+        assert SolverConfig().alpha is K
+        assert SolverConfig(alpha=K).alpha is K
+        assert SolverConfig(alpha=k_upper_bound(12)).alpha == k_upper_bound(12)
 
     @pytest.mark.parametrize("alpha", [1.5, 1.25, 1.125, 1])
     def test_float_or_int_alpha_solves_as_the_equal_fraction(self, alpha):
@@ -185,13 +192,13 @@ class TestUnhappySet:
 
 class TestSolve:
     def test_example_reaches_seven_sixths_profile(self, example1):
-        loads, trace = solve(example1, SolverConfig.default())
+        loads, trace = solve(example1, SolverConfig())
         assert loads == (2, 2, 1)
         assert needed_alpha(example1, loads) == Fraction(7, 6)
         assert trace.replay(example1.m) == loads
 
     def test_seven_player_final_round(self, seven_player):
-        loads, trace = solve(seven_player, SolverConfig.default())
+        loads, trace = solve(seven_player, SolverConfig())
         assert loads == (2, 2, 1, 1, 1)
         assert trace.per_round_deviation_counts == (0, 0, 0, 0, 0, 0, 2)
         last = [ev[:4] for ev in trace_events(trace) if ev[1] == 7]
@@ -201,7 +208,7 @@ class TestSolve:
         assert needed_alpha(seven_player, loads) == Fraction(25, 24)
 
     def test_insertion_events_have_infinite_prior_cost(self, example1):
-        _, trace = solve(example1, SolverConfig.default())
+        _, trace = solve(example1, SolverConfig())
         added = [ev for ev in trace_events(trace) if ev[0] == "player_added"]
         assert len(added) == example1.n
         assert all(ev[4] == INFINITY for ev in added)
@@ -213,17 +220,28 @@ class TestSolve:
         with pytest.raises(GuardExceeded):
             solve(example1, SolverConfig(alpha=Fraction(1)))
 
-    @pytest.mark.parametrize("alpha", [k_upper_bound(12), Fraction(11, 10)])
-    @pytest.mark.parametrize("above", [0, 1])
-    def test_in_loop_assertion_fires_at_the_factor(self, seven_player, monkeypatch, alpha, above):
+    @pytest.mark.parametrize(
+        "alpha,ratio,above,passes",
+        [
+            (k_upper_bound(12), k_upper_bound(12), 0, False),
+            (k_upper_bound(12), k_upper_bound(12), 1, True),
+            (Fraction(11, 10), Fraction(11, 10), 0, False),
+            (Fraction(11, 10), Fraction(11, 10), 1, True),
+            # At K, each end of its 12-digit bracket: lo is below K, hi above.
+            (K, compute_K(12)[0], 0, False),
+            (K, compute_K(12)[1], 0, True),
+        ],
+        ids=["bound-at", "bound-past", "11/10-at", "11/10-past", "K-lo", "K-hi"],
+    )
+    def test_in_loop_assertion_fires_at_the_factor(self, seven_player, monkeypatch, alpha, ratio, above, passes):
         # The first move _deviator selects comes back with its cost set to
-        # alpha times its cost after, plus `above` over a denominator of
+        # `ratio` times its cost after, plus `above` over a denominator of
         # j * den: cost * j * den == num * dev * k at 0, just past it at 1.
-        num, den = alpha.numerator, alpha.denominator
+        num, den = ratio.numerator, ratio.denominator
         altered = []
 
-        def deviator(form, priced, tails, num_, den_):
-            found = _deviator(form, priced, tails, num_, den_)
+        def deviator(form, priced, tails, *terms):
+            found = _deviator(form, priced, tails, *terms)
             if found is None or altered:
                 return found
             r, _, _, dev, j, target = found
@@ -232,21 +250,23 @@ class TestSolve:
 
         monkeypatch.setattr("congestion_adversary.solver._deviator", deviator)
         config = SolverConfig(alpha=alpha)
-        if above:
+        form = seven_player.form
+        if passes:
             loads, trace = solve(seven_player, config)
             assert is_alpha_pne(seven_player, loads, alpha)
             r, cost, k, dev, j, target = altered[0]
             assert any(move[1:] == (r, target, cost, k, dev, j) for move in trace.moves)
+            assert reference_exceeds(_fraction(form, cost, k), _fraction(form, dev, j), alpha)
             return
         with pytest.raises(AssertionError, match="is not alpha-improving"):
             solve(seven_player, config)
-        # The Fraction form of the same test sits exactly at the factor.
+        # The Fraction form of the same move sits exactly at `ratio`, not past alpha.
         _, cost, k, dev, j, _ = altered[0]
-        form = seven_player.form
-        assert _fraction(form, cost, k) == alpha * _fraction(form, dev, j)
+        assert _fraction(form, cost, k) == ratio * _fraction(form, dev, j)
+        assert not reference_exceeds(_fraction(form, cost, k), _fraction(form, dev, j), alpha)
 
     def test_replay_rejects_altered_moves(self, seven_player):
-        loads, trace = solve(seven_player, SolverConfig.default())
+        loads, trace = solve(seven_player, SolverConfig())
         m = seven_player.m
         profiles = replayed_profiles(trace.moves, m)
         assert trace.replay(m) == profiles[-1] == loads
@@ -290,14 +310,14 @@ class TestSolve:
             trace.replay(3)
 
     def test_events_are_built_afresh_from_the_moves(self, example1):
-        _, trace = solve(example1, SolverConfig.default())
+        _, trace = solve(example1, SolverConfig())
         # The trace keeps its moves and nothing built from them.
         assert set(vars(trace)) == {"moves", "per_round_deviation_counts", "scale"}
         assert [ev[1:4] for ev in trace_events(trace)] == [move[:3] for move in trace.moves]
 
     def test_deterministic(self, seven_player):
-        first = solve(seven_player, SolverConfig.default())
-        second = solve(seven_player, SolverConfig.default())
+        first = solve(seven_player, SolverConfig())
+        second = solve(seven_player, SolverConfig())
         assert first == second
 
     @pytest.mark.parametrize("seed", range(40))
@@ -305,7 +325,7 @@ class TestSolve:
         inst = generate_instance(
             n=1 + seed % 12, m=1 + seed % 5, seed=seed
         ).instance
-        config = SolverConfig.default()
+        config = SolverConfig()
         loads, trace = solve(inst, config)
         assert is_alpha_pne(inst, loads, config.alpha)
         assert trace.replay(inst.m) == loads
@@ -324,7 +344,7 @@ class TestSolveMatchesReference:
 
     # At alpha = 1, 13 of the 53 cases never settle: the 2k guard stops
     # both solvers in the same round.
-    @pytest.mark.parametrize("alpha", [k_upper_bound(12), Fraction(1)], ids=["K", "1"])
+    @pytest.mark.parametrize("alpha", [K, k_upper_bound(12), Fraction(1)], ids=["K", "K+", "1"])
     @pytest.mark.parametrize("index", range(len(CASES)))
     def test_trace_identity(self, index, alpha):
         inst = self.CASES[index]
@@ -359,7 +379,7 @@ def tie_heavy_instances(draw):
 class TestSolveMatchesReferenceOnTies:
     @given(
         tie_heavy_instances(),
-        st.sampled_from([Fraction(1), 1 + Fraction(1, 10**9), k_upper_bound(12)]),
+        st.sampled_from([Fraction(1), 1 + Fraction(1, 10**9), k_upper_bound(12), K]),
     )
     @settings(deadline=None, max_examples=400)
     def test_trace_identity(self, inst, alpha):
@@ -402,7 +422,7 @@ class TestSolveMatchesReferenceOnWideBands:
 
     @given(
         wide_band_instances(),
-        st.sampled_from([Fraction(1), 1 + Fraction(1, 10**9), k_upper_bound(12)]),
+        st.sampled_from([Fraction(1), 1 + Fraction(1, 10**9), k_upper_bound(12), K]),
     )
     @settings(deadline=None, max_examples=150)
     def test_trace_identity(self, inst, alpha):
@@ -419,7 +439,7 @@ class TestSolveMatchesReferenceOnWideBands:
         wide_band_instances(),
         st.lists(st.integers(0, 8), min_size=10, max_size=10),
         st.integers(0, 2),
-        st.sampled_from([Fraction(1), k_upper_bound(12)]),
+        st.sampled_from([Fraction(1), k_upper_bound(12), K]),
     )
     @settings(deadline=None, max_examples=300)
     def test_band_pricing_equals_whole_pricing(self, inst, draws, lift, alpha):
@@ -439,7 +459,7 @@ class TestSolveMatchesReferenceOnWideBands:
             assert priced[kind][:3] == whole[kind][:3]
             if loads.count(loads[priced[kind][2]]) == 1:
                 assert priced[kind][3:] == whole[kind][3:]
-        found = _deviator(form, priced, tails, alpha.numerator, alpha.denominator)
+        found = _deviator(form, priced, tails, alpha, *screen(alpha))
         assert found == whole_deviator(form, loads, alpha)
 
 
@@ -504,7 +524,7 @@ def scanned_solve(inst, config, rounds):
         gap, deviations = peak - loads[target], 0
         while True:
             priced = _pricing(form, loads, heads, _peaks(heads, tails, m))
-            found = _deviator(form, priced, tails, alpha.numerator, alpha.denominator)
+            found = _deviator(form, priced, tails, alpha, *screen(alpha))
             if found is None:
                 break
             assert gap < 2 or deviations, f"round {k} is quiet, yet {found} moves"
@@ -512,7 +532,7 @@ def scanned_solve(inst, config, rounds):
             if deviations > 2 * k:
                 raise GuardExceeded(f"round {k}")
             source, cost, cost_den, dev, dev_den, target = found
-            assert _fraction(form, cost, cost_den) > alpha * _fraction(form, dev, dev_den)
+            assert reference_exceeds(_fraction(form, cost, cost_den), _fraction(form, dev, dev_den), alpha)
             _shift(heads, tails, loads, source, -1)
             _shift(heads, tails, loads, target, 1)
             moves.append((k, source, target, cost, cost_den, dev, dev_den))
@@ -536,7 +556,7 @@ class TestQuietRounds:
 
     def test_criterion_4_instances(self):
         rng = random.Random(20260823)
-        config = SolverConfig.default()
+        config = SolverConfig()
         rounds = Counter()
         for i in range(10_000):
             inst = generate_instance(n=rng.randint(1, 30), m=rng.randint(1, 10), seed=i).instance
@@ -548,7 +568,7 @@ class TestQuietRounds:
 
     @given(
         st.one_of(tie_heavy_instances(), wide_band_instances()),
-        st.sampled_from([Fraction(1), Fraction(11, 10), k_upper_bound(12)]),
+        st.sampled_from([Fraction(1), Fraction(11, 10), k_upper_bound(12), K]),
     )
     @settings(deadline=None, max_examples=300)
     def test_ties_and_zero_coefficients(self, inst, alpha):
