@@ -4,10 +4,10 @@ A decreasing load profile is summarized by its shape: the maximum load M, the
 last index k carrying load M, and the first indices k', k'' whose loads drop
 below M-1 and M-2.  For each shape there are only polynomially many candidate
 values for the best-alternative costs seen by max-load players and by the
-rest; given a shape, those two values, and a factor alpha, a short greedy
-procedure either produces a witness load vector or proves none exists.  For
-a fixed shape and pair of values the factors that pass form a half-line, so
-each pair has a least factor, a maximum of a few ratios of cost values.  One
+rest.  For a fixed shape and pair of values the factors at which some load
+vector of that shape is a witness form a half-line, so each pair has a least
+factor, a maximum of a few ratios of cost values, which alone decides the
+pair; at it a short greedy procedure builds the witness load vector.  One
 pass over a table of each shape's alpha-free data fills each pair at its
 least factor and scores the fill by the factor it needs; the optimum is the
 least score, and the witness the first profile scored at it.  The table
@@ -71,42 +71,33 @@ def _scaled_form(inst: Instance) -> Tuple[Tuple[int, ...], int, int]:
 
 def feasible_load_vector(
     coeffs, row: tuple, alpha: Tuple[int, int], cbar_max: int, cbar_rest: int
-) -> Optional[Tuple[int, ...]]:
-    """Witness load vector for this shape, alpha and pair of costs, or None.
+) -> Tuple[int, ...]:
+    """The witness load vector for this shape, alpha and pair of costs.
 
     `coeffs` and the costs are on the :func:`_scaled_form` scale, and alpha
-    is ``(p, q)`` for p/q.  `row` starts as a :func:`_shape_table` row,
-    ``(shape, prefix, leftover)``; the caller has checked both costs against
-    the head conditions at alpha.  What remains is to bound each tail load,
-    from ``ceil(c / a_r) - 1`` for c either cost up to ``floor(alpha *
-    cbar_rest / a_r)``, and to fill the leftover players in greedily from the
-    left.  A zero-coefficient tail resource would offer a free alternative,
-    which is compatible with the assumed minima only if both are zero.
+    is ``(p, q)`` for p/q.  `row` is a row :func:`_shape_table` built, so
+    every tail coefficient a_r is positive (a zero least one puts the cut at
+    0, below need_max >= 1), and the pair lies within its cut with a
+    :func:`_least_factor` of at most alpha.  Tail load r runs from ``lower
+    = ceil(c / a_r) - 1``, c the larger cost, up to ``min(M - 3, floor(alpha
+    * cbar_rest / a_r))``: lower * a_r is a step below c, so at most that
+    factor times cbar_rest, and lower <= M - 3 as c <= (M - 2) * a_{k''}.
+    The lower bounds sum to the steps below c, at most leftover within the
+    cut; the upper ones seat every leftover player, as the room, the
+    leftover-th step, is at most that factor times cbar_rest too.
     """
     (M, _, _, k_dprime), prefix, leftover = row[:3]
     p, q = alpha
     least, most = max(cbar_max, cbar_rest), p * cbar_rest
-    bounds = []
-    for a in coeffs[k_dprime - 1 :]:
-        if a:
-            lower, upper = max(0, -(-least // a) - 1), min(M - 3, most // (q * a))
-        elif least:
-            return None
-        else:
-            lower, upper = 0, M - 3
-        if lower > upper:
-            return None
-        bounds.append((lower, upper))
-
-    spare = leftover - sum(lower for lower, _ in bounds)
-    if spare < 0:
-        return None
-    loads = list(prefix)
+    bounds = [(-(-least // a) - 1, min(M - 3, most // (q * a))) for a in coeffs[k_dprime - 1 :]]
+    spare, loads = leftover - sum(lower for lower, _ in bounds), list(prefix)
     for lower, upper in bounds:
         take = min(upper - lower, spare)
         loads.append(lower + take)
         spare -= take
-    return None if spare else tuple(loads)
+    if spare:
+        raise RuntimeError(f"the fill of shape {row[0]} seats {leftover - spare} of its {leftover} tail players")
+    return tuple(loads)
 
 
 def _shape_table(inst: Instance, form, score) -> Iterator[tuple]:
@@ -309,18 +300,18 @@ def _windows(coeffs, row: tuple, p: int, q: int) -> tuple:
 def _least_factor(steps, room, need_max, need_rest, cbar_max, cbar_rest) -> Tuple[int, int]:
     """Least alpha at which a pair within its row's cut passes the head conditions and fills.
 
-    Returned as ``(p, q)`` for p/q, not in lowest terms.  Besides 1 and the
-    two ``need / c``, alpha must reach the row's ``room / cbar_rest`` and
-    lift each upper tail bound of :func:`feasible_load_vector` to its lower
-    one, ``lower_r = ceil(c / a_r) - 1`` for c the larger cost: ``lower_r *
-    a_r / cbar_rest``, the largest of the row's `steps` below c.  The lower
-    bounds fail past the cut of :func:`_windows`: lower_r > M - 3 for the
-    least tail coefficient, or more steps below c, the lower bounds' sum,
-    than leftover players.  Within the windows every pair has one: a
-    `cbar_max` window starts at ``ceil(need_max / alpha) >= 1``, as need_max
-    >= B / k >= 1 on the scaled form; and a zero `cbar_rest` needs need_rest
-    = room = 0, so leftover 0 and a cut at the least step, below which no
-    step lies: nothing to lift.
+    Returned as ``(p, q)`` for p/q, not in lowest terms; it alone decides
+    the pair, and :func:`feasible_load_vector` builds its fill.  Besides 1
+    and the two ``need / c``, alpha must reach ``room / cbar_rest`` and lift
+    each tail load's upper bound ``floor(alpha * cbar_rest / a_r)`` to its
+    lower one ``ceil(c / a_r) - 1``, c the larger cost: the largest of the
+    row's `steps` below c, over cbar_rest.  The lower bounds fail past the
+    cut of :func:`_windows`: lower_r > M - 3 for the least tail coefficient,
+    or more steps below c, the lower bounds' sum, than leftover players.
+    Within the windows every pair has one: a `cbar_max` window starts at
+    ``ceil(need_max / alpha) >= 1``, as need_max >= B / k >= 1 on the scaled
+    form; and a zero `cbar_rest` needs need_rest = room = 0, so leftover 0
+    and a cut at the least step, below which no step lies: nothing to lift.
     """
     total = bisect_left(steps, max(cbar_max, cbar_rest))
     top = max(room, need_rest, steps[total - 1] if total else 0)

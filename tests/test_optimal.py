@@ -539,11 +539,15 @@ class TestFeasibleLoadVector:
     @given(small_instances(min_m=2, max_n=12), st.data())
     @settings(deadline=None, max_examples=150)
     def test_none_stays_none_as_cbar_max_grows(self, inst, data):
-        # The lemma behind the scan's pruning: for a fixed shape and
-        # cbar_rest, once the greedy fill fails at some cbar_max, it fails at
-        # every larger cbar_max that passes the max-load head conditions.
-        # The shape is that of a random decreasing profile, and the factor is
-        # often the one that profile needs, so that many fills succeed.
+        # The lemma behind the scan's pruning, for a fixed shape and
+        # cbar_rest.  On the reference fill: once it fails at some cbar_max,
+        # it fails at every larger cbar_max that passes the max-load head
+        # conditions.  On the least factor, the rule behind the scan's
+        # `kept`: once it exceeds alpha where need_max <= alpha * cbar_max
+        # holds, it exceeds alpha at every larger cbar_max within the row's
+        # cut that still passes that head.  The shape is that of a random
+        # decreasing profile, and the factor is often the one that profile
+        # needs, so that many fills succeed.
         n, m = inst.n, inst.m
         cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
         loads = sorted((b - a for a, b in zip([0] + cuts, cuts + [n])), reverse=True)
@@ -555,6 +559,7 @@ class TestFeasibleLoadVector:
             st.sampled_from([needed, ceiling] if needed <= ceiling else [ceiling])
             | st.fractions(min_value=1, max_value=Fraction(6, 5), max_denominator=12)
         )
+        p, q = alpha.numerator, alpha.denominator
         form = _scaled_form(inst)
         scale = form[2]
         row = table_row(inst, shape)
@@ -568,29 +573,35 @@ class TestFeasibleLoadVector:
             set(cmax_window)
             | {c for c in extra if reference_head_ok_max(inst, *shape, alpha, Fraction(c, scale))}
         )
-        # As in the scan, only cbar_rest values that pass the head conditions
-        # are filled; the fill itself no longer checks them.
+        cut, limit = scan_windows(form, row), reference_cut(inst, row)
+        within = [c for c in cmax_ok if limit is None or c <= limit * scale]
         for crest in crest_window:
             fills = [
-                feasible_load_vector(form[0], row, (alpha.numerator, alpha.denominator), c, crest)
-                for c in cmax_ok
-            ]
-            assert fills == [
                 reference_load_vector(inst, row, alpha, Fraction(c, scale), Fraction(crest, scale))
                 for c in cmax_ok
             ]
             first_none = next((i for i, w in enumerate(fills) if w is None), len(fills))
             assert all(w is None for w in fills[first_none:])
+            if cut is None or (limit is not None and crest > limit * scale):
+                continue
+            factors = [
+                _least_factor(cut[3], cut[2], row[3], row[5], c, crest)
+                for c in within
+                if row[3] * q <= p * c
+            ]
+            first_above = next((i for i, (f, g) in enumerate(factors) if f * q > p * g), len(factors))
+            assert all(f * q > p * g for f, g in factors[first_above:])
 
     @given(small_instances(min_m=2, max_n=12), st.data())
     @settings(deadline=None, max_examples=150)
     def test_windows_and_tail_bounds_equal_the_reference(self, inst, data):
-        # The integer windows and fills equal the Fraction reference's where
-        # rounding could tell them apart: at candidate ratios, at each row's
-        # boundary ratios need / c, and at each exact quotient a_r * t / c of
-        # a tail coefficient, a load t <= M - 3 and a cbar_rest c, where the
-        # upper tail bound floor(alpha * c / a_r) lands on t exactly.  A run
-        # of leading zero coefficients puts free resources in the tail.
+        # The integer windows, least factors and fills equal the Fraction
+        # reference's where rounding could tell them apart: at candidate
+        # ratios, at each row's boundary ratios need / c, and at each exact
+        # quotient a_r * t / c of a tail coefficient, a load t <= M - 3 and a
+        # cbar_rest c, where the upper tail bound floor(alpha * c / a_r)
+        # lands on t exactly.  A run of leading zero coefficients puts free
+        # resources in the tail, in rows the table refuses at alpha.
         zeros = data.draw(st.integers(0, inst.m - 1))
         inst = validate_instance(
             [0] * zeros + list(inst.coefficients[zeros:]), inst.n, inst.budget
@@ -609,13 +620,9 @@ class TestFeasibleLoadVector:
         source = data.draw(
             st.sampled_from(["candidate"] + ["boundary"] * bool(ratios) + ["quotient"] * bool(tails))
         )
-        # The fill does not read the head conditions, so every pair of a few
-        # rows is filled, windowed or not; a quotient's own row is one of them.
-        checked = data.draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []
         if source == "quotient":
             row, a, c = data.draw(st.sampled_from(tails))
             alpha = a * data.draw(st.integers(1, row[0][0] - 3)) / Fraction(c, scale)
-            checked.append(row)
         else:
             alpha = data.draw(
                 st.sampled_from(ratios if source == "boundary" else reference_candidate_alphas(inst))
@@ -623,14 +630,73 @@ class TestFeasibleLoadVector:
         p, q = alpha.numerator, alpha.denominator
         for row in rows:
             assert_scan_windows(inst, form, row, alpha)
-        for row in checked:
+        # On each row the table builds at alpha, every pair within the cut
+        # that passes the heads: the fill is the reference's where the
+        # least factor is at most alpha, and the reference finds none where
+        # it exceeds alpha (at alpha >= 1, as every factor is at least 1).
+        for row in rows:
+            cut, limit = scan_windows(form, row, alpha), reference_cut(inst, row)
+            if cut is None:
+                continue
             for cmax in capped[row[0]][0]:
                 for crest in capped[row[0]][1]:
-                    assert feasible_load_vector(
-                        form[0], row, (p, q), cmax, crest
-                    ) == reference_load_vector(
+                    if limit is not None and max(cmax, crest) > limit * scale:
+                        continue
+                    if row[3] * q > p * cmax or row[5] * q > p * crest:
+                        continue
+                    f, g = _least_factor(cut[3], cut[2], row[3], row[5], cmax, crest)
+                    expected = reference_load_vector(
                         inst, row, alpha, Fraction(cmax, scale), Fraction(crest, scale)
                     )
+                    if f * q <= p * g:
+                        assert feasible_load_vector(form[0], row, (p, q), cmax, crest) == expected
+                    elif alpha >= 1:
+                        assert expected is None
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_every_fill_of_the_scan_meets_its_contract(self, data):
+        # Every fill the unseeded scan makes, on small instances led by a run
+        # of zero coefficients and on fixtures jittered by 2 %, seats exactly
+        # n players, extends its row's prefix, and keeps each tail load
+        # within [ceil(c / a_r) - 1, min(M - 3, floor(alpha * cbar_rest /
+        # a_r))], c the larger cost; and the table builds no row whose least
+        # tail coefficient is 0.
+        if data.draw(st.booleans()):
+            inst = data.draw(small_instances(min_m=2, max_n=12))
+            zeros = data.draw(st.integers(0, inst.m - 1))
+            inst = validate_instance(
+                [0] * zeros + list(inst.coefficients[zeros:]), inst.n, inst.budget
+            )
+        else:
+            name = data.draw(st.sampled_from(sorted(make_fixtures())))
+            t = data.draw(st.sampled_from([1, 2, 3, 4, 6, 12, 40]))
+            inst = jittered(name, t, data.draw(st.integers(0, 9)))
+        rows, fills = [], []
+        table, fill = optimal._shape_table, optimal.feasible_load_vector
+
+        def logged_table(inst, form, score):
+            for row in table(inst, form, score):
+                rows.append((form[0], row))
+                yield row
+
+        def logged_fill(coeffs, row, alpha, cmax, crest):
+            fills.append((coeffs, row, alpha, cmax, crest, fill(coeffs, row, alpha, cmax, crest)))
+            return fills[-1][-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimal, "_shape_table", logged_table)
+            patch.setattr(optimal, "feasible_load_vector", logged_fill)
+            scanned(inst)
+        for coeffs, ((_, _, _, k_dprime), *_, tail) in rows:
+            assert tail is None or coeffs[k_dprime - 1] > 0
+        for coeffs, row, (p, q), cmax, crest, loads in fills:
+            (M, _, _, k_dprime), prefix = row[:2]
+            assert len(loads) == inst.m and sum(loads) == inst.n
+            assert list(loads[: k_dprime - 1]) == prefix
+            c = max(cmax, crest)
+            for a, load in zip(coeffs[k_dprime - 1 :], loads[k_dprime - 1 :]):
+                assert -(-c // a) - 1 <= load <= min(M - 3, p * crest // (q * a))
 
 
 class TestShapeTable:
