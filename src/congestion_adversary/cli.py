@@ -101,12 +101,7 @@ def _refuse(command: str, n: int, m: int, work: int, limit: int, unit: str) -> N
 def _deviation_json(binding) -> dict:
     """A :func:`binding_deviation`'s move and its two costs, as JSON."""
     _, source, target, cost, dev = binding
-    return {
-        "from": source,
-        "to": target,
-        "cost": format_rational(cost),
-        "deviation_cost": format_rational(dev),
-    }
+    return {"from": source, "to": target, "cost": format_rational(cost), "deviation_cost": format_rational(dev)}
 
 
 def cmd_solve_k(args) -> int:

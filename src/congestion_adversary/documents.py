@@ -70,10 +70,7 @@ def _parse_rationals(texts: Sequence) -> Tuple[List[int], List[int]]:
 
 
 def format_rational(value: Union[Fraction, int]) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 @dataclass(frozen=True)

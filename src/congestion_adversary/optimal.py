@@ -11,14 +11,13 @@ pair; at it a short greedy procedure builds the witness load vector.  One
 pass over a table of each shape's alpha-free data fills each pair at its
 least factor and scores the fill by the factor it needs; the optimum is the
 least score, and the witness the first profile scored at it.  The table
-reads the running score and builds no row whose heads or tail's least
-coefficient leave no pair there; the scan reads each row's values from the
-window its heads leave at the score up to the row's cut, past which no pair
-has a least factor, out of a prefix of the tail's steps shared by every row
-of one M and k''.  All is in exact integers, the scan on one scale,
-:func:`_scaled_form`, built only where inserting each player at its
-cheapest move ends off an exact equilibrium; it starts from that profile.
-Only the binding is in Fractions.
+reads the running score: it builds no row whose heads or tail's least
+coefficient leave no pair there, and stops at the first M whose one shape
+left its cut refuses.  Each row's values run from where its heads start at
+the score up to its cut, past which no pair has a least factor.  All is in
+exact integers, the scan on one scale, :func:`_scaled_form`, built only
+where inserting each player at its cheapest move ends off an exact
+equilibrium; it starts from that profile.  Only the binding is in Fractions.
 
 Shape indices k, k', k'' are 1-based to match the non-increasing load
 picture; the sentinel value m+1 for k' (or k'') means no resource has load
@@ -132,10 +131,21 @@ def _shape_table(inst: Instance, form, score) -> Iterator[tuple]:
     coefficient has more than x // a steps up to x.  As k'' grows the needs
     only grow and the caps only fall, so a head failure ends its loop; for
     k >= 2 every cap_max is at most `top`, which skips (M, k).
+
+    Once 2M >= n + 3 no second resource fits at M, M - 1 or M - 2 (that
+    needs 2M, 2M - 1 or 2M - 2 <= n), k'' = m + 1 included: (M, 1, 2, 2) is
+    the one shape, its tail from a[1] seating n - M.  Its need_max is ``a[0]
+    * M + B`` and its cut ``(n - M + 1) * a[1]``, as n - M + 1 <= M - 2; the
+    tail test refuses the row once the need passes the score times the cut,
+    whatever else may refuse it too.  As M grows the need never falls, the
+    cut never rises and the score only falls, so the first M refused so ends
+    the loop; at m = 1 there is no a[1] and no row.
     """
     n, m = inst.n, inst.m
     a, B, _ = form
     for M in range(-(-n // m), n + 1):
+        if m > 1 and 2 * M >= n + 3 and (a[0] * M + B) * score[1] > score[0] * (n - M + 1) * a[1]:
+            break
         tails, top = {}, a[0] * (M + 1) + B
         for k in range(1, m):
             if k * M > n:
@@ -264,7 +274,7 @@ def _drawn(coeffs, M: int, k_dprime: int, tail: list, count: int) -> Tuple[List[
 def _windows(coeffs, row: tuple, p: int, q: int) -> tuple:
     """The row's values that can make a pair of least factor at most p/q.
 
-    Returns ``(cmax, crest, room, steps)``.  A pair has no least factor once
+    Returns ``(cmax, crest, room)``.  A pair has no least factor once
     its larger cost passes the cut: the least of ``(M - 2) * a_{k''}`` and
     the ``(leftover + 1)``-th smallest step (see :func:`_least_factor`).  So
     each list is the window of its values from ``ceil(need / alpha)`` up to
@@ -272,14 +282,13 @@ def _windows(coeffs, row: tuple, p: int, q: int) -> tuple:
     is the cap or ``(M - 2) * a_{k''}``, the one tail cost ``c * t`` up to
     the cut that need not be a step.  `room` is the least integer ``alpha *
     cbar_rest`` at which the tail seats the leftover players, the
-    leftover-th smallest step, and `steps` the prefix those reads come from.
-    The row must be one :func:`_shape_table` built at p/q: its least tail
-    coefficient is then positive.
+    leftover-th smallest step.  The row must be one :func:`_shape_table`
+    built at p/q: its least tail coefficient is then positive.
     """
     (M, _, _, k_dprime), _, leftover, need_max, cap_max, need_rest, cap_rest, tail = row
     if tail is None:  # No tail, no cut: each list is its cap.
         cut = last = max(cap_max, cap_rest)
-        room, steps, values = 0, [], []
+        room, values = 0, []
     else:
         least = coeffs[k_dprime - 1]
         cut, last = min(leftover + 1, M - 2) * least, (M - 2) * least
@@ -294,27 +303,26 @@ def _windows(coeffs, row: tuple, p: int, q: int) -> tuple:
         if low <= top and top in (cap, last) and not (window and window[-1] == top):
             window.append(top)
         windows.append(window)
-    return (*windows, room, steps)
+    return (*windows, room)
 
 
-def _least_factor(steps, room, need_max, need_rest, cbar_max, cbar_rest) -> Tuple[int, int]:
+def _least_factor(room, need_max, need_rest, cbar_max, cbar_rest) -> Tuple[int, int]:
     """Least alpha at which a pair within its row's cut passes the head conditions and fills.
 
     Returned as ``(p, q)`` for p/q, not in lowest terms; it alone decides
     the pair, and :func:`feasible_load_vector` builds its fill.  Besides 1
     and the two ``need / c``, alpha must reach ``room / cbar_rest`` and lift
     each tail load's upper bound ``floor(alpha * cbar_rest / a_r)`` to its
-    lower one ``ceil(c / a_r) - 1``, c the larger cost: the largest of the
-    row's `steps` below c, over cbar_rest.  The lower bounds fail past the
-    cut of :func:`_windows`: lower_r > M - 3 for the least tail coefficient,
-    or more steps below c, the lower bounds' sum, than leftover players.
+    lower one ``ceil(c / a_r) - 1``, c the larger cost: the largest step
+    below c, over cbar_rest, which never passes the room, as within the cut
+    at most leftover steps lie below c.  The lower bounds fail past the cut
+    of :func:`_windows`: lower_r > M - 3 for the least tail coefficient, or
+    more steps below c, the lower bounds' sum, than leftover players.
     Within the windows every pair has one: a `cbar_max` window starts at
     ``ceil(need_max / alpha) >= 1``, as need_max >= B / k >= 1 on the scaled
-    form; and a zero `cbar_rest` needs need_rest = room = 0, so leftover 0
-    and a cut at the least step, below which no step lies: nothing to lift.
+    form, and a zero `cbar_rest` needs need_rest = room = 0: nothing to lift.
     """
-    total = bisect_left(steps, max(cbar_max, cbar_rest))
-    top = max(room, need_rest, steps[total - 1] if total else 0)
+    top = max(room, need_rest)
     if top * cbar_max >= need_max * (cbar_rest or 1):
         return (top, cbar_rest) if top > cbar_rest else (1, 1)
     return (need_max, cbar_max) if need_max > cbar_max else (1, 1)
@@ -329,11 +337,12 @@ def best_alpha(inst: Instance) -> OptResult:
     pricing that found it.  Else :func:`_scan` answers, seeded with that
     profile and its score, on :func:`_scaled_form`, which may raise GameError.
     """
-    if inst.m == 1:
+    form, m = inst.form, inst.m
+    if m == 1:
         return _checked(inst, Fraction(1), (inst.n,))
-    form, loads, heads, tails = inst.form, [0] * inst.m, [(0, 0)], []
+    loads, heads, tails = [0] * m, [(0, 0)], []
     for _ in range(inst.n):
-        _shift(heads, tails, loads, _pricing(form, loads, heads, _peaks(heads, tails, inst.m))[2][2], 1)
+        _shift(heads, tails, loads, _pricing(form, loads, heads, _peaks(heads, tails, m))[2][2], 1)
     found = _binding(form, loads)
     if found[0][0] <= found[0][1]:
         return _checked(inst, Fraction(1), tuple(loads), found)
@@ -365,7 +374,7 @@ def _scan(inst: Instance, form, seed, seed_score: Tuple[int, int]) -> OptResult:
     running = [p, q]
     for row in _shape_table(inst, form, running):
         need_max, need_rest = row[3], row[5]
-        cmax_window, live, room, steps = _windows(a, row, p, q)
+        cmax_window, live, room = _windows(a, row, p, q)
         for cmax in cmax_window:
             if not live:
                 break
@@ -373,7 +382,7 @@ def _scan(inst: Instance, form, seed, seed_score: Tuple[int, int]) -> OptResult:
                 continue
             kept = []
             for crest in live:
-                f, g = factor = _least_factor(steps, room, need_max, need_rest, cmax, crest)
+                f, g = factor = _least_factor(room, need_max, need_rest, cmax, crest)
                 if f * q > p * g:
                     if need_max * q > p * cmax:  # need_max / cmax alone fails: keep crest
                         kept.append(crest)

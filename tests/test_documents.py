@@ -115,6 +115,15 @@ class TestRationals:
         for value in (Fraction(7, 6), Fraction(-3), Fraction(0), Fraction(25, 24)):
             assert parse_rational(format_rational(value)) == value
 
+    @given(st.fractions() | st.integers() | st.booleans())
+    @example(True)
+    @example(False)
+    @example(-3)
+    def test_formats_every_input_as_its_fraction(self, value):
+        # format_rational reads the value's own numerator and denominator;
+        # an int or a bool must still read as its Fraction does: "1", not "True".
+        assert format_rational(value) == str(Fraction(value))
+
 
 #: Python's int digit limit, 4 300 by default, which parse_rational inherits from int().
 DIGIT_LIMIT = sys.get_int_max_str_digits()

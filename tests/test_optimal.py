@@ -422,7 +422,7 @@ def refused(form, row, p, q):
 
 
 def scan_windows(form, row, alpha=None):
-    """The row's ``(cmax, crest, room, steps)`` as best_alpha cuts them at alpha, or None if refused.
+    """The row's ``(cmax, crest, room)`` as best_alpha cuts them at alpha, or None if refused.
 
     Without alpha, at a factor past every ratio the row can need, so that
     each list runs from its least positive value up to the row's cut.
@@ -435,9 +435,9 @@ def scan_windows(form, row, alpha=None):
 
 
 def least_factor(form, row, cmax, crest):
-    """The least factor of a pair within the row's cut, from the room and steps best_alpha draws."""
+    """The least factor of a pair within the row's cut, from the room best_alpha draws."""
     cut = scan_windows(form, row)
-    return None if cut is None else _least_factor(cut[3], cut[2], row[3], row[5], cmax, crest)
+    return None if cut is None else _least_factor(cut[2], row[3], row[5], cmax, crest)
 
 
 def reference_scan_windows(inst, row, alpha):
@@ -493,10 +493,10 @@ def witness_at(inst, alpha):
         cut = scan_windows(form, row, alpha)
         if cut is None:
             continue
-        cmax_window, crest_window, room, steps = cut
+        cmax_window, crest_window, room = cut
         for cmax in cmax_window:
             for crest in crest_window:
-                factor = _least_factor(steps, room, row[3], row[5], cmax, crest)
+                factor = _least_factor(room, row[3], row[5], cmax, crest)
                 if Fraction(*factor) > alpha:
                     continue
                 p, q = alpha.numerator, alpha.denominator
@@ -585,7 +585,7 @@ class TestFeasibleLoadVector:
             if cut is None or (limit is not None and crest > limit * scale):
                 continue
             factors = [
-                _least_factor(cut[3], cut[2], row[3], row[5], c, crest)
+                _least_factor(cut[2], row[3], row[5], c, crest)
                 for c in within
                 if row[3] * q <= p * c
             ]
@@ -644,7 +644,7 @@ class TestFeasibleLoadVector:
                         continue
                     if row[3] * q > p * cmax or row[5] * q > p * crest:
                         continue
-                    f, g = _least_factor(cut[3], cut[2], row[3], row[5], cmax, crest)
+                    f, g = _least_factor(cut[2], row[3], row[5], cmax, crest)
                     expected = reference_load_vector(
                         inst, row, alpha, Fraction(cmax, scale), Fraction(crest, scale)
                     )
@@ -735,15 +735,11 @@ class TestShapeTable:
             assert [Fraction(c, form[2]) for c in cut[0]] == [
                 c for c in cmax if c > 0 and (top is None or c <= top)
             ]
-            room, steps = cut[2:]
-            assert room == reference_room(inst, row) * form[2]
-            if tail is None:
-                assert steps == []
-            else:
-                assert steps is tail[0]
-            reference = [s * form[2] for s in reference_steps(inst, row)]
-            assert steps == reference[: len(steps)]
-            assert len(steps) > leftover or steps == reference
+            assert cut[2] == reference_room(inst, row) * form[2]
+            if tail is not None:  # The steps the windows drew, in the record the row shares.
+                steps, reference = tail[0], [s * form[2] for s in reference_steps(inst, row)]
+                assert steps == reference[: len(steps)]
+                assert len(steps) > leftover or steps == reference
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_rows_are_the_profile_shapes_on_a_grid(self, m):
@@ -869,6 +865,115 @@ class TestScoredTable:
                 assert list(table) == [row for row in after if not refused(form, row, p, q)]
 
 
+def reference_shape_table(inst, form, score):
+    """The shape table without its stop: every peak load M up to n, each row refused or built as there."""
+    n, m = inst.n, inst.m
+    a, B, _ = form
+    for M in range(-(-n // m), n + 1):
+        tails, top = {}, a[0] * (M + 1) + B
+        for k in range(1, m):
+            if k * M > n:
+                break
+            rest = n - k * M
+            need_max, first = a[k - 1] * M + B // k, top if k >= 2 else None
+            if k >= 2 and need_max * score[1] > score[0] * top:
+                continue
+            second = a[k] * M + B // k if k == 1 else min(top, a[k] * M + B // k)
+            second_rest = min(top, a[k] * M + B // (k + 1))
+            for k_prime in range(k + 1 + max(0, rest - (m - k) * (M - 2)), m + 2):
+                base = rest - (k_prime - k - 1) * (M - 1)
+                if base < 0:
+                    break
+                if k_prime >= k + 2:
+                    cap_max, need, cap_rest = second, a[k_prime - 2] * (M - 1), second_rest
+                else:
+                    cap_max, need, cap_rest = first, 0, top
+                if k_prime <= m:
+                    low = a[k_prime - 1] * (M - 1)
+                    band_max = low + (B // k_prime if k == 1 else 0)
+                    band_max = band_max if cap_max is None else min(cap_max, band_max)
+                    band_rest = min(cap_rest, low)
+                for k_dprime in range(k_prime + max(0, base - (m - k_prime + 1) * (M - 3)), m + 2):
+                    leftover = base - (k_dprime - k_prime) * (M - 2)
+                    if leftover < 0:
+                        break
+                    cmax_cap, crest_cap = (cap_max, cap_rest) if k_dprime == k_prime else (band_max, band_rest)
+                    need_rest = need if k_dprime == k_prime else max(need, a[k_dprime - 2] * (M - 2))
+                    p, q = score
+                    if (cmax_cap is not None and need_max * q > p * cmax_cap) or need_rest * q > p * crest_cap:
+                        break
+                    if k_dprime <= m:
+                        least = a[k_dprime - 1]
+                        cut, room = min(leftover + 1, M - 2) * least, -(-leftover // (m - k_dprime + 1)) * least
+                        if need_max * q > p * cut or max(need_rest, room) * q > p * min(crest_cap, cut):
+                            continue
+                    if k_dprime not in tails:
+                        tails[k_dprime] = [[], [], a[k_dprime - 1]] if k_dprime <= m else None
+                    prefix = [M] * k + [M - 1] * (k_prime - k - 1) + [M - 2] * (k_dprime - k_prime)
+                    heads = (need_max, cmax_cap, need_rest, crest_cap)
+                    yield ((M, k, k_prime, k_dprime), prefix, leftover, *heads, tails[k_dprime])
+
+
+def first_stop(inst, form, score):
+    """The first peak load the table skips, or None: 2M >= n + 3, where (M, 1, 2, 2)'s cut refuses it."""
+    n, (a, B, _) = inst.n, form
+    return next(
+        (
+            M
+            for M in range(max(-(-n // inst.m), -(-(n + 3) // 2)), n + 1)
+            if (a[0] * M + B) * score[1] > score[0] * (n - M + 1) * a[1]
+        ),
+        None,
+    )
+
+
+def stop_scores(inst):
+    """The infinite score (1, 0), 2, 6/5, alpha* and alpha* - 10**-9, each as ``(p, q)``."""
+    star = best_alpha(inst).alpha_star
+    alphas = (Fraction(2), Fraction(6, 5), star, star - Fraction(1, 10**9))
+    return [(1, 0)] + [(alpha.numerator, alpha.denominator) for alpha in alphas]
+
+
+def assert_stops_past_every_row(inst, form, p, q):
+    """The table at p/q is the unstopped one's rows, all of them at a peak load below where it stops."""
+    rows, stop = list(reference_shape_table(inst, form, (p, q))), first_stop(inst, form, (p, q))
+    assert list(_shape_table(inst, form, (p, q))) == rows
+    assert stop is None or all(row[0][0] < stop for row in rows)
+    return stop
+
+
+class TestTableStop:
+    """Past the first M with 2M >= n + 3 whose one shape (M, 1, 2, 2) its cut refuses, no row is built."""
+
+    @given(small_instances(min_m=2, max_n=40))
+    @example(validate_instance([1, 1], 4, 2))  # 2M = n + 2 admits (3, 1, 2, 3) at 2.
+    @example(validate_instance([1, 1, 1], 4, 2))
+    @example(validate_instance([0, 0, 1], 9, 1))  # A zero a[1]: every score past 0 stops.
+    @example(validate_instance([1, 2], 7, 3))
+    @settings(deadline=None, max_examples=150)
+    def test_skips_no_row_the_unstopped_table_builds(self, inst):
+        form = _scaled_form(inst)
+        for p, q in stop_scores(inst):
+            assert_stops_past_every_row(inst, form, p, q)
+
+    @pytest.mark.parametrize("name", ["example1", "tightness"])
+    @pytest.mark.parametrize("t", [2, 3, 12, 40])
+    def test_stops_on_hard_instances(self, name, t):
+        # The peaks the stop cuts off are those of the jittered fixtures at
+        # their optimum, where it must fire.
+        inst = jittered(name, t, 1)
+        form = _scaled_form(inst)
+        stops = {(p, q): assert_stops_past_every_row(inst, form, p, q) for p, q in stop_scores(inst)}
+        star = best_alpha(inst).alpha_star
+        assert stops[(1, 0)] is None and stops[(star.numerator, star.denominator)] is not None
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_one_resource_has_no_row(self, n):
+        inst = validate_instance([Fraction(3, 2)], n, 2)
+        for score in ((1, 0), (2, 1), (6, 5), (1, 1)):
+            assert list(_shape_table(inst, _scaled_form(inst), score)) == []
+
+
 class TestLeastFactor:
     @given(small_instances(min_m=2, max_n=12), st.data())
     @settings(deadline=None, max_examples=150)
@@ -910,10 +1015,10 @@ class TestLeastFactor:
         star = best_alpha(inst).alpha_star
         for alpha in (Fraction(2), Fraction(6, 5), star, star - Fraction(1, 10**9)):
             for row in rows:
-                cmax_window, crest_window, room, steps = scan_windows(form, row, alpha) or ([], [], 0, [])
+                cmax_window, crest_window, room = scan_windows(form, row, alpha) or ([], [], 0)
                 for cmax in cmax_window:
                     for crest in crest_window:
-                        factor = _least_factor(steps, room, row[3], row[5], cmax, crest)
+                        factor = _least_factor(room, row[3], row[5], cmax, crest)
                         costs = Fraction(cmax, form[2]), Fraction(crest, form[2])
                         expected = reference_least_factor(inst, row, reference_room(inst, row), *costs)
                         assert cmax >= 1 and Fraction(*factor) == expected
